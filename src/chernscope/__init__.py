@@ -15,20 +15,17 @@ from .errors import (
 )
 from .lattice import (
     DEFAULT_GEOMETRY,
-    BandEigensystem,
-    BlochComponents,
     LatticeGeometry,
     ModelParams,
     band_energies,
     band_gap_min,
     band_states,
-    bloch_components,
     bloch_fields,
     boundary_matrix,
     boundary_phase,
-    eigensystem,
     hamiltonian,
     high_symmetry_path,
+    is_reciprocal,
     reciprocal_coefficients,
     sublattice_matching,
 )
@@ -38,10 +35,12 @@ from .topology import (
     KPath,
     berry_curvature_fhs,
     berry_phase_loop,
+    boundary_matched,
     chern_from_zak,
     chern_number,
     connection_integral,
     noncyclic_zak,
+    transport_link,
 )
 from .protocol import (
     ForceSpec,
@@ -61,11 +60,13 @@ from .interferometer import (
     TdseDiagnostics,
     apply_pi,
     apply_pi2,
+    dynamic_phase,
     evolve_adiabatic,
     evolve_tdse,
     initial_state,
     landau_zener_estimate,
     readout,
+    readout_scan,
     run_fringe,
     wrap_angle,
 )

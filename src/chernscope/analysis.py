@@ -15,21 +15,15 @@ threshold, they are diagnostics.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateScan
-from .interferometer import (
-    FringeScan,
-    apply_pi2,
-    evolve_adiabatic,
-    initial_state,
-    readout,
-    wrap_angle,
-)
-from .lattice import ModelParams, band_energies
+from .interferometer import FringeScan, dynamic_phase, run_fringe, wrap_angle
+from .lattice import ModelParams
 from .protocol import ProtocolPlan, perturb_plan, plan_site
 
 __all__ = [
@@ -163,27 +157,16 @@ def classify(
 
 
 def _site_scan_and_points(
-    p: ModelParams,
-    plan: ProtocolPlan,
-    phi_grid: np.ndarray,
-    nominal_phi: float,
-    zeeman_rate: float = 0.0,
+    p: ModelParams, plan: ProtocolPlan, phi_grid: np.ndarray, nominal_phi: float
 ) -> tuple[FringeScan, float, float]:
-    """One evolution, scanned over the grid plus the two diagnostic phases."""
-    end, ledger = evolve_adiabatic(
-        initial_state(p), plan, p, zeeman_rate=zeeman_rate
+    """One evolution, scanned over the grid plus the two diagnostic phases
+    (0 and ``nominal_phi``) appended to it."""
+    full = run_fringe(p, plan.site, np.append(phi_grid, [0.0, nominal_phi]), plan=plan)
+    m = len(phi_grid)
+    scan = dataclasses.replace(
+        full, phi_mw_values=phi_grid, n_down=full.n_down[:m], n_up=full.n_up[:m]
     )
-    n_down = np.empty_like(phi_grid)
-    n_up = np.empty_like(phi_grid)
-    for i, value in enumerate(phi_grid):
-        n_down[i], n_up[i] = readout(apply_pi2(end, float(value)))
-    scan = FringeScan(
-        phi_mw_values=phi_grid, n_down=n_down, n_up=n_up,
-        mode="adiabatic", site=plan.site, ledger=ledger,
-    )
-    n_up_zero = readout(apply_pi2(end, 0.0))[1]
-    n_up_nominal = readout(apply_pi2(end, nominal_phi))[1]
-    return scan, n_up_zero, n_up_nominal
+    return scan, full.n_up[m], full.n_up[m + 1]
 
 
 def robustness_sweep(
@@ -285,9 +268,8 @@ def robustness_sweep(
 
 def dynamic_phase_check(plan: ProtocolPlan, p: ModelParams) -> float:
     """Mismatch of the two packets' dynamical phases along the planned legs."""
-    integrals = []
-    for kpath in (plan.k_path_down, plan.k_path_up):
-        e_lower = band_energies(kpath.points, p)[0]
-        dt = plan.leg_time / (len(kpath.points) - 1)
-        integrals.append(float(np.trapezoid(e_lower, dx=dt)))
-    return abs(integrals[0] - integrals[1])
+    down, up = (
+        dynamic_phase(kpath.points, p, plan.leg_time)
+        for kpath in (plan.k_path_down, plan.k_path_up)
+    )
+    return abs(down - up)

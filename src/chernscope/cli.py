@@ -152,7 +152,8 @@ class RunConfig:
         if self.output["format"] not in ("dsv", "structured-record"):
             raise ConfigError("output.format must be 'dsv' or 'structured-record'")
         for key in ("t", "tprime", "phi"):
-            if not isinstance(self.model[key], (int, float)):
+            value = self.model[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"model.{key} must be a number")
         if not isinstance(self.sweep["error_radii"], (list, tuple)):
             raise ConfigError("sweep.error_radii must be a list")
@@ -164,10 +165,14 @@ class RunConfig:
             phi=float(self.model["phi"]),
         )
 
-    def config_hash(self) -> str:
+    def config_hash(self, command_settings: Optional[dict] = None) -> str:
+        """Hash of every section but output, plus the subcommand's own
+        settings (such as --grid-n) when it has any."""
         payload = {
             k: v for k, v in sorted(self.to_dict().items()) if k != "output"
         }
+        if command_settings:
+            payload["command"] = command_settings
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -289,14 +294,18 @@ def cmd_chern(cfg: RunConfig, args) -> tuple[list, dict]:
     return summary, {}
 
 
-def _site_ledger(cfg: RunConfig, p: ModelParams, site: str):
-    plan = plan_site(
+def _plan(cfg: RunConfig, p: ModelParams, site: str):
+    return plan_site(
         site,
         p,
         leg_time=float(cfg.protocol["leg_time"]),
         with_echo=bool(cfg.protocol["echo"]),
         samples_per_leg=int(cfg.protocol["samples_per_leg"]),
     )
+
+
+def _site_ledger(cfg: RunConfig, p: ModelParams, site: str):
+    plan = _plan(cfg, p, site)
     _, ledger = evolve_adiabatic(
         initial_state(p), plan, p,
         zeeman_rate=float(cfg.protocol["zeeman_rate"]),
@@ -324,14 +333,7 @@ def cmd_zak(cfg: RunConfig, args) -> tuple[list, dict]:
 
 def cmd_protocol(cfg: RunConfig, args) -> tuple[list, dict]:
     p = cfg.model_params()
-    site = cfg.protocol["site"]
-    plan = plan_site(
-        site,
-        p,
-        leg_time=float(cfg.protocol["leg_time"]),
-        with_echo=bool(cfg.protocol["echo"]),
-        samples_per_leg=int(cfg.protocol["samples_per_leg"]),
-    )
+    plan = _plan(cfg, p, cfg.protocol["site"])
     diag = validate_plan(plan, p)
     rows = []
     for i, step in enumerate(plan.steps):
@@ -377,11 +379,9 @@ def _fringe_scan(cfg: RunConfig, p: ModelParams, site: str):
         site,
         grid,
         mode=cfg.mode["mode"],
-        leg_time=float(cfg.protocol["leg_time"]),
-        with_echo=bool(cfg.protocol["echo"]),
         zeeman_rate=float(cfg.protocol["zeeman_rate"]),
         dt=None if dt is None else float(dt),
-        samples_per_leg=int(cfg.protocol["samples_per_leg"]),
+        plan=_plan(cfg, p, site),
     )
 
 
@@ -554,10 +554,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(cfg: RunConfig, command: str, summary, tables, stdout) -> None:
+def _emit(cfg: RunConfig, args, summary, tables, stdout) -> None:
     fmt = cfg.output["format"]
-    header = [("command", command), ("version", __version__),
-              ("config-hash", cfg.config_hash())]
+    settings = {
+        key: getattr(args, key)
+        for key in ("grid_n", "points_per_segment")
+        if hasattr(args, key)
+    }
+    header = [("command", args.command), ("version", __version__),
+              ("config-hash", cfg.config_hash(settings))]
     print("\n".join(record_lines(header + summary)), file=stdout)
     out_dir = cfg.output["out"]
     ext = "dsv" if fmt == "dsv" else "rec"
@@ -587,7 +592,7 @@ def main(argv: Optional[list] = None, stdout=None, stderr=None) -> int:
                   file=stdout)
             return EXIT_OK
         summary, tables = COMMANDS[args.command](cfg, args)
-        _emit(cfg, args.command, summary, tables, stdout)
+        _emit(cfg, args, summary, tables, stdout)
         return EXIT_OK
     except BrokenPipeError:
         # Downstream consumer (e.g. head) closed the pipe; keep the

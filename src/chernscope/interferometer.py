@@ -6,10 +6,11 @@ pulses act on the amplitudes only.  Between pulses each packet follows its
 straight momentum leg, and the two evolution routes are
 
 * ``evolve_adiabatic``: exact lower-band transport.  Geometric phases come
-  from the discrete overlap products along the sampled legs, dynamical
-  phases from the trapezoid rule on the band energy, and the Zeeman term
-  from the plan-level rate times the signed leg time (the sign flips with
-  the gradient direction, so a midpoint echo cancels it exactly).
+  from the products of :func:`chernscope.topology.transport_link` along the
+  sampled legs, dynamical phases from :func:`dynamic_phase` (the trapezoid
+  rule on the band energy), and the Zeeman term from the plan-level rate
+  times the signed leg time (the sign flips with the gradient direction, so
+  a midpoint echo cancels it exactly).
 * ``evolve_tdse``: exact stepwise integration of the two-level Schrodinger
   equation with the midpoint Hamiltonian exponentiated in closed form per
   step, which resolves nonadiabatic band leakage.
@@ -23,9 +24,12 @@ fringe obeys
 
     N_up(phi_mw) = (1 - contrast * cos(phi_total - phi_mw)) / 2
 
-pointwise, where phi_total is the ledger total.  The pre-positioning
-transport step is common to both packets and contributes no differential
-phase, so it only moves the momenta.
+pointwise, where phi_total is the ledger total.  The readout itself never
+uses that law: :func:`readout_scan` applies the pi/2 pulse matrix to the
+slot amplitudes for a whole array of pulse phases in one pass, with the
+same formula as :func:`apply_pi2`.  The pre-positioning transport step is
+common to both packets and contributes no differential phase, so it only
+moves the momenta.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .lattice import (
     sublattice_matching,
 )
 from .protocol import ProtocolPlan, plan_site, validate_plan
+from .topology import transport_link
 
 __all__ = [
     "SpinorState",
@@ -56,6 +61,8 @@ __all__ = [
     "apply_pi2",
     "apply_pi",
     "readout",
+    "readout_scan",
+    "dynamic_phase",
     "evolve_adiabatic",
     "evolve_tdse",
     "run_fringe",
@@ -187,6 +194,14 @@ def initial_state(p: ModelParams, k: Optional[np.ndarray] = None) -> SpinorState
     )
 
 
+def _pi2_amplitudes(a: complex, b: complex, phi_mw):
+    """The pi/2 pulse [[1, i e^{-i phi}], [i e^{i phi}, 1]] / sqrt(2) applied
+    to (a, b); ``phi_mw`` may be an array of pulse phases."""
+    phase = np.exp(1j * phi_mw)
+    down = (a + 1j * np.conj(phase) * b) / np.sqrt(2.0)
+    return down, (1j * phase * a + b) / np.sqrt(2.0)
+
+
 def apply_pi2(state: SpinorState, phi_mw: float) -> SpinorState:
     """Microwave pi/2 pulse on the spin amplitudes.
 
@@ -194,13 +209,8 @@ def apply_pi2(state: SpinorState, phi_mw: float) -> SpinorState:
     (amp_down, amp_up); momenta and band states are untouched.  Two pulses
     at the same phase compose to i sigma_x times a phase.
     """
-    a, b = state.amp_down, state.amp_up
-    phase = np.exp(1j * phi_mw)
-    return dataclasses.replace(
-        state,
-        amp_down=(a + 1j * np.conj(phase) * b) / np.sqrt(2.0),
-        amp_up=(1j * phase * a + b) / np.sqrt(2.0),
-    )
+    down, up = _pi2_amplitudes(state.amp_down, state.amp_up, phi_mw)
+    return dataclasses.replace(state, amp_down=down, amp_up=up)
 
 
 def apply_pi(state: SpinorState) -> SpinorState:
@@ -219,6 +229,20 @@ def apply_pi(state: SpinorState) -> SpinorState:
 def readout(state: SpinorState) -> tuple[float, float]:
     """Populations (N_down, N_up) of the tracked lower-band amplitudes."""
     return abs(state.amp_down) ** 2, abs(state.amp_up) ** 2
+
+
+def readout_scan(
+    state: SpinorState, phi_mw_values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Populations (N_down, N_up) after the readout pi/2 pulse at each phase.
+
+    Pointwise equal to ``readout(apply_pi2(state, phi))``, computed in one
+    pass over the array of pulse phases.
+    """
+    down, up = _pi2_amplitudes(
+        state.amp_down, state.amp_up, np.asarray(phi_mw_values, dtype=float)
+    )
+    return np.abs(down) ** 2, np.abs(up) ** 2
 
 
 def _require_pure_down(state: SpinorState) -> None:
@@ -288,6 +312,13 @@ def _assemble_final_state(
     )
 
 
+def dynamic_phase(points: np.ndarray, p: ModelParams, leg_time: float) -> float:
+    """Trapezoid integral of the lower band energy along a leg sampled
+    uniformly at ``points`` and traversed in ``leg_time``."""
+    e_lower = band_energies(points, p)[0]
+    return float(np.trapezoid(e_lower, dx=leg_time / (len(points) - 1)))
+
+
 def evolve_adiabatic(
     state: SpinorState,
     plan: ProtocolPlan,
@@ -309,13 +340,9 @@ def evolve_adiabatic(
     ends = {}
     for packet, kpath in (("down", plan.k_path_down), ("up", plan.k_path_up)):
         u = band_states(kpath.points, p, band="lower", gauge_fn=gauge_fn)
-        links = np.einsum("ni,ni->n", np.conj(u[1:]), u[:-1])
-        links = links / np.abs(links)
-        product = complex(np.prod(links))
+        product = complex(np.prod(transport_link(u[1:], u[:-1])))
         phases[packet] = product / abs(product)
-        e_lower = band_energies(kpath.points, p)[0]
-        dt = plan.leg_time / (len(kpath.points) - 1)
-        dynamics[packet] = float(np.trapezoid(e_lower, dx=dt))
+        dynamics[packet] = dynamic_phase(kpath.points, p, plan.leg_time)
         ends[packet] = u[-1]
 
     w = _matching_overlap(plan, ends["down"], ends["up"])
@@ -401,6 +428,8 @@ def evolve_tdse(
     limit = 0.01 / bw
     if dt is None:
         dt = limit
+    elif not (dt > 0 and np.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     elif dt > limit * (1.0 + 1e-9):
         raise ValueError(
             f"dt = {dt:.3e} exceeds the precondition 0.01 / bandwidth = {limit:.3e}"
@@ -507,10 +536,7 @@ def run_fringe(
         raise ValueError(f"mode must be 'adiabatic' or 'tdse', got {mode!r}")
 
     phi = np.asarray(list(phi_mw_values), dtype=float)
-    n_down = np.empty_like(phi)
-    n_up = np.empty_like(phi)
-    for i, value in enumerate(phi):
-        n_down[i], n_up[i] = readout(apply_pi2(end, float(value)))
+    n_down, n_up = readout_scan(end, phi)
     return FringeScan(
         phi_mw_values=phi,
         n_down=n_down,

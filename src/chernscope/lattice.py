@@ -35,15 +35,13 @@ from .errors import GaplessPoint, NotReciprocal
 __all__ = [
     "LatticeGeometry",
     "ModelParams",
-    "BlochComponents",
-    "BandEigensystem",
     "DEFAULT_GEOMETRY",
-    "bloch_components",
+    "RECIPROCAL_TOL",
     "bloch_fields",
     "hamiltonian",
-    "eigensystem",
     "band_states",
     "band_energies",
+    "is_reciprocal",
     "boundary_phase",
     "boundary_matrix",
     "sublattice_matching",
@@ -52,6 +50,8 @@ __all__ = [
 ]
 
 GaugeFn = Optional[Callable[[np.ndarray], np.ndarray]]
+
+RECIPROCAL_TOL = 1e-9  # largest non-integer part of (m, n) still on the lattice
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,6 +118,10 @@ class ModelParams:
     geometry: LatticeGeometry = field(default=DEFAULT_GEOMETRY)
 
     def __post_init__(self) -> None:
+        if not np.all(np.isfinite([self.t, self.tp, self.phi])):
+            raise ValueError(
+                f"t, tp and phi must be finite, got {self.t}, {self.tp}, {self.phi}"
+            )
         if not self.t > 0:
             raise ValueError(f"t must be positive, got {self.t}")
         if self.tp < 0:
@@ -129,31 +133,6 @@ class ModelParams:
     def gap_tol(self) -> float:
         """Below this gap the eigenvector gauge is treated as undefined."""
         return 1e-9 * self.t
-
-
-@dataclass(frozen=True)
-class BlochComponents:
-    """Pauli decomposition of H(k) at a single momentum."""
-
-    h0: float
-    hx: float
-    hy: float
-    hz: float
-
-
-@dataclass(frozen=True, eq=False)
-class BandEigensystem:
-    """Energies and gauge-fixed eigenvectors of both bands at one momentum."""
-
-    k: np.ndarray
-    e_lower: float
-    e_upper: float
-    u_lower: np.ndarray
-    u_upper: np.ndarray
-
-    @property
-    def gap(self) -> float:
-        return self.e_upper - self.e_lower
 
 
 def bloch_fields(kpts: np.ndarray, p: ModelParams) -> tuple[np.ndarray, ...]:
@@ -172,20 +151,18 @@ def bloch_fields(kpts: np.ndarray, p: ModelParams) -> tuple[np.ndarray, ...]:
     return h0, hx, hy, hz
 
 
-def bloch_components(k: np.ndarray, p: ModelParams) -> BlochComponents:
-    """Pauli components of H at a single momentum ``k``."""
-    h0, hx, hy, hz = bloch_fields(np.asarray(k, dtype=float), p)
-    return BlochComponents(float(h0), float(hx), float(hy), float(hz))
+def hamiltonian(kpts: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Bloch Hamiltonians as a (..., 2, 2) array over (..., 2) momenta.
 
-
-def hamiltonian(k: np.ndarray, p: ModelParams) -> np.ndarray:
-    """The 2x2 Bloch Hamiltonian at ``k``."""
-    c = bloch_components(k, p)
-    return np.array(
+    A single momentum gives one 2x2 matrix.
+    """
+    h0, hx, hy, hz = bloch_fields(kpts, p)
+    return np.stack(
         [
-            [c.h0 + c.hz, c.hx - 1j * c.hy],
-            [c.hx + 1j * c.hy, c.h0 - c.hz],
-        ]
+            np.stack([h0 + hz, hx - 1j * hy], axis=-1),
+            np.stack([hx + 1j * hy, h0 - hz], axis=-1),
+        ],
+        axis=-2,
     )
 
 
@@ -256,25 +233,6 @@ def band_energies(kpts: np.ndarray, p: ModelParams) -> tuple[np.ndarray, np.ndar
     return h0 - n, h0 + n
 
 
-def eigensystem(k: np.ndarray, p: ModelParams) -> BandEigensystem:
-    """Diagonalize H(k) with the deterministic gauge.
-
-    Raises:
-        GaplessPoint: if the gap at ``k`` is below ``p.gap_tol``.
-    """
-    k = np.asarray(k, dtype=float)
-    e_lo, e_up = band_energies(k, p)
-    u_lo = band_states(k[None, :], p, "lower")[0]
-    u_up = band_states(k[None, :], p, "upper")[0]
-    return BandEigensystem(
-        k=k,
-        e_lower=float(e_lo),
-        e_upper=float(e_up),
-        u_lower=u_lo,
-        u_upper=u_up,
-    )
-
-
 def reciprocal_coefficients(
     G: np.ndarray, geom: LatticeGeometry = DEFAULT_GEOMETRY
 ) -> np.ndarray:
@@ -282,9 +240,13 @@ def reciprocal_coefficients(
     return np.linalg.solve(geom.reciprocal_basis, np.asarray(G, dtype=float))
 
 
-def boundary_phase(
-    G: np.ndarray, geom: LatticeGeometry = DEFAULT_GEOMETRY, tol: float = 1e-9
-) -> float:
+def is_reciprocal(G: np.ndarray, geom: LatticeGeometry = DEFAULT_GEOMETRY) -> bool:
+    """Whether G is an integer combination of b1, b2 within RECIPROCAL_TOL."""
+    coeff = reciprocal_coefficients(G, geom)
+    return bool(np.max(np.abs(coeff - np.round(coeff))) <= RECIPROCAL_TOL)
+
+
+def boundary_phase(G: np.ndarray, geom: LatticeGeometry = DEFAULT_GEOMETRY) -> float:
     """Sublattice matching phase chi(G) = G . e1 mod 2pi.
 
     Eigenvectors at reciprocal-equivalent momenta satisfy
@@ -293,10 +255,9 @@ def boundary_phase(
 
     Raises:
         NotReciprocal: if G is not an integer combination of b1, b2
-            within ``tol``.
+            within RECIPROCAL_TOL.
     """
-    coeff = reciprocal_coefficients(G, geom)
-    if np.max(np.abs(coeff - np.round(coeff))) > tol:
+    if not is_reciprocal(G, geom):
         raise NotReciprocal(f"{np.asarray(G)} is not on the reciprocal lattice")
     return float(np.mod(np.dot(np.asarray(G, dtype=float), geom.e1), 2 * np.pi))
 
@@ -322,11 +283,11 @@ def sublattice_matching(
     return np.array([1.0, np.exp(1j * np.dot(np.asarray(dk, dtype=float), geom.e1))])
 
 
-def band_gap_min(p: ModelParams, n: int = 64, refine: bool = True) -> float:
+def band_gap_min(p: ModelParams, n: int = 64) -> float:
     """Minimum direct band gap over the BZ.
 
-    Scans an n x n grid in fractional reciprocal coordinates and, when
-    ``refine`` is set, polishes the best grid point with a local search.
+    Scans an n x n grid in fractional reciprocal coordinates and polishes
+    the best grid point with a local search.
     For this model the minimum sits at K or K' and equals
     2 * 3*sqrt(3) * tp * |sin phi|.
     """
@@ -339,8 +300,6 @@ def band_gap_min(p: ModelParams, n: int = 64, refine: bool = True) -> float:
     gaps = e_up - e_lo
     i, j = np.unravel_index(np.argmin(gaps), gaps.shape)
     best = float(gaps[i, j])
-    if not refine:
-        return best
 
     def objective(k):
         lo, up = band_energies(np.asarray(k), p)

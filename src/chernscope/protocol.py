@@ -38,7 +38,7 @@ from .lattice import (
     LatticeGeometry,
     ModelParams,
     band_energies,
-    reciprocal_coefficients,
+    is_reciprocal,
 )
 from .topology import KPath
 
@@ -254,8 +254,8 @@ def plan_site(
     default couplings.  With the echo the motion splits into two equal legs
     around the pi pulse, whose gradient flip keeps every k path straight.
     """
-    if leg_time <= 0:
-        raise ValueError(f"leg_time must be positive, got {leg_time}")
+    if not (leg_time > 0 and np.isfinite(leg_time)):
+        raise ValueError(f"leg_time must be positive and finite, got {leg_time}")
     start = site_start(site, p)
     disp = site_displacements(site, p, swap_spin_assignment)
     return _build_plan(
@@ -291,8 +291,7 @@ def validate_plan(plan: ProtocolPlan, p: ModelParams) -> PlanDiagnostics:
             f"plan endpoints miss their targets by {residual:.3e} (>= 1e-9)"
         )
 
-    coeff = reciprocal_coefficients(plan.endpoint_up - plan.endpoint_down, p.geometry)
-    reciprocal = bool(np.max(np.abs(coeff - np.round(coeff))) <= 1e-9)
+    reciprocal = is_reciprocal(plan.endpoint_up - plan.endpoint_down, p.geometry)
 
     xi = 0.0
     for packet, kpath in (("down", plan.k_path_down), ("up", plan.k_path_up)):

@@ -3,11 +3,15 @@
 Conventions, fixed once and used by every routine here and downstream:
 
 * Transport link: the discrete link from point k_j to k_{j+1} is
-  ``<u(k_{j+1}) | u(k_j)>``.  Products of transport links around a closed
-  circuit are gauge invariant.
+  ``<u(k_{j+1}) | u(k_j)>`` normalized to unit modulus, computed by
+  :func:`transport_link` and nowhere else.  Products of transport links
+  around a closed circuit are gauge invariant.
 * Cross-boundary matching: whenever a circuit closes through a reciprocal
-  vector G, the wrap link compares the final state against ``V(G) u(k_b)``
-  with V the sublattice boundary unitary from :mod:`chernscope.lattice`.
+  vector G, the wrap link is ``transport_link(boundary_matched(u(k_b), G),
+  u(k_e))``, i.e. it compares the final state against ``V(G) u(k_b)`` with
+  V the sublattice boundary unitary from :mod:`chernscope.lattice`.  The
+  plaquette grid, loop, open-path and connection routines all match the
+  boundary through :func:`boundary_matched`.
 * Grid orientation: curvature grids and plaquette circuits follow the
   reciprocal basis (b1, b2).  With this traversal the lower band of the
   model at phi = pi/2 carries total flux +2pi (Chern number +1), i.e.
@@ -22,20 +26,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    GaplessPoint,
-    NoClosure,
-    NotQuantized,
-    NotReciprocal,
-    PlaquetteSaturated,
-)
+from .errors import GaplessPoint, NoClosure, NotQuantized, PlaquetteSaturated
 from .lattice import (
     GaugeFn,
+    LatticeGeometry,
     ModelParams,
     band_gap_min,
     band_states,
-    boundary_matrix,
     boundary_phase,
+    is_reciprocal,
     reciprocal_coefficients,
 )
 
@@ -43,6 +42,8 @@ __all__ = [
     "KPath",
     "BerryField",
     "ChernResult",
+    "transport_link",
+    "boundary_matched",
     "berry_curvature_fhs",
     "chern_number",
     "berry_phase_loop",
@@ -140,6 +141,35 @@ class ChernResult:
     n: int
 
 
+def transport_link(dest: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Normalized links ``<dest|src> / |<dest|src>|`` over the last axis."""
+    ov = np.einsum("...c,...c->...", np.conj(dest), src)
+    return ov / np.abs(ov)
+
+
+def boundary_matched(
+    u: np.ndarray, G: np.ndarray, geom: LatticeGeometry
+) -> np.ndarray:
+    """States ``V(G) u``: the B component of each (..., 2) state times
+    exp(i chi(G)).
+
+    Raises:
+        NotReciprocal: if G is not on the reciprocal lattice.
+    """
+    return u * np.array([1.0, np.exp(1j * boundary_phase(G, geom))])
+
+
+def _matched_phase(
+    u: np.ndarray, G: Optional[np.ndarray], geom: LatticeGeometry
+) -> float:
+    """Argument of the transport product along ``u``, times the wrap link
+    through G when G is given."""
+    prod = np.prod(transport_link(u[1:], u[:-1]))
+    if G is not None:
+        prod *= transport_link(boundary_matched(u[0], G, geom), u[-1])
+    return float(np.angle(prod))
+
+
 def _require_gapped(p: ModelParams) -> None:
     if band_gap_min(p, n=32) < p.gap_tol:
         raise GaplessPoint(
@@ -173,20 +203,14 @@ def berry_curvature_fhs(
 
     ue = np.empty((n + 1, n + 1, 2), dtype=complex)
     ue[:n, :n] = u
-    v1 = np.exp(1j * boundary_phase(g.b1, g))
-    v2 = np.exp(1j * boundary_phase(g.b2, g))
-    ue[n, :n] = u[0, :] * np.array([1.0, v1])
-    ue[:n, n] = u[:, 0] * np.array([1.0, v2])
-    ue[n, n] = u[0, 0] * np.array([1.0, v1 * v2])
+    ue[n, :n] = boundary_matched(u[0, :], g.b1, g)
+    ue[:n, n] = boundary_matched(u[:, 0], g.b2, g)
+    ue[n, n] = boundary_matched(u[0, 0], g.b1 + g.b2, g)
 
-    def link(dest: np.ndarray, src: np.ndarray) -> np.ndarray:
-        ov = np.einsum("...c,...c->...", np.conj(dest), src)
-        return ov / np.abs(ov)
-
-    l1 = link(ue[1:, :-1], ue[:-1, :-1])
-    l2 = link(ue[1:, 1:], ue[1:, :-1])
-    l3 = link(ue[:-1, 1:], ue[1:, 1:])
-    l4 = link(ue[:-1, :-1], ue[:-1, 1:])
+    l1 = transport_link(ue[1:, :-1], ue[:-1, :-1])
+    l2 = transport_link(ue[1:, 1:], ue[1:, :-1])
+    l3 = transport_link(ue[:-1, 1:], ue[1:, 1:])
+    l4 = transport_link(ue[:-1, :-1], ue[:-1, 1:])
     flux = np.angle(l1 * l2 * l3 * l4)
     if np.any(np.abs(flux) >= np.pi - 1e-9):
         raise PlaquetteSaturated(
@@ -215,12 +239,6 @@ def chern_number(p: ModelParams, n: int = 60) -> ChernResult:
     return ChernResult(value=value, residual=residual, n=n)
 
 
-def _transport_product(u: np.ndarray) -> complex:
-    """Product of normalized transport links along a state sequence."""
-    links = np.einsum("jc,jc->j", np.conj(u[1:]), u[:-1])
-    return complex(np.prod(links / np.abs(links)))
-
-
 def berry_phase_loop(
     p: ModelParams, path: KPath, band: str = "lower", gauge_fn: GaugeFn = None
 ) -> float:
@@ -232,12 +250,7 @@ def berry_phase_loop(
     if not path.closed and path.closure_G is None:
         raise ValueError("berry_phase_loop needs a closed path")
     u = band_states(path.points, p, band, gauge_fn)
-    prod = _transport_product(u)
-    if path.closure_G is not None:
-        v = boundary_matrix(path.closure_G, p.geometry)
-        wrap = np.vdot(v @ u[0], u[-1])
-        prod *= wrap / abs(wrap)
-    return float(np.angle(prod))
+    return _matched_phase(u, path.closure_G, p.geometry)
 
 
 def noncyclic_zak(
@@ -260,19 +273,14 @@ def noncyclic_zak(
     k_b before wrapping; otherwise NoClosure is raised.
     """
     pts = path.points
-    gap_vec = pts[-1] - pts[0]
-    try:
-        coeff = reciprocal_coefficients(gap_vec, p.geometry)
-        if np.max(np.abs(coeff - np.round(coeff))) > 1e-9:
-            raise NotReciprocal("endpoints not reciprocal-equivalent")
-        g_vec = gap_vec
-    except NotReciprocal:
+    g_vec = pts[-1] - pts[0]
+    if not is_reciprocal(g_vec, p.geometry):
         if not geodesic_closure:
             raise NoClosure(
                 "endpoints differ by a non-reciprocal vector; pass "
                 "geodesic_closure=True to close along a straight segment"
-            ) from None
-        coeff = np.round(reciprocal_coefficients(gap_vec, p.geometry))
+            )
+        coeff = np.round(reciprocal_coefficients(g_vec, p.geometry))
         g_vec = coeff @ np.stack([p.geometry.b1, p.geometry.b2])
         target = pts[0] + g_vec
         step = float(np.mean(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
@@ -283,11 +291,7 @@ def noncyclic_zak(
             pts = np.concatenate([pts, closing.points[1:]])
 
     u = band_states(pts, p, band, gauge_fn)
-    prod = _transport_product(u)
-    v = boundary_matrix(g_vec, p.geometry)
-    wrap = np.vdot(v @ u[0], u[-1])
-    prod *= wrap / abs(wrap)
-    return float(np.angle(prod))
+    return _matched_phase(u, g_vec, p.geometry)
 
 
 def connection_integral(
@@ -300,9 +304,10 @@ def connection_integral(
     """Discretized Berry-connection line integral in the fixed gauge.
 
     Returns the accumulated sum of Im log <u(k_j) | u(k_{j+1})> along the
-    segment, i.e. the straight-trajectory connection term evaluated in the
-    module's deterministic gauge.  The plain sum is an unwrapped real value
-    and is gauge dependent through the endpoint phases.
+    segment, i.e. the negated angles of the transport links: the
+    straight-trajectory connection term evaluated in the module's
+    deterministic gauge.  The plain sum is an unwrapped real value and is
+    gauge dependent through the endpoint phases.
 
     With ``include_closure`` the boundary-matched wrap angle
     arg <u(k_e) | V(G) u(k_b)> (G = k_e - k_b, which must be reciprocal) is
@@ -317,11 +322,10 @@ def connection_integral(
     if np.all(np.linalg.norm(np.diff(pts, axis=0), axis=1) == 0.0):
         return 0.0
     u = band_states(pts, p, band, gauge_fn)
-    links = np.einsum("jc,jc->j", np.conj(u[:-1]), u[1:])
-    value = float(np.sum(np.angle(links)))
+    value = -float(np.sum(np.angle(transport_link(u[1:], u[:-1]))))
     if include_closure:
-        v = boundary_matrix(pts[-1] - pts[0], p.geometry)
-        value += float(np.angle(np.vdot(u[-1], v @ u[0])))
+        matched = boundary_matched(u[0], pts[-1] - pts[0], p.geometry)
+        value -= float(np.angle(transport_link(matched, u[-1])))
     return value
 
 

@@ -242,3 +242,38 @@ def test_parse_phi_forms(text, value):
 def test_parse_phi_rejects_junk():
     with pytest.raises(ValueError):
         parse_phi("banana")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zak", "--tprime", "nan"),
+        ("zak", "--leg-time", "nan"),
+        ("protocol", "--leg-time", "inf"),
+        ("fringe", "--mode", "tdse", "--dt=-1"),
+    ],
+)
+def test_non_finite_or_negative_inputs_exit_invalid_value(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 1
+    assert out == ""
+    assert summary_of(err)["error"] == "invalid-value"
+
+
+def test_config_rejects_bool_as_number(tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"model": {"t": True}}))
+    code, out, err = run_cli("chern", "--config", str(path))
+    assert code == 3
+    assert out == ""
+    assert summary_of(err)["error"] == "config"
+
+
+def test_config_hash_covers_subcommand_settings():
+    def hash_of(*argv):
+        return summary_of(run_cli(*argv)[1])["config-hash"]
+
+    assert hash_of("chern") != hash_of("chern", "--grid-n", "30")
+    assert hash_of("curvature") != hash_of("curvature", "--grid-n", "30")
+    assert hash_of("bands") != hash_of("bands", "--points-per-segment", "30")
+    assert run_cli("chern", "--grid-n", "30") == run_cli("chern", "--grid-n", "30")

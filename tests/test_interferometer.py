@@ -1,6 +1,7 @@
 """Tests for pulses, adiabatic and stepwise evolution, and the phase ledger."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from chernscope import (
     plan_site,
     perturb_plan,
     readout,
+    readout_scan,
     run_fringe,
     wrap_angle,
 )
@@ -275,3 +277,32 @@ def test_wrap_angle_range():
         assert -np.pi - 1e-12 < w <= np.pi + 1e-12
         assert np.cos(w) == pytest.approx(np.cos(x), abs=1e-12)
         assert np.sin(w) == pytest.approx(np.sin(x), abs=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _end_state(mode):
+    """Site I end state before the readout pulse; the TDSE one leaks."""
+    if mode == "adiabatic":
+        return evolve_site("I")[0]
+    plan = plan_site("I", P0, leg_time=2.0, samples_per_leg=400)
+    return evolve_tdse(initial_state(P0), plan, P0)[0]
+
+
+@pytest.mark.parametrize("mode", ["adiabatic", "tdse"])
+@given(
+    st.lists(
+        st.floats(min_value=-7.0, max_value=7.0, allow_nan=False),
+        min_size=1,
+        max_size=40,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_readout_scan_matches_pointwise_pulse(mode, phis):
+    end = _end_state(mode)
+    if mode == "tdse":
+        assert end.upper_band_population > 0.1
+    n_down, n_up = readout_scan(end, np.array(phis))
+    for phi, down, up in zip(phis, n_down, n_up):
+        ref_down, ref_up = readout(apply_pi2(end, phi))
+        assert abs(down - ref_down) <= 1e-15
+        assert abs(up - ref_up) <= 1e-15

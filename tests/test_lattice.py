@@ -12,11 +12,9 @@ from chernscope import (
     band_energies,
     band_gap_min,
     band_states,
-    bloch_components,
     bloch_fields,
     boundary_matrix,
     boundary_phase,
-    eigensystem,
     hamiltonian,
     high_symmetry_path,
     reciprocal_coefficients,
@@ -40,19 +38,19 @@ momenta = st.tuples(
 
 
 def test_gamma_point_components():
-    c = bloch_components(GAMMA, P0)
-    assert c.h0 == pytest.approx(0.0, abs=1e-15)
-    assert c.hx == pytest.approx(-3.0, abs=1e-15)
-    assert c.hy == pytest.approx(0.0, abs=1e-15)
-    assert c.hz == pytest.approx(0.0, abs=1e-15)
+    h0, hx, hy, hz = bloch_fields(GAMMA, P0)
+    assert h0 == pytest.approx(0.0, abs=1e-15)
+    assert hx == pytest.approx(-3.0, abs=1e-15)
+    assert hy == pytest.approx(0.0, abs=1e-15)
+    assert hz == pytest.approx(0.0, abs=1e-15)
 
 
 def test_mass_term_at_zone_corner():
-    c = bloch_components(K, P0)
-    assert c.hx == pytest.approx(0.0, abs=1e-12)
-    assert c.hy == pytest.approx(0.0, abs=1e-12)
-    assert c.hz == pytest.approx(HZ_AT_K, abs=1e-12)
-    assert c.hz == pytest.approx(3 * np.sqrt(3) * P0.tp * np.sin(P0.phi), abs=1e-12)
+    _, hx, hy, hz = bloch_fields(K, P0)
+    assert hx == pytest.approx(0.0, abs=1e-12)
+    assert hy == pytest.approx(0.0, abs=1e-12)
+    assert hz == pytest.approx(HZ_AT_K, abs=1e-12)
+    assert hz == pytest.approx(3 * np.sqrt(3) * P0.tp * np.sin(P0.phi), abs=1e-12)
 
 
 def test_gap_at_zone_corner():
@@ -165,14 +163,16 @@ def test_reciprocal_coefficients_roundtrip(kxy, m, n):
 @settings(max_examples=150, deadline=None)
 def test_eigensystem_reconstructs_hamiltonian(kxy):
     k = np.array(kxy)
-    es = eigensystem(k, P0)
+    e_lower, e_upper = band_energies(k, P0)
+    u_lower = band_states(k, P0, "lower")
+    u_upper = band_states(k, P0, "upper")
     h = hamiltonian(k, P0)
-    rebuilt = es.e_lower * np.outer(es.u_lower, es.u_lower.conj()) + (
-        es.e_upper * np.outer(es.u_upper, es.u_upper.conj())
+    rebuilt = e_lower * np.outer(u_lower, u_lower.conj()) + (
+        e_upper * np.outer(u_upper, u_upper.conj())
     )
     assert np.allclose(rebuilt, h, atol=1e-11)
-    assert es.gap > 0
-    assert abs(np.vdot(es.u_lower, es.u_upper)) < 1e-12
+    assert e_upper - e_lower > 0
+    assert abs(np.vdot(u_lower, u_upper)) < 1e-12
 
 
 @given(momenta, st.sampled_from(["lower", "upper"]))
@@ -201,16 +201,6 @@ def test_band_states_vectorized_matches_pointwise():
     batch = band_states(kpts, P0)
     for k, u in zip(kpts, batch):
         assert np.allclose(u, band_states(k, P0), atol=1e-14)
-
-
-def test_bloch_fields_matches_components():
-    kpts = np.array([[0.3, -1.2], [2.0, 0.5]])
-    h0, hx, hy, hz = bloch_fields(kpts, P0)
-    for i, k in enumerate(kpts):
-        c = bloch_components(k, P0)
-        assert (h0[i], hx[i], hy[i], hz[i]) == pytest.approx(
-            (c.h0, c.hx, c.hy, c.hz), abs=1e-14
-        )
 
 
 def test_energies_opposite_without_nnn_hopping():
