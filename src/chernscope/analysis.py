@@ -182,10 +182,13 @@ def robustness_sweep(
     """Endpoint-error Monte Carlo over the full two-site pipeline.
 
     Success means the classification of a perturbed run equals the nominal
-    one.  The realized phase error is the wrapped deviation of the fitted
-    site-phase sum from its nominal value, the quantity the 1/4 tolerance
-    actually budgets.  Fixed iteration order and a single seeded generator
-    make the table reproducible.
+    one.  When the nominal run is Ambiguous, as at the default couplings,
+    success means the trial stayed Ambiguous, not that it classified C;
+    ``TrialRecord.c_classified`` and ``RobustnessRow.n_ambiguous`` show how
+    many trials classified to an integer.  The realized phase error is the
+    wrapped deviation of the fitted site-phase sum from its nominal value,
+    the quantity the 1/4 tolerance actually budgets.  Fixed iteration order
+    and a single seeded generator make the table reproducible.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -211,9 +211,17 @@ _FLAG_DESTINATIONS = {
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """File values over defaults, then flags over both.
+
+    ``--samples-per-leg`` sets ``sweep.samples_per_leg`` under ``sweep``, the
+    sampling that subcommand runs, and ``protocol.samples_per_leg`` otherwise.
+    """
     data = _load_config_file(args.config) if args.config else {}
     base = RunConfig.from_dict(data).to_dict()
-    for flag, (section, key) in _FLAG_DESTINATIONS.items():
+    destinations = dict(_FLAG_DESTINATIONS)
+    if args.command == "sweep":
+        destinations["samples_per_leg"] = ("sweep", "samples_per_leg")
+    for flag, (section, key) in destinations.items():
         value = getattr(args, flag, None)
         if value is not None:
             base[section][key] = value

@@ -15,6 +15,12 @@ straight momentum leg, and the two evolution routes are
   equation with the midpoint Hamiltonian exponentiated in closed form per
   step, which resolves nonadiabatic band leakage.
 
+Each route evaluates the Bloch fields of each leg's samples once.  The
+adiabatic route derives the plan check (its minimum gap), the lower-band
+states with their gap check and the dynamical phase from that one pass; the
+stepwise route derives the plan check, the step-size bandwidth and its end
+states from it, and evaluates new momenta only at the step midpoints.
+
 Both routes end with the two slots at momenta one reciprocal vector apart
 (up to planned endpoint error).  Before the final readout pulse the slot
 amplitudes are referred to a common orbital: the end state of the packet
@@ -47,9 +53,11 @@ from .lattice import (
     band_states,
     bloch_fields,
     band_gap_min,
+    energies_from_fields,
+    states_from_fields,
     sublattice_matching,
 )
-from .protocol import ProtocolPlan, plan_site, validate_plan
+from .protocol import ProtocolPlan, check_plan, plan_site
 from .topology import transport_link
 
 __all__ = [
@@ -315,8 +323,29 @@ def _assemble_final_state(
 def dynamic_phase(points: np.ndarray, p: ModelParams, leg_time: float) -> float:
     """Trapezoid integral of the lower band energy along a leg sampled
     uniformly at ``points`` and traversed in ``leg_time``."""
-    e_lower = band_energies(points, p)[0]
-    return float(np.trapezoid(e_lower, dx=leg_time / (len(points) - 1)))
+    return _trapezoid_phase(band_energies(points, p)[0], leg_time)
+
+
+def _trapezoid_phase(e_lower: np.ndarray, leg_time: float) -> float:
+    """``dynamic_phase`` from the lower band energies at the leg samples."""
+    return float(np.trapezoid(e_lower, dx=leg_time / (len(e_lower) - 1)))
+
+
+def _leg_pass(plan: ProtocolPlan, p: ModelParams) -> tuple[dict, dict]:
+    """Bloch fields and band energies of both legs, keyed by packet.
+
+    The one field evaluation of each leg; the plan is checked against the
+    legs' minimum gaps before anything else uses them.
+    """
+    fields = {
+        packet: bloch_fields(kpath.points, p)
+        for packet, kpath in (("down", plan.k_path_down), ("up", plan.k_path_up))
+    }
+    energies = {packet: energies_from_fields(f) for packet, f in fields.items()}
+    check_plan(
+        plan, p, {packet: np.min(up - lo) for packet, (lo, up) in energies.items()}
+    )
+    return fields, energies
 
 
 def evolve_adiabatic(
@@ -333,16 +362,16 @@ def evolve_adiabatic(
     well below 1e-8 of the continuum values.
     """
     _require_pure_down(state)
-    validate_plan(plan, p)
+    fields, energies = _leg_pass(plan, p)
 
     phases = {}
     dynamics = {}
     ends = {}
     for packet, kpath in (("down", plan.k_path_down), ("up", plan.k_path_up)):
-        u = band_states(kpath.points, p, band="lower", gauge_fn=gauge_fn)
+        u = states_from_fields(fields[packet], kpath.points, p, gauge_fn=gauge_fn)
         product = complex(np.prod(transport_link(u[1:], u[:-1])))
         phases[packet] = product / abs(product)
-        dynamics[packet] = dynamic_phase(kpath.points, p, plan.leg_time)
+        dynamics[packet] = _trapezoid_phase(energies[packet][0], plan.leg_time)
         ends[packet] = u[-1]
 
     w = _matching_overlap(plan, ends["down"], ends["up"])
@@ -368,14 +397,6 @@ def evolve_adiabatic(
         ends["up"],
     )
     return final, ledger
-
-
-def _leg_bandwidth(plan: ProtocolPlan, p: ModelParams) -> float:
-    bw = 0.0
-    for kpath in (plan.k_path_down, plan.k_path_up):
-        e_lo, e_up = band_energies(kpath.points, p)
-        bw = max(bw, float(np.max(np.abs(e_lo))), float(np.max(np.abs(e_up))))
-    return bw
 
 
 def _step_propagators(
@@ -423,8 +444,8 @@ def evolve_tdse(
     |amps|^2 + upper_band_population = 1.
     """
     _require_pure_down(state)
-    validate_plan(plan, p)
-    bw = _leg_bandwidth(plan, p)
+    fields, energies = _leg_pass(plan, p)
+    bw = max(float(np.max(np.abs(e))) for pair in energies.values() for e in pair)
     limit = 0.01 / bw
     if dt is None:
         dt = limit
@@ -450,9 +471,10 @@ def evolve_tdse(
         drift = max(
             drift, float(np.max(np.abs(u_total.conj().T @ u_total - np.eye(2))))
         )
-        psi0 = band_states(start, p, band="lower")
+        leg = fields[packet]
+        psi0 = states_from_fields(tuple(f[0] for f in leg), start, p)
         psi_end = u_total @ psi0
-        u_end = band_states(kpath.k_e, p, band="lower")
+        u_end = states_from_fields(tuple(f[-1] for f in leg), kpath.k_e, p)
         c = complex(np.vdot(u_end, psi_end))
         results[packet] = (c, u_end)
     if drift > 1e-8:

@@ -10,8 +10,22 @@ The Bloch Hamiltonian is written in the nearest-neighbor-vector convention,
     hz = -2 t' sin(phi) sum_i sin(k . v_i)
 
 with e_i the three nearest-neighbor displacement vectors (A to B sublattice)
-and v_i the next-nearest-neighbor lattice vectors.  In this convention H is
-not literally periodic on the reciprocal lattice; instead
+and v_i the next-nearest-neighbor lattice vectors.  The NNN vectors are
+differences of the NN ones,
+
+    v1 = e3 - e2,   v2 = e1 - e3,   v3 = e2 - e1,
+
+which ``LatticeGeometry`` enforces.  So with z_i = exp(i k . e_i), and
+exp(i k . v_i) the products z3 conj(z2), z1 conj(z3), z2 conj(z1), the fields
+take the exponential form
+
+    hx + i hy = -t (z1 + z2 + z3)
+    h0 = -2 t' cos(phi) Re S,    hz = -2 t' sin(phi) Im S,
+    S  = z3 conj(z2) + z1 conj(z3) + z2 conj(z1),
+
+three complex exponentials per momentum instead of twelve real cosines and
+sines; ``bloch_fields`` evaluates this form.  In this convention H is not
+literally periodic on the reciprocal lattice; instead
 
     H(k + G) = V H(k) V*,    V = diag(1, exp(i chi)),   chi = G . e1 (mod 2pi)
 
@@ -41,6 +55,8 @@ __all__ = [
     "hamiltonian",
     "band_states",
     "band_energies",
+    "states_from_fields",
+    "energies_from_fields",
     "is_reciprocal",
     "boundary_phase",
     "boundary_matrix",
@@ -60,6 +76,10 @@ class LatticeGeometry:
 
     All arrays are 2-vectors in Cartesian coordinates.  ``K`` and ``Kp`` are
     the two inequivalent Dirac-point momenta.
+
+    Raises:
+        ValueError: unless v1 = e3 - e2, v2 = e1 - e3 and v3 = e2 - e1 hold
+            to a relative 1e-12, the identity ``bloch_fields`` is built on.
     """
 
     a: float
@@ -73,6 +93,16 @@ class LatticeGeometry:
     b2: np.ndarray
     K: np.ndarray
     Kp: np.ndarray
+
+    def __post_init__(self) -> None:
+        e = self.nn_vectors
+        differences = np.stack([e[2] - e[1], e[0] - e[2], e[1] - e[0]])
+        atol = 1e-12 * np.max(np.abs(differences))
+        if not np.allclose(self.nnn_vectors, differences, rtol=0.0, atol=atol):
+            raise ValueError(
+                "NNN vectors must be differences of the NN vectors: "
+                "v1 = e3 - e2, v2 = e1 - e3, v3 = e2 - e1"
+            )
 
     @classmethod
     def with_scale(cls, a: float = 1.0) -> "LatticeGeometry":
@@ -139,16 +169,17 @@ def bloch_fields(kpts: np.ndarray, p: ModelParams) -> tuple[np.ndarray, ...]:
     """Vectorized Pauli components over an (..., 2) array of momenta.
 
     Returns (h0, hx, hy, hz), each shaped like ``kpts`` without the last axis.
+    Uses the exponential form of the module docstring: one complex
+    exponential z_i = exp(i k . e_i) per NN vector.
     """
     kpts = np.asarray(kpts, dtype=float)
-    g = p.geometry
-    ke = kpts @ g.nn_vectors.T
-    kv = kpts @ g.nnn_vectors.T
-    h0 = -2 * p.tp * np.cos(p.phi) * np.cos(kv).sum(axis=-1)
-    hx = -p.t * np.cos(ke).sum(axis=-1)
-    hy = -p.t * np.sin(ke).sum(axis=-1)
-    hz = -2 * p.tp * np.sin(p.phi) * np.sin(kv).sum(axis=-1)
-    return h0, hx, hy, hz
+    z = np.exp(1j * (kpts @ p.geometry.nn_vectors.T))
+    z1, z2, z3 = z[..., 0], z[..., 1], z[..., 2]
+    nn = -p.t * (z1 + z2 + z3)
+    nnn = z3 * np.conj(z2) + z1 * np.conj(z3) + z2 * np.conj(z1)
+    h0 = -2 * p.tp * np.cos(p.phi) * nnn.real
+    hz = -2 * p.tp * np.sin(p.phi) * nnn.imag
+    return h0, nn.real, nn.imag, hz
 
 
 def hamiltonian(kpts: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -205,10 +236,24 @@ def band_states(
     Raises:
         GaplessPoint: if any requested momentum has gap below ``p.gap_tol``.
     """
+    kpts = np.asarray(kpts, dtype=float)
+    return states_from_fields(bloch_fields(kpts, p), kpts, p, band, gauge_fn)
+
+
+def states_from_fields(
+    fields: tuple[np.ndarray, ...],
+    kpts: np.ndarray,
+    p: ModelParams,
+    band: str = "lower",
+    gauge_fn: GaugeFn = None,
+) -> np.ndarray:
+    """``band_states`` from fields already evaluated at ``kpts``.
+
+    ``kpts`` only feeds ``gauge_fn`` and the GaplessPoint message.
+    """
     if band not in ("lower", "upper"):
         raise ValueError(f"band must be 'lower' or 'upper', got {band!r}")
-    kpts = np.asarray(kpts, dtype=float)
-    _, hx, hy, hz = bloch_fields(kpts, p)
+    _, hx, hy, hz = fields
     n = np.sqrt(hx * hx + hy * hy + hz * hz)
     if np.any(2 * n < p.gap_tol):
         bad = np.asarray(kpts)[2 * n < p.gap_tol]
@@ -228,7 +273,14 @@ def band_states(
 
 def band_energies(kpts: np.ndarray, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """(e_lower, e_upper) arrays over an (..., 2) momentum array."""
-    h0, hx, hy, hz = bloch_fields(kpts, p)
+    return energies_from_fields(bloch_fields(kpts, p))
+
+
+def energies_from_fields(
+    fields: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``band_energies`` from fields already evaluated."""
+    h0, hx, hy, hz = fields
     n = np.sqrt(hx * hx + hy * hy + hz * hz)
     return h0 - n, h0 + n
 

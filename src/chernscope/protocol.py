@@ -52,6 +52,7 @@ __all__ = [
     "site_displacements",
     "plan_site",
     "validate_plan",
+    "check_plan",
     "perturb_plan",
 ]
 
@@ -279,6 +280,21 @@ def validate_plan(plan: ProtocolPlan, p: ModelParams) -> PlanDiagnostics:
     is xi = max over the paths of |dk/dt| / gap(k)^2; a warning is recorded
     above 0.1.
     """
+    min_gaps = {}
+    for packet, kpath in (("down", plan.k_path_down), ("up", plan.k_path_up)):
+        e_lo, e_up = band_energies(kpath.points, p)
+        min_gaps[packet] = np.min(e_up - e_lo)
+    return check_plan(plan, p, min_gaps)
+
+
+def check_plan(
+    plan: ProtocolPlan, p: ModelParams, min_gaps: dict
+) -> PlanDiagnostics:
+    """``validate_plan`` given each leg's minimum band gap, keyed by packet.
+
+    The endpoint check runs first, so a malformed plan raises MalformedPlan
+    whatever the gaps are.
+    """
     integrated = plan.integrated_displacements()
     residual = 0.0
     for packet, kpath in (("down", plan.k_path_down), ("up", plan.k_path_up)):
@@ -294,11 +310,9 @@ def validate_plan(plan: ProtocolPlan, p: ModelParams) -> PlanDiagnostics:
     reciprocal = is_reciprocal(plan.endpoint_up - plan.endpoint_down, p.geometry)
 
     xi = 0.0
-    for packet, kpath in (("down", plan.k_path_down), ("up", plan.k_path_up)):
+    for packet in ("down", "up"):
         speed = np.linalg.norm(plan.total_displacements[packet]) / plan.leg_time
-        e_lo, e_up = band_energies(kpath.points, p)
-        gap = np.min(e_up - e_lo)
-        xi = max(xi, float(speed / gap**2))
+        xi = max(xi, float(speed / min_gaps[packet] ** 2))
     warning = xi > 0.1
     messages = []
     if warning:

@@ -249,10 +249,13 @@ def test_criterion_09_endpoint_error_robustness():
     small = [t for t in table.trials if t.zak_error <= np.pi / 4]
     violations = [t for t in small if not t.success]
     worst = max(t.zak_error for t in table.trials)
+    classified = sum(t.c_classified is not None for t in table.trials)
     report(
         9, not violations,
         f"{len(small)}/400 trials within pi/4, {len(violations)} of them "
-        f"misclassified; max realized error {worst:.4f}",
+        f"misclassified; max realized error {worst:.4f}; nominal "
+        f"{table.nominal.classified_label}, {classified}/400 trials "
+        f"classified to an integer",
     )
 
 

@@ -176,6 +176,16 @@ def test_sweep_zero_radius_row():
     assert table.nominal.c_classified is None
 
 
+def test_sweep_success_is_staying_ambiguous_at_defaults():
+    """At the default couplings the nominal label is Ambiguous, so a trial
+    succeeds by staying Ambiguous: no trial classifies C to an integer."""
+    table = robustness_sweep(P0, [0.0, 0.003], trials=10, seed=0)
+    assert table.nominal.classified_label == "Ambiguous"
+    assert all(rec.c_classified is None for rec in table.trials)
+    assert all(rec.success for rec in table.trials)
+    assert [row.n_ambiguous for row in table.rows] == [10, 10]
+
+
 def test_sweep_is_deterministic():
     a = robustness_sweep(P0, [0.002], trials=4, seed=7)
     b = robustness_sweep(P0, [0.002], trials=4, seed=7)

@@ -277,3 +277,20 @@ def test_config_hash_covers_subcommand_settings():
     assert hash_of("curvature") != hash_of("curvature", "--grid-n", "30")
     assert hash_of("bands") != hash_of("bands", "--points-per-segment", "30")
     assert run_cli("chern", "--grid-n", "30") == run_cli("chern", "--grid-n", "30")
+
+
+def test_sweep_samples_per_leg_flag_sets_sweep_sampling():
+    def sweep_output(*extra):
+        code, out, _ = run_cli("sweep", "--trials", "1", *extra)
+        assert code == 0
+        return [
+            line for line in out.splitlines() if not line.startswith("config-hash")
+        ]
+
+    coarse = sweep_output("--samples-per-leg", "400")
+    assert coarse != sweep_output()
+    assert coarse == sweep_output("--samples-per-leg", "400")
+    printed = run_cli("sweep", "--samples-per-leg", "400", "--print-config")[1]
+    config = json.loads(printed)
+    assert config["sweep"]["samples_per_leg"] == 400
+    assert config["protocol"] == DEFAULTS["protocol"]

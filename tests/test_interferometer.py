@@ -2,13 +2,18 @@
 
 import dataclasses
 import functools
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chernscope.lattice
 from chernscope import (
+    DEFAULT_GEOMETRY,
+    GaplessPoint,
     KPath,
+    MalformedPlan,
     ModelParams,
     apply_pi,
     apply_pi2,
@@ -306,3 +311,69 @@ def test_readout_scan_matches_pointwise_pulse(mode, phis):
         ref_down, ref_up = readout(apply_pi2(end, phi))
         assert abs(down - ref_down) <= 1e-15
         assert abs(up - ref_up) <= 1e-15
+
+
+# ------------------------------------------------------------ field passes
+
+
+@pytest.fixture
+def field_calls(monkeypatch):
+    """Momenta of every ``bloch_fields`` call, as (n, 2) arrays, in order.
+
+    The counter replaces the function in every chernscope module that holds
+    it, so calls from inside the package are seen too.
+    """
+    original = chernscope.lattice.bloch_fields
+    calls = []
+
+    def counting(kpts, p):
+        calls.append(np.asarray(kpts, dtype=float).reshape(-1, 2))
+        return original(kpts, p)
+
+    for name, module in list(sys.modules.items()):
+        if name == "chernscope" or name.startswith("chernscope."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_adiabatic_evolution_evaluates_each_leg_once(field_calls):
+    plan = plan_site("I", P0, samples_per_leg=300)
+    legs = (plan.k_path_down.points, plan.k_path_up.points)
+    state = initial_state(P0)
+    assert [len(k) for k in field_calls] == [1]
+    evolve_adiabatic(state, plan, P0)
+    assert len(field_calls) == 3
+    for leg, kpts in zip(legs, field_calls[1:]):
+        assert np.array_equal(kpts, leg)
+
+
+def test_tdse_evaluates_leg_samples_once_besides_midpoints(field_calls):
+    plan = plan_site("I", P0, leg_time=2.0, samples_per_leg=300)
+    legs = (plan.k_path_down.points, plan.k_path_up.points)
+    state = initial_state(P0)
+    _, diagnostics = evolve_tdse(state, plan, P0)
+    midpoint_calls = [k for k in field_calls if len(k) == diagnostics.n_steps]
+    others = [k for k in field_calls if len(k) != diagnostics.n_steps]
+    assert len(midpoint_calls) == 2
+    assert [len(k) for k in others] == [1, len(legs[0]), len(legs[1])]
+    assert np.array_equal(others[1], legs[0])
+    assert np.array_equal(others[2], legs[1])
+
+
+@pytest.mark.parametrize("evolve", [evolve_adiabatic, evolve_tdse])
+def test_malformed_plan_raises_before_gap_check(evolve):
+    """A leg through a gapless point: the endpoint check still comes first,
+    so a malformed plan keeps its MalformedPlan exit code."""
+    p = ModelParams(tp=0.0)
+    plan = plan_site("I", p, leg_time=2.0, samples_per_leg=40)
+    kpath = KPath(
+        np.stack([plan.start, DEFAULT_GEOMETRY.K, plan.endpoint_down])
+    )
+    gapless = dataclasses.replace(plan, k_path_down=kpath)
+    broken = dataclasses.replace(gapless, endpoint_down=plan.endpoint_down + 0.1)
+    with pytest.raises(MalformedPlan):
+        evolve(initial_state(p), broken, p)
+    with pytest.raises(GaplessPoint):  # the well-formed plan fails its gap check
+        evolve_adiabatic(initial_state(p), gapless, p)

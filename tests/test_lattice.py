@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from chernscope import (
     DEFAULT_GEOMETRY,
     GaplessPoint,
+    LatticeGeometry,
     ModelParams,
     NotReciprocal,
     band_energies,
@@ -35,6 +36,51 @@ momenta = st.tuples(
     st.floats(min_value=-7.0, max_value=7.0, allow_nan=False),
     st.floats(min_value=-7.0, max_value=7.0, allow_nan=False),
 )
+
+
+def explicit_fields(k, p):
+    """The twelve-term cos/sin form of the fields: three cosines or sines of
+    k . e_i or k . v_i per component."""
+    g = p.geometry
+    ke = [np.dot(k, e) for e in (g.e1, g.e2, g.e3)]
+    kv = [np.dot(k, v) for v in (g.v1, g.v2, g.v3)]
+    h0 = -2 * p.tp * np.cos(p.phi) * sum(np.cos(x) for x in kv)
+    hx = -p.t * sum(np.cos(x) for x in ke)
+    hy = -p.t * sum(np.sin(x) for x in ke)
+    hz = -2 * p.tp * np.sin(p.phi) * sum(np.sin(x) for x in kv)
+    return h0, hx, hy, hz
+
+
+@given(
+    st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+    st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False),
+    st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+    st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_bloch_fields_match_explicit_formula(radius, angle, tp, phi):
+    p = ModelParams(tp=tp, phi=phi)
+    k = radius * np.array([np.cos(angle), np.sin(angle)])
+    assert np.allclose(bloch_fields(k, p), explicit_fields(k, p), rtol=0, atol=1e-12)
+    batch = np.stack([k, -k, k / 3])
+    fields = np.array(bloch_fields(batch, p))
+    for i, point in enumerate(batch):
+        want = explicit_fields(point, p)
+        assert np.allclose(fields[:, i], want, rtol=0, atol=1e-12)
+
+
+def test_geometry_refuses_nnn_vectors_off_the_nn_differences():
+    g = DEFAULT_GEOMETRY
+    assert np.array_equal(g.v1, g.e3 - g.e2)
+    assert np.array_equal(g.v2, g.e1 - g.e3)
+    assert np.array_equal(g.v3, g.e2 - g.e1)
+    vectors = {name: getattr(g, name) for name in LatticeGeometry.__dataclass_fields__}
+    for name in ("v1", "v2", "v3"):
+        broken = dict(vectors, **{name: vectors[name] + np.array([1e-6, 0.0])})
+        with pytest.raises(ValueError):
+            LatticeGeometry(**broken)
+    # Scaled geometries keep the identity up to rounding and are accepted.
+    LatticeGeometry.with_scale(0.7)
 
 
 def test_gamma_point_components():
