@@ -424,6 +424,7 @@ def cmd_fringe(cfg: RunConfig, args) -> tuple[list, dict]:
                 ("norm-drift", d.norm_drift),
                 ("leakage-down", d.leakage_down),
                 ("leakage-up", d.leakage_up),
+                ("xi", d.xi),
                 ("extracted-phase", d.extracted_phase),
             ]
         )

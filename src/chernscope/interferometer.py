@@ -13,7 +13,10 @@ straight momentum leg, and the two evolution routes are
   a midpoint echo cancels it exactly).
 * ``evolve_tdse``: exact stepwise integration of the two-level Schrodinger
   equation with the midpoint Hamiltonian exponentiated in closed form per
-  step, which resolves nonadiabatic band leakage.
+  step, which resolves nonadiabatic band leakage.  Each step exponential is
+  a scalar phase e^{-i h0 dt} times an SU(2) matrix [[a, -conj(b)],
+  [b, conj(a)]]; a leg's SU(2) factors are multiplied in time order as
+  (a, b) pairs, and its phases are summed once into exp(-i dt sum(h0)).
 
 Each route evaluates the Bloch fields of each leg's samples once.  The
 adiabatic route derives the plan check (its minimum gap), the lower-band
@@ -57,7 +60,7 @@ from .lattice import (
     states_from_fields,
     sublattice_matching,
 )
-from .protocol import ProtocolPlan, check_plan, plan_site
+from .protocol import PlanDiagnostics, ProtocolPlan, check_plan, plan_site
 from .topology import transport_link
 
 __all__ = [
@@ -77,6 +80,9 @@ __all__ = [
     "landau_zener_estimate",
     "wrap_angle",
 ]
+
+# Step budget of one TDSE leg; see evolve_tdse for the memory it implies.
+MAX_TDSE_STEPS = 2**22
 
 
 def wrap_angle(x: float) -> float:
@@ -169,6 +175,7 @@ class TdseDiagnostics:
     dt: float
     n_steps: int
     bandwidth: float
+    xi: float
     norm_drift: float
     leakage_down: float
     leakage_up: float
@@ -331,8 +338,11 @@ def _trapezoid_phase(e_lower: np.ndarray, leg_time: float) -> float:
     return float(np.trapezoid(e_lower, dx=leg_time / (len(e_lower) - 1)))
 
 
-def _leg_pass(plan: ProtocolPlan, p: ModelParams) -> tuple[dict, dict]:
-    """Bloch fields and band energies of both legs, keyed by packet.
+def _leg_pass(
+    plan: ProtocolPlan, p: ModelParams
+) -> tuple[dict, dict, PlanDiagnostics]:
+    """Bloch fields and band energies of both legs, keyed by packet, and the
+    plan diagnostics.
 
     The one field evaluation of each leg; the plan is checked against the
     legs' minimum gaps before anything else uses them.
@@ -342,10 +352,10 @@ def _leg_pass(plan: ProtocolPlan, p: ModelParams) -> tuple[dict, dict]:
         for packet, kpath in (("down", plan.k_path_down), ("up", plan.k_path_up))
     }
     energies = {packet: energies_from_fields(f) for packet, f in fields.items()}
-    check_plan(
+    diagnostics = check_plan(
         plan, p, {packet: np.min(up - lo) for packet, (lo, up) in energies.items()}
     )
-    return fields, energies
+    return fields, energies, diagnostics
 
 
 def evolve_adiabatic(
@@ -362,7 +372,7 @@ def evolve_adiabatic(
     well below 1e-8 of the continuum values.
     """
     _require_pure_down(state)
-    fields, energies = _leg_pass(plan, p)
+    fields, energies, _ = _leg_pass(plan, p)
 
     phases = {}
     dynamics = {}
@@ -399,32 +409,40 @@ def evolve_adiabatic(
     return final, ledger
 
 
-def _step_propagators(
-    kpts: np.ndarray, p: ModelParams, dt: float
-) -> np.ndarray:
-    """Closed-form exponentials exp(-i H(k) dt) at the given momenta."""
-    h0, hx, hy, hz = bloch_fields(kpts, p)
+def _leg_propagator(fields: tuple, dt: float) -> tuple[complex, complex, complex]:
+    """Time-ordered product of the step exponentials exp(-i H dt) of a leg.
+
+    ``fields`` holds (h0, hx, hy, hz) at the step midpoints in time order.
+    Each step is a phase times an SU(2) matrix,
+
+        exp(-i H dt) = e^{-i h0 dt} [[a, -conj(b)], [b, conj(a)]],
+
+    with a = cos(|h| dt) - i s hz, b = s (hy - i hx) and s = sin(|h| dt) / |h|
+    (s = dt where |h| = 0).  The SU(2) parts are multiplied as (a, b) pairs,
+    later @ earlier by pairwise reduction with an odd tail carried to the
+    next level, using a = a1 a0 - conj(b1) b0 and b = b1 a0 + conj(a1) b0.
+    The scalar phases commute with them and are summed once.  Returns the
+    phase exp(-i dt sum(h0)) and the (a, b) pair of the SU(2) product.
+    """
+    h0, hx, hy, hz = fields
     hmag = np.sqrt(hx**2 + hy**2 + hz**2)
-    cos_t = np.cos(hmag * dt)
-    sinc_t = np.where(hmag > 0.0, np.sin(hmag * dt) / np.where(hmag > 0, hmag, 1.0), dt)
-    u = np.empty(kpts.shape[:-1] + (2, 2), dtype=complex)
-    u[..., 0, 0] = cos_t - 1j * sinc_t * hz
-    u[..., 0, 1] = -1j * sinc_t * (hx - 1j * hy)
-    u[..., 1, 0] = -1j * sinc_t * (hx + 1j * hy)
-    u[..., 1, 1] = cos_t + 1j * sinc_t * hz
-    return np.exp(-1j * h0 * dt)[..., None, None] * u
-
-
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """Product mats[-1] @ ... @ mats[0] by pairwise reduction."""
-    while len(mats) > 1:
-        tail = mats[-1:] if len(mats) % 2 else None
-        if tail is not None:
-            mats = mats[:-1]
-        mats = np.einsum("nij,njk->nik", mats[1::2], mats[0::2])
-        if tail is not None:
-            mats = np.concatenate([mats, tail])
-    return mats[0]
+    s = np.where(hmag > 0.0, np.sin(hmag * dt) / np.where(hmag > 0, hmag, 1.0), dt)
+    a = np.empty(len(hmag), dtype=complex)
+    a.real = np.cos(hmag * dt)
+    a.imag = -s * hz
+    b = np.empty(len(hmag), dtype=complex)
+    b.real = s * hy
+    b.imag = -s * hx
+    while len(a) > 1:
+        n = len(a) - len(a) % 2
+        a1, a0, b1, b0 = a[1:n:2], a[0:n:2], b[1:n:2], b[0:n:2]
+        a_next = a1 * a0 - b1.conj() * b0
+        b_next = b1 * a0 + a1.conj() * b0
+        if n < len(a):
+            a_next = np.append(a_next, a[-1])
+            b_next = np.append(b_next, b[-1])
+        a, b = a_next, b_next
+    return complex(np.exp(-1j * dt * np.sum(h0))), complex(a[0]), complex(b[0])
 
 
 def evolve_tdse(
@@ -436,15 +454,25 @@ def evolve_tdse(
     """Exact two-level integration along the force legs.
 
     The step size must satisfy dt <= 0.01 / bandwidth with the bandwidth
-    taken as the largest |band energy| along the legs.  Each step applies
-    the closed-form exponential of the midpoint Hamiltonian; the norm drift
-    of the total propagator above 1e-8 raises StepTooLarge.  Band leakage
-    is reported per packet, and the slot amplitudes keep only the lower
-    band projection, so population conservation shows up as
-    |amps|^2 + upper_band_population = 1.
+    taken as the largest |band energy| along the legs, and a leg may take
+    at most ``MAX_TDSE_STEPS`` steps; either violation raises ValueError
+    before the midpoints are allocated.  A step costs about 129 bytes of
+    peak memory (tracemalloc, 2**16 steps), so the budget of 2**22 steps
+    implies a peak of about 540 MB.
+
+    Each step applies the closed-form exponential of the midpoint
+    Hamiltonian, a phase e^{-i h0 dt} times an SU(2) matrix.  Each packet's
+    SU(2) factors are multiplied as (a, b) pairs by :func:`_leg_propagator`,
+    and its phase is exp(-i dt sum(h0)), computed once.  The norm drift of
+    the assembled 2x2 total propagator, max |U^dagger U - I|, above 1e-8
+    raises StepTooLarge.  Band leakage is reported per packet, and the slot
+    amplitudes keep only the lower band projection, so population
+    conservation shows up as |amps|^2 + upper_band_population = 1.  The
+    diagnostics carry the plan's adiabaticity figure xi from the same
+    plan check.
     """
     _require_pure_down(state)
-    fields, energies = _leg_pass(plan, p)
+    fields, energies, plan_diagnostics = _leg_pass(plan, p)
     bw = max(float(np.max(np.abs(e))) for pair in energies.values() for e in pair)
     limit = 0.01 / bw
     if dt is None:
@@ -457,7 +485,13 @@ def evolve_tdse(
         )
 
     total_time = plan.leg_time
-    n_steps = int(np.ceil(total_time / dt))
+    steps = total_time / dt
+    if not steps <= MAX_TDSE_STEPS:
+        raise ValueError(
+            f"dt = {dt:.3e} needs {steps:.3e} steps per leg, over the budget of "
+            f"{MAX_TDSE_STEPS} (leg time {total_time:.6g})"
+        )
+    n_steps = int(np.ceil(steps))
     dt_actual = total_time / n_steps
 
     results = {}
@@ -467,7 +501,8 @@ def evolve_tdse(
         velocity = (kpath.k_e - kpath.k_b) / total_time
         t_mid = (np.arange(n_steps) + 0.5) * dt_actual
         k_mid = start[None, :] + t_mid[:, None] * velocity[None, :]
-        u_total = _ordered_product(_step_propagators(k_mid, p, dt_actual))
+        phase, a, b = _leg_propagator(bloch_fields(k_mid, p), dt_actual)
+        u_total = phase * np.array([[a, -b.conjugate()], [b, a.conjugate()]])
         drift = max(
             drift, float(np.max(np.abs(u_total.conj().T @ u_total - np.eye(2))))
         )
@@ -499,6 +534,7 @@ def evolve_tdse(
         dt=dt_actual,
         n_steps=n_steps,
         bandwidth=bw,
+        xi=plan_diagnostics.xi,
         norm_drift=drift,
         leakage_down=leak_down,
         leakage_up=leak_up,

@@ -294,3 +294,28 @@ def test_sweep_samples_per_leg_flag_sets_sweep_sampling():
     config = json.loads(printed)
     assert config["sweep"]["samples_per_leg"] == 400
     assert config["protocol"] == DEFAULTS["protocol"]
+
+
+def test_tdse_step_count_without_bound_exits_invalid_value():
+    """A denormal dt makes the step count infinite; it is refused before
+    any midpoint is allocated."""
+    code, out, err = run_cli(
+        "fringe", "--mode", "tdse", "--leg-time", "2", "--samples-per-leg", "400",
+        "--dt", "5e-324",
+    )
+    assert code == 1
+    assert out == ""
+    summary = summary_of(err)
+    assert summary["error"] == "invalid-value"
+    assert "budget" in summary["message"]
+
+
+def test_tdse_record_carries_xi():
+    code, out, err = run_cli(
+        "fringe", "--mode", "tdse", "--leg-time", "2", "--samples-per-leg", "400"
+    )
+    assert code == 0
+    summary = summary_of(out)
+    assert float(summary["xi"]) > 0.1  # leg time 2 drives past the warning
+    keys = list(summary)
+    assert keys.index("xi") == keys.index("leakage-up") + 1

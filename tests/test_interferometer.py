@@ -6,8 +6,9 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import chernscope.interferometer
 import chernscope.lattice
 from chernscope import (
     DEFAULT_GEOMETRY,
@@ -27,8 +28,10 @@ from chernscope import (
     readout,
     readout_scan,
     run_fringe,
+    validate_plan,
     wrap_angle,
 )
+from chernscope.interferometer import _leg_propagator
 
 P0 = ModelParams()
 
@@ -377,3 +380,76 @@ def test_malformed_plan_raises_before_gap_check(evolve):
         evolve(initial_state(p), broken, p)
     with pytest.raises(GaplessPoint):  # the well-formed plan fails its gap check
         evolve_adiabatic(initial_state(p), gapless, p)
+
+
+# ------------------------------------------------------------ step product
+
+
+def _dense_step(h0, hx, hy, hz, dt):
+    """exp(-i H dt) of the explicit 2x2 Hamiltonian, by diagonalization."""
+    h = np.array([[h0 + hz, hx - 1j * hy], [hx + 1j * hy, h0 - hz]])
+    e, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * e * dt)) @ v.conj().T
+
+
+@given(
+    n=st.integers(min_value=1, max_value=257),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dt=st.floats(min_value=1e-3, max_value=1.0),
+    zero=st.integers(min_value=0, max_value=256),
+)
+@example(n=1, seed=0, dt=0.37, zero=0)
+@example(n=2, seed=1, dt=0.37, zero=1)
+@example(n=3, seed=2, dt=0.37, zero=2)
+@example(n=128, seed=3, dt=0.37, zero=64)
+@example(n=255, seed=4, dt=0.37, zero=0)
+@example(n=256, seed=5, dt=0.37, zero=255)
+@example(n=257, seed=6, dt=0.37, zero=256)
+@settings(max_examples=40, deadline=None)
+def test_leg_propagator_matches_dense_product(n, seed, dt, zero):
+    """The (a, b) pair product and its phase against explicit 2x2 step
+    matrices multiplied in time order, later @ earlier."""
+    fields = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(4, n))
+    zero %= n
+    fields[1:, zero] = 0.0  # at least one step with zero field
+    phase, a, b = _leg_propagator(tuple(fields), dt)
+
+    ref_su2 = np.eye(2, dtype=complex)
+    ref_phase = 1.0 + 0.0j
+    ref = np.eye(2, dtype=complex)
+    for h0, hx, hy, hz in fields.T:
+        ref_su2 = _dense_step(0.0, hx, hy, hz, dt) @ ref_su2
+        ref_phase = np.exp(-1j * h0 * dt) * ref_phase
+        ref = _dense_step(h0, hx, hy, hz, dt) @ ref
+    assert abs(a - ref_su2[0, 0]) <= 1e-12
+    assert abs(b - ref_su2[1, 0]) <= 1e-12
+    assert abs(-np.conj(b) - ref_su2[0, 1]) <= 1e-12
+    assert abs(np.conj(a) - ref_su2[1, 1]) <= 1e-12
+    assert abs(phase - ref_phase) <= 1e-12
+    total = phase * np.array([[a, -np.conj(b)], [b, np.conj(a)]])
+    assert np.max(np.abs(total - ref)) <= 1e-12
+
+
+def test_tdse_step_budget_refuses_before_allocating(monkeypatch, field_calls):
+    plan = plan_site("I", P0, leg_time=20.0, samples_per_leg=400)
+    _, diag = evolve_tdse(initial_state(P0), plan, P0)
+    assert 1000 < diag.n_steps < 10000
+    monkeypatch.setattr(chernscope.interferometer, "MAX_TDSE_STEPS", diag.n_steps)
+    _, at_budget = evolve_tdse(initial_state(P0), plan, P0)
+    assert at_budget == diag
+    monkeypatch.setattr(
+        chernscope.interferometer, "MAX_TDSE_STEPS", diag.n_steps - 1
+    )
+    field_calls.clear()
+    with pytest.raises(ValueError, match="budget"):
+        evolve_tdse(initial_state(P0), plan, P0)
+    legs = (plan.k_path_down.points, plan.k_path_up.points)
+    assert [len(k) for k in field_calls] == [1] + [len(k) for k in legs]
+
+
+@pytest.mark.parametrize("leg_time", [2.0, 400.0])
+def test_tdse_diagnostics_carry_plan_xi(leg_time, field_calls):
+    plan = plan_site("I", P0, leg_time=leg_time, samples_per_leg=400)
+    _, diag = evolve_tdse(initial_state(P0), plan, P0)
+    assert len(field_calls) == 5  # initial state, two legs, two midpoint sets
+    assert diag.xi == validate_plan(plan, P0).xi
