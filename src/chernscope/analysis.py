@@ -25,6 +25,7 @@ from .errors import DegenerateScan
 from .interferometer import FringeScan, dynamic_phase, run_fringe, wrap_angle
 from .lattice import ModelParams
 from .protocol import ProtocolPlan, perturb_plan, plan_site
+from .topology import chern_from_zak
 
 __all__ = [
     "FringeFit",
@@ -140,7 +141,7 @@ def classify(
     fit_i: FringeFit, fit_ii: FringeFit, oracle_c: Optional[int] = None
 ) -> ChernReport:
     """Combine the two fitted site phases into a whole-number estimate."""
-    c_estimate = (fit_i.phi_zak + fit_ii.phi_zak) / np.pi
+    c_estimate = chern_from_zak(fit_i.phi_zak, fit_ii.phi_zak)
     nearest = int(np.rint(c_estimate))
     c_classified: Optional[int] = None
     if abs(c_estimate - nearest) <= 0.25 and nearest in (-1, 0, 1):

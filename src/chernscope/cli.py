@@ -315,7 +315,7 @@ def _plan(cfg: RunConfig, p: ModelParams, site: str):
 def _site_ledger(cfg: RunConfig, p: ModelParams, site: str):
     plan = _plan(cfg, p, site)
     _, ledger = evolve_adiabatic(
-        initial_state(p), plan, p,
+        initial_state(), plan, p,
         zeeman_rate=float(cfg.protocol["zeeman_rate"]),
     )
     return plan, ledger

@@ -1,7 +1,7 @@
 """Spin-state bookkeeping and propagation of the interferometer sequence.
 
-The cloud is a spinor wavepacket; each spin slot carries an amplitude, a
-momentum, and the gauge-fixed lower-band state at that momentum.  Microwave
+The cloud is a spinor wavepacket; each spin slot carries an amplitude and a
+momentum, and stands for the lower-band state at that momentum.  Microwave
 pulses act on the amplitudes only.  Between pulses each packet follows its
 straight momentum leg, and the two evolution routes are
 
@@ -53,7 +53,6 @@ from .errors import StepTooLarge
 from .lattice import (
     ModelParams,
     band_energies,
-    band_states,
     bloch_fields,
     band_gap_min,
     energies_from_fields,
@@ -92,7 +91,7 @@ def wrap_angle(x: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SpinorState:
-    """Two spin slots with amplitudes, momenta, and band states.
+    """Two spin slots with amplitudes and momenta.
 
     ``upper_band_population`` is the population lost from the tracked
     lower-band amplitudes, so |amp_down|^2 + |amp_up|^2 plus it is 1.
@@ -102,8 +101,6 @@ class SpinorState:
     amp_up: complex
     k_down: np.ndarray
     k_up: np.ndarray
-    band_down: np.ndarray
-    band_up: np.ndarray
     upper_band_population: float = 0.0
 
     def __post_init__(self):
@@ -122,6 +119,12 @@ class SpinorState:
                 + self.upper_band_population
             )
         )
+
+
+def _echo_fold(site_phase: float, with_echo: bool) -> float:
+    """Fringe phase of a site phase in (-pi, pi]: the phase itself with the
+    echo, pi minus it without, since the echo exchanges the slots."""
+    return site_phase if with_echo else wrap_angle(np.pi - site_phase)
 
 
 @dataclass(frozen=True)
@@ -151,9 +154,7 @@ class PhaseLedger:
 
     @property
     def geometric(self) -> float:
-        if self.with_echo:
-            return self.pancharatnam_phase
-        return wrap_angle(np.pi - self.pancharatnam_phase)
+        return _echo_fold(self.pancharatnam_phase, self.with_echo)
 
     @property
     def dynamic(self) -> float:
@@ -195,17 +196,14 @@ class FringeScan:
     diagnostics: Optional[TdseDiagnostics] = None
 
 
-def initial_state(p: ModelParams, k: Optional[np.ndarray] = None) -> SpinorState:
+def initial_state(k: Optional[np.ndarray] = None) -> SpinorState:
     """Spin-down cloud at momentum ``k`` (zone center by default)."""
     k = np.zeros(2) if k is None else np.asarray(k, dtype=float)
-    u = band_states(k, p, band="lower")
     return SpinorState(
         amp_down=1.0 + 0.0j,
         amp_up=0.0j,
         k_down=k.copy(),
         k_up=k.copy(),
-        band_down=u,
-        band_up=u.copy(),
     )
 
 
@@ -221,8 +219,8 @@ def apply_pi2(state: SpinorState, phi_mw: float) -> SpinorState:
     """Microwave pi/2 pulse on the spin amplitudes.
 
     The matrix is [[1, i e^{-i phi}], [i e^{i phi}, 1]] / sqrt(2) acting on
-    (amp_down, amp_up); momenta and band states are untouched.  Two pulses
-    at the same phase compose to i sigma_x times a phase.
+    (amp_down, amp_up); momenta are untouched.  Two pulses at the same
+    phase compose to i sigma_x times a phase.
     """
     down, up = _pi2_amplitudes(state.amp_down, state.amp_up, phi_mw)
     return dataclasses.replace(state, amp_down=down, amp_up=up)
@@ -235,8 +233,6 @@ def apply_pi(state: SpinorState) -> SpinorState:
         amp_up=state.amp_down,
         k_down=state.k_up,
         k_up=state.k_down,
-        band_down=state.band_up,
-        band_up=state.band_down,
         upper_band_population=state.upper_band_population,
     )
 
@@ -289,8 +285,6 @@ def _assemble_final_state(
     phase_up: complex,
     w: complex,
     zeeman_phase: float,
-    u_down_end: np.ndarray,
-    u_up_end: np.ndarray,
     leak_down: float = 0.0,
     leak_up: float = 0.0,
 ) -> SpinorState:
@@ -312,8 +306,6 @@ def _assemble_final_state(
             amp_up=amp_packet_down,
             k_down=plan.k_path_up.k_e.copy(),
             k_up=plan.k_path_down.k_e.copy(),
-            band_down=u_up_end,
-            band_up=u_down_end,
             upper_band_population=(leak_down + leak_up) / 2.0,
         )
     return SpinorState(
@@ -321,8 +313,6 @@ def _assemble_final_state(
         amp_up=amp_packet_up,
         k_down=plan.k_path_down.k_e.copy(),
         k_up=plan.k_path_up.k_e.copy(),
-        band_down=u_down_end,
-        band_up=u_up_end,
         upper_band_population=(leak_down + leak_up) / 2.0,
     )
 
@@ -403,8 +393,6 @@ def evolve_adiabatic(
         phases["up"] * np.exp(-1j * dynamics["up"]),
         w,
         zeeman_phase,
-        ends["down"],
-        ends["up"],
     )
     return final, ledger
 
@@ -521,15 +509,10 @@ def evolve_tdse(
     leak_up = max(0.0, 1.0 - abs(c_up) ** 2)
     w = _matching_overlap(plan, u_down_end, u_up_end)
 
-    site_phase = np.angle(c_down * np.conj(c_up) * w / abs(w))
-    if plan.with_echo:
-        extracted = wrap_angle(float(site_phase))
-    else:
-        extracted = wrap_angle(float(np.pi - site_phase))
+    site_phase = float(np.angle(c_down * np.conj(c_up) * w / abs(w)))
+    extracted = _echo_fold(site_phase, plan.with_echo)
 
-    final = _assemble_final_state(
-        plan, c_down, c_up, w, 0.0, u_down_end, u_up_end, leak_down, leak_up
-    )
+    final = _assemble_final_state(plan, c_down, c_up, w, 0.0, leak_down, leak_up)
     diagnostics = TdseDiagnostics(
         dt=dt_actual,
         n_steps=n_steps,
@@ -581,7 +564,7 @@ def run_fringe(
             site, p, leg_time=leg_time, with_echo=with_echo,
             samples_per_leg=samples_per_leg,
         )
-    state0 = initial_state(p)
+    state0 = initial_state()
     ledger = None
     diagnostics = None
     if mode == "adiabatic":

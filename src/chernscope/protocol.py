@@ -109,7 +109,6 @@ class ProtocolPlan:
     leg_time: float
     with_echo: bool
     samples_per_leg: int
-    swap_spin_assignment: bool = False
     geometry: LatticeGeometry = DEFAULT_GEOMETRY
 
     @property
@@ -194,7 +193,6 @@ def _build_plan(
     leg_time: float,
     with_echo: bool,
     samples_per_leg: int,
-    swap_spin_assignment: bool,
 ) -> ProtocolPlan:
     force = _solve_forces(endpoint_down - start, endpoint_up - start, leg_time)
     pre_time = leg_time / 4
@@ -235,7 +233,6 @@ def _build_plan(
         leg_time=float(leg_time),
         with_echo=with_echo,
         samples_per_leg=samples,
-        swap_spin_assignment=swap_spin_assignment,
         geometry=geometry,
     )
 
@@ -268,7 +265,6 @@ def plan_site(
         leg_time,
         with_echo,
         samples_per_leg,
-        swap_spin_assignment,
     )
 
 
@@ -372,5 +368,4 @@ def perturb_plan(
         plan.leg_time,
         plan.with_echo,
         plan.samples_per_leg,
-        plan.swap_spin_assignment,
     )

@@ -51,7 +51,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 def ledger_phase(p: ModelParams, site: str, samples: int = 1200) -> float:
     plan = plan_site(site, p, samples_per_leg=samples)
-    _, ledger = evolve_adiabatic(initial_state(p), plan, p)
+    _, ledger = evolve_adiabatic(initial_state(), plan, p)
     return ledger.pancharatnam_phase
 
 
@@ -164,7 +164,7 @@ def test_criterion_06_phase_hygiene():
         dynamic_phase_check(plan_site(site, P0), P0) for site in ("I", "II")
     )
     plan = plan_site("I", P0, samples_per_leg=1200)
-    _, ledger = evolve_adiabatic(initial_state(P0), plan, P0, zeeman_rate=0.05)
+    _, ledger = evolve_adiabatic(initial_state(), plan, P0, zeeman_rate=0.05)
     zee = abs(ledger.zeeman)
     report(
         6, dyn < 1e-8 and zee < 1e-10,
@@ -205,9 +205,9 @@ def test_criterion_07_gauge_invariance():
         abs(noncyclic_zak(P0, pair) - noncyclic_zak(P0, pair, gauge_fn=random_gauge))
     )
 
-    _, plain = evolve_adiabatic(initial_state(P0), plan, P0)
+    _, plain = evolve_adiabatic(initial_state(), plan, P0)
     _, rotated = evolve_adiabatic(
-        initial_state(P0), plan, P0, gauge_fn=function_gauge
+        initial_state(), plan, P0, gauge_fn=function_gauge
     )
     shifts.append(abs(plain.pancharatnam_phase - rotated.pancharatnam_phase))
     shifts.append(abs(wrap_angle(plain.total - rotated.total)))
@@ -218,13 +218,13 @@ def test_criterion_07_gauge_invariance():
 
 def test_criterion_08_adiabaticity():
     slow = plan_site("I", P0, leg_time=400.0, samples_per_leg=2000)
-    _, diag = evolve_tdse(initial_state(P0), slow, P0)
-    _, ledger = evolve_adiabatic(initial_state(P0), slow, P0)
+    _, diag = evolve_tdse(initial_state(), slow, P0)
+    _, ledger = evolve_adiabatic(initial_state(), slow, P0)
     leak_slow = max(diag.leakage_down, diag.leakage_up)
     phase_gap = abs(wrap_angle(diag.extracted_phase - ledger.total))
 
     fast = plan_site("I", P0, leg_time=2.0, samples_per_leg=400)
-    _, fast_diag = evolve_tdse(initial_state(P0), fast, P0)
+    _, fast_diag = evolve_tdse(initial_state(), fast, P0)
     estimate = landau_zener_estimate(P0, fast)
     ratios = [
         fast_diag.leakage_down / estimate,

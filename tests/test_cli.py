@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chernscope
 from chernscope.cli import DEFAULTS, ConfigError, RunConfig, main, parse_phi
 
 
@@ -25,6 +30,24 @@ def summary_of(text):
             key, value = line.split(": ", 1)
             pairs[key] = value
     return pairs
+
+
+def test_cli_import_loads_no_scipy():
+    """numpy is the only runtime dependency; scipy is not even imported."""
+    src = Path(chernscope.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, chernscope.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_chern_summary():

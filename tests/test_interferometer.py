@@ -49,20 +49,20 @@ def evolve_site(site, **kwargs):
     samples = kwargs.pop("samples_per_leg", 2000)
     zeeman_rate = kwargs.pop("zeeman_rate", 0.0)
     plan = plan_site(site, P0, samples_per_leg=samples, **kwargs)
-    return evolve_adiabatic(initial_state(P0), plan, P0, zeeman_rate=zeeman_rate)
+    return evolve_adiabatic(initial_state(), plan, P0, zeeman_rate=zeeman_rate)
 
 
 # ------------------------------------------------------------------ pulses
 
 
 def test_pi2_pulse_splits_evenly():
-    state = apply_pi2(initial_state(P0), 0.0)
+    state = apply_pi2(initial_state(), 0.0)
     assert state.amp_down == pytest.approx(1 / np.sqrt(2), abs=1e-15)
     assert state.amp_up == pytest.approx(1j / np.sqrt(2), abs=1e-15)
 
 
 def test_two_pi2_pulses_invert_population():
-    state = apply_pi2(apply_pi2(initial_state(P0), 0.0), 0.0)
+    state = apply_pi2(apply_pi2(initial_state(), 0.0), 0.0)
     n_down, n_up = readout(state)
     assert n_down == pytest.approx(0.0, abs=1e-14)
     assert n_up == pytest.approx(1.0, abs=1e-14)
@@ -71,7 +71,7 @@ def test_two_pi2_pulses_invert_population():
 def test_pulse_phase_shifts_fringe():
     # The pulse phase enters the up amplitude as exp(i phi_mw).
     for phi in (0.3, -1.2, 2.9):
-        state = apply_pi2(initial_state(P0), phi)
+        state = apply_pi2(initial_state(), phi)
         assert np.angle(state.amp_up) == pytest.approx(
             wrap_angle(np.pi / 2 + phi), abs=1e-12
         )
@@ -84,7 +84,7 @@ def test_pulse_phase_shifts_fringe():
 )
 @settings(max_examples=200, deadline=None)
 def test_pi2_pulse_is_unitary(phi_mw, weight, rel_phase):
-    base = initial_state(P0)
+    base = initial_state()
     mixed = dataclasses.replace(
         base,
         amp_down=complex(np.sqrt(weight)),
@@ -95,7 +95,7 @@ def test_pi2_pulse_is_unitary(phi_mw, weight, rel_phase):
 
 
 def test_pi_pulse_is_involutive():
-    state = apply_pi2(initial_state(P0), 0.4)
+    state = apply_pi2(initial_state(), 0.4)
     back = apply_pi(apply_pi(state))
     assert back.amp_down == pytest.approx(state.amp_down, abs=1e-15)
     assert back.amp_up == pytest.approx(state.amp_up, abs=1e-15)
@@ -104,11 +104,11 @@ def test_pi_pulse_is_involutive():
 
 def test_state_norm_validated():
     with pytest.raises(ValueError):
-        dataclasses.replace(initial_state(P0), amp_down=0.5)
+        dataclasses.replace(initial_state(), amp_down=0.5)
 
 
 def test_evolution_requires_pure_spin_down():
-    split = apply_pi2(initial_state(P0), 0.0)
+    split = apply_pi2(initial_state(), 0.0)
     with pytest.raises(ValueError):
         evolve_adiabatic(split, plan_site("I", P0), P0)
 
@@ -127,7 +127,7 @@ def test_ledger_matches_open_path_zak():
     """Dual route: the ledger's two-leg Pancharatnam phase must equal the
     noncyclic Zak phase of the reversed-up + down concatenated path."""
     plan = plan_site("I", P0, samples_per_leg=2000)
-    _, ledger = evolve_adiabatic(initial_state(P0), plan, P0)
+    _, ledger = evolve_adiabatic(initial_state(), plan, P0)
     pair = KPath(
         np.concatenate([plan.k_path_up.points[::-1], plan.k_path_down.points[1:]])
     )
@@ -171,8 +171,8 @@ def test_ledger_gauge_invariant():
         return 2.7 * np.sin(3.1 * kpts[..., 0]) + 1.3 * np.cos(2.3 * kpts[..., 1])
 
     plan = plan_site("I", P0, samples_per_leg=600)
-    _, plain = evolve_adiabatic(initial_state(P0), plan, P0)
-    _, rotated = evolve_adiabatic(initial_state(P0), plan, P0, gauge_fn=gauge)
+    _, plain = evolve_adiabatic(initial_state(), plan, P0)
+    _, rotated = evolve_adiabatic(initial_state(), plan, P0, gauge_fn=gauge)
     assert rotated.total == pytest.approx(plain.total, abs=1e-10)
     assert rotated.pancharatnam_phase == pytest.approx(
         plain.pancharatnam_phase, abs=1e-10
@@ -211,7 +211,7 @@ def test_run_fringe_accepts_prebuilt_plan():
 
 def test_slow_drive_stays_in_band():
     plan = plan_site("I", P0, leg_time=400.0, samples_per_leg=2000)
-    _, diag = evolve_tdse(initial_state(P0), plan, P0)
+    _, diag = evolve_tdse(initial_state(), plan, P0)
     assert diag.leakage_down < 1e-3
     assert diag.leakage_up < 1e-3
     assert diag.leakage_down == pytest.approx(3.0182791366240025e-07, rel=1e-6)
@@ -221,8 +221,8 @@ def test_slow_drive_stays_in_band():
 
 def test_slow_drive_phase_matches_adiabatic():
     plan = plan_site("I", P0, leg_time=400.0, samples_per_leg=2000)
-    _, diag = evolve_tdse(initial_state(P0), plan, P0)
-    _, ledger = evolve_adiabatic(initial_state(P0), plan, P0)
+    _, diag = evolve_tdse(initial_state(), plan, P0)
+    _, ledger = evolve_adiabatic(initial_state(), plan, P0)
     assert abs(diag.extracted_phase - ledger.total) < 1e-2
     assert abs(diag.extracted_phase - ledger.total) == pytest.approx(
         2.0767202520755035e-05, abs=1e-7
@@ -231,8 +231,8 @@ def test_slow_drive_phase_matches_adiabatic():
 
 def test_step_halving_converged():
     plan = plan_site("I", P0, leg_time=400.0, samples_per_leg=2000)
-    _, coarse = evolve_tdse(initial_state(P0), plan, P0)
-    _, fine = evolve_tdse(initial_state(P0), plan, P0, dt=coarse.dt / 2)
+    _, coarse = evolve_tdse(initial_state(), plan, P0)
+    _, fine = evolve_tdse(initial_state(), plan, P0, dt=coarse.dt / 2)
     assert abs(fine.extracted_phase - coarse.extracted_phase) < 1e-6
 
 
@@ -240,7 +240,7 @@ def test_fast_drive_leaks_like_landau_zener():
     plan = plan_site("I", P0, leg_time=2.0, samples_per_leg=400)
     estimate = landau_zener_estimate(P0, plan)
     assert estimate == pytest.approx(LZ_FAST, abs=1e-9)
-    _, diag = evolve_tdse(initial_state(P0), plan, P0)
+    _, diag = evolve_tdse(initial_state(), plan, P0)
     assert diag.leakage_down == pytest.approx(LEAK_FAST_DOWN, rel=1e-9)
     assert diag.leakage_up == pytest.approx(LEAK_FAST_UP, rel=1e-9)
     for leak in (diag.leakage_down, diag.leakage_up):
@@ -250,7 +250,7 @@ def test_fast_drive_leaks_like_landau_zener():
 def test_tdse_step_size_precondition():
     plan = plan_site("I", P0, leg_time=2.0, samples_per_leg=400)
     with pytest.raises(ValueError):
-        evolve_tdse(initial_state(P0), plan, P0, dt=0.01)
+        evolve_tdse(initial_state(), plan, P0, dt=0.01)
 
 
 def test_tdse_fringe_keeps_populations_physical():
@@ -267,12 +267,12 @@ def test_tdse_fringe_keeps_populations_physical():
 
 
 def test_initial_state_defaults_to_zone_center():
-    state = initial_state(P0)
+    state = initial_state()
     assert np.allclose(state.k_down, np.zeros(2))
     assert np.allclose(state.k_up, np.zeros(2))
     assert state.amp_down == 1.0 + 0j
     assert state.amp_up == 0j
-    custom = initial_state(P0, k=np.array([0.2, 0.1]))
+    custom = initial_state(k=np.array([0.2, 0.1]))
     assert np.allclose(custom.k_down, [0.2, 0.1])
 
 
@@ -293,7 +293,7 @@ def _end_state(mode):
     if mode == "adiabatic":
         return evolve_site("I")[0]
     plan = plan_site("I", P0, leg_time=2.0, samples_per_leg=400)
-    return evolve_tdse(initial_state(P0), plan, P0)[0]
+    return evolve_tdse(initial_state(), plan, P0)[0]
 
 
 @pytest.mark.parametrize("mode", ["adiabatic", "tdse"])
@@ -344,25 +344,25 @@ def field_calls(monkeypatch):
 def test_adiabatic_evolution_evaluates_each_leg_once(field_calls):
     plan = plan_site("I", P0, samples_per_leg=300)
     legs = (plan.k_path_down.points, plan.k_path_up.points)
-    state = initial_state(P0)
-    assert [len(k) for k in field_calls] == [1]
+    state = initial_state()
+    assert field_calls == []
     evolve_adiabatic(state, plan, P0)
-    assert len(field_calls) == 3
-    for leg, kpts in zip(legs, field_calls[1:]):
+    assert len(field_calls) == 2
+    for leg, kpts in zip(legs, field_calls):
         assert np.array_equal(kpts, leg)
 
 
 def test_tdse_evaluates_leg_samples_once_besides_midpoints(field_calls):
     plan = plan_site("I", P0, leg_time=2.0, samples_per_leg=300)
     legs = (plan.k_path_down.points, plan.k_path_up.points)
-    state = initial_state(P0)
+    state = initial_state()
     _, diagnostics = evolve_tdse(state, plan, P0)
     midpoint_calls = [k for k in field_calls if len(k) == diagnostics.n_steps]
     others = [k for k in field_calls if len(k) != diagnostics.n_steps]
     assert len(midpoint_calls) == 2
-    assert [len(k) for k in others] == [1, len(legs[0]), len(legs[1])]
-    assert np.array_equal(others[1], legs[0])
-    assert np.array_equal(others[2], legs[1])
+    assert [len(k) for k in others] == [len(legs[0]), len(legs[1])]
+    assert np.array_equal(others[0], legs[0])
+    assert np.array_equal(others[1], legs[1])
 
 
 @pytest.mark.parametrize("evolve", [evolve_adiabatic, evolve_tdse])
@@ -377,9 +377,9 @@ def test_malformed_plan_raises_before_gap_check(evolve):
     gapless = dataclasses.replace(plan, k_path_down=kpath)
     broken = dataclasses.replace(gapless, endpoint_down=plan.endpoint_down + 0.1)
     with pytest.raises(MalformedPlan):
-        evolve(initial_state(p), broken, p)
+        evolve(initial_state(), broken, p)
     with pytest.raises(GaplessPoint):  # the well-formed plan fails its gap check
-        evolve_adiabatic(initial_state(p), gapless, p)
+        evolve_adiabatic(initial_state(), gapless, p)
 
 
 # ------------------------------------------------------------ step product
@@ -432,24 +432,24 @@ def test_leg_propagator_matches_dense_product(n, seed, dt, zero):
 
 def test_tdse_step_budget_refuses_before_allocating(monkeypatch, field_calls):
     plan = plan_site("I", P0, leg_time=20.0, samples_per_leg=400)
-    _, diag = evolve_tdse(initial_state(P0), plan, P0)
+    _, diag = evolve_tdse(initial_state(), plan, P0)
     assert 1000 < diag.n_steps < 10000
     monkeypatch.setattr(chernscope.interferometer, "MAX_TDSE_STEPS", diag.n_steps)
-    _, at_budget = evolve_tdse(initial_state(P0), plan, P0)
+    _, at_budget = evolve_tdse(initial_state(), plan, P0)
     assert at_budget == diag
     monkeypatch.setattr(
         chernscope.interferometer, "MAX_TDSE_STEPS", diag.n_steps - 1
     )
     field_calls.clear()
     with pytest.raises(ValueError, match="budget"):
-        evolve_tdse(initial_state(P0), plan, P0)
+        evolve_tdse(initial_state(), plan, P0)
     legs = (plan.k_path_down.points, plan.k_path_up.points)
-    assert [len(k) for k in field_calls] == [1] + [len(k) for k in legs]
+    assert [len(k) for k in field_calls] == [len(k) for k in legs]
 
 
 @pytest.mark.parametrize("leg_time", [2.0, 400.0])
 def test_tdse_diagnostics_carry_plan_xi(leg_time, field_calls):
     plan = plan_site("I", P0, leg_time=leg_time, samples_per_leg=400)
-    _, diag = evolve_tdse(initial_state(P0), plan, P0)
-    assert len(field_calls) == 5  # initial state, two legs, two midpoint sets
+    _, diag = evolve_tdse(initial_state(), plan, P0)
+    assert len(field_calls) == 4  # two legs, two midpoint sets
     assert diag.xi == validate_plan(plan, P0).xi

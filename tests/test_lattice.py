@@ -118,6 +118,49 @@ def test_band_gap_min_rejects_coarse_grid():
         band_gap_min(P0, n=8)
 
 
+def test_band_gap_min_finds_zone_edge_minimum():
+    # The gap at K is 2 * 3*sqrt(3) * tp = 2.078 here; the minimum is 2t at M.
+    p = ModelParams(tp=0.2)
+    lo, up = band_energies(K, p)
+    assert up - lo == pytest.approx(6 * np.sqrt(3.0) * 0.2, abs=1e-12)
+    assert band_gap_min(p) == pytest.approx(2.0, abs=1e-9)
+    lo, up = band_energies(DEFAULT_GEOMETRY.b1 / 2, p)
+    assert up - lo == pytest.approx(2.0, abs=1e-12)
+
+
+# (tp, phi, n, minimum gap) at 20 draws (numpy seed 1674, tp in [0, 0.5],
+# phi in (-pi, pi)), frozen from a Nelder-Mead polish of the grid minimum.
+GAP_SEARCH_DRAWS = [
+    (0.017431705458300417, 1.1521228176412146, 64, 0.16550901197334508),
+    (0.4893596055043473, -0.3230972712384599, 32, 1.6146956768205691),
+    (0.4150813694740176, -0.45858438391668876, 64, 1.9095640565097265),
+    (0.03776410646043321, -2.4848967789051915, 32, 0.23959573897985337),
+    (0.4451631421407205, 1.2702092032060266, 64, 1.9999999999999998),
+    (0.4553988776448465, 0.2680340960388117, 32, 1.253375639250335),
+    (0.17734692635369803, 1.375861503434245, 64, 1.8081366280391808),
+    (0.41864665728708983, 0.9399615680366242, 32, 1.9999999999999998),
+    (0.3716631907891332, -3.094474152619256, 64, 0.18192491564149638),
+    (0.26638054970651714, -1.3571382120901707, 32, 1.9999999999999998),
+    (0.19217366334138758, 2.4925673123645415, 64, 1.207084123080136),
+    (0.01989733306145841, -2.318560287033221, 32, 0.15161279130856484),
+    (0.16578509340288067, -2.83285703797243, 64, 0.5235072615635098),
+    (0.1769191619010187, 0.21495130015408792, 32, 0.3921726474735576),
+    (0.13674963696870718, -3.04796817780422, 64, 0.1328595576868956),
+    (0.40949102916053287, -1.6300532580961384, 32, 1.9999999999999998),
+    (0.4156826495017825, -2.934444753136873, 64, 0.88847233369368),
+    (0.4942327375181658, 0.13071235993010122, 32, 0.6694569149663616),
+    (0.21546313254198274, 2.1160299677655985, 64, 1.9144943224556872),
+    (0.40680624780900076, -2.099580222558198, 32, 1.9999999999999998),
+]
+
+
+@pytest.mark.parametrize("tp, phi, n, gap", GAP_SEARCH_DRAWS)
+def test_band_gap_min_matches_frozen_draws(tp, phi, n, gap):
+    assert band_gap_min(ModelParams(tp=tp, phi=phi), n) == pytest.approx(
+        gap, abs=1e-12
+    )
+
+
 def test_gapless_point_raised_without_nnn_hopping():
     p = ModelParams(tp=0.0)
     with pytest.raises(GaplessPoint):
