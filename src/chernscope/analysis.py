@@ -162,7 +162,7 @@ def _site_scan_and_points(
 ) -> tuple[FringeScan, float, float]:
     """One evolution, scanned over the grid plus the two diagnostic phases
     (0 and ``nominal_phi``) appended to it."""
-    full = run_fringe(p, plan.site, np.append(phi_grid, [0.0, nominal_phi]), plan=plan)
+    full = run_fringe(p, plan, np.append(phi_grid, [0.0, nominal_phi]))
     m = len(phi_grid)
     scan = dataclasses.replace(
         full, phi_mw_values=phi_grid, n_down=full.n_down[:m], n_up=full.n_up[:m]

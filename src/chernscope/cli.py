@@ -80,6 +80,14 @@ DEFAULTS = {
     "output": {"out": None, "format": "structured-record"},
 }
 
+# Each config key takes its default's type, and these two also take null.
+# A number is stored as a float, so a file's 200 hashes like --leg-time 200.
+_NULLABLE_KEYS = {("mode", "dt"): float, ("output", "out"): str}
+_TYPE_NAMES = {
+    float: "a number", int: "an integer", bool: "true or false", str: "a string",
+    list: "a list of numbers",
+}
+
 
 class ConfigError(ValueError):
     pass
@@ -145,24 +153,25 @@ class RunConfig:
         }
 
     def validate(self) -> None:
+        """Type-check every key, storing numbers as floats, then check the
+        choices; any failure raises ConfigError."""
+        for section, defaults in DEFAULTS.items():
+            table = getattr(self, section)
+            for key, default in defaults.items():
+                kind = _NULLABLE_KEYS.get((section, key))
+                if kind is None or table[key] is not None:
+                    kind = kind or type(default)
+                    table[key] = _typed(f"{section}.{key}", table[key], kind)
         if self.protocol["site"] not in ("I", "II"):
             raise ConfigError("protocol.site must be 'I' or 'II'")
         if self.mode["mode"] not in ("adiabatic", "tdse"):
             raise ConfigError("mode.mode must be 'adiabatic' or 'tdse'")
         if self.output["format"] not in ("dsv", "structured-record"):
             raise ConfigError("output.format must be 'dsv' or 'structured-record'")
-        for key in ("t", "tprime", "phi"):
-            value = self.model[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"model.{key} must be a number")
-        if not isinstance(self.sweep["error_radii"], (list, tuple)):
-            raise ConfigError("sweep.error_radii must be a list")
 
     def model_params(self) -> ModelParams:
         return ModelParams(
-            t=float(self.model["t"]),
-            tp=float(self.model["tprime"]),
-            phi=float(self.model["phi"]),
+            t=self.model["t"], tp=self.model["tprime"], phi=self.model["phi"]
         )
 
     def config_hash(self, command_settings: Optional[dict] = None) -> str:
@@ -175,6 +184,20 @@ class RunConfig:
             payload["command"] = command_settings
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _typed(name: str, value, kind: type):
+    """``value`` checked to be of the config type ``kind``, numbers returned
+    as floats; a list holds numbers.  A bool is no number here."""
+    if kind is list and isinstance(value, (list, tuple)):
+        return [_typed(f"{name}[{i}]", v, float) for i, v in enumerate(value)]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    try:
+        return float(value) if kind is float else value
+    except OverflowError:
+        raise ConfigError(f"{name} = {value} is too large for a float") from None
 
 
 def _load_config_file(path: str) -> dict:
@@ -306,19 +329,10 @@ def _plan(cfg: RunConfig, p: ModelParams, site: str):
     return plan_site(
         site,
         p,
-        leg_time=float(cfg.protocol["leg_time"]),
-        with_echo=bool(cfg.protocol["echo"]),
-        samples_per_leg=int(cfg.protocol["samples_per_leg"]),
+        leg_time=cfg.protocol["leg_time"],
+        with_echo=cfg.protocol["echo"],
+        samples_per_leg=cfg.protocol["samples_per_leg"],
     )
-
-
-def _site_ledger(cfg: RunConfig, p: ModelParams, site: str):
-    plan = _plan(cfg, p, site)
-    _, ledger = evolve_adiabatic(
-        initial_state(), plan, p,
-        zeeman_rate=float(cfg.protocol["zeeman_rate"]),
-    )
-    return plan, ledger
 
 
 def cmd_zak(cfg: RunConfig, args) -> tuple[list, dict]:
@@ -326,7 +340,10 @@ def cmd_zak(cfg: RunConfig, args) -> tuple[list, dict]:
     phases = {}
     totals = {}
     for site in ("I", "II"):
-        _, ledger = _site_ledger(cfg, p, site)
+        _, ledger = evolve_adiabatic(
+            initial_state(), _plan(cfg, p, site), p,
+            zeeman_rate=cfg.protocol["zeeman_rate"],
+        )
         phases[site] = ledger.pancharatnam_phase
         totals[site] = ledger.total
     summary = [
@@ -380,16 +397,13 @@ def cmd_protocol(cfg: RunConfig, args) -> tuple[list, dict]:
 
 
 def _fringe_scan(cfg: RunConfig, p: ModelParams, site: str):
-    grid = default_phi_grid(int(cfg.scan["phi_mw_points"]))
-    dt = cfg.mode["dt"]
     return run_fringe(
         p,
-        site,
-        grid,
+        _plan(cfg, p, site),
+        default_phi_grid(cfg.scan["phi_mw_points"]),
         mode=cfg.mode["mode"],
-        zeeman_rate=float(cfg.protocol["zeeman_rate"]),
-        dt=None if dt is None else float(dt),
-        plan=_plan(cfg, p, site),
+        zeeman_rate=cfg.protocol["zeeman_rate"],
+        dt=cfg.mode["dt"],
     )
 
 
@@ -458,17 +472,17 @@ def cmd_sweep(cfg: RunConfig, args) -> tuple[list, dict]:
     p = cfg.model_params()
     table = robustness_sweep(
         p,
-        [float(r) for r in cfg.sweep["error_radii"]],
-        trials=int(cfg.sweep["trials"]),
-        seed=int(cfg.sweep["seed"]),
-        leg_time=float(cfg.protocol["leg_time"]),
-        with_echo=bool(cfg.protocol["echo"]),
-        samples_per_leg=int(cfg.sweep["samples_per_leg"]),
-        phi_mw_points=int(cfg.scan["phi_mw_points"]),
+        cfg.sweep["error_radii"],
+        trials=cfg.sweep["trials"],
+        seed=cfg.sweep["seed"],
+        leg_time=cfg.protocol["leg_time"],
+        with_echo=cfg.protocol["echo"],
+        samples_per_leg=cfg.sweep["samples_per_leg"],
+        phi_mw_points=cfg.scan["phi_mw_points"],
     )
     summary = [
-        ("seed", int(cfg.sweep["seed"])),
-        ("trials-per-radius", int(cfg.sweep["trials"])),
+        ("seed", cfg.sweep["seed"]),
+        ("trials-per-radius", cfg.sweep["trials"]),
         ("nominal-phi-zak-i", table.nominal.phi_zak_i),
         ("nominal-phi-zak-ii", table.nominal.phi_zak_ii),
         ("nominal-c-estimate", table.nominal.c_estimate),

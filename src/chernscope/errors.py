@@ -49,7 +49,7 @@ class NoClosure(ChernscopeError):
 
 
 class MalformedPlan(ChernscopeError):
-    """A protocol plan failed endpoint or structural validation."""
+    """A protocol plan whose two legs do not share their start."""
 
     code = "malformed-plan"
 

@@ -59,7 +59,7 @@ from .lattice import (
     states_from_fields,
     sublattice_matching,
 )
-from .protocol import PlanDiagnostics, ProtocolPlan, check_plan, plan_site
+from .protocol import PlanDiagnostics, ProtocolPlan, check_plan
 from .topology import transport_link
 
 __all__ = [
@@ -191,7 +191,7 @@ class FringeScan:
     n_down: np.ndarray
     n_up: np.ndarray
     mode: str
-    site: Optional[str] = None
+    site: str
     ledger: Optional[PhaseLedger] = None
     diagnostics: Optional[TdseDiagnostics] = None
 
@@ -262,11 +262,9 @@ def _require_pure_down(state: SpinorState) -> None:
 
 
 def _signed_leg_time(plan: ProtocolPlan) -> float:
-    signed = 0.0
-    for step in plan.steps:
-        if step.kind == "force_leg":
-            signed += -step.duration if step.gradient_direction_flip else step.duration
-    return signed
+    """Leg time weighted by the gradient direction: the echo's flipped half
+    cancels the first half."""
+    return 0.0 if plan.with_echo else plan.leg_time
 
 
 def _matching_overlap(
@@ -542,28 +540,19 @@ def landau_zener_estimate(p: ModelParams, plan: ProtocolPlan) -> float:
 
 def run_fringe(
     p: ModelParams,
-    site: str,
+    plan: ProtocolPlan,
     phi_mw_values: Sequence[float],
     mode: str = "adiabatic",
-    leg_time: float = 200.0,
-    with_echo: bool = True,
     zeeman_rate: float = 0.0,
     dt: Optional[float] = None,
-    samples_per_leg: int = 2000,
-    plan: Optional[ProtocolPlan] = None,
     gauge_fn=None,
 ) -> FringeScan:
-    """Evolve once and scan the readout pulse phase.
+    """Evolve once along the plan's two legs and scan the readout pulse phase.
 
-    ``mode`` selects the adiabatic or the stepwise-integration route.  A
-    pre-built (possibly perturbed) plan overrides the construction
-    arguments.
+    The plan, nominal or perturbed, fixes the site, the legs, the leg time
+    and the echo; ``mode`` selects the adiabatic or the stepwise-integration
+    route.
     """
-    if plan is None:
-        plan = plan_site(
-            site, p, leg_time=leg_time, with_echo=with_echo,
-            samples_per_leg=samples_per_leg,
-        )
     state0 = initial_state()
     ledger = None
     diagnostics = None

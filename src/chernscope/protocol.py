@@ -20,13 +20,15 @@ Site geometry (lattice scale a = 1):
     site II: start (-2 pi / (3 sqrt 3), 0);  down -> +(b1 + b2), up -> +b2
 
 so the endpoint pair differs by b1 in both cases.  The magnitudes satisfy
-|lattice| / |gradient| = sqrt(3) exactly.  The ``swap_spin_assignment`` flag
-exchanges which spin takes which leg, for sensitivity studies of the
-published assignment.
+|lattice| / |gradient| = sqrt(3) exactly.
+
+A plan is its two sampled legs; the forces and the pulse table derive from
+them, the leg time and the echo flag.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -99,25 +101,70 @@ class ProtocolStep:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolPlan:
+    """One site's two momentum legs, run in ``leg_time`` with or without
+    the midpoint echo.  The legs are the plan: its start, endpoints,
+    sampling and pulse/force sequence are read off them, and the one
+    inconsistency left, legs that start apart, is rejected by ``check_plan``.
+    """
+
     site: str
-    steps: tuple
     k_path_down: KPath
     k_path_up: KPath
-    start: np.ndarray
-    endpoint_down: np.ndarray
-    endpoint_up: np.ndarray
     leg_time: float
     with_echo: bool
-    samples_per_leg: int
     geometry: LatticeGeometry = DEFAULT_GEOMETRY
 
     @property
+    def start(self) -> np.ndarray:
+        return self.k_path_down.k_b
+
+    @property
+    def endpoint_down(self) -> np.ndarray:
+        return self.k_path_down.k_e
+
+    @property
+    def endpoint_up(self) -> np.ndarray:
+        return self.k_path_up.k_e
+
+    @property
+    def samples_per_leg(self) -> int:
+        """Sample intervals of a leg (even for planned legs)."""
+        return len(self.k_path_down.points) - 1
+
+    @property
     def total_displacements(self) -> dict[str, np.ndarray]:
-        """Nominal displacement targets of the force legs, per packet."""
+        """Displacement of each packet over its leg."""
         return {
             "down": self.endpoint_down - self.start,
             "up": self.endpoint_up - self.start,
         }
+
+    @property
+    def steps(self) -> tuple:
+        """The pulse/force sequence, its leg force solved from the legs."""
+        disp = self.total_displacements
+        force = _solve_forces(disp["down"], disp["up"], self.leg_time)
+        pre_time = self.leg_time / 4
+        legs = (ProtocolStep("force_leg", duration=self.leg_time, force=force),)
+        if self.with_echo:
+            half = self.leg_time / 2
+            legs = (
+                ProtocolStep("force_leg", duration=half, force=force),
+                ProtocolStep("pi_pulse", gradient_direction_flip=True),
+                ProtocolStep(
+                    "force_leg", duration=half, force=force,
+                    gradient_direction_flip=True,
+                ),
+            )
+        transport = ForceSpec(
+            gradient_force=np.zeros(2), lattice_force=-self.start / pre_time
+        )
+        return (
+            ProtocolStep("transport", duration=pre_time, force=transport),
+            ProtocolStep("pi2_pulse", phi_mw=0.0),
+            *legs,
+            ProtocolStep("pi2_pulse", phi_mw=None),
+        )
 
     def integrated_displacements(self) -> dict[str, np.ndarray]:
         """Integral of dk/dt over the force legs for each packet.
@@ -143,6 +190,9 @@ class ProtocolPlan:
 
 @dataclass(frozen=True)
 class PlanDiagnostics:
+    """``endpoint_residual`` is the largest coordinate gap between the two
+    legs' start points."""
+
     endpoint_residual: float
     endpoints_reciprocal: bool
     xi: float
@@ -160,19 +210,13 @@ def site_start(site: str, p: ModelParams) -> np.ndarray:
     raise ValueError(f"site must be 'I' or 'II', got {site!r}")
 
 
-def site_displacements(
-    site: str, p: ModelParams, swap_spin_assignment: bool = False
-) -> dict[str, np.ndarray]:
+def site_displacements(site: str, p: ModelParams) -> dict[str, np.ndarray]:
     """Leg displacement per packet; keys "down" and "up"."""
     g = p.geometry
     sign = -1.0 if site == "I" else 1.0
     if site not in ("I", "II"):
         raise ValueError(f"site must be 'I' or 'II', got {site!r}")
-    down = sign * (g.b1 + g.b2)
-    up = sign * g.b2
-    if swap_spin_assignment:
-        down, up = up, down
-    return {"down": down, "up": up}
+    return {"down": sign * (g.b1 + g.b2), "up": sign * g.b2}
 
 
 def _solve_forces(
@@ -184,57 +228,10 @@ def _solve_forces(
     return ForceSpec(gradient_force=gradient, lattice_force=lattice)
 
 
-def _build_plan(
-    site: str,
-    geometry: LatticeGeometry,
-    start: np.ndarray,
-    endpoint_down: np.ndarray,
-    endpoint_up: np.ndarray,
-    leg_time: float,
-    with_echo: bool,
-    samples_per_leg: int,
-) -> ProtocolPlan:
-    force = _solve_forces(endpoint_down - start, endpoint_up - start, leg_time)
-    pre_time = leg_time / 4
-    steps = [
-        ProtocolStep(
-            "transport",
-            duration=pre_time,
-            force=ForceSpec(
-                gradient_force=np.zeros(2), lattice_force=-start / pre_time
-            ),
-        ),
-        ProtocolStep("pi2_pulse", phi_mw=0.0),
-    ]
-    if with_echo:
-        steps.append(ProtocolStep("force_leg", duration=leg_time / 2, force=force))
-        steps.append(ProtocolStep("pi_pulse", gradient_direction_flip=True))
-        steps.append(
-            ProtocolStep(
-                "force_leg",
-                duration=leg_time / 2,
-                force=force,
-                gradient_direction_flip=True,
-            )
-        )
-    else:
-        steps.append(ProtocolStep("force_leg", duration=leg_time, force=force))
-    steps.append(ProtocolStep("pi2_pulse", phi_mw=None))
-
-    samples = samples_per_leg + samples_per_leg % 2
-    return ProtocolPlan(
-        site=site,
-        steps=tuple(steps),
-        k_path_down=KPath.line(start, endpoint_down, samples + 1),
-        k_path_up=KPath.line(start, endpoint_up, samples + 1),
-        start=start,
-        endpoint_down=np.asarray(endpoint_down, dtype=float),
-        endpoint_up=np.asarray(endpoint_up, dtype=float),
-        leg_time=float(leg_time),
-        with_echo=with_echo,
-        samples_per_leg=samples,
-        geometry=geometry,
-    )
+def _leg(start: np.ndarray, end: np.ndarray, samples_per_leg: int) -> KPath:
+    """Straight leg from ``start`` to ``end``; an odd sample count is
+    raised by one, so the echo midpoint is a sample."""
+    return KPath.line(start, end, samples_per_leg + samples_per_leg % 2 + 1)
 
 
 def plan_site(
@@ -243,7 +240,6 @@ def plan_site(
     leg_time: float = 200.0,
     with_echo: bool = True,
     samples_per_leg: int = 2000,
-    swap_spin_assignment: bool = False,
 ) -> ProtocolPlan:
     """Build the nominal plan for one detection site.
 
@@ -255,26 +251,23 @@ def plan_site(
     if not (leg_time > 0 and np.isfinite(leg_time)):
         raise ValueError(f"leg_time must be positive and finite, got {leg_time}")
     start = site_start(site, p)
-    disp = site_displacements(site, p, swap_spin_assignment)
-    return _build_plan(
-        site,
-        p.geometry,
-        start,
-        start + disp["down"],
-        start + disp["up"],
-        leg_time,
-        with_echo,
-        samples_per_leg,
+    disp = site_displacements(site, p)
+    return ProtocolPlan(
+        site=site,
+        k_path_down=_leg(start, start + disp["down"], samples_per_leg),
+        k_path_up=_leg(start, start + disp["up"], samples_per_leg),
+        leg_time=float(leg_time),
+        with_echo=with_echo,
+        geometry=p.geometry,
     )
 
 
 def validate_plan(plan: ProtocolPlan, p: ModelParams) -> PlanDiagnostics:
-    """Check endpoints and adiabaticity; raise MalformedPlan when broken.
+    """Check the legs and adiabaticity; raise MalformedPlan when broken.
 
-    The residual compares both the sampled paths and the integrated
-    velocities against the plan's endpoint targets.  The adiabaticity figure
-    is xi = max over the paths of |dk/dt| / gap(k)^2; a warning is recorded
-    above 0.1.
+    The residual is the largest coordinate gap between the two legs' start
+    points, which must stay below 1e-9.  The adiabaticity figure is xi = max
+    over the paths of |dk/dt| / gap(k)^2; a warning is recorded above 0.1.
     """
     min_gaps = {}
     for packet, kpath in (("down", plan.k_path_down), ("up", plan.k_path_up)):
@@ -288,20 +281,12 @@ def check_plan(
 ) -> PlanDiagnostics:
     """``validate_plan`` given each leg's minimum band gap, keyed by packet.
 
-    The endpoint check runs first, so a malformed plan raises MalformedPlan
-    whatever the gaps are.
+    The shared-start check runs first, so a malformed plan raises
+    MalformedPlan whatever the gaps are.
     """
-    integrated = plan.integrated_displacements()
-    residual = 0.0
-    for packet, kpath in (("down", plan.k_path_down), ("up", plan.k_path_up)):
-        target = plan.total_displacements[packet]
-        residual = max(residual, float(np.max(np.abs(integrated[packet] - target))))
-        endpoint = plan.start + target
-        residual = max(residual, float(np.max(np.abs(kpath.k_e - endpoint))))
+    residual = float(np.max(np.abs(plan.k_path_down.k_b - plan.k_path_up.k_b)))
     if residual >= 1e-9:
-        raise MalformedPlan(
-            f"plan endpoints miss their targets by {residual:.3e} (>= 1e-9)"
-        )
+        raise MalformedPlan(f"plan legs start {residual:.3e} apart (>= 1e-9)")
 
     reciprocal = is_reciprocal(plan.endpoint_up - plan.endpoint_down, p.geometry)
 
@@ -333,7 +318,7 @@ def perturb_plan(
     radius: Optional[float] = None,
     seed: Optional[int] = None,
 ) -> ProtocolPlan:
-    """Re-solve the forces so the endpoints land at displaced targets.
+    """Redraw both legs from the shared start to displaced endpoints.
 
     Explicit per-spin endpoint errors take precedence; otherwise, with
     ``radius`` set, both errors are drawn uniformly from the disk of that
@@ -359,13 +344,9 @@ def perturb_plan(
             raise ValueError(
                 f"endpoint error for spin {name} must stay below |b1|/4 = {limit:.4f}"
             )
-    return _build_plan(
-        plan.site,
-        plan.geometry,
-        plan.start,
-        plan.endpoint_down + error_down,
-        plan.endpoint_up + error_up,
-        plan.leg_time,
-        plan.with_echo,
-        plan.samples_per_leg,
+    n = plan.samples_per_leg
+    return dataclasses.replace(
+        plan,
+        k_path_down=_leg(plan.start, plan.endpoint_down + error_down, n),
+        k_path_up=_leg(plan.start, plan.endpoint_up + error_up, n),
     )

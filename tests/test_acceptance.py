@@ -144,7 +144,7 @@ def test_criterion_05_readout_law():
     pointwise_worst = 0.0
     fitted = {}
     for site in ("I", "II"):
-        scan = run_fringe(P0, site, grid, samples_per_leg=2000)
+        scan = run_fringe(P0, plan_site(site, P0, samples_per_leg=2000), grid)
         law = 0.5 * (1.0 - np.cos(scan.ledger.total - grid))
         pointwise_worst = max(pointwise_worst, float(np.max(np.abs(scan.n_up - law))))
         fitted[site] = fit_fringe(scan).phi_zak

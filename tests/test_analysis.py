@@ -34,7 +34,7 @@ def synthetic_scan(phi_zak, contrast=1.0, n=24, noise=0.0, seed=None):
         rng = np.random.default_rng(seed)
         n_up = np.clip(n_up + rng.normal(0.0, noise, grid.size), 0.0, 1.0)
     return FringeScan(
-        phi_mw_values=grid, n_down=1.0 - n_up, n_up=n_up, mode="adiabatic"
+        phi_mw_values=grid, n_down=1.0 - n_up, n_up=n_up, mode="adiabatic", site="I"
     )
 
 
@@ -72,7 +72,9 @@ def test_fit_noise_error_stays_small():
 def test_fit_rejects_sparse_scan():
     grid = np.array([0.0, 1.0, 2.0, 3.0])
     n_up = 0.5 * (1.0 - np.cos(1.0 - grid))
-    scan = FringeScan(phi_mw_values=grid, n_down=1 - n_up, n_up=n_up, mode="adiabatic")
+    scan = FringeScan(
+        phi_mw_values=grid, n_down=1 - n_up, n_up=n_up, mode="adiabatic", site="I"
+    )
     with pytest.raises(DegenerateScan):
         fit_fringe(scan)
 
@@ -136,7 +138,7 @@ def test_measured_sites_classify_ambiguous():
     the whole-number readout declines."""
     grid = default_phi_grid(24)
     fits = [
-        fit_fringe(run_fringe(P0, site, grid, samples_per_leg=2000))
+        fit_fringe(run_fringe(P0, plan_site(site, P0, samples_per_leg=2000), grid))
         for site in ("I", "II")
     ]
     report = classify(fits[0], fits[1], oracle_c=1)

@@ -292,6 +292,45 @@ def test_config_rejects_bool_as_number(tmp_path):
     assert summary_of(err)["error"] == "config"
 
 
+@pytest.mark.parametrize(
+    "command,section,key,value",
+    [
+        ("zak", "protocol", "leg_time", None),
+        ("fringe", "protocol", "leg_time", None),
+        ("sweep", "protocol", "leg_time", None),
+        ("fringe", "mode", "dt", []),
+        ("fringe", "scan", "phi_mw_points", None),
+        ("sweep", "scan", "phi_mw_points", None),
+        ("sweep", "sweep", "error_radii", [None]),
+        ("zak", "protocol", "echo", "no"),
+        ("sweep", "sweep", "trials", 2.5),
+        pytest.param("chern", "model", "t", 10**400, id="chern-model-t-huge"),
+        ("chern", "output", "out", 3),
+    ],
+)
+def test_config_value_of_wrong_type_exits_config(
+    tmp_path, command, section, key, value
+):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    code, out, err = run_cli(command, "--config", str(path))
+    assert code == 3
+    assert out == ""
+    summary = summary_of(err)
+    assert summary["error"] == "config"
+    assert f"{section}.{key}" in summary["message"]
+
+
+def test_config_numbers_resolve_as_floats(tmp_path):
+    """A file's integer 200 is the flag's 200.0: same record, same hash."""
+    path = tmp_path / "int.json"
+    path.write_text(json.dumps({"protocol": {"leg_time": 200}}))
+    from_file = run_cli("protocol", "--config", str(path))
+    assert from_file[0] == 0
+    assert from_file == run_cli("protocol", "--leg-time", "200")
+    assert from_file == run_cli("protocol")
+
+
 def test_config_hash_covers_subcommand_settings():
     def hash_of(*argv):
         return summary_of(run_cli(*argv)[1])["config-hash"]

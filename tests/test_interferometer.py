@@ -186,9 +186,8 @@ def test_ledger_gauge_invariant():
 def test_fringe_law_pointwise(with_echo):
     """N_up must equal (1 - cos(total - phi_mw)) / 2 at every pulse phase."""
     phi = np.linspace(-np.pi, np.pi, 41)
-    scan = run_fringe(
-        P0, "I", phi, with_echo=with_echo, zeeman_rate=0.01, samples_per_leg=800
-    )
+    plan = plan_site("I", P0, with_echo=with_echo, samples_per_leg=800)
+    scan = run_fringe(P0, plan, phi, zeeman_rate=0.01)
     law = 0.5 * (1.0 - np.cos(scan.ledger.total - phi))
     assert np.max(np.abs(scan.n_up - law)) < 1e-9
     assert np.allclose(scan.n_down + scan.n_up, 1.0, atol=1e-12)
@@ -196,12 +195,12 @@ def test_fringe_law_pointwise(with_echo):
 
 def test_run_fringe_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        run_fringe(P0, "I", [0.0, 1.0], mode="exact")
+        run_fringe(P0, plan_site("I", P0), [0.0, 1.0], mode="exact")
 
 
 def test_run_fringe_accepts_prebuilt_plan():
     plan = perturb_plan(plan_site("I", P0, samples_per_leg=600), radius=0.002, seed=1)
-    scan = run_fringe(P0, "II", [0.0, 0.5, 1.0], plan=plan)
+    scan = run_fringe(P0, plan, [0.0, 0.5, 1.0])
     assert scan.site == "I"
     assert scan.n_up.shape == (3,)
 
@@ -255,9 +254,8 @@ def test_tdse_step_size_precondition():
 
 def test_tdse_fringe_keeps_populations_physical():
     phi = np.linspace(-np.pi, np.pi, 9)
-    scan = run_fringe(
-        P0, "I", phi, mode="tdse", leg_time=2.0, samples_per_leg=400
-    )
+    plan = plan_site("I", P0, leg_time=2.0, samples_per_leg=400)
+    scan = run_fringe(P0, plan, phi, mode="tdse")
     total = scan.n_down + scan.n_up
     assert np.all(total <= 1.0 + 1e-12)
     assert np.all(total >= 0.0)
@@ -367,15 +365,15 @@ def test_tdse_evaluates_leg_samples_once_besides_midpoints(field_calls):
 
 @pytest.mark.parametrize("evolve", [evolve_adiabatic, evolve_tdse])
 def test_malformed_plan_raises_before_gap_check(evolve):
-    """A leg through a gapless point: the endpoint check still comes first,
-    so a malformed plan keeps its MalformedPlan exit code."""
+    """A leg through a gapless point: the shared-start check still comes
+    first, so a malformed plan keeps its MalformedPlan exit code."""
     p = ModelParams(tp=0.0)
     plan = plan_site("I", p, leg_time=2.0, samples_per_leg=40)
     kpath = KPath(
         np.stack([plan.start, DEFAULT_GEOMETRY.K, plan.endpoint_down])
     )
     gapless = dataclasses.replace(plan, k_path_down=kpath)
-    broken = dataclasses.replace(gapless, endpoint_down=plan.endpoint_down + 0.1)
+    broken = dataclasses.replace(gapless, k_path_up=KPath(plan.k_path_up.points + 0.1))
     with pytest.raises(MalformedPlan):
         evolve(initial_state(), broken, p)
     with pytest.raises(GaplessPoint):  # the well-formed plan fails its gap check

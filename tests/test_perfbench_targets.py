@@ -2,13 +2,17 @@
 
 import importlib
 import inspect
+import io
 import runpy
 from pathlib import Path
 
 import pytest
 
+from chernscope import cli
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-TARGETS = [(mod, name) for mod, name, _, _ in runpy.run_path(str(SPANS))["TARGETS"]]
+SPANS_NAMESPACE = runpy.run_path(str(SPANS))
+TARGETS = [(mod, name) for mod, name, _, _ in SPANS_NAMESPACE["TARGETS"]]
 
 
 @pytest.mark.parametrize("module_name,func_name", TARGETS)
@@ -17,3 +21,20 @@ def test_benchmark_target_exists(module_name, func_name):
     assert inspect.isfunction(getattr(module, func_name, None)), (
         f"chernscope.{module_name}.{func_name} is traced by perfbench/spans.py"
     )
+
+
+def test_traced_fringe_counts_each_leg_point_once():
+    """The tracer reads the legs off the plan an evolution is given; a
+    fringe run at 40 samples per leg has 2 x 41 leg points, and the fields
+    of each are evaluated exactly once."""
+    tracer = SPANS_NAMESPACE["Tracer"]()
+    tracer.install()
+    try:
+        code = cli.main(["fringe", "--samples-per-leg", "40"], stdout=io.StringIO())
+    finally:
+        tracer.restore()
+    assert code == 0
+    _, counts = tracer.take()
+    assert counts["interferometer.leg_points"] == 82
+    assert counts["lattice.fields.momenta"] == counts["interferometer.leg_points"]
+    assert counts["interferometer.adiabatic.calls"] == 1

@@ -7,8 +7,12 @@ import pytest
 
 from chernscope import (
     DEFAULT_GEOMETRY,
+    KPath,
     MalformedPlan,
     ModelParams,
+    evolve_adiabatic,
+    evolve_tdse,
+    initial_state,
     perturb_plan,
     plan_site,
     site_displacements,
@@ -109,13 +113,6 @@ def test_plan_site_rejects_unknown_site():
         plan_site("III", P0)
 
 
-def test_swap_spin_assignment_exchanges_targets():
-    plain = plan_site("I", P0)
-    swapped = plan_site("I", P0, swap_spin_assignment=True)
-    assert np.allclose(swapped.endpoint_down, plain.endpoint_up, atol=1e-12)
-    assert np.allclose(swapped.endpoint_up, plain.endpoint_down, atol=1e-12)
-
-
 def test_validate_nominal_plan():
     diag = validate_plan(plan_site("I", P0), P0)
     assert diag.endpoint_residual < 1e-12
@@ -133,9 +130,27 @@ def test_validate_warns_on_fast_drive():
 
 def test_validate_rejects_inconsistent_endpoint():
     plan = plan_site("I", P0)
-    broken = dataclasses.replace(plan, endpoint_down=plan.endpoint_down + 0.1)
+    broken = dataclasses.replace(plan, k_path_down=KPath(plan.k_path_down.points + 0.1))
     with pytest.raises(MalformedPlan):
         validate_plan(broken, P0)
+
+
+@pytest.mark.parametrize("check", ["validate", "adiabatic", "tdse"])
+def test_legs_that_start_apart_are_malformed(check):
+    """Both packets leave one start momentum; an up leg that starts 0.3
+    away is a broken plan, not a different measurement."""
+    plan = plan_site("I", P0)
+    shifted = plan.start + np.array([0.3, 0.0])
+    apart = dataclasses.replace(
+        plan, k_path_up=KPath.line(shifted, plan.endpoint_up, 2001)
+    )
+    run = {
+        "validate": lambda: validate_plan(apart, P0),
+        "adiabatic": lambda: evolve_adiabatic(initial_state(), apart, P0),
+        "tdse": lambda: evolve_tdse(initial_state(), apart, P0),
+    }[check]
+    with pytest.raises(MalformedPlan, match="start"):
+        run()
 
 
 def test_perturb_zero_radius_is_identity():
