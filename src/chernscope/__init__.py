@@ -26,6 +26,7 @@ from .lattice import (
     hamiltonian,
     high_symmetry_path,
     is_reciprocal,
+    line_fields,
     reciprocal_coefficients,
     sublattice_matching,
 )

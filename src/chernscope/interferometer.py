@@ -22,7 +22,10 @@ Each route evaluates the Bloch fields of each leg's samples once.  The
 adiabatic route derives the plan check (its minimum gap), the lower-band
 states with their gap check and the dynamical phase from that one pass; the
 stepwise route derives the plan check, the step-size bandwidth and its end
-states from it, and evaluates new momenta only at the step midpoints.
+states from it.  The stepwise route's midpoints are evenly spaced along each
+straight leg, so their fields come from :func:`chernscope.lattice.line_fields`
+(about 2 sqrt(n) exponentials per NN vector for n midpoints) and no
+midpoint momentum array is built.
 
 Both routes end with the two slots at momenta one reciprocal vector apart
 (up to planned endpoint error).  Before the final readout pulse the slot
@@ -56,6 +59,7 @@ from .lattice import (
     bloch_fields,
     band_gap_min,
     energies_from_fields,
+    line_fields,
     states_from_fields,
     sublattice_matching,
 )
@@ -357,9 +361,12 @@ def evolve_adiabatic(
 
     Returns the end state and the phase ledger.  The discrete geometric
     phases converge as the leg sampling grows; the plan default keeps them
-    well below 1e-8 of the continuum values.
+    well below 1e-8 of the continuum values.  A NaN or infinite
+    ``zeeman_rate`` raises ValueError.
     """
     _require_pure_down(state)
+    if not np.isfinite(zeeman_rate):
+        raise ValueError(f"zeeman_rate must be finite, got {zeeman_rate}")
     fields, energies, _ = _leg_pass(plan, p)
 
     phases = {}
@@ -442,12 +449,13 @@ def evolve_tdse(
     The step size must satisfy dt <= 0.01 / bandwidth with the bandwidth
     taken as the largest |band energy| along the legs, and a leg may take
     at most ``MAX_TDSE_STEPS`` steps; either violation raises ValueError
-    before the midpoints are allocated.  A step costs about 129 bytes of
-    peak memory (tracemalloc, 2**16 steps), so the budget of 2**22 steps
-    implies a peak of about 540 MB.
+    before the midpoints are allocated.  A step costs about 104 bytes of
+    peak memory (tracemalloc, 2**16 and 2**18 steps), so the budget of 2**22
+    steps implies a peak of about 440 MB.
 
     Each step applies the closed-form exponential of the midpoint
-    Hamiltonian, a phase e^{-i h0 dt} times an SU(2) matrix.  Each packet's
+    Hamiltonian, a phase e^{-i h0 dt} times an SU(2) matrix; the midpoint
+    fields come from :func:`chernscope.lattice.line_fields`.  Each packet's
     SU(2) factors are multiplied as (a, b) pairs by :func:`_leg_propagator`,
     and its phase is exp(-i dt sum(h0)), computed once.  The norm drift of
     the assembled 2x2 total propagator, max |U^dagger U - I|, above 1e-8
@@ -484,10 +492,10 @@ def evolve_tdse(
     drift = 0.0
     for packet, kpath in (("down", plan.k_path_down), ("up", plan.k_path_up)):
         start = kpath.k_b
-        velocity = (kpath.k_e - kpath.k_b) / total_time
-        t_mid = (np.arange(n_steps) + 0.5) * dt_actual
-        k_mid = start[None, :] + t_mid[:, None] * velocity[None, :]
-        phase, a, b = _leg_propagator(bloch_fields(k_mid, p), dt_actual)
+        step = (kpath.k_e - start) / total_time * dt_actual
+        phase, a, b = _leg_propagator(
+            line_fields(start + step / 2, step, n_steps, p), dt_actual
+        )
         u_total = phase * np.array([[a, -b.conjugate()], [b, a.conjugate()]])
         drift = max(
             drift, float(np.max(np.abs(u_total.conj().T @ u_total - np.eye(2))))

@@ -24,7 +24,16 @@ take the exponential form
     S  = z3 conj(z2) + z1 conj(z3) + z2 conj(z1),
 
 three complex exponentials per momentum instead of twelve real cosines and
-sines; ``bloch_fields`` evaluates this form.  In this convention H is not
+sines; ``bloch_fields`` evaluates this form.  Along n evenly spaced momenta
+k_j = k0 + j step, ``line_fields`` factors each exponential further: with
+j = q B + r and B about sqrt(n),
+
+    z_i(k_j) = exp(i (k0 + q B step) . e_i) exp(i r step . e_i),
+
+a table of about n / B block-start exponentials times a table of B offset
+exponentials, each entry computed directly, so the n points cost one
+complex product per NN vector instead of one exponential.  Both routines
+turn the z_i into fields through one formula.  In this convention H is not
 literally periodic on the reciprocal lattice; instead
 
     H(k + G) = V H(k) V*,    V = diag(1, exp(i chi)),   chi = G . e1 (mod 2pi)
@@ -38,6 +47,7 @@ stated otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -51,6 +61,7 @@ __all__ = [
     "DEFAULT_GEOMETRY",
     "RECIPROCAL_TOL",
     "bloch_fields",
+    "line_fields",
     "hamiltonian",
     "band_states",
     "band_energies",
@@ -172,7 +183,32 @@ def bloch_fields(kpts: np.ndarray, p: ModelParams) -> tuple[np.ndarray, ...]:
     exponential z_i = exp(i k . e_i) per NN vector.
     """
     kpts = np.asarray(kpts, dtype=float)
-    z = np.exp(1j * (kpts @ p.geometry.nn_vectors.T))
+    return _fields_from_z(np.exp(1j * (kpts @ p.geometry.nn_vectors.T)), p)
+
+
+def line_fields(
+    k0: np.ndarray, step: np.ndarray, n: int, p: ModelParams
+) -> tuple[np.ndarray, ...]:
+    """``bloch_fields`` at the n momenta k0 + j step, j = 0, ..., n - 1.
+
+    Returns (h0, hx, hy, hz), each of length n.  The exponentials come from
+    a block-start table and an offset table of about sqrt(n) entries each
+    (module docstring); every table entry is its own ``np.exp``, so the
+    error does not grow along the line as a running product's would.
+    """
+    k0 = np.asarray(k0, dtype=float)
+    step = np.asarray(step, dtype=float)
+    nn_t = p.geometry.nn_vectors.T
+    block = math.isqrt(max(n - 1, 0)) + 1  # ceil(sqrt(n))
+    starts = np.arange(0, n, block)
+    outer = np.exp(1j * ((k0 + starts[:, None] * step) @ nn_t))
+    inner = np.exp(1j * ((np.arange(block)[:, None] * step) @ nn_t))
+    z = (outer[:, None, :] * inner[None, :, :]).reshape(-1, 3)[:n]
+    return _fields_from_z(z, p)
+
+
+def _fields_from_z(z: np.ndarray, p: ModelParams) -> tuple[np.ndarray, ...]:
+    """(h0, hx, hy, hz) from the (..., 3) exponentials z_i = exp(i k . e_i)."""
     z1, z2, z3 = z[..., 0], z[..., 1], z[..., 2]
     nn = -p.t * (z1 + z2 + z3)
     nnn = z3 * np.conj(z2) + z1 * np.conj(z3) + z2 * np.conj(z1)

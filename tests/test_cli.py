@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import chernscope
+import chernscope.topology
 from chernscope.cli import DEFAULTS, ConfigError, RunConfig, main, parse_phi
 
 
@@ -281,6 +282,40 @@ def test_non_finite_or_negative_inputs_exit_invalid_value(argv):
     assert code == 1
     assert out == ""
     assert summary_of(err)["error"] == "invalid-value"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fringe", "--zeeman-rate", "nan"),
+        ("fringe", "--zeeman-rate", "inf"),
+        ("fringe", "--no-echo", "--zeeman-rate=-inf"),
+        ("zak", "--zeeman-rate", "nan"),
+        ("detect", "--zeeman-rate", "inf"),
+    ],
+)
+def test_non_finite_zeeman_rate_exits_invalid_value(argv):
+    """The Zeeman phase is the rate times the signed leg time, so a NaN or
+    infinite rate would print NaN populations and phases."""
+    code, out, err = run_cli(*argv)
+    assert code == 1
+    assert out == ""
+    summary = summary_of(err)
+    assert summary["error"] == "invalid-value"
+    assert "zeeman_rate" in summary["message"]
+
+
+@pytest.mark.parametrize("command", ["chern", "curvature"])
+def test_grid_n_over_budget_exits_invalid_value(monkeypatch, command):
+    """The budget is lowered so no large grid is built."""
+    monkeypatch.setattr(chernscope.topology, "MAX_GRID_N", 30)
+    assert run_cli(command, "--grid-n", "30")[0] == 0
+    code, out, err = run_cli(command, "--grid-n", "31")
+    assert code == 1
+    assert out == ""
+    summary = summary_of(err)
+    assert summary["error"] == "invalid-value"
+    assert "budget" in summary["message"]
 
 
 def test_config_rejects_bool_as_number(tmp_path):

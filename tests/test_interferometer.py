@@ -317,25 +317,42 @@ def test_readout_scan_matches_pointwise_pulse(mode, phis):
 # ------------------------------------------------------------ field passes
 
 
+@dataclasses.dataclass
+class FieldCalls:
+    """Arguments of the field routines' calls, in order: ``bloch`` holds the
+    momenta of each ``bloch_fields`` call as an (n, 2) array, ``line`` the
+    (k0, step, n) of each ``line_fields`` call."""
+
+    bloch: list = dataclasses.field(default_factory=list)
+    line: list = dataclasses.field(default_factory=list)
+
+
 @pytest.fixture
 def field_calls(monkeypatch):
-    """Momenta of every ``bloch_fields`` call, as (n, 2) arrays, in order.
+    """Records every ``bloch_fields`` and ``line_fields`` call.
 
-    The counter replaces the function in every chernscope module that holds
-    it, so calls from inside the package are seen too.
+    The counters replace the functions in every chernscope module that holds
+    them, so calls from inside the package are seen too.
     """
-    original = chernscope.lattice.bloch_fields
-    calls = []
+    calls = FieldCalls()
+    bloch = chernscope.lattice.bloch_fields
+    line = chernscope.lattice.line_fields
 
-    def counting(kpts, p):
-        calls.append(np.asarray(kpts, dtype=float).reshape(-1, 2))
-        return original(kpts, p)
+    def counting_bloch(kpts, p):
+        calls.bloch.append(np.asarray(kpts, dtype=float).reshape(-1, 2))
+        return bloch(kpts, p)
+
+    def counting_line(k0, step, n, p):
+        calls.line.append((np.array(k0, dtype=float), np.array(step, dtype=float), n))
+        return line(k0, step, n, p)
 
     for name, module in list(sys.modules.items()):
         if name == "chernscope" or name.startswith("chernscope."):
             for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+                if value is bloch:
+                    monkeypatch.setattr(module, attr, counting_bloch)
+                elif value is line:
+                    monkeypatch.setattr(module, attr, counting_line)
     return calls
 
 
@@ -343,24 +360,30 @@ def test_adiabatic_evolution_evaluates_each_leg_once(field_calls):
     plan = plan_site("I", P0, samples_per_leg=300)
     legs = (plan.k_path_down.points, plan.k_path_up.points)
     state = initial_state()
-    assert field_calls == []
+    assert field_calls.bloch == []
     evolve_adiabatic(state, plan, P0)
-    assert len(field_calls) == 2
-    for leg, kpts in zip(legs, field_calls):
+    assert len(field_calls.bloch) == 2
+    for leg, kpts in zip(legs, field_calls.bloch):
         assert np.array_equal(kpts, leg)
+    assert field_calls.line == []
 
 
 def test_tdse_evaluates_leg_samples_once_besides_midpoints(field_calls):
+    """The legs' samples go through ``bloch_fields`` once each; the
+    midpoints of each leg go through one ``line_fields`` call of n_steps
+    points, from the leg start plus half a step."""
     plan = plan_site("I", P0, leg_time=2.0, samples_per_leg=300)
-    legs = (plan.k_path_down.points, plan.k_path_up.points)
+    kpaths = (plan.k_path_down, plan.k_path_up)
     state = initial_state()
     _, diagnostics = evolve_tdse(state, plan, P0)
-    midpoint_calls = [k for k in field_calls if len(k) == diagnostics.n_steps]
-    others = [k for k in field_calls if len(k) != diagnostics.n_steps]
-    assert len(midpoint_calls) == 2
-    assert [len(k) for k in others] == [len(legs[0]), len(legs[1])]
-    assert np.array_equal(others[0], legs[0])
-    assert np.array_equal(others[1], legs[1])
+    assert len(field_calls.bloch) == 2
+    for kpath, kpts in zip(kpaths, field_calls.bloch):
+        assert np.array_equal(kpts, kpath.points)
+    assert len(field_calls.line) == 2
+    for kpath, (k0, step, n) in zip(kpaths, field_calls.line):
+        assert n == diagnostics.n_steps
+        assert np.array_equal(k0, kpath.k_b + step / 2)
+        assert np.allclose(n * step, kpath.k_e - kpath.k_b, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("evolve", [evolve_adiabatic, evolve_tdse])
@@ -438,16 +461,19 @@ def test_tdse_step_budget_refuses_before_allocating(monkeypatch, field_calls):
     monkeypatch.setattr(
         chernscope.interferometer, "MAX_TDSE_STEPS", diag.n_steps - 1
     )
-    field_calls.clear()
+    field_calls.bloch.clear()
+    field_calls.line.clear()
     with pytest.raises(ValueError, match="budget"):
         evolve_tdse(initial_state(), plan, P0)
     legs = (plan.k_path_down.points, plan.k_path_up.points)
-    assert [len(k) for k in field_calls] == [len(k) for k in legs]
+    assert [len(k) for k in field_calls.bloch] == [len(k) for k in legs]
+    assert field_calls.line == []
 
 
 @pytest.mark.parametrize("leg_time", [2.0, 400.0])
 def test_tdse_diagnostics_carry_plan_xi(leg_time, field_calls):
     plan = plan_site("I", P0, leg_time=leg_time, samples_per_leg=400)
     _, diag = evolve_tdse(initial_state(), plan, P0)
-    assert len(field_calls) == 4  # two legs, two midpoint sets
+    assert len(field_calls.bloch) == 2  # two legs
+    assert [n for _, _, n in field_calls.line] == [diag.n_steps] * 2  # midpoints
     assert diag.xi == validate_plan(plan, P0).xi

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chernscope import (
     DEFAULT_GEOMETRY,
@@ -18,6 +18,7 @@ from chernscope import (
     boundary_phase,
     hamiltonian,
     high_symmetry_path,
+    line_fields,
     reciprocal_coefficients,
     sublattice_matching,
 )
@@ -67,6 +68,44 @@ def test_bloch_fields_match_explicit_formula(radius, angle, tp, phi):
     for i, point in enumerate(batch):
         want = explicit_fields(point, p)
         assert np.allclose(fields[:, i], want, rtol=0, atol=1e-12)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=1100),
+    k0=momenta,
+    span=st.tuples(
+        st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+        st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+    ),
+    tp=st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+    phi=st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False),
+)
+# n = 1, 2, 3; perfect squares (whole blocks); one point either side of a
+# block boundary (the block size is ceil(sqrt(n))); and a TDSE leg's midpoint
+# count across b1, where a running product of step exponentials would be
+# about 4e-12 off.
+@example(n=1, k0=(0.3, -0.2), span=(4.0, 1.0), tp=0.1, phi=np.pi / 2)
+@example(n=2, k0=(0.3, -0.2), span=(4.0, 1.0), tp=0.1, phi=np.pi / 2)
+@example(n=3, k0=(0.3, -0.2), span=(4.0, 1.0), tp=0.1, phi=np.pi / 2)
+@example(n=4, k0=(0.3, -0.2), span=(4.0, 1.0), tp=0.1, phi=np.pi / 2)
+@example(n=5, k0=(0.3, -0.2), span=(4.0, 1.0), tp=0.1, phi=np.pi / 2)
+@example(n=255, k0=(7.0, -7.0), span=(-10.0, 3.0), tp=0.2, phi=1.0)
+@example(n=256, k0=(7.0, -7.0), span=(-10.0, 3.0), tp=0.2, phi=1.0)
+@example(n=257, k0=(7.0, -7.0), span=(-10.0, 3.0), tp=0.2, phi=1.0)
+@example(n=271, k0=(-1.0, 2.0), span=(0.0, 4.19), tp=0.1, phi=-0.5)
+@example(n=272, k0=(-1.0, 2.0), span=(0.0, 4.19), tp=0.1, phi=-0.5)
+@example(n=273, k0=(-1.0, 2.0), span=(0.0, 4.19), tp=0.1, phi=-0.5)
+@example(n=1024, k0=(0.0, 0.0), span=(3.6, -2.1), tp=0.3, phi=np.pi)
+@example(n=109288, k0=(0.3, -0.2), span=(0.0, 4 * np.pi / 3), tp=0.1, phi=np.pi / 2)
+@settings(max_examples=80, deadline=None)
+def test_line_fields_match_bloch_fields_on_the_line(n, k0, span, tp, phi):
+    p = ModelParams(tp=tp, phi=phi)
+    k0, step = np.array(k0), np.array(span) / n
+    fields = line_fields(k0, step, n, p)
+    want = bloch_fields(k0 + np.arange(n)[:, None] * step, p)
+    for got, ref in zip(fields, want):
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - ref)) <= 1e-13
 
 
 def test_geometry_refuses_nnn_vectors_off_the_nn_differences():

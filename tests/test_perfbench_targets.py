@@ -38,3 +38,36 @@ def test_traced_fringe_counts_each_leg_point_once():
     assert counts["interferometer.leg_points"] == 82
     assert counts["lattice.fields.momenta"] == counts["interferometer.leg_points"]
     assert counts["interferometer.adiabatic.calls"] == 1
+
+
+TDSE_ARGV = ["fringe", "--mode", "tdse", "--leg-time", "2", "--samples-per-leg", "400"]
+
+
+def _tdse_stdout() -> str:
+    out = io.StringIO()
+    assert cli.main(TDSE_ARGV, stdout=out) == 0
+    return out.getvalue()
+
+
+def test_traced_tdse_counts_steps_and_leg_points_only():
+    """The traced TDSE route counts both packets' steps, and the fields of
+    the leg points once each: the midpoints go through ``line_fields``,
+    which the tracer does not count as field momenta."""
+    tracer = SPANS_NAMESPACE["Tracer"]()
+    tracer.install()
+    try:
+        stdout = _tdse_stdout()
+    finally:
+        tracer.restore()
+    _, counts = tracer.take()
+    n_steps = int(next(
+        line.split(": ", 1)[1] for line in stdout.splitlines()
+        if line.startswith("n-steps: ")
+    ))
+    assert counts["interferometer.tdse.steps"] == 2 * n_steps
+    assert counts["interferometer.leg_points"] == 2 * 401
+    assert counts["lattice.fields.momenta"] == counts["interferometer.leg_points"]
+
+
+def test_tdse_stdout_repeats_byte_for_byte():
+    assert _tdse_stdout() == _tdse_stdout()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chernscope.topology
 from chernscope import (
     DEFAULT_GEOMETRY,
     GaplessPoint,
@@ -82,6 +83,27 @@ def test_chern_number_gapless_raises():
 def test_fhs_rejects_tiny_grid():
     with pytest.raises(ValueError):
         berry_curvature_fhs(P0, 4)
+
+
+def test_fhs_grid_budget_refuses_before_allocating(monkeypatch):
+    """The budget is lowered so no large grid is ever built: one side over
+    it raises before the gap check or any state is computed."""
+    assert 5 * 200 <= chernscope.topology.MAX_GRID_N  # the curvature table's grid
+    at_budget = berry_curvature_fhs(P0, 24)
+    monkeypatch.setattr(chernscope.topology, "MAX_GRID_N", 24)
+    assert berry_curvature_fhs(P0, 24).total == at_budget.total
+    calls = []
+    monkeypatch.setattr(
+        chernscope.topology, "band_states", lambda *args: calls.append(args)
+    )
+    monkeypatch.setattr(
+        chernscope.topology, "band_gap_min", lambda *args, **kw: calls.append(args)
+    )
+    with pytest.raises(ValueError, match="budget"):
+        berry_curvature_fhs(P0, 25)
+    with pytest.raises(ValueError, match="budget"):
+        chern_number(P0, n=10**12)
+    assert calls == []
 
 
 def test_fhs_gauge_invariant_per_plaquette():
