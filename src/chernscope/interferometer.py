@@ -16,7 +16,8 @@ straight momentum leg, and the two evolution routes are
   step, which resolves nonadiabatic band leakage.  Each step exponential is
   a scalar phase e^{-i h0 dt} times an SU(2) matrix [[a, -conj(b)],
   [b, conj(a)]]; a leg's SU(2) factors are multiplied in time order as
-  (a, b) pairs, and its phases are summed once into exp(-i dt sum(h0)).
+  (a, b) pairs, and each block's phases are summed once into
+  exp(-i dt sum(h0)).
 
 Each route evaluates the Bloch fields of each leg's samples once.  The
 adiabatic route derives the plan check (its minimum gap), the lower-band
@@ -25,7 +26,8 @@ stepwise route derives the plan check, the step-size bandwidth and its end
 states from it.  The stepwise route's midpoints are evenly spaced along each
 straight leg, so their fields come from :func:`chernscope.lattice.line_fields`
 (about 2 sqrt(n) exponentials per NN vector for n midpoints) and no
-midpoint momentum array is built.
+midpoint momentum array is built; a leg is integrated in fixed-size blocks
+of midpoints, so its arrays do not grow with the step count.
 
 Both routes end with the two slots at momenta one reciprocal vector apart
 (up to planned endpoint error).  Before the final readout pulse the slot
@@ -84,8 +86,13 @@ __all__ = [
     "wrap_angle",
 ]
 
-# Step budget of one TDSE leg; see evolve_tdse for the memory it implies.
+# Step budget of one TDSE leg; see evolve_tdse for the time it implies.
 MAX_TDSE_STEPS = 2**22
+
+# Midpoints per block of a TDSE leg.  A block's fields and step factors
+# (about 1.1 MB) stay in cache and their memory is reused by the next
+# block, so a call does not page in memory that grows with the step count.
+_TDSE_BLOCK = 8192
 
 
 def wrap_angle(x: float) -> float:
@@ -411,11 +418,10 @@ def _leg_propagator(fields: tuple, dt: float) -> tuple[complex, complex, complex
         exp(-i H dt) = e^{-i h0 dt} [[a, -conj(b)], [b, conj(a)]],
 
     with a = cos(|h| dt) - i s hz, b = s (hy - i hx) and s = sin(|h| dt) / |h|
-    (s = dt where |h| = 0).  The SU(2) parts are multiplied as (a, b) pairs,
-    later @ earlier by pairwise reduction with an odd tail carried to the
-    next level, using a = a1 a0 - conj(b1) b0 and b = b1 a0 + conj(a1) b0.
-    The scalar phases commute with them and are summed once.  Returns the
-    phase exp(-i dt sum(h0)) and the (a, b) pair of the SU(2) product.
+    (s = dt where |h| = 0).  The SU(2) parts are multiplied as (a, b) pairs
+    by :func:`_su2_product`.  The scalar phases commute with them and are
+    summed once.  Returns the phase exp(-i dt sum(h0)) and the (a, b) pair
+    of the SU(2) product.
     """
     h0, hx, hy, hz = fields
     hmag = np.sqrt(hx**2 + hy**2 + hz**2)
@@ -426,6 +432,16 @@ def _leg_propagator(fields: tuple, dt: float) -> tuple[complex, complex, complex
     b = np.empty(len(hmag), dtype=complex)
     b.real = s * hy
     b.imag = -s * hx
+    return (complex(np.exp(-1j * dt * np.sum(h0))),) + _su2_product(a, b)
+
+
+def _su2_product(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex]:
+    """(a, b) pair of the product of SU(2) pairs given in time order.
+
+    Multiplies later @ earlier by pairwise reduction with an odd tail
+    carried to the next level, using a = a1 a0 - conj(b1) b0 and
+    b = b1 a0 + conj(a1) b0.
+    """
     while len(a) > 1:
         n = len(a) - len(a) % 2
         a1, a0, b1, b0 = a[1:n:2], a[0:n:2], b[1:n:2], b[0:n:2]
@@ -435,7 +451,27 @@ def _leg_propagator(fields: tuple, dt: float) -> tuple[complex, complex, complex
             a_next = np.append(a_next, a[-1])
             b_next = np.append(b_next, b[-1])
         a, b = a_next, b_next
-    return complex(np.exp(-1j * dt * np.sum(h0))), complex(a[0]), complex(b[0])
+    return complex(a[0]), complex(b[0])
+
+
+def _line_propagator(
+    k0: np.ndarray, step: np.ndarray, n: int, p: ModelParams, dt: float
+) -> tuple[complex, complex, complex]:
+    """:func:`_leg_propagator` of the n midpoints k0 + j step, by blocks.
+
+    Each block of at most ``_TDSE_BLOCK`` midpoints takes its fields from
+    one :func:`chernscope.lattice.line_fields` call and is reduced to a
+    phase and an (a, b) pair; the blocks' pairs are then multiplied in time
+    order by :func:`_su2_product` and their phases multiplied together.
+    """
+    blocks = [
+        _leg_propagator(
+            line_fields(k0 + j * step, step, min(_TDSE_BLOCK, n - j), p), dt
+        )
+        for j in range(0, n, _TDSE_BLOCK)
+    ]
+    phases, a, b = (np.array(x) for x in zip(*blocks))
+    return (complex(np.prod(phases)),) + _su2_product(a, b)
 
 
 def evolve_tdse(
@@ -449,21 +485,24 @@ def evolve_tdse(
     The step size must satisfy dt <= 0.01 / bandwidth with the bandwidth
     taken as the largest |band energy| along the legs, and a leg may take
     at most ``MAX_TDSE_STEPS`` steps; either violation raises ValueError
-    before the midpoints are allocated.  A step costs about 104 bytes of
-    peak memory (tracemalloc, 2**16 and 2**18 steps), so the budget of 2**22
-    steps implies a peak of about 440 MB.
+    before the midpoints are allocated.  The midpoints are taken in blocks
+    of ``_TDSE_BLOCK``, so peak memory is about 1.1 MB whatever the step
+    count (tracemalloc, 2**16 to 2**20 steps) and the budget of 2**22 steps
+    bounds time instead: about 0.1 us per step on one Intel Xeon vCPU, so
+    under a second per leg.
 
     Each step applies the closed-form exponential of the midpoint
     Hamiltonian, a phase e^{-i h0 dt} times an SU(2) matrix; the midpoint
-    fields come from :func:`chernscope.lattice.line_fields`.  Each packet's
-    SU(2) factors are multiplied as (a, b) pairs by :func:`_leg_propagator`,
-    and its phase is exp(-i dt sum(h0)), computed once.  The norm drift of
-    the assembled 2x2 total propagator, max |U^dagger U - I|, above 1e-8
-    raises StepTooLarge.  Band leakage is reported per packet, and the slot
-    amplitudes keep only the lower band projection, so population
-    conservation shows up as |amps|^2 + upper_band_population = 1.  The
-    diagnostics carry the plan's adiabaticity figure xi from the same
-    plan check.
+    fields come from :func:`chernscope.lattice.line_fields`, one call per
+    block.  Each block's SU(2) factors are multiplied as (a, b) pairs by
+    :func:`_leg_propagator`, with its phase exp(-i dt sum(h0)) computed
+    once, and :func:`_line_propagator` multiplies the blocks' products.
+    The norm drift of the assembled 2x2 total propagator,
+    max |U^dagger U - I|, above 1e-8 raises StepTooLarge.  Band leakage is
+    reported per packet, and the slot amplitudes keep only the lower band
+    projection, so population conservation shows up as
+    |amps|^2 + upper_band_population = 1.  The diagnostics carry the plan's
+    adiabaticity figure xi from the same plan check.
     """
     _require_pure_down(state)
     fields, energies, plan_diagnostics = _leg_pass(plan, p)
@@ -493,8 +532,8 @@ def evolve_tdse(
     for packet, kpath in (("down", plan.k_path_down), ("up", plan.k_path_up)):
         start = kpath.k_b
         step = (kpath.k_e - start) / total_time * dt_actual
-        phase, a, b = _leg_propagator(
-            line_fields(start + step / 2, step, n_steps, p), dt_actual
+        phase, a, b = _line_propagator(
+            start + step / 2, step, n_steps, p, dt_actual
         )
         u_total = phase * np.array([[a, -b.conjugate()], [b, a.conjugate()]])
         drift = max(

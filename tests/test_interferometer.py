@@ -31,7 +31,7 @@ from chernscope import (
     validate_plan,
     wrap_angle,
 )
-from chernscope.interferometer import _leg_propagator
+from chernscope.interferometer import _leg_propagator, _line_propagator
 
 P0 = ModelParams()
 
@@ -368,22 +368,71 @@ def test_adiabatic_evolution_evaluates_each_leg_once(field_calls):
     assert field_calls.line == []
 
 
-def test_tdse_evaluates_leg_samples_once_besides_midpoints(field_calls):
+def _line_blocks_per_leg(line_calls, n_steps, block):
+    """Groups ``line_fields`` calls (k0, step, n) into legs of n_steps
+    midpoints, asserting that each leg's calls tile its midpoints in order:
+    blocks of ``block`` points and a shorter tail, block j starting
+    j * block steps after the first midpoint."""
+    per_leg = -(-n_steps // block)
+    assert len(line_calls) % per_leg == 0
+    legs = []
+    for i in range(0, len(line_calls), per_leg):
+        calls = line_calls[i:i + per_leg]
+        first, step, _ = calls[0]
+        assert [n for _, _, n in calls] == [
+            min(block, n_steps - j) for j in range(0, n_steps, block)
+        ]
+        for j, (k0, call_step, _) in zip(range(0, n_steps, block), calls):
+            assert np.array_equal(call_step, step)
+            assert np.array_equal(k0, first + j * step)
+        legs.append((first, step))
+    return legs
+
+
+def test_tdse_evaluates_leg_samples_once_besides_midpoints(monkeypatch, field_calls):
     """The legs' samples go through ``bloch_fields`` once each; the
-    midpoints of each leg go through one ``line_fields`` call of n_steps
-    points, from the leg start plus half a step."""
+    midpoints of each leg go through ``line_fields`` once each, in blocks,
+    from the leg start plus half a step.  The leg takes one block at the
+    default block size and several with a short tail at 100."""
     plan = plan_site("I", P0, leg_time=2.0, samples_per_leg=300)
     kpaths = (plan.k_path_down, plan.k_path_up)
-    state = initial_state()
-    _, diagnostics = evolve_tdse(state, plan, P0)
-    assert len(field_calls.bloch) == 2
-    for kpath, kpts in zip(kpaths, field_calls.bloch):
-        assert np.array_equal(kpts, kpath.points)
-    assert len(field_calls.line) == 2
-    for kpath, (k0, step, n) in zip(kpaths, field_calls.line):
-        assert n == diagnostics.n_steps
-        assert np.array_equal(k0, kpath.k_b + step / 2)
-        assert np.allclose(n * step, kpath.k_e - kpath.k_b, rtol=0, atol=1e-12)
+    for block in (chernscope.interferometer._TDSE_BLOCK, 100):
+        monkeypatch.setattr(chernscope.interferometer, "_TDSE_BLOCK", block)
+        field_calls.bloch.clear()
+        field_calls.line.clear()
+        _, diagnostics = evolve_tdse(initial_state(), plan, P0)
+        assert len(field_calls.bloch) == 2
+        for kpath, kpts in zip(kpaths, field_calls.bloch):
+            assert np.array_equal(kpts, kpath.points)
+        n = diagnostics.n_steps
+        assert 100 < n < 8192 and n % 100 != 0
+        legs = _line_blocks_per_leg(field_calls.line, n, block)
+        assert len(legs) == 2
+        for kpath, (k0, step) in zip(kpaths, legs):
+            assert np.array_equal(k0, kpath.k_b + step / 2)
+            assert np.allclose(n * step, kpath.k_e - kpath.k_b, rtol=0, atol=1e-12)
+
+
+@given(
+    n=st.integers(min_value=1, max_value=300),
+    block=st.integers(min_value=1, max_value=64),
+    tp=st.floats(min_value=0.0, max_value=0.5),
+    phi=st.floats(min_value=-np.pi, max_value=np.pi),
+)
+@example(n=1, block=1, tp=0.1, phi=0.5)
+@example(n=64, block=64, tp=0.1, phi=0.5)
+@example(n=65, block=64, tp=0.1, phi=0.5)
+@example(n=127, block=64, tp=0.1, phi=0.5)
+@settings(max_examples=40, deadline=None)
+def test_line_propagator_matches_one_block(n, block, tp, phi):
+    """Blocks of any size give the product of the whole line in one block."""
+    p = ModelParams(tp=tp, phi=phi)
+    k0, step, dt = np.array([0.3, -1.1]), np.array([0.013, 0.021]), 0.05
+    whole = _leg_propagator(chernscope.lattice.line_fields(k0, step, n, p), dt)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chernscope.interferometer, "_TDSE_BLOCK", block)
+        blocked = _line_propagator(k0, step, n, p, dt)
+    assert max(abs(x - y) for x, y in zip(blocked, whole)) <= 1e-13
 
 
 @pytest.mark.parametrize("evolve", [evolve_adiabatic, evolve_tdse])
@@ -475,5 +524,8 @@ def test_tdse_diagnostics_carry_plan_xi(leg_time, field_calls):
     plan = plan_site("I", P0, leg_time=leg_time, samples_per_leg=400)
     _, diag = evolve_tdse(initial_state(), plan, P0)
     assert len(field_calls.bloch) == 2  # two legs
-    assert [n for _, _, n in field_calls.line] == [diag.n_steps] * 2  # midpoints
+    legs = _line_blocks_per_leg(  # midpoints
+        field_calls.line, diag.n_steps, chernscope.interferometer._TDSE_BLOCK
+    )
+    assert len(legs) == 2
     assert diag.xi == validate_plan(plan, P0).xi
