@@ -61,7 +61,6 @@ from .interferometer import (
     TdseDiagnostics,
     apply_pi,
     apply_pi2,
-    dynamic_phase,
     evolve_adiabatic,
     evolve_tdse,
     initial_state,
@@ -79,7 +78,6 @@ from .analysis import (
     TrialRecord,
     classify,
     default_phi_grid,
-    dynamic_phase_check,
     fit_fringe,
     robustness_sweep,
 )

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateScan
-from .interferometer import FringeScan, dynamic_phase, run_fringe, wrap_angle
+from .interferometer import FringeScan, run_fringe, wrap_angle
 from .lattice import ModelParams
 from .protocol import ProtocolPlan, perturb_plan, plan_site
 from .topology import chern_from_zak
@@ -36,7 +36,6 @@ __all__ = [
     "fit_fringe",
     "classify",
     "robustness_sweep",
-    "dynamic_phase_check",
     "default_phi_grid",
 ]
 
@@ -158,16 +157,40 @@ def classify(
 
 
 def _site_scan_and_points(
-    p: ModelParams, plan: ProtocolPlan, phi_grid: np.ndarray, nominal_phi: float
+    p: ModelParams,
+    plan: ProtocolPlan,
+    phi_grid: np.ndarray,
+    nominal_phi: float,
+    zeeman_rate: float,
 ) -> tuple[FringeScan, float, float]:
     """One evolution, scanned over the grid plus the two diagnostic phases
     (0 and ``nominal_phi``) appended to it."""
-    full = run_fringe(p, plan, np.append(phi_grid, [0.0, nominal_phi]))
+    full = run_fringe(
+        p, plan, np.append(phi_grid, [0.0, nominal_phi]), zeeman_rate=zeeman_rate
+    )
     m = len(phi_grid)
     scan = dataclasses.replace(
         full, phi_mw_values=phi_grid, n_down=full.n_down[:m], n_up=full.n_up[:m]
     )
     return scan, full.n_up[m], full.n_up[m + 1]
+
+
+def _radius_row(radius: float, records: list) -> RobustnessRow:
+    """The summary row of one radius's trial records."""
+    n = len(records)
+    errors = [r.zak_error for r in records]
+    zero = sum((r.n_up_zero_i + r.n_up_zero_ii) / 2.0 for r in records)
+    nominal = sum((r.n_up_nominal_i + r.n_up_nominal_ii) / 2.0 for r in records)
+    return RobustnessRow(
+        radius=radius,
+        trials=n,
+        success_rate=sum(r.success for r in records) / n,
+        max_zak_error=float(np.max(errors)),
+        mean_zak_error=float(np.mean(errors)),
+        n_ambiguous=sum(r.c_classified is None for r in records),
+        mean_n_up_zero=zero / n,
+        mean_n_up_nominal=nominal / n,
+    )
 
 
 def robustness_sweep(
@@ -179,6 +202,7 @@ def robustness_sweep(
     with_echo: bool = True,
     samples_per_leg: int = 1200,
     phi_mw_points: int = 24,
+    zeeman_rate: float = 0.0,
 ) -> RobustnessTable:
     """Endpoint-error Monte Carlo over the full two-site pipeline.
 
@@ -189,7 +213,8 @@ def robustness_sweep(
     many trials classified to an integer.  The realized phase error is the
     wrapped deviation of the fitted site-phase sum from its nominal value,
     the quantity the 1/4 tolerance actually budgets.  Fixed iteration order
-    and a single seeded generator make the table reproducible.
+    and a single seeded generator make the table reproducible.  Every
+    evolution runs at ``zeeman_rate``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -204,7 +229,7 @@ def robustness_sweep(
     nominal_fits = {}
     nominal_phi = {}
     for site, plan in plans.items():
-        scan, _, _ = _site_scan_and_points(p, plan, phi_grid, 0.0)
+        scan, _, _ = _site_scan_and_points(p, plan, phi_grid, 0.0, zeeman_rate)
         nominal_fits[site] = fit_fringe(scan)
         nominal_phi[site] = nominal_fits[site].phi_zak
     nominal = classify(nominal_fits["I"], nominal_fits["II"])
@@ -214,11 +239,7 @@ def robustness_sweep(
     rows = []
     records = []
     for radius in error_radii:
-        errors = []
-        successes = 0
-        ambiguous = 0
-        zero_acc = 0.0
-        nominal_acc = 0.0
+        block = []
         for index in range(trials):
             fits = {}
             zeros = {}
@@ -226,54 +247,27 @@ def robustness_sweep(
             for site in ("I", "II"):
                 trial_seed = int(rng.integers(0, 2**63 - 1))
                 pplan = perturb_plan(plans[site], radius=radius, seed=trial_seed)
-                scan, n0, nn = _site_scan_and_points(
-                    p, pplan, phi_grid, nominal_phi[site]
+                scan, zeros[site], nominals[site] = _site_scan_and_points(
+                    p, pplan, phi_grid, nominal_phi[site], zeeman_rate
                 )
                 fits[site] = fit_fringe(scan)
-                zeros[site] = n0
-                nominals[site] = nn
             report = classify(fits["I"], fits["II"])
             error = abs(
                 wrap_angle(fits["I"].phi_zak + fits["II"].phi_zak - nominal_sum)
             )
-            success = report.c_classified == nominal.c_classified
-            errors.append(error)
-            successes += success
-            ambiguous += report.c_classified is None
-            zero_acc += (zeros["I"] + zeros["II"]) / 2.0
-            nominal_acc += (nominals["I"] + nominals["II"]) / 2.0
-            records.append(
+            block.append(
                 TrialRecord(
                     radius=float(radius),
                     index=index,
                     zak_error=error,
                     c_classified=report.c_classified,
-                    success=success,
+                    success=report.c_classified == nominal.c_classified,
                     n_up_zero_i=zeros["I"],
                     n_up_zero_ii=zeros["II"],
                     n_up_nominal_i=nominals["I"],
                     n_up_nominal_ii=nominals["II"],
                 )
             )
-        rows.append(
-            RobustnessRow(
-                radius=float(radius),
-                trials=trials,
-                success_rate=successes / trials,
-                max_zak_error=float(np.max(errors)),
-                mean_zak_error=float(np.mean(errors)),
-                n_ambiguous=ambiguous,
-                mean_n_up_zero=zero_acc / trials,
-                mean_n_up_nominal=nominal_acc / trials,
-            )
-        )
+        rows.append(_radius_row(float(radius), block))
+        records.extend(block)
     return RobustnessTable(rows=tuple(rows), trials=tuple(records), nominal=nominal)
-
-
-def dynamic_phase_check(plan: ProtocolPlan, p: ModelParams) -> float:
-    """Mismatch of the two packets' dynamical phases along the planned legs."""
-    down, up = (
-        dynamic_phase(kpath.points, p, plan.leg_time)
-        for kpath in (plan.k_path_down, plan.k_path_up)
-    )
-    return abs(down - up)

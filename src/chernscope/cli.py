@@ -253,7 +253,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def format_value(value) -> str:
+def format_value(value, name: str) -> str:
+    """``value`` as printed; an array prints as a parenthesized tuple.  A NaN
+    or infinite number raises ValueError naming the field ``name``."""
     if value is None:
         return "none"
     if isinstance(value, bool):
@@ -261,29 +263,32 @@ def format_value(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is not finite: {float(value)}")
         return "%.12g" % (float(value) + 0.0)
+    if isinstance(value, np.ndarray):
+        return "(%s)" % ", ".join(format_value(float(x), name) for x in value)
     return str(value)
 
 
 def record_lines(pairs) -> list[str]:
-    return [f"{key}: {format_value(value)}" for key, value in pairs]
+    return [f"{key}: {format_value(value, key)}" for key, value in pairs]
 
 
-def table_lines(headers, rows, fmt: str) -> list[str]:
+def table_lines(headers, rows, fmt: str, name: str) -> list[str]:
+    """The rows of table ``name``, each value named ``name.header`` for
+    ``format_value``."""
+    names = [f"{name}.{h}" for h in headers]
     if fmt == "dsv":
         lines = ["\t".join(headers)]
         for row in rows:
-            lines.append("\t".join(format_value(v) for v in row))
+            lines.append("\t".join(map(format_value, row, names)))
         return lines
     lines = []
     for row in rows:
-        lines.extend(f"{h}: {format_value(v)}" for h, v in zip(headers, row))
+        lines.extend(map("{}: {}".format, headers, map(format_value, row, names)))
         lines.append("")
     return lines
-
-
-def _vector(v: np.ndarray) -> str:
-    return "(%s, %s)" % (format_value(float(v[0])), format_value(float(v[1])))
 
 
 def cmd_bands(cfg: RunConfig, args) -> tuple[list, dict]:
@@ -380,9 +385,9 @@ def cmd_protocol(cfg: RunConfig, args) -> tuple[list, dict]:
     summary = [
         ("site", plan.site),
         ("with-echo", plan.with_echo),
-        ("start", _vector(plan.start)),
-        ("endpoint-down", _vector(plan.endpoint_down)),
-        ("endpoint-up", _vector(plan.endpoint_up)),
+        ("start", plan.start),
+        ("endpoint-down", plan.endpoint_down),
+        ("endpoint-up", plan.endpoint_up),
         ("force-ratio", leg_force.magnitude_ratio),
         ("xi", diag.xi),
         ("adiabatic-warning", diag.adiabatic_warning),
@@ -479,6 +484,7 @@ def cmd_sweep(cfg: RunConfig, args) -> tuple[list, dict]:
         with_echo=cfg.protocol["echo"],
         samples_per_leg=cfg.sweep["samples_per_leg"],
         phi_mw_points=cfg.scan["phi_mw_points"],
+        zeeman_rate=cfg.protocol["zeeman_rate"],
     )
     summary = [
         ("seed", cfg.sweep["seed"]),
@@ -578,6 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(cfg: RunConfig, args, summary, tables, stdout) -> None:
+    """Format the record and every table, then print or write them all, so a
+    non-finite result raises ValueError before anything is output."""
     fmt = cfg.output["format"]
     settings = {
         key: getattr(args, key)
@@ -586,11 +594,15 @@ def _emit(cfg: RunConfig, args, summary, tables, stdout) -> None:
     }
     header = [("command", args.command), ("version", __version__),
               ("config-hash", cfg.config_hash(settings))]
-    print("\n".join(record_lines(header + summary)), file=stdout)
+    record = record_lines(header + summary)
+    formatted = {
+        name: table_lines(headers, rows, fmt, name)
+        for name, (headers, rows) in tables.items()
+    }
+    print("\n".join(record), file=stdout)
     out_dir = cfg.output["out"]
     ext = "dsv" if fmt == "dsv" else "rec"
-    for name, (headers, rows) in tables.items():
-        lines = table_lines(headers, rows, fmt)
+    for name, lines in formatted.items():
         if out_dir:
             path = Path(out_dir)
             path.mkdir(parents=True, exist_ok=True)

@@ -1,38 +1,33 @@
 """Spin-state bookkeeping and propagation of the interferometer sequence.
 
-The cloud is a spinor wavepacket; each spin slot carries an amplitude and a
-momentum, and stands for the lower-band state at that momentum.  Microwave
-pulses act on the amplitudes only.  Between pulses each packet follows its
-straight momentum leg, and the two evolution routes are
+The cloud is a spinor wavepacket; each spin slot carries an amplitude only,
+and stands for the lower-band state at the momentum of the packet in it.
+Microwave pulses act on the amplitudes.  Between pulses each packet follows
+its straight momentum leg, and the two evolution routes are
 
 * ``evolve_adiabatic``: exact lower-band transport.  Geometric phases come
   from the products of :func:`chernscope.topology.transport_link` along the
-  sampled legs, dynamical phases from :func:`dynamic_phase` (the trapezoid
-  rule on the band energy), and the Zeeman term from the plan-level rate
-  times the signed leg time (the sign flips with the gradient direction, so
-  a midpoint echo cancels it exactly).
+  sampled legs, dynamical phases from the trapezoid rule on the band
+  energy, and the Zeeman term from the plan-level rate times the signed leg
+  time (the sign flips with the gradient direction, so a midpoint echo
+  cancels it exactly).
 * ``evolve_tdse``: exact stepwise integration of the two-level Schrodinger
   equation with the midpoint Hamiltonian exponentiated in closed form per
-  step, which resolves nonadiabatic band leakage.  Each step exponential is
-  a scalar phase e^{-i h0 dt} times an SU(2) matrix [[a, -conj(b)],
-  [b, conj(a)]]; a leg's SU(2) factors are multiplied in time order as
-  (a, b) pairs, and each block's phases are summed once into
-  exp(-i dt sum(h0)).
+  step, which resolves nonadiabatic band leakage.
 
-Each route evaluates the Bloch fields of each leg's samples once.  The
-adiabatic route derives the plan check (its minimum gap), the lower-band
-states with their gap check and the dynamical phase from that one pass; the
-stepwise route derives the plan check, the step-size bandwidth and its end
-states from it.  The stepwise route's midpoints are evenly spaced along each
-straight leg, so their fields come from :func:`chernscope.lattice.line_fields`
-(about 2 sqrt(n) exponentials per NN vector for n midpoints) and no
-midpoint momentum array is built; a leg is integrated in fixed-size blocks
-of midpoints, so its arrays do not grow with the step count.
+Each route evaluates the Bloch fields of each leg's samples once, in
+:func:`chernscope.protocol.leg_pass`, which also checks the plan.  The
+adiabatic route derives the lower-band states with their gap check and the
+dynamical phase from that one pass; the stepwise route derives the
+step-size bandwidth and its end states from it, and takes its midpoint
+fields from :func:`chernscope.lattice.line_fields` in fixed-size blocks.
 
-Both routes end with the two slots at momenta one reciprocal vector apart
-(up to planned endpoint error).  Before the final readout pulse the slot
-amplitudes are referred to a common orbital: the end state of the packet
-that started spin-down, with the other slot rotated by the conjugated
+Both routes end with the two packets at momenta one reciprocal vector apart
+(up to planned endpoint error), and close the same way: the split state of
+:func:`apply_pi2`, each slot times its packet's amplitude, and the echo's
+:func:`apply_pi`.  Before the final readout pulse the slot amplitudes are
+referred to a common orbital: the end state of the packet that started
+spin-down, with the other slot rotated by the conjugated
 sublattice-matching overlap phase.  With that convention the adiabatic
 fringe obeys
 
@@ -57,15 +52,12 @@ import numpy as np
 from .errors import StepTooLarge
 from .lattice import (
     ModelParams,
-    band_energies,
-    bloch_fields,
     band_gap_min,
-    energies_from_fields,
     line_fields,
     states_from_fields,
     sublattice_matching,
 )
-from .protocol import PlanDiagnostics, ProtocolPlan, check_plan
+from .protocol import ProtocolPlan, leg_pass
 from .topology import transport_link
 
 __all__ = [
@@ -78,7 +70,6 @@ __all__ = [
     "apply_pi",
     "readout",
     "readout_scan",
-    "dynamic_phase",
     "evolve_adiabatic",
     "evolve_tdse",
     "run_fringe",
@@ -102,7 +93,7 @@ def wrap_angle(x: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SpinorState:
-    """Two spin slots with amplitudes and momenta.
+    """Two spin slots with their amplitudes.
 
     ``upper_band_population`` is the population lost from the tracked
     lower-band amplitudes, so |amp_down|^2 + |amp_up|^2 plus it is 1.
@@ -110,17 +101,12 @@ class SpinorState:
 
     amp_down: complex
     amp_up: complex
-    k_down: np.ndarray
-    k_up: np.ndarray
     upper_band_population: float = 0.0
 
     def __post_init__(self):
-        norm_sq = (
-            abs(self.amp_down) ** 2 + abs(self.amp_up) ** 2
-            + self.upper_band_population
-        )
-        if abs(norm_sq - 1.0) > 1e-12:
-            raise ValueError(f"state norm deviates from 1 by {norm_sq - 1.0:.3e}")
+        deviation = self.norm**2 - 1.0
+        if abs(deviation) > 1e-12:
+            raise ValueError(f"state norm deviates from 1 by {deviation:.3e}")
 
     @property
     def norm(self) -> float:
@@ -144,9 +130,10 @@ class PhaseLedger:
 
     The per-packet entries are indexed by the packet's initial spin label.
     ``matching`` is the sublattice-matching overlap angle between the two
-    endpoint band states.  The aggregates fold in the slot exchange of the
-    echo so that ``total`` always equals the fringe phase of the readout
-    law.
+    endpoint band states.  ``zeeman`` is the differential Zeeman phase, minus
+    the phase the packet that started spin-down picks up.  The aggregates
+    fold in the slot exchange of the echo so that ``total`` always equals
+    the fringe phase of the readout law.
     """
 
     geometric_down: float
@@ -154,8 +141,7 @@ class PhaseLedger:
     matching: float
     dynamic_down: float
     dynamic_up: float
-    zeeman_down: float
-    zeeman_up: float
+    zeeman: float
     with_echo: bool
 
     @property
@@ -174,10 +160,6 @@ class PhaseLedger:
         return self.dynamic_down - self.dynamic_up
 
     @property
-    def zeeman(self) -> float:
-        return self.zeeman_up - self.zeeman_down
-
-    @property
     def total(self) -> float:
         return wrap_angle(self.geometric + self.dynamic + self.zeeman)
 
@@ -186,7 +168,6 @@ class PhaseLedger:
 class TdseDiagnostics:
     dt: float
     n_steps: int
-    bandwidth: float
     xi: float
     norm_drift: float
     leakage_down: float
@@ -207,15 +188,9 @@ class FringeScan:
     diagnostics: Optional[TdseDiagnostics] = None
 
 
-def initial_state(k: Optional[np.ndarray] = None) -> SpinorState:
-    """Spin-down cloud at momentum ``k`` (zone center by default)."""
-    k = np.zeros(2) if k is None else np.asarray(k, dtype=float)
-    return SpinorState(
-        amp_down=1.0 + 0.0j,
-        amp_up=0.0j,
-        k_down=k.copy(),
-        k_up=k.copy(),
-    )
+def initial_state() -> SpinorState:
+    """Spin-down cloud."""
+    return SpinorState(amp_down=1.0 + 0.0j, amp_up=0.0j)
 
 
 def _pi2_amplitudes(a: complex, b: complex, phi_mw):
@@ -230,8 +205,8 @@ def apply_pi2(state: SpinorState, phi_mw: float) -> SpinorState:
     """Microwave pi/2 pulse on the spin amplitudes.
 
     The matrix is [[1, i e^{-i phi}], [i e^{i phi}, 1]] / sqrt(2) acting on
-    (amp_down, amp_up); momenta are untouched.  Two pulses at the same
-    phase compose to i sigma_x times a phase.
+    (amp_down, amp_up).  Two pulses at the same phase compose to i sigma_x
+    times a phase.
     """
     down, up = _pi2_amplitudes(state.amp_down, state.amp_up, phi_mw)
     return dataclasses.replace(state, amp_down=down, amp_up=up)
@@ -239,13 +214,7 @@ def apply_pi2(state: SpinorState, phi_mw: float) -> SpinorState:
 
 def apply_pi(state: SpinorState) -> SpinorState:
     """Echo pulse: exchanges the slot contents wholesale (involutive)."""
-    return SpinorState(
-        amp_down=state.amp_up,
-        amp_up=state.amp_down,
-        k_down=state.k_up,
-        k_up=state.k_down,
-        upper_band_population=state.upper_band_population,
-    )
+    return dataclasses.replace(state, amp_down=state.amp_up, amp_up=state.amp_down)
 
 
 def readout(state: SpinorState) -> tuple[float, float]:
@@ -272,89 +241,55 @@ def _require_pure_down(state: SpinorState) -> None:
         raise ValueError("evolution starts from a pure spin-down state")
 
 
-def _signed_leg_time(plan: ProtocolPlan) -> float:
-    """Leg time weighted by the gradient direction: the echo's flipped half
-    cancels the first half."""
-    return 0.0 if plan.with_echo else plan.leg_time
+def _zeeman_phase(plan: ProtocolPlan, zeeman_rate: float) -> float:
+    """Zeeman phase of the packet that started spin-down: the rate times the
+    leg time weighted by the gradient direction, whose flipped echo half
+    cancels the first half.  A NaN or infinite rate raises ValueError."""
+    if not np.isfinite(zeeman_rate):
+        raise ValueError(f"zeeman_rate must be finite, got {zeeman_rate}")
+    return zeeman_rate * (0.0 if plan.with_echo else plan.leg_time)
 
 
-def _matching_overlap(
-    plan: ProtocolPlan, u_down_end: np.ndarray, u_up_end: np.ndarray
-) -> complex:
-    dk = plan.k_path_down.k_e - plan.k_path_up.k_e
-    w = np.vdot(sublattice_matching(dk, plan.geometry) * u_up_end, u_down_end)
+def _matching_overlap(plan: ProtocolPlan, ends: dict) -> complex:
+    """Overlap of the packets' end band states, keyed by packet, with the
+    sublattice matching of their momentum difference."""
+    dk = plan.endpoint_down - plan.endpoint_up
+    w = np.vdot(sublattice_matching(dk, plan.geometry) * ends["up"], ends["down"])
     if abs(w) < 1e-6:
         raise ValueError("endpoint band states are nearly orthogonal")
     return complex(w)
 
 
-def _assemble_final_state(
+def _close(
     plan: ProtocolPlan,
     phase_down: complex,
     phase_up: complex,
     w: complex,
     zeeman_phase: float,
-    leak_down: float = 0.0,
-    leak_up: float = 0.0,
+    upper_band_population: float = 0.0,
 ) -> SpinorState:
-    """Place the evolved packets into slots and refer them to a common orbital.
+    """The state before the readout pulse, from the packets' evolved amplitudes.
 
     ``phase_down``/``phase_up`` are the complex amplitudes each packet kept
-    through its leg, relative to the gauge-fixed end states.  The packet
-    that started spin-up is rotated by conj(w)/|w|; the packet that started
-    spin-down carries the Zeeman injection.  With an echo the packets have
-    swapped slots by the end.
+    through its leg, relative to the gauge-fixed end states.  Each slot of
+    the split state is multiplied by its packet's amplitude; the packet that
+    started spin-up is rotated by conj(w)/|w| onto the common orbital, and
+    the packet that started spin-down carries the Zeeman phase.  The echo
+    pulse then exchanges the slots.
     """
-    a0_down = 1.0 / np.sqrt(2.0)
-    a0_up = 1j / np.sqrt(2.0)
-    amp_packet_down = a0_down * phase_down * np.exp(1j * zeeman_phase)
-    amp_packet_up = a0_up * phase_up * np.conj(w) / abs(w)
-    if plan.with_echo:
-        return SpinorState(
-            amp_down=amp_packet_up,
-            amp_up=amp_packet_down,
-            k_down=plan.k_path_up.k_e.copy(),
-            k_up=plan.k_path_down.k_e.copy(),
-            upper_band_population=(leak_down + leak_up) / 2.0,
-        )
-    return SpinorState(
-        amp_down=amp_packet_down,
-        amp_up=amp_packet_up,
-        k_down=plan.k_path_down.k_e.copy(),
-        k_up=plan.k_path_up.k_e.copy(),
-        upper_band_population=(leak_down + leak_up) / 2.0,
+    split = apply_pi2(initial_state(), 0.0)
+    end = SpinorState(
+        amp_down=split.amp_down * phase_down * np.exp(1j * zeeman_phase),
+        amp_up=split.amp_up * phase_up * np.conj(w) / abs(w),
+        upper_band_population=upper_band_population,
     )
-
-
-def dynamic_phase(points: np.ndarray, p: ModelParams, leg_time: float) -> float:
-    """Trapezoid integral of the lower band energy along a leg sampled
-    uniformly at ``points`` and traversed in ``leg_time``."""
-    return _trapezoid_phase(band_energies(points, p)[0], leg_time)
+    return apply_pi(end) if plan.with_echo else end
 
 
 def _trapezoid_phase(e_lower: np.ndarray, leg_time: float) -> float:
-    """``dynamic_phase`` from the lower band energies at the leg samples."""
+    """Trapezoid integral of the lower band energies at a leg's uniform
+    samples, the leg traversed in ``leg_time``."""
     return float(np.trapezoid(e_lower, dx=leg_time / (len(e_lower) - 1)))
-
-
-def _leg_pass(
-    plan: ProtocolPlan, p: ModelParams
-) -> tuple[dict, dict, PlanDiagnostics]:
-    """Bloch fields and band energies of both legs, keyed by packet, and the
-    plan diagnostics.
-
-    The one field evaluation of each leg; the plan is checked against the
-    legs' minimum gaps before anything else uses them.
-    """
-    fields = {
-        packet: bloch_fields(kpath.points, p)
-        for packet, kpath in (("down", plan.k_path_down), ("up", plan.k_path_up))
-    }
-    energies = {packet: energies_from_fields(f) for packet, f in fields.items()}
-    diagnostics = check_plan(
-        plan, p, {packet: np.min(up - lo) for packet, (lo, up) in energies.items()}
-    )
-    return fields, energies, diagnostics
 
 
 def evolve_adiabatic(
@@ -372,34 +307,30 @@ def evolve_adiabatic(
     ``zeeman_rate`` raises ValueError.
     """
     _require_pure_down(state)
-    if not np.isfinite(zeeman_rate):
-        raise ValueError(f"zeeman_rate must be finite, got {zeeman_rate}")
-    fields, energies, _ = _leg_pass(plan, p)
+    zeeman_phase = _zeeman_phase(plan, zeeman_rate)
+    fields, energies, _ = leg_pass(plan, p)
 
     phases = {}
     dynamics = {}
     ends = {}
-    for packet, kpath in (("down", plan.k_path_down), ("up", plan.k_path_up)):
-        u = states_from_fields(fields[packet], kpath.points, p, gauge_fn=gauge_fn)
+    for packet, leg in plan.legs.items():
+        u = states_from_fields(fields[packet], leg.points, p, gauge_fn=gauge_fn)
         product = complex(np.prod(transport_link(u[1:], u[:-1])))
         phases[packet] = product / abs(product)
         dynamics[packet] = _trapezoid_phase(energies[packet][0], plan.leg_time)
         ends[packet] = u[-1]
 
-    w = _matching_overlap(plan, ends["down"], ends["up"])
-    zeeman_phase = zeeman_rate * _signed_leg_time(plan)
-
+    w = _matching_overlap(plan, ends)
     ledger = PhaseLedger(
         geometric_down=float(np.angle(phases["down"])),
         geometric_up=float(np.angle(phases["up"])),
         matching=float(np.angle(w)),
         dynamic_down=dynamics["down"],
         dynamic_up=dynamics["up"],
-        zeeman_down=zeeman_phase,
-        zeeman_up=0.0,
+        zeeman=-zeeman_phase,
         with_echo=plan.with_echo,
     )
-    final = _assemble_final_state(
+    final = _close(
         plan,
         phases["down"] * np.exp(-1j * dynamics["down"]),
         phases["up"] * np.exp(-1j * dynamics["up"]),
@@ -479,6 +410,7 @@ def evolve_tdse(
     plan: ProtocolPlan,
     p: ModelParams,
     dt: Optional[float] = None,
+    zeeman_rate: float = 0.0,
 ) -> tuple[SpinorState, TdseDiagnostics]:
     """Exact two-level integration along the force legs.
 
@@ -491,21 +423,18 @@ def evolve_tdse(
     bounds time instead: about 0.1 us per step on one Intel Xeon vCPU, so
     under a second per leg.
 
-    Each step applies the closed-form exponential of the midpoint
-    Hamiltonian, a phase e^{-i h0 dt} times an SU(2) matrix; the midpoint
-    fields come from :func:`chernscope.lattice.line_fields`, one call per
-    block.  Each block's SU(2) factors are multiplied as (a, b) pairs by
-    :func:`_leg_propagator`, with its phase exp(-i dt sum(h0)) computed
-    once, and :func:`_line_propagator` multiplies the blocks' products.
-    The norm drift of the assembled 2x2 total propagator,
-    max |U^dagger U - I|, above 1e-8 raises StepTooLarge.  Band leakage is
-    reported per packet, and the slot amplitudes keep only the lower band
-    projection, so population conservation shows up as
-    |amps|^2 + upper_band_population = 1.  The diagnostics carry the plan's
-    adiabaticity figure xi from the same plan check.
+    Each leg's propagator comes from :func:`_line_propagator`.  The norm
+    drift of the assembled 2x2 total propagator, max |U^dagger U - I|,
+    above 1e-8 raises StepTooLarge.  Band leakage is reported per packet,
+    and the slot amplitudes keep only the lower band projection, so
+    population conservation shows up as |amps|^2 + upper_band_population
+    = 1.  The diagnostics carry the plan's adiabaticity figure xi from the
+    same plan check.  The Zeeman phase and its check on ``zeeman_rate`` are
+    those of :func:`evolve_adiabatic`.
     """
     _require_pure_down(state)
-    fields, energies, plan_diagnostics = _leg_pass(plan, p)
+    zeeman_phase = _zeeman_phase(plan, zeeman_rate)
+    fields, energies, plan_diagnostics = leg_pass(plan, p)
     bw = max(float(np.max(np.abs(e))) for pair in energies.values() for e in pair)
     limit = 0.01 / bw
     if dt is None:
@@ -527,11 +456,12 @@ def evolve_tdse(
     n_steps = int(np.ceil(steps))
     dt_actual = total_time / n_steps
 
-    results = {}
+    amps = {}
+    ends = {}
     drift = 0.0
-    for packet, kpath in (("down", plan.k_path_down), ("up", plan.k_path_up)):
-        start = kpath.k_b
-        step = (kpath.k_e - start) / total_time * dt_actual
+    for packet, leg in plan.legs.items():
+        start = leg.k_b
+        step = (leg.k_e - start) / total_time * dt_actual
         phase, a, b = _line_propagator(
             start + step / 2, step, n_steps, p, dt_actual
         )
@@ -539,29 +469,28 @@ def evolve_tdse(
         drift = max(
             drift, float(np.max(np.abs(u_total.conj().T @ u_total - np.eye(2))))
         )
-        leg = fields[packet]
-        psi0 = states_from_fields(tuple(f[0] for f in leg), start, p)
-        psi_end = u_total @ psi0
-        u_end = states_from_fields(tuple(f[-1] for f in leg), kpath.k_e, p)
-        c = complex(np.vdot(u_end, psi_end))
-        results[packet] = (c, u_end)
+        psi0 = states_from_fields(tuple(f[0] for f in fields[packet]), start, p)
+        ends[packet] = states_from_fields(
+            tuple(f[-1] for f in fields[packet]), leg.k_e, p
+        )
+        amps[packet] = complex(np.vdot(ends[packet], u_total @ psi0))
     if drift > 1e-8:
         raise StepTooLarge(f"propagator norm drift {drift:.3e} exceeds 1e-8")
 
-    c_down, u_down_end = results["down"]
-    c_up, u_up_end = results["up"]
+    c_down, c_up = amps["down"], amps["up"]
     leak_down = max(0.0, 1.0 - abs(c_down) ** 2)
     leak_up = max(0.0, 1.0 - abs(c_up) ** 2)
-    w = _matching_overlap(plan, u_down_end, u_up_end)
+    w = _matching_overlap(plan, ends)
 
     site_phase = float(np.angle(c_down * np.conj(c_up) * w / abs(w)))
-    extracted = _echo_fold(site_phase, plan.with_echo)
+    extracted = _echo_fold(site_phase + zeeman_phase, plan.with_echo)
 
-    final = _assemble_final_state(plan, c_down, c_up, w, 0.0, leak_down, leak_up)
+    final = _close(
+        plan, c_down, c_up, w, zeeman_phase, (leak_down + leak_up) / 2.0
+    )
     diagnostics = TdseDiagnostics(
         dt=dt_actual,
         n_steps=n_steps,
-        bandwidth=bw,
         xi=plan_diagnostics.xi,
         norm_drift=drift,
         leakage_down=leak_down,
@@ -592,7 +521,6 @@ def run_fringe(
     mode: str = "adiabatic",
     zeeman_rate: float = 0.0,
     dt: Optional[float] = None,
-    gauge_fn=None,
 ) -> FringeScan:
     """Evolve once along the plan's two legs and scan the readout pulse phase.
 
@@ -604,11 +532,11 @@ def run_fringe(
     ledger = None
     diagnostics = None
     if mode == "adiabatic":
-        end, ledger = evolve_adiabatic(
-            state0, plan, p, zeeman_rate=zeeman_rate, gauge_fn=gauge_fn
-        )
+        end, ledger = evolve_adiabatic(state0, plan, p, zeeman_rate=zeeman_rate)
     elif mode == "tdse":
-        end, diagnostics = evolve_tdse(state0, plan, p, dt=dt)
+        end, diagnostics = evolve_tdse(
+            state0, plan, p, dt=dt, zeeman_rate=zeeman_rate
+        )
     else:
         raise ValueError(f"mode must be 'adiabatic' or 'tdse', got {mode!r}")
 

@@ -73,11 +73,16 @@ __all__ = [
     "sublattice_matching",
     "band_gap_min",
     "high_symmetry_path",
+    "MAX_PATH_POINTS_PER_SEGMENT",
 ]
 
 GaugeFn = Optional[Callable[[np.ndarray], np.ndarray]]
 
 RECIPROCAL_TOL = 1e-9  # largest non-integer part of (m, n) still on the lattice
+
+# Largest segment sampling of a high-symmetry path; see high_symmetry_path
+# for the memory it implies.
+MAX_PATH_POINTS_PER_SEGMENT = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,19 +418,23 @@ def high_symmetry_path(
     """Sampled Gamma-K-M-K'-Gamma path for band-structure output.
 
     Returns the (N, 2) point array and a list of (index, label) markers.
-    M is the zone-edge midpoint b1 / 2.
+    M is the zone-edge midpoint b1 / 2.  The ``bands`` command peaks at
+    about 690 bytes per path point (tracemalloc), so the budget of
+    ``MAX_PATH_POINTS_PER_SEGMENT`` = 100,000 implies about 280 MB.
+
+    Raises:
+        ValueError: if points_per_segment is negative or over the budget,
+            before anything is allocated.
     """
+    if not 0 <= points_per_segment <= MAX_PATH_POINTS_PER_SEGMENT:
+        raise ValueError(
+            f"points per segment must lie between 0 and the budget of "
+            f"{MAX_PATH_POINTS_PER_SEGMENT}, got {points_per_segment}"
+        )
     gamma = np.zeros(2)
-    m_point = geom.b1 / 2
-    corners = [gamma, geom.K, m_point, geom.Kp, gamma]
+    corners = [gamma, geom.K, geom.b1 / 2, geom.Kp, gamma]
     labels = ["Gamma", "K", "M", "Kp", "Gamma"]
-    pts: list[np.ndarray] = []
-    markers: list[tuple[int, str]] = []
-    for seg_idx in range(len(corners) - 1):
-        markers.append((len(pts), labels[seg_idx]))
-        a, b = corners[seg_idx], corners[seg_idx + 1]
-        frac = np.linspace(0.0, 1.0, points_per_segment, endpoint=False)
-        pts.extend(a + f * (b - a) for f in frac)
-    markers.append((len(pts), labels[-1]))
-    pts.append(gamma)
-    return np.array(pts), markers
+    frac = np.linspace(0.0, 1.0, points_per_segment, endpoint=False)[:, None]
+    segments = [a + frac * (b - a) for a, b in zip(corners[:-1], corners[1:])]
+    markers = [(i * points_per_segment, label) for i, label in enumerate(labels)]
+    return np.concatenate(segments + [gamma[None]]), markers

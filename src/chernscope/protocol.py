@@ -39,7 +39,8 @@ from .lattice import (
     DEFAULT_GEOMETRY,
     LatticeGeometry,
     ModelParams,
-    band_energies,
+    bloch_fields,
+    energies_from_fields,
     is_reciprocal,
 )
 from .topology import KPath
@@ -54,7 +55,7 @@ __all__ = [
     "site_displacements",
     "plan_site",
     "validate_plan",
-    "check_plan",
+    "leg_pass",
     "perturb_plan",
 ]
 
@@ -104,7 +105,7 @@ class ProtocolPlan:
     """One site's two momentum legs, run in ``leg_time`` with or without
     the midpoint echo.  The legs are the plan: its start, endpoints,
     sampling and pulse/force sequence are read off them, and the one
-    inconsistency left, legs that start apart, is rejected by ``check_plan``.
+    inconsistency left, legs that start apart, is rejected by ``leg_pass``.
     """
 
     site: str
@@ -113,6 +114,11 @@ class ProtocolPlan:
     leg_time: float
     with_echo: bool
     geometry: LatticeGeometry = DEFAULT_GEOMETRY
+
+    @property
+    def legs(self) -> dict[str, KPath]:
+        """Each packet's leg, keyed by the packet's initial spin label."""
+        return {"down": self.k_path_down, "up": self.k_path_up}
 
     @property
     def start(self) -> np.ndarray:
@@ -134,10 +140,7 @@ class ProtocolPlan:
     @property
     def total_displacements(self) -> dict[str, np.ndarray]:
         """Displacement of each packet over its leg."""
-        return {
-            "down": self.endpoint_down - self.start,
-            "up": self.endpoint_up - self.start,
-        }
+        return {packet: leg.k_e - self.start for packet, leg in self.legs.items()}
 
     @property
     def steps(self) -> tuple:
@@ -263,37 +266,34 @@ def plan_site(
 
 
 def validate_plan(plan: ProtocolPlan, p: ModelParams) -> PlanDiagnostics:
-    """Check the legs and adiabaticity; raise MalformedPlan when broken.
-
-    The residual is the largest coordinate gap between the two legs' start
-    points, which must stay below 1e-9.  The adiabaticity figure is xi = max
-    over the paths of |dk/dt| / gap(k)^2; a warning is recorded above 0.1.
-    """
-    min_gaps = {}
-    for packet, kpath in (("down", plan.k_path_down), ("up", plan.k_path_up)):
-        e_lo, e_up = band_energies(kpath.points, p)
-        min_gaps[packet] = np.min(e_up - e_lo)
-    return check_plan(plan, p, min_gaps)
+    """The diagnostics of ``leg_pass``."""
+    return leg_pass(plan, p)[2]
 
 
-def check_plan(
-    plan: ProtocolPlan, p: ModelParams, min_gaps: dict
-) -> PlanDiagnostics:
-    """``validate_plan`` given each leg's minimum band gap, keyed by packet.
+def leg_pass(
+    plan: ProtocolPlan, p: ModelParams
+) -> tuple[dict, dict, PlanDiagnostics]:
+    """Bloch fields and band energies of both legs, keyed by packet, and the
+    plan diagnostics; raise MalformedPlan when the plan is broken.
 
-    The shared-start check runs first, so a malformed plan raises
-    MalformedPlan whatever the gaps are.
+    The one field evaluation of each leg.  The legs' start points must lie
+    within 1e-9 of each other in every coordinate, which is checked before
+    any field is evaluated.  The adiabaticity figure is xi = max over the
+    legs of |dk/dt| / gap^2 with the leg's minimum gap; a warning is
+    recorded above 0.1.
     """
     residual = float(np.max(np.abs(plan.k_path_down.k_b - plan.k_path_up.k_b)))
     if residual >= 1e-9:
         raise MalformedPlan(f"plan legs start {residual:.3e} apart (>= 1e-9)")
+    fields = {packet: bloch_fields(leg.points, p) for packet, leg in plan.legs.items()}
+    energies = {packet: energies_from_fields(f) for packet, f in fields.items()}
 
     reciprocal = is_reciprocal(plan.endpoint_up - plan.endpoint_down, p.geometry)
 
     xi = 0.0
-    for packet in ("down", "up"):
+    for packet, (e_lo, e_up) in energies.items():
         speed = np.linalg.norm(plan.total_displacements[packet]) / plan.leg_time
-        xi = max(xi, float(speed / min_gaps[packet] ** 2))
+        xi = max(xi, float(speed / np.min(e_up - e_lo) ** 2))
     warning = xi > 0.1
     messages = []
     if warning:
@@ -302,13 +302,14 @@ def check_plan(
         )
     if not reciprocal:
         messages.append("endpoint pair is not reciprocal-equivalent")
-    return PlanDiagnostics(
+    diagnostics = PlanDiagnostics(
         endpoint_residual=residual,
         endpoints_reciprocal=reciprocal,
         xi=xi,
         adiabatic_warning=warning,
         messages=tuple(messages),
     )
+    return fields, energies, diagnostics
 
 
 def perturb_plan(

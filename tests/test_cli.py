@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import chernscope
+import chernscope.lattice
 import chernscope.topology
 from chernscope.cli import DEFAULTS, ConfigError, RunConfig, main, parse_phi
 
@@ -292,6 +293,9 @@ def test_non_finite_or_negative_inputs_exit_invalid_value(argv):
         ("fringe", "--no-echo", "--zeeman-rate=-inf"),
         ("zak", "--zeeman-rate", "nan"),
         ("detect", "--zeeman-rate", "inf"),
+        ("fringe", "--mode", "tdse", "--leg-time", "2", "--samples-per-leg", "400",
+         "--zeeman-rate", "nan"),
+        ("sweep", "--trials", "1", "--samples-per-leg", "400", "--zeeman-rate", "nan"),
     ],
 )
 def test_non_finite_zeeman_rate_exits_invalid_value(argv):
@@ -303,6 +307,55 @@ def test_non_finite_zeeman_rate_exits_invalid_value(argv):
     summary = summary_of(err)
     assert summary["error"] == "invalid-value"
     assert "zeeman_rate" in summary["message"]
+
+
+def test_sweep_zeeman_rate_cancels_with_echo_only():
+    def sweep_output(*extra):
+        code, out, _ = run_cli("sweep", "--trials", "1", "--samples-per-leg", "400",
+                               *extra)
+        assert code == 0
+        return [line for line in out.splitlines() if "config-hash" not in line]
+
+    assert sweep_output("--zeeman-rate", "0.05") == sweep_output()
+    assert sweep_output("--no-echo", "--zeeman-rate", "0.05") != sweep_output(
+        "--no-echo"
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (("fringe", "--t", "1e308"), "fitted-phi-zak"),
+        (("fringe", "--tprime", "1e308"), "fitted-phi-zak"),
+        (("zak", "--t", "1e308"), "phi-zak-i"),
+        (("bands", "--t", "1e308"), "bands.e_lower"),
+        (("protocol", "--leg-time", "1e-300"), "force-ratio"),
+    ],
+)
+def test_non_finite_result_exits_invalid_value(tmp_path, argv, field):
+    """Every value is formatted before any is output, so a NaN or infinite
+    result leaves stdout empty and writes no table file."""
+    code, out, err = run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+    summary = summary_of(err)
+    assert summary["error"] == "invalid-value"
+    assert summary["message"].startswith(f"{field} is not finite")
+
+
+@pytest.mark.parametrize("count", ["-1", "11"])
+def test_bands_points_outside_budget_exit_invalid_value(monkeypatch, count):
+    """The budget is lowered so no large path is built."""
+    monkeypatch.setattr(chernscope.lattice, "MAX_PATH_POINTS_PER_SEGMENT", 10)
+    assert run_cli("bands", "--points-per-segment", "10")[0] == 0
+    code, out, err = run_cli("bands", f"--points-per-segment={count}")
+    assert code == 1
+    assert out == ""
+    summary = summary_of(err)
+    assert summary["error"] == "invalid-value"
+    assert "budget of 10" in summary["message"]
 
 
 @pytest.mark.parametrize("command", ["chern", "curvature"])

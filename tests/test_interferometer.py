@@ -99,7 +99,6 @@ def test_pi_pulse_is_involutive():
     back = apply_pi(apply_pi(state))
     assert back.amp_down == pytest.approx(state.amp_down, abs=1e-15)
     assert back.amp_up == pytest.approx(state.amp_up, abs=1e-15)
-    assert np.allclose(back.k_down, state.k_down)
 
 
 def test_state_norm_validated():
@@ -264,14 +263,25 @@ def test_tdse_fringe_keeps_populations_physical():
     assert np.allclose(total, expected, atol=1e-12)
 
 
+def test_tdse_zeeman_phase_survives_without_echo():
+    """The stepwise route takes the ledger's Zeeman phase, the rate times
+    the signed leg time, and run_fringe hands it the rate."""
+    plan = plan_site("I", P0, leg_time=2.0, with_echo=False, samples_per_leg=400)
+    _, still = evolve_tdse(initial_state(), plan, P0)
+    _, driven = evolve_tdse(initial_state(), plan, P0, zeeman_rate=0.02)
+    shift = wrap_angle(driven.extracted_phase - still.extracted_phase)
+    assert shift == pytest.approx(-0.02 * 2.0, abs=1e-12)
+    phi = np.linspace(-np.pi, np.pi, 9)
+    moved = run_fringe(P0, plan, phi, mode="tdse", zeeman_rate=0.02)
+    assert np.allclose(
+        moved.n_up, run_fringe(P0, plan, phi + 0.04, mode="tdse").n_up, atol=1e-12
+    )
+
+
 def test_initial_state_defaults_to_zone_center():
     state = initial_state()
-    assert np.allclose(state.k_down, np.zeros(2))
-    assert np.allclose(state.k_up, np.zeros(2))
     assert state.amp_down == 1.0 + 0j
     assert state.amp_up == 0j
-    custom = initial_state(k=np.array([0.2, 0.1]))
-    assert np.allclose(custom.k_down, [0.2, 0.1])
 
 
 def test_wrap_angle_range():

@@ -349,6 +349,17 @@ def test_high_symmetry_path_markers():
     assert np.allclose(pts[idx["M"]], DEFAULT_GEOMETRY.b1 / 2, atol=1e-12)
 
 
+def test_high_symmetry_path_points_are_segment_lines():
+    pts, markers = high_symmetry_path(points_per_segment=7)
+    corners = [GAMMA, K, DEFAULT_GEOMETRY.b1 / 2, KP, GAMMA]
+    assert [i for i, _ in markers] == [0, 7, 14, 21, 28]
+    for i, f in enumerate(np.linspace(0.0, 1.0, 7, endpoint=False)):
+        for seg in range(4):
+            a, b = corners[seg], corners[seg + 1]
+            assert np.array_equal(pts[7 * seg + i], a + f * (b - a))
+    assert np.array_equal(pts[-1], GAMMA)
+
+
 def test_zone_corners_opposite():
     assert np.allclose(K, -KP, atol=1e-14)
     assert K[0] == pytest.approx(4 * np.pi / (3 * np.sqrt(3)), abs=1e-14)
