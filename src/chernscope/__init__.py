@@ -45,6 +45,7 @@ from .topology import (
 )
 from .protocol import (
     ForceSpec,
+    Leg,
     PlanDiagnostics,
     ProtocolPlan,
     ProtocolStep,

@@ -28,6 +28,8 @@ from .protocol import ProtocolPlan, perturb_plan, plan_site
 from .topology import chern_from_zak
 
 __all__ = [
+    "MAX_PHI_MW_POINTS",
+    "MAX_SWEEP_TRIALS",
     "FringeFit",
     "ChernReport",
     "TrialRecord",
@@ -41,9 +43,27 @@ __all__ = [
 
 AMBIGUOUS = "Ambiguous"
 
+# Largest pulse-phase scan and largest sweep, counted in trials over all
+# radii; see default_phi_grid and robustness_sweep for what they imply.
+MAX_PHI_MW_POINTS = 1_000_000
+MAX_SWEEP_TRIALS = 100_000
+
 
 def default_phi_grid(n: int = 24) -> np.ndarray:
-    """Evenly spaced pulse phases covering one full fringe period."""
+    """Evenly spaced pulse phases covering one full fringe period.
+
+    A ``fringe`` run peaks at about 460 bytes per pulse phase (tracemalloc
+    at 20,000 and 80,000 phases), so the budget of ``MAX_PHI_MW_POINTS`` =
+    1,000,000 implies a peak of about 460 MB.
+
+    Raises:
+        ValueError: if n is over ``MAX_PHI_MW_POINTS``, before anything is
+            allocated.
+    """
+    if n > MAX_PHI_MW_POINTS:
+        raise ValueError(
+            f"{n} pulse phases are over the budget of {MAX_PHI_MW_POINTS}"
+        )
     return -np.pi + 2.0 * np.pi * np.arange(n) / n
 
 
@@ -215,9 +235,25 @@ def robustness_sweep(
     the quantity the 1/4 tolerance actually budgets.  Fixed iteration order
     and a single seeded generator make the table reproducible.  Every
     evolution runs at ``zeeman_rate``.
+
+    The ``sweep`` command peaks at about 1.1 kB per trial (tracemalloc at
+    100 and 400 trials per radius over 4 radii), so the budget of
+    ``MAX_SWEEP_TRIALS`` = 100,000 trials over all radii implies about
+    110 MB; a trial takes about 3 ms at the default sampling on one Intel Xeon
+    vCPU, so the budget also bounds the run to about five minutes.
+
+    Raises:
+        ValueError: if ``trials`` is below 1, or ``trials`` times the number
+            of radii is over ``MAX_SWEEP_TRIALS``, before any evolution.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    total = trials * len(error_radii)
+    if total > MAX_SWEEP_TRIALS:
+        raise ValueError(
+            f"{trials} trials at {len(error_radii)} radii make {total}, over "
+            f"the budget of {MAX_SWEEP_TRIALS} trials per sweep"
+        )
     phi_grid = default_phi_grid(phi_mw_points)
     plans = {
         site: plan_site(

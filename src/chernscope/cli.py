@@ -583,9 +583,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(cfg: RunConfig, args, summary, tables, stdout) -> None:
+def _fp_refusal(kind: str) -> FloatingPointError:
+    return FloatingPointError(
+        f"floating-point {kind} encountered: the inputs drive the computation "
+        f"out of float range"
+    )
+
+
+def _run(cfg: RunConfig, args) -> tuple[list, dict, Optional[str]]:
+    """The command's summary and tables, and the kind of the first numpy
+    floating-point error it hit (or None), recorded instead of printed as a
+    warning.
+
+    A ValueError or package error raised after such an error is replaced by
+    FloatingPointError naming it, its cause.
+    """
+    first = []  # at most one kind: later errors are not kept
+    with np.errstate(
+        over="call", invalid="call", divide="call",
+        call=lambda kind, flag: first or first.append(kind),
+    ):
+        try:
+            summary, tables = COMMANDS[args.command](cfg, args)
+        except (ValueError, ChernscopeError):
+            if not first:
+                raise
+            raise _fp_refusal(first[0]) from None
+    return summary, tables, first[0] if first else None
+
+
+def _emit(
+    cfg: RunConfig, args, summary, tables, stdout, fp_error: Optional[str]
+) -> None:
     """Format the record and every table, then print or write them all, so a
-    non-finite result raises ValueError before anything is output."""
+    non-finite result raises ValueError before anything is output.  A run
+    whose values are all finite but that hit a floating-point error
+    (``fp_error``) raises FloatingPointError instead of printing them."""
     fmt = cfg.output["format"]
     settings = {
         key: getattr(args, key)
@@ -599,6 +632,8 @@ def _emit(cfg: RunConfig, args, summary, tables, stdout) -> None:
         name: table_lines(headers, rows, fmt, name)
         for name, (headers, rows) in tables.items()
     }
+    if fp_error is not None:
+        raise _fp_refusal(fp_error)
     print("\n".join(record), file=stdout)
     out_dir = cfg.output["out"]
     ext = "dsv" if fmt == "dsv" else "rec"
@@ -626,8 +661,8 @@ def main(argv: Optional[list] = None, stdout=None, stderr=None) -> int:
             print(json.dumps(cfg.to_dict(), sort_keys=True, indent=2),
                   file=stdout)
             return EXIT_OK
-        summary, tables = COMMANDS[args.command](cfg, args)
-        _emit(cfg, args, summary, tables, stdout)
+        summary, tables, fp_error = _run(cfg, args)
+        _emit(cfg, args, summary, tables, stdout, fp_error)
         return EXIT_OK
     except BrokenPipeError:
         # Downstream consumer (e.g. head) closed the pipe; keep the
@@ -644,7 +679,7 @@ def main(argv: Optional[list] = None, stdout=None, stderr=None) -> int:
         print("\n".join(record_lines(
             [("error", exc.code), ("message", str(exc))])), file=stderr)
         return code
-    except ValueError as exc:
+    except (FloatingPointError, ValueError) as exc:
         print("\n".join(record_lines(
             [("error", "invalid-value"), ("message", str(exc))])), file=stderr)
         return EXIT_ERROR

@@ -460,8 +460,8 @@ def evolve_tdse(
     ends = {}
     drift = 0.0
     for packet, leg in plan.legs.items():
-        start = leg.k_b
-        step = (leg.k_e - start) / total_time * dt_actual
+        start = leg.start
+        step = (leg.end - start) / total_time * dt_actual
         phase, a, b = _line_propagator(
             start + step / 2, step, n_steps, p, dt_actual
         )
@@ -471,7 +471,7 @@ def evolve_tdse(
         )
         psi0 = states_from_fields(tuple(f[0] for f in fields[packet]), start, p)
         ends[packet] = states_from_fields(
-            tuple(f[-1] for f in fields[packet]), leg.k_e, p
+            tuple(f[-1] for f in fields[packet]), leg.end, p
         )
         amps[packet] = complex(np.vdot(ends[packet], u_total @ psi0))
     if drift > 1e-8:

@@ -22,14 +22,16 @@ Site geometry (lattice scale a = 1):
 so the endpoint pair differs by b1 in both cases.  The magnitudes satisfy
 |lattice| / |gradient| = sqrt(3) exactly.
 
-A plan is its two sampled legs; the forces and the pulse table derive from
-them, the leg time and the echo flag.
+A plan is its two legs, straight lines from the shared start sampled at
+equal intervals; the forces and the pulse table derive from them, the leg
+time and the echo flag.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -43,14 +45,14 @@ from .lattice import (
     energies_from_fields,
     is_reciprocal,
 )
-from .topology import KPath
 
 __all__ = [
+    "MAX_SAMPLES_PER_LEG",
+    "Leg",
     "ForceSpec",
     "ProtocolStep",
     "ProtocolPlan",
     "PlanDiagnostics",
-    "SPIN_SIGNS",
     "site_start",
     "site_displacements",
     "plan_site",
@@ -59,9 +61,31 @@ __all__ = [
     "perturb_plan",
 ]
 
-SPIN_SIGNS = {"down": -1.0, "up": +1.0}
-
 MAX_ENDPOINT_ERROR_FRACTION = 0.25  # of |b1|
+
+# Largest leg sampling; see plan_site for the memory it implies.
+MAX_SAMPLES_PER_LEG = 1_000_000
+
+
+@dataclass(frozen=True, eq=False)
+class Leg:
+    """Straight momentum leg from ``start`` to ``end`` in ``n`` equal sample
+    intervals, traversed at uniform speed: a Bloch oscillation under a
+    constant force."""
+
+    start: np.ndarray
+    end: np.ndarray
+    n: int
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"a leg needs at least one sample interval, got {self.n}")
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The n + 1 samples from ``start`` to ``end``, computed on first use."""
+        frac = np.linspace(0.0, 1.0, self.n + 1)
+        return self.start + frac[:, None] * (self.end - self.start)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,38 +133,38 @@ class ProtocolPlan:
     """
 
     site: str
-    k_path_down: KPath
-    k_path_up: KPath
+    k_path_down: Leg
+    k_path_up: Leg
     leg_time: float
     with_echo: bool
     geometry: LatticeGeometry = DEFAULT_GEOMETRY
 
     @property
-    def legs(self) -> dict[str, KPath]:
+    def legs(self) -> dict[str, Leg]:
         """Each packet's leg, keyed by the packet's initial spin label."""
         return {"down": self.k_path_down, "up": self.k_path_up}
 
     @property
     def start(self) -> np.ndarray:
-        return self.k_path_down.k_b
+        return self.k_path_down.start
 
     @property
     def endpoint_down(self) -> np.ndarray:
-        return self.k_path_down.k_e
+        return self.k_path_down.end
 
     @property
     def endpoint_up(self) -> np.ndarray:
-        return self.k_path_up.k_e
+        return self.k_path_up.end
 
     @property
     def samples_per_leg(self) -> int:
         """Sample intervals of a leg (even for planned legs)."""
-        return len(self.k_path_down.points) - 1
+        return self.k_path_down.n
 
     @property
     def total_displacements(self) -> dict[str, np.ndarray]:
         """Displacement of each packet over its leg."""
-        return {packet: leg.k_e - self.start for packet, leg in self.legs.items()}
+        return {packet: leg.end - self.start for packet, leg in self.legs.items()}
 
     @property
     def steps(self) -> tuple:
@@ -168,27 +192,6 @@ class ProtocolPlan:
             *legs,
             ProtocolStep("pi2_pulse", phi_mw=None),
         )
-
-    def integrated_displacements(self) -> dict[str, np.ndarray]:
-        """Integral of dk/dt over the force legs for each packet.
-
-        A packet's spin label flips at each pi pulse; a flipped gradient on
-        the following legs then reproduces the same velocity, which is the
-        echo's path neutrality.
-        """
-        out = {}
-        for packet, sign0 in SPIN_SIGNS.items():
-            sign = sign0
-            disp = np.zeros(2)
-            for step in self.steps:
-                if step.kind == "pi_pulse":
-                    sign = -sign
-                elif step.kind == "force_leg":
-                    disp += step.duration * step.force.velocity(
-                        sign, step.gradient_direction_flip
-                    )
-            out[packet] = disp
-        return out
 
 
 @dataclass(frozen=True)
@@ -231,12 +234,6 @@ def _solve_forces(
     return ForceSpec(gradient_force=gradient, lattice_force=lattice)
 
 
-def _leg(start: np.ndarray, end: np.ndarray, samples_per_leg: int) -> KPath:
-    """Straight leg from ``start`` to ``end``; an odd sample count is
-    raised by one, so the echo midpoint is a sample."""
-    return KPath.line(start, end, samples_per_leg + samples_per_leg % 2 + 1)
-
-
 def plan_site(
     site: str,
     p: ModelParams,
@@ -250,15 +247,33 @@ def plan_site(
     keeps the adiabaticity figure well below the warning level for the
     default couplings.  With the echo the motion splits into two equal legs
     around the pi pulse, whose gradient flip keeps every k path straight.
+    An odd ``samples_per_leg`` is raised by one, so the echo midpoint is a
+    sample.
+
+    A run of the plan peaks at about 275 bytes per sample of
+    ``samples_per_leg`` (tracemalloc of ``fringe``, ``zak`` and ``sweep``
+    at 20,000 and 80,000), so the budget of ``MAX_SAMPLES_PER_LEG`` =
+    1,000,000 implies a peak of about 275 MB.
+
+    Raises:
+        ValueError: if ``samples_per_leg`` is below 1 or over the budget,
+            before anything is allocated, or if ``leg_time`` is not
+            positive and finite.
     """
+    if not 1 <= samples_per_leg <= MAX_SAMPLES_PER_LEG:
+        raise ValueError(
+            f"samples per leg must lie between 1 and the budget of "
+            f"{MAX_SAMPLES_PER_LEG}, got {samples_per_leg}"
+        )
     if not (leg_time > 0 and np.isfinite(leg_time)):
         raise ValueError(f"leg_time must be positive and finite, got {leg_time}")
     start = site_start(site, p)
     disp = site_displacements(site, p)
+    n = samples_per_leg + samples_per_leg % 2
     return ProtocolPlan(
         site=site,
-        k_path_down=_leg(start, start + disp["down"], samples_per_leg),
-        k_path_up=_leg(start, start + disp["up"], samples_per_leg),
+        k_path_down=Leg(start, start + disp["down"], n),
+        k_path_up=Leg(start, start + disp["up"], n),
         leg_time=float(leg_time),
         with_echo=with_echo,
         geometry=p.geometry,
@@ -282,7 +297,7 @@ def leg_pass(
     legs of |dk/dt| / gap^2 with the leg's minimum gap; a warning is
     recorded above 0.1.
     """
-    residual = float(np.max(np.abs(plan.k_path_down.k_b - plan.k_path_up.k_b)))
+    residual = float(np.max(np.abs(plan.k_path_down.start - plan.k_path_up.start)))
     if residual >= 1e-9:
         raise MalformedPlan(f"plan legs start {residual:.3e} apart (>= 1e-9)")
     fields = {packet: bloch_fields(leg.points, p) for packet, leg in plan.legs.items()}
@@ -319,7 +334,8 @@ def perturb_plan(
     radius: Optional[float] = None,
     seed: Optional[int] = None,
 ) -> ProtocolPlan:
-    """Redraw both legs from the shared start to displaced endpoints.
+    """Redraw both legs from the shared start to displaced endpoints, with
+    the plan's sampling.
 
     Explicit per-spin endpoint errors take precedence; otherwise, with
     ``radius`` set, both errors are drawn uniformly from the disk of that
@@ -348,6 +364,6 @@ def perturb_plan(
     n = plan.samples_per_leg
     return dataclasses.replace(
         plan,
-        k_path_down=_leg(plan.start, plan.endpoint_down + error_down, n),
-        k_path_up=_leg(plan.start, plan.endpoint_up + error_up, n),
+        k_path_down=Leg(plan.start, plan.endpoint_down + error_down, n),
+        k_path_up=Leg(plan.start, plan.endpoint_up + error_up, n),
     )

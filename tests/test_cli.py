@@ -5,13 +5,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chernscope
+import chernscope.analysis
+import chernscope.cli
 import chernscope.lattice
+import chernscope.protocol
 import chernscope.topology
 from chernscope.cli import DEFAULTS, ConfigError, RunConfig, main, parse_phi
 
@@ -322,7 +326,6 @@ def test_sweep_zeeman_rate_cancels_with_echo_only():
     )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "argv,field",
     [
@@ -356,6 +359,99 @@ def test_bands_points_outside_budget_exit_invalid_value(monkeypatch, count):
     summary = summary_of(err)
     assert summary["error"] == "invalid-value"
     assert "budget of 10" in summary["message"]
+
+
+def error_record(out, err):
+    """The message of the one invalid-value record that is all of stderr,
+    with nothing on stdout."""
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2 and lines[0] == "error: invalid-value"
+    assert lines[1].startswith("message: ")
+    return lines[1][len("message: "):]
+
+
+@pytest.mark.parametrize("samples", ["0", "-1", "-4"])
+def test_samples_per_leg_below_one_exits_invalid_value(samples):
+    code, out, err = run_cli("fringe", f"--samples-per-leg={samples}")
+    assert code == 1
+    assert "samples per leg" in error_record(out, err)
+
+
+@pytest.mark.parametrize("command", ["fringe", "sweep"])
+def test_samples_per_leg_over_budget_exits_invalid_value(monkeypatch, command):
+    """The budget is lowered so no large leg is sampled."""
+    monkeypatch.setattr(chernscope.protocol, "MAX_SAMPLES_PER_LEG", 10)
+    argv = (command, "--trials", "1", "--samples-per-leg")
+    assert run_cli(*argv, "10")[0] == 0
+    code, out, err = run_cli(*argv, "11")
+    assert code == 1
+    assert "budget of 10" in error_record(out, err)
+
+
+def _refuse_evolution(*args, **kwargs):
+    raise AssertionError("an over-budget run reached an evolution")
+
+
+def test_sweep_trials_over_budget_exit_before_evolving(monkeypatch):
+    """The budget counts trials over all radii, 4 by default, and is
+    lowered so no long sweep runs."""
+    monkeypatch.setattr(chernscope.analysis, "MAX_SWEEP_TRIALS", 8)
+    assert run_cli("sweep", "--trials", "2", "--samples-per-leg", "20")[0] == 0
+    monkeypatch.setattr(chernscope.analysis, "run_fringe", _refuse_evolution)
+    code, out, err = run_cli("sweep", "--trials", "3", "--samples-per-leg", "20")
+    assert code == 1
+    assert "budget of 8" in error_record(out, err)
+
+
+@pytest.mark.parametrize("command", ["fringe", "detect", "sweep"])
+def test_phi_mw_points_over_budget_exit_before_evolving(monkeypatch, command):
+    """The budget is lowered so no long scan is read out."""
+    monkeypatch.setattr(chernscope.analysis, "MAX_PHI_MW_POINTS", 30)
+    argv = (command, "--trials", "1", "--samples-per-leg", "20", "--phi-mw-points")
+    assert run_cli(*argv, "30")[0] == 0
+    monkeypatch.setattr(chernscope.analysis, "run_fringe", _refuse_evolution)
+    monkeypatch.setattr(chernscope.cli, "run_fringe", _refuse_evolution)
+    code, out, err = run_cli(*argv, "31")
+    assert code == 1
+    assert "budget of 30" in error_record(out, err)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("fringe", "--t", "1e308"), "fitted-phi-zak is not finite"),
+        (("fringe", "--zeeman-rate", "1e308", "--no-echo"),
+         "fitted-phi-zak is not finite"),
+        (("protocol", "--leg-time", "1e-310"), "force-ratio is not finite"),
+        (("bands", "--t", "1e300"), "bands.e_lower is not finite"),
+        (("chern", "--t", "1e308"), "floating-point overflow encountered"),
+    ],
+)
+def test_float_overflow_exits_invalid_value_without_warnings(argv, message):
+    """Finite inputs whose numbers overflow print no numpy warning: the run
+    is refused by the non-finite output it names, or, when it fails before
+    its output, by the floating-point error that came first."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(*argv)
+    assert code == 1
+    assert error_record(out, err).startswith(message)
+    assert caught == []
+
+
+def test_float_error_behind_a_finite_result_exits_invalid_value(monkeypatch):
+    """A run whose printed values are all finite but that overflowed on the
+    way is refused, not printed."""
+
+    def overflowing_chern(cfg, args):
+        np.array([1e308]) * 10.0
+        return [("chern", 1)], {}
+
+    monkeypatch.setitem(chernscope.cli.COMMANDS, "chern", overflowing_chern)
+    code, out, err = run_cli("chern")
+    assert code == 1
+    assert error_record(out, err).startswith("floating-point overflow encountered")
 
 
 @pytest.mark.parametrize("command", ["chern", "curvature"])

@@ -14,6 +14,7 @@ from chernscope import (
     DEFAULT_GEOMETRY,
     GaplessPoint,
     KPath,
+    Leg,
     MalformedPlan,
     ModelParams,
     apply_pi,
@@ -405,22 +406,22 @@ def test_tdse_evaluates_leg_samples_once_besides_midpoints(monkeypatch, field_ca
     from the leg start plus half a step.  The leg takes one block at the
     default block size and several with a short tail at 100."""
     plan = plan_site("I", P0, leg_time=2.0, samples_per_leg=300)
-    kpaths = (plan.k_path_down, plan.k_path_up)
+    plan_legs = (plan.k_path_down, plan.k_path_up)
     for block in (chernscope.interferometer._TDSE_BLOCK, 100):
         monkeypatch.setattr(chernscope.interferometer, "_TDSE_BLOCK", block)
         field_calls.bloch.clear()
         field_calls.line.clear()
         _, diagnostics = evolve_tdse(initial_state(), plan, P0)
         assert len(field_calls.bloch) == 2
-        for kpath, kpts in zip(kpaths, field_calls.bloch):
-            assert np.array_equal(kpts, kpath.points)
+        for leg, kpts in zip(plan_legs, field_calls.bloch):
+            assert np.array_equal(kpts, leg.points)
         n = diagnostics.n_steps
         assert 100 < n < 8192 and n % 100 != 0
         legs = _line_blocks_per_leg(field_calls.line, n, block)
         assert len(legs) == 2
-        for kpath, (k0, step) in zip(kpaths, legs):
-            assert np.array_equal(k0, kpath.k_b + step / 2)
-            assert np.allclose(n * step, kpath.k_e - kpath.k_b, rtol=0, atol=1e-12)
+        for leg, (k0, step) in zip(plan_legs, legs):
+            assert np.array_equal(k0, leg.start + step / 2)
+            assert np.allclose(n * step, leg.end - leg.start, rtol=0, atol=1e-12)
 
 
 @given(
@@ -448,14 +449,18 @@ def test_line_propagator_matches_one_block(n, block, tp, phi):
 @pytest.mark.parametrize("evolve", [evolve_adiabatic, evolve_tdse])
 def test_malformed_plan_raises_before_gap_check(evolve):
     """A leg through a gapless point: the shared-start check still comes
-    first, so a malformed plan keeps its MalformedPlan exit code."""
+    first, so a malformed plan keeps its MalformedPlan exit code.  The
+    gapless leg runs straight through the Dirac point K, its midpoint
+    sample at tp = 0."""
     p = ModelParams(tp=0.0)
     plan = plan_site("I", p, leg_time=2.0, samples_per_leg=40)
-    kpath = KPath(
-        np.stack([plan.start, DEFAULT_GEOMETRY.K, plan.endpoint_down])
+    leg = Leg(plan.start, 2 * DEFAULT_GEOMETRY.K - plan.start, 40)
+    assert np.max(np.abs(leg.points[20] - DEFAULT_GEOMETRY.K)) <= 5e-16  # 1 ulp
+    gapless = dataclasses.replace(plan, k_path_down=leg)
+    up = plan.k_path_up
+    broken = dataclasses.replace(
+        gapless, k_path_up=Leg(up.start + 0.1, up.end + 0.1, up.n)
     )
-    gapless = dataclasses.replace(plan, k_path_down=kpath)
-    broken = dataclasses.replace(gapless, k_path_up=KPath(plan.k_path_up.points + 0.1))
     with pytest.raises(MalformedPlan):
         evolve(initial_state(), broken, p)
     with pytest.raises(GaplessPoint):  # the well-formed plan fails its gap check

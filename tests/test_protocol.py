@@ -1,13 +1,17 @@
 """Tests for force-protocol planning, validation, and endpoint perturbation."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import chernscope.protocol
 from chernscope import (
     DEFAULT_GEOMETRY,
     KPath,
+    Leg,
     MalformedPlan,
     ModelParams,
     evolve_adiabatic,
@@ -52,9 +56,6 @@ def test_plan_endpoints_exact():
         d = site_displacements(site, P0)
         assert np.allclose(plan.endpoint_down, plan.start + d["down"], atol=1e-12)
         assert np.allclose(plan.endpoint_up, plan.start + d["up"], atol=1e-12)
-        walked = plan.integrated_displacements()
-        assert np.allclose(walked["down"], d["down"], atol=1e-12)
-        assert np.allclose(walked["up"], d["up"], atol=1e-12)
 
 
 def test_step_sequence():
@@ -106,6 +107,31 @@ def test_samples_per_leg_forced_even():
     plan = plan_site("I", P0, samples_per_leg=7)
     assert plan.samples_per_leg == 8
     assert plan.k_path_down.points.shape == (9, 2)
+    assert plan_site("I", P0, samples_per_leg=1).samples_per_leg == 2
+
+
+_COORD = st.floats(min_value=-20.0, max_value=20.0)
+
+
+@given(
+    a=st.tuples(_COORD, _COORD),
+    b=st.tuples(_COORD, _COORD),
+    n=st.integers(min_value=1, max_value=500),
+)
+@settings(max_examples=60, deadline=None)
+def test_leg_points_match_kpath_line(a, b, n):
+    """A leg's samples are those of the line path with n + 1 points, bit
+    for bit.  Ends closer than 1e-6 could repeat a sample, which a path
+    refuses."""
+    a, b = np.array(a), np.array(b)
+    assume(np.max(np.abs(b - a)) > 1e-6)
+    assert np.array_equal(Leg(a, b, n).points, KPath.line(a, b, n + 1).points)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_leg_refuses_fewer_than_one_interval(n):
+    with pytest.raises(ValueError, match="at least one sample interval"):
+        Leg(np.zeros(2), np.ones(2), n)
 
 
 def test_plan_site_rejects_unknown_site():
@@ -130,7 +156,10 @@ def test_validate_warns_on_fast_drive():
 
 def test_validate_rejects_inconsistent_endpoint():
     plan = plan_site("I", P0)
-    broken = dataclasses.replace(plan, k_path_down=KPath(plan.k_path_down.points + 0.1))
+    leg = plan.k_path_down
+    broken = dataclasses.replace(
+        plan, k_path_down=Leg(leg.start + 0.1, leg.end + 0.1, leg.n)
+    )
     with pytest.raises(MalformedPlan):
         validate_plan(broken, P0)
 
@@ -142,7 +171,7 @@ def test_legs_that_start_apart_are_malformed(check):
     plan = plan_site("I", P0)
     shifted = plan.start + np.array([0.3, 0.0])
     apart = dataclasses.replace(
-        plan, k_path_up=KPath.line(shifted, plan.endpoint_up, 2001)
+        plan, k_path_up=Leg(shifted, plan.endpoint_up, 2000)
     )
     run = {
         "validate": lambda: validate_plan(apart, P0),
@@ -186,8 +215,28 @@ def test_perturb_explicit_error_lands_exactly():
     pert = perturb_plan(plan, error_down=err)
     assert np.allclose(pert.endpoint_down, plan.endpoint_down + err, atol=1e-15)
     assert np.allclose(pert.endpoint_up, plan.endpoint_up, atol=1e-15)
-    walked = pert.integrated_displacements()
-    assert np.allclose(walked["down"], pert.endpoint_down - pert.start, atol=1e-12)
+
+
+def test_perturb_keeps_sampling_and_shared_start():
+    plan = plan_site("II", P0, samples_per_leg=601)
+    pert = perturb_plan(plan, radius=0.01, seed=4)
+    for leg in (pert.k_path_down, pert.k_path_up):
+        assert leg.n == plan.samples_per_leg == 602
+        assert np.array_equal(leg.start, plan.start)
+
+
+def test_perturb_builds_no_sample_arrays():
+    """Perturbing a plan at the sampling budget stays within a few KB: the
+    legs are redrawn as lines, not as arrays of samples."""
+    plan = plan_site("I", P0, samples_per_leg=chernscope.protocol.MAX_SAMPLES_PER_LEG)
+    perturb_plan(plan, radius=0.002, seed=0)  # the first draw sets up numpy.random
+    tracemalloc.start()
+    try:
+        perturb_plan(plan, radius=0.002, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000
 
 
 def test_perturbed_endpoints_lose_reciprocity():
