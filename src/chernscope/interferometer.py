@@ -15,12 +15,16 @@ its straight momentum leg, and the two evolution routes are
   equation with the midpoint Hamiltonian exponentiated in closed form per
   step, which resolves nonadiabatic band leakage.
 
-Each route evaluates the Bloch fields of each leg's samples once, in
-:func:`chernscope.protocol.leg_pass`, which also checks the plan.  The
-adiabatic route derives the lower-band states with their gap check and the
-dynamical phase from that one pass; the stepwise route derives the
-step-size bandwidth and its end states from it, and takes its midpoint
-fields from :func:`chernscope.lattice.line_fields` in fixed-size blocks.
+Each route evaluates the Bloch fields of both legs' samples in one pass,
+:func:`chernscope.protocol.leg_pass`, which also checks the plan and
+stacks the legs, each packet's samples a slice of the stack.  The adiabatic
+route derives the lower-band states with their gap check, the transport
+links and the dynamical phase over the whole stack at once, and reads each
+packet's product and trapezoid off its slice, so the one link across the
+seam between the legs goes unused; the stepwise route derives the
+step-size bandwidth and its end states from the pass, and takes its
+midpoint fields from :func:`chernscope.lattice.line_fields` in fixed-size
+blocks.
 
 Both routes end with the two packets at momenta one reciprocal vector apart
 (up to planned endpoint error), and close the same way: the split state of
@@ -308,17 +312,18 @@ def evolve_adiabatic(
     """
     _require_pure_down(state)
     zeeman_phase = _zeeman_phase(plan, zeeman_rate)
-    fields, energies, _ = leg_pass(plan, p)
+    legs = leg_pass(plan, p)
+    u = states_from_fields(legs.fields, legs.points, p, gauge_fn=gauge_fn)
+    links = transport_link(u[1:], u[:-1])
 
     phases = {}
     dynamics = {}
     ends = {}
-    for packet, leg in plan.legs.items():
-        u = states_from_fields(fields[packet], leg.points, p, gauge_fn=gauge_fn)
-        product = complex(np.prod(transport_link(u[1:], u[:-1])))
+    for packet, rows in legs.slices.items():
+        product = complex(np.prod(links[rows.start:rows.stop - 1]))
         phases[packet] = product / abs(product)
-        dynamics[packet] = _trapezoid_phase(energies[packet][0], plan.leg_time)
-        ends[packet] = u[-1]
+        dynamics[packet] = _trapezoid_phase(legs.energies[0][rows], plan.leg_time)
+        ends[packet] = u[rows.stop - 1]
 
     w = _matching_overlap(plan, ends)
     ledger = PhaseLedger(
@@ -434,8 +439,8 @@ def evolve_tdse(
     """
     _require_pure_down(state)
     zeeman_phase = _zeeman_phase(plan, zeeman_rate)
-    fields, energies, plan_diagnostics = leg_pass(plan, p)
-    bw = max(float(np.max(np.abs(e))) for pair in energies.values() for e in pair)
+    legs = leg_pass(plan, p)
+    bw = max(float(np.max(np.abs(e))) for e in legs.energies)
     limit = 0.01 / bw
     if dt is None:
         dt = limit
@@ -459,7 +464,8 @@ def evolve_tdse(
     amps = {}
     ends = {}
     drift = 0.0
-    for packet, leg in plan.legs.items():
+    for packet, rows in legs.slices.items():
+        leg = plan.legs[packet]
         start = leg.start
         step = (leg.end - start) / total_time * dt_actual
         phase, a, b = _line_propagator(
@@ -469,9 +475,9 @@ def evolve_tdse(
         drift = max(
             drift, float(np.max(np.abs(u_total.conj().T @ u_total - np.eye(2))))
         )
-        psi0 = states_from_fields(tuple(f[0] for f in fields[packet]), start, p)
+        psi0 = states_from_fields(tuple(f[rows.start] for f in legs.fields), start, p)
         ends[packet] = states_from_fields(
-            tuple(f[-1] for f in fields[packet]), leg.end, p
+            tuple(f[rows.stop - 1] for f in legs.fields), leg.end, p
         )
         amps[packet] = complex(np.vdot(ends[packet], u_total @ psi0))
     if drift > 1e-8:
@@ -491,7 +497,7 @@ def evolve_tdse(
     diagnostics = TdseDiagnostics(
         dt=dt_actual,
         n_steps=n_steps,
-        xi=plan_diagnostics.xi,
+        xi=legs.diagnostics.xi,
         norm_drift=drift,
         leakage_down=leak_down,
         leakage_up=leak_up,

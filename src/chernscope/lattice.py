@@ -24,9 +24,10 @@ take the exponential form
     S  = z3 conj(z2) + z1 conj(z3) + z2 conj(z1),
 
 three complex exponentials per momentum instead of twelve real cosines and
-sines; ``bloch_fields`` evaluates this form.  Along n evenly spaced momenta
-k_j = k0 + j step, ``line_fields`` factors each exponential further: with
-j = q B + r and B about sqrt(n),
+sines; ``bloch_fields`` evaluates this form, writing the cosine and sine
+of each phase k . e_i into the real and imaginary parts of one complex
+buffer.  Along n evenly spaced momenta k_j = k0 + j step, ``line_fields``
+factors each exponential further: with j = q B + r and B about sqrt(n),
 
     z_i(k_j) = exp(i (k0 + q B step) . e_i) exp(i r step . e_i),
 
@@ -41,6 +42,19 @@ literally periodic on the reciprocal lattice; instead
 for any reciprocal vector G.  The unitary V is the sublattice boundary
 matching used everywhere phases are compared across the zone boundary.
 
+The eigenvector gauge is fixed by closed forms.  With n = |h| and the
+signs chosen so that the larger-modulus component is real and positive,
+
+    lower band:  (n - hz, -(hx + i hy))      where hz <= 0,
+                 (-(hx - i hy), hz + n)      where hz > 0,
+    upper band:  (hz + n, hx + i hy)         where hz >= 0,
+                 (hx - i hy, n - hz)         where hz < 0,
+
+each normalized.  The real component is at least n, so no form divides by
+a small quantity on a gapped set.  Where hz = 0 both components have
+modulus n and the tie goes to the first component, which is real and
+positive in both bands.
+
 Units: hbar = 1, lattice scale a = 1, nearest-neighbor hopping t = 1 unless
 stated otherwise.
 """
@@ -49,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -136,9 +151,10 @@ class LatticeGeometry:
             Kp=np.array([-4 * np.pi / (3 * s3 * a), 0.0]),
         )
 
-    @property
+    @cached_property
     def nn_vectors(self) -> np.ndarray:
-        return np.stack([self.e1, self.e2, self.e3])
+        """Rows e1, e2, e3; computed once, read-only."""
+        return _read_only(np.stack([self.e1, self.e2, self.e3]))
 
     @property
     def nnn_vectors(self) -> np.ndarray:
@@ -148,6 +164,16 @@ class LatticeGeometry:
     def reciprocal_basis(self) -> np.ndarray:
         """Columns are b1 and b2."""
         return np.stack([self.b1, self.b2], axis=1)
+
+    @cached_property
+    def inverse_reciprocal_basis(self) -> np.ndarray:
+        """Inverse of ``reciprocal_basis``; computed once, read-only."""
+        return _read_only(np.linalg.inv(self.reciprocal_basis))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 DEFAULT_GEOMETRY = LatticeGeometry.with_scale(1.0)
@@ -185,10 +211,14 @@ def bloch_fields(kpts: np.ndarray, p: ModelParams) -> tuple[np.ndarray, ...]:
 
     Returns (h0, hx, hy, hz), each shaped like ``kpts`` without the last axis.
     Uses the exponential form of the module docstring: one complex
-    exponential z_i = exp(i k . e_i) per NN vector.
+    exponential z_i = exp(i k . e_i) per NN vector, its cosine and sine
+    written into the real and imaginary parts of one buffer.
     """
-    kpts = np.asarray(kpts, dtype=float)
-    return _fields_from_z(np.exp(1j * (kpts @ p.geometry.nn_vectors.T)), p)
+    phases = np.asarray(kpts, dtype=float) @ p.geometry.nn_vectors.T
+    z = np.empty(phases.shape, dtype=complex)
+    np.cos(phases, out=z.real)
+    np.sin(phases, out=z.imag)
+    return _fields_from_z(z, p)
 
 
 def line_fields(
@@ -237,17 +267,6 @@ def hamiltonian(kpts: np.ndarray, p: ModelParams) -> np.ndarray:
     )
 
 
-def _gauge_fix(states: np.ndarray) -> np.ndarray:
-    """Rotate each state so its largest-modulus component is real positive.
-
-    Ties go to the first component.  ``states`` has shape (..., 2).
-    """
-    mags = np.abs(states)
-    idx = (mags[..., 1] > mags[..., 0]).astype(int)
-    comp = np.take_along_axis(states, idx[..., None], axis=-1)[..., 0]
-    return states * np.conj(comp / np.abs(comp))[..., None]
-
-
 def band_states(
     kpts: np.ndarray,
     p: ModelParams,
@@ -256,14 +275,19 @@ def band_states(
 ) -> np.ndarray:
     """Gauge-fixed Bloch eigenvectors for one band, vectorized over momenta.
 
-    The lower-band vector is assembled from the branch-stable closed forms
+    Each state is one of the closed forms of the module docstring,
+    normalized: the lower band is
 
-        (hz - |h|, hx + i hy)        where hz <= 0,
+        (|h| - hz, -(hx + i hy))     where hz <= 0,
         (-(hx - i hy), hz + |h|)     where hz > 0,
 
-    which never divide by a small quantity on a gapped set, then normalized
-    and gauge fixed.  The upper band is the orthogonal complement, gauge
-    fixed independently.
+    and the upper band
+
+        (hz + |h|, hx + i hy)        where hz >= 0,
+        (hx - i hy, |h| - hz)        where hz < 0.
+
+    The forms are the gauge: the larger-modulus component is real and
+    positive, and where hz = 0, when the moduli tie, it is the first.
 
     Args:
         kpts: (..., 2) momenta.
@@ -298,14 +322,22 @@ def states_from_fields(
     if np.any(2 * n < p.gap_tol):
         bad = np.asarray(kpts)[2 * n < p.gap_tol]
         raise GaplessPoint(f"gap below {p.gap_tol:g} at k={bad[0]}")
+    # The closed forms of band_states, written part by part.
     u = np.empty(np.shape(hx) + (2,), dtype=complex)
-    use_a = hz <= 0
-    u[..., 0] = np.where(use_a, hz - n, -(hx - 1j * hy))
-    u[..., 1] = np.where(use_a, hx + 1j * hy, hz + n)
+    re, im = u.real, u.imag
+    if band == "lower":
+        first = hz <= 0  # (n - hz, -(hx + i hy)), else (-(hx - i hy), hz + n)
+        re[..., 0] = np.where(first, n - hz, -hx)
+        im[..., 0] = np.where(first, 0.0, hy)
+        re[..., 1] = np.where(first, -hx, hz + n)
+        im[..., 1] = np.where(first, -hy, 0.0)
+    else:
+        first = hz >= 0  # (hz + n, hx + i hy), else (hx - i hy, n - hz)
+        re[..., 0] = np.where(first, hz + n, hx)
+        im[..., 0] = np.where(first, 0.0, -hy)
+        re[..., 1] = np.where(first, hx, n - hz)
+        im[..., 1] = np.where(first, hy, 0.0)
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    if band == "upper":
-        u = np.stack([-np.conj(u[..., 1]), np.conj(u[..., 0])], axis=-1)
-    u = _gauge_fix(u)
     if gauge_fn is not None:
         u = u * np.exp(1j * np.asarray(gauge_fn(kpts)))[..., None]
     return u
@@ -329,7 +361,7 @@ def reciprocal_coefficients(
     G: np.ndarray, geom: LatticeGeometry = DEFAULT_GEOMETRY
 ) -> np.ndarray:
     """Coefficients (m, n) with G = m b1 + n b2, not necessarily integer."""
-    return np.linalg.solve(geom.reciprocal_basis, np.asarray(G, dtype=float))
+    return geom.inverse_reciprocal_basis @ np.asarray(G, dtype=float)
 
 
 def is_reciprocal(G: np.ndarray, geom: LatticeGeometry = DEFAULT_GEOMETRY) -> bool:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -57,6 +57,7 @@ __all__ = [
     "site_displacements",
     "plan_site",
     "validate_plan",
+    "LegPass",
     "leg_pass",
     "perturb_plan",
 ]
@@ -280,35 +281,52 @@ def plan_site(
     )
 
 
+class LegPass(NamedTuple):
+    """Both legs' samples, stacked down leg first, with their Bloch fields
+    (h0, hx, hy, hz) and band energies (lower, upper); ``slices`` holds each
+    packet's rows of the stack, keyed by packet."""
+
+    points: np.ndarray
+    fields: tuple
+    energies: tuple
+    slices: dict
+    diagnostics: PlanDiagnostics
+
+
 def validate_plan(plan: ProtocolPlan, p: ModelParams) -> PlanDiagnostics:
     """The diagnostics of ``leg_pass``."""
-    return leg_pass(plan, p)[2]
+    return leg_pass(plan, p).diagnostics
 
 
-def leg_pass(
-    plan: ProtocolPlan, p: ModelParams
-) -> tuple[dict, dict, PlanDiagnostics]:
-    """Bloch fields and band energies of both legs, keyed by packet, and the
-    plan diagnostics; raise MalformedPlan when the plan is broken.
+def leg_pass(plan: ProtocolPlan, p: ModelParams) -> LegPass:
+    """Bloch fields and band energies of both legs and the plan
+    diagnostics; raise MalformedPlan when the plan is broken.
 
-    The one field evaluation of each leg.  The legs' start points must lie
-    within 1e-9 of each other in every coordinate, which is checked before
-    any field is evaluated.  The adiabaticity figure is xi = max over the
-    legs of |dk/dt| / gap^2 with the leg's minimum gap; a warning is
-    recorded above 0.1.
+    The one field evaluation of the plan: both legs' samples go through a
+    single ``bloch_fields`` call.  The legs' start points must lie within
+    1e-9 of each other in every coordinate, which is checked before any
+    field is evaluated.  The adiabaticity figure is xi = max over the legs
+    of |dk/dt| / gap^2 with the leg's minimum gap; a warning is recorded
+    above 0.1.
     """
     residual = float(np.max(np.abs(plan.k_path_down.start - plan.k_path_up.start)))
     if residual >= 1e-9:
         raise MalformedPlan(f"plan legs start {residual:.3e} apart (>= 1e-9)")
-    fields = {packet: bloch_fields(leg.points, p) for packet, leg in plan.legs.items()}
-    energies = {packet: energies_from_fields(f) for packet, f in fields.items()}
+    slices = {}
+    offset = 0
+    for packet, leg in plan.legs.items():
+        slices[packet] = slice(offset, offset + leg.n + 1)
+        offset += leg.n + 1
+    points = np.concatenate([leg.points for leg in plan.legs.values()])
+    fields = bloch_fields(points, p)
+    e_lo, e_up = energies = energies_from_fields(fields)
 
     reciprocal = is_reciprocal(plan.endpoint_up - plan.endpoint_down, p.geometry)
 
     xi = 0.0
-    for packet, (e_lo, e_up) in energies.items():
+    for packet, rows in slices.items():
         speed = np.linalg.norm(plan.total_displacements[packet]) / plan.leg_time
-        xi = max(xi, float(speed / np.min(e_up - e_lo) ** 2))
+        xi = max(xi, float(speed / np.min(e_up[rows] - e_lo[rows]) ** 2))
     warning = xi > 0.1
     messages = []
     if warning:
@@ -324,7 +342,7 @@ def leg_pass(
         adiabatic_warning=warning,
         messages=tuple(messages),
     )
-    return fields, energies, diagnostics
+    return LegPass(points, fields, energies, slices, diagnostics)
 
 
 def perturb_plan(

@@ -367,16 +367,31 @@ def field_calls(monkeypatch):
     return calls
 
 
-def test_adiabatic_evolution_evaluates_each_leg_once(field_calls):
+def _stacked_legs(plan):
+    """Both legs' samples, down leg first, as the one field pass takes them."""
+    return np.concatenate([plan.k_path_down.points, plan.k_path_up.points])
+
+
+def test_adiabatic_evolution_evaluates_each_leg_once(monkeypatch, field_calls):
+    """One ``bloch_fields`` call on both legs' samples, each sample once,
+    and one state construction and one link product over the stack."""
     plan = plan_site("I", P0, samples_per_leg=300)
-    legs = (plan.k_path_down.points, plan.k_path_up.points)
+    calls = []
+    for name in ("states_from_fields", "transport_link"):
+        original = getattr(chernscope.interferometer, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(chernscope.interferometer, name, counting)
     state = initial_state()
     assert field_calls.bloch == []
     evolve_adiabatic(state, plan, P0)
-    assert len(field_calls.bloch) == 2
-    for leg, kpts in zip(legs, field_calls.bloch):
-        assert np.array_equal(kpts, leg)
+    assert len(field_calls.bloch) == 1
+    assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan))
     assert field_calls.line == []
+    assert calls == ["states_from_fields", "transport_link"]
 
 
 def _line_blocks_per_leg(line_calls, n_steps, block):
@@ -401,10 +416,10 @@ def _line_blocks_per_leg(line_calls, n_steps, block):
 
 
 def test_tdse_evaluates_leg_samples_once_besides_midpoints(monkeypatch, field_calls):
-    """The legs' samples go through ``bloch_fields`` once each; the
-    midpoints of each leg go through ``line_fields`` once each, in blocks,
-    from the leg start plus half a step.  The leg takes one block at the
-    default block size and several with a short tail at 100."""
+    """The legs' samples go through one ``bloch_fields`` call, each sample
+    once; the midpoints of each leg go through ``line_fields`` once each,
+    in blocks, from the leg start plus half a step.  The leg takes one
+    block at the default block size and several with a short tail at 100."""
     plan = plan_site("I", P0, leg_time=2.0, samples_per_leg=300)
     plan_legs = (plan.k_path_down, plan.k_path_up)
     for block in (chernscope.interferometer._TDSE_BLOCK, 100):
@@ -412,9 +427,8 @@ def test_tdse_evaluates_leg_samples_once_besides_midpoints(monkeypatch, field_ca
         field_calls.bloch.clear()
         field_calls.line.clear()
         _, diagnostics = evolve_tdse(initial_state(), plan, P0)
-        assert len(field_calls.bloch) == 2
-        for leg, kpts in zip(plan_legs, field_calls.bloch):
-            assert np.array_equal(kpts, leg.points)
+        assert len(field_calls.bloch) == 1
+        assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan))
         n = diagnostics.n_steps
         assert 100 < n < 8192 and n % 100 != 0
         legs = _line_blocks_per_leg(field_calls.line, n, block)
@@ -529,8 +543,8 @@ def test_tdse_step_budget_refuses_before_allocating(monkeypatch, field_calls):
     field_calls.line.clear()
     with pytest.raises(ValueError, match="budget"):
         evolve_tdse(initial_state(), plan, P0)
-    legs = (plan.k_path_down.points, plan.k_path_up.points)
-    assert [len(k) for k in field_calls.bloch] == [len(k) for k in legs]
+    assert len(field_calls.bloch) == 1
+    assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan))
     assert field_calls.line == []
 
 
@@ -538,7 +552,8 @@ def test_tdse_step_budget_refuses_before_allocating(monkeypatch, field_calls):
 def test_tdse_diagnostics_carry_plan_xi(leg_time, field_calls):
     plan = plan_site("I", P0, leg_time=leg_time, samples_per_leg=400)
     _, diag = evolve_tdse(initial_state(), plan, P0)
-    assert len(field_calls.bloch) == 2  # two legs
+    assert len(field_calls.bloch) == 1  # both legs in one pass
+    assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan))
     legs = _line_blocks_per_leg(  # midpoints
         field_calls.line, diag.n_steps, chernscope.interferometer._TDSE_BLOCK
     )

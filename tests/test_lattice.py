@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chernscope import (
     DEFAULT_GEOMETRY,
@@ -18,6 +18,7 @@ from chernscope import (
     boundary_phase,
     hamiltonian,
     high_symmetry_path,
+    is_reciprocal,
     line_fields,
     reciprocal_coefficients,
     sublattice_matching,
@@ -322,6 +323,116 @@ def test_gauge_fix_largest_component_real_positive(kxy, band):
     # Near-ties are anchored on either component, so accept any maximal one.
     leads = u[mags >= mags.max() - 1e-9]
     assert any(abs(c.imag) < 1e-9 and c.real > 0 for c in leads)
+
+
+def gauge_fixed_reference(fields, band):
+    """The former construction of the states, kept here as a reference:
+    the lower-band forms (hz - n, hx + i hy) where hz <= 0 and
+    (-(hx - i hy), hz + n) elsewhere, normalized, the upper band as the
+    orthogonal complement, then each state rotated so that its computed
+    larger-modulus component is real positive, ties to the first."""
+    _, hx, hy, hz = fields
+    n = np.sqrt(hx * hx + hy * hy + hz * hz)
+    u = np.empty(np.shape(hx) + (2,), dtype=complex)
+    use_a = hz <= 0
+    u[..., 0] = np.where(use_a, hz - n, -(hx - 1j * hy))
+    u[..., 1] = np.where(use_a, hx + 1j * hy, hz + n)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    if band == "upper":
+        u = np.stack([-np.conj(u[..., 1]), np.conj(u[..., 0])], axis=-1)
+    mags = np.abs(u)
+    idx = (mags[..., 1] > mags[..., 0]).astype(int)
+    comp = np.take_along_axis(u, idx[..., None], axis=-1)[..., 0]
+    return u * np.conj(comp / np.abs(comp))[..., None]
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+    st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False),
+)
+@example(seed=0, tp=0.1, phi=np.pi / 2)
+@example(seed=1, tp=0.0, phi=0.3)
+@example(seed=2, tp=0.2, phi=0.0)
+@example(seed=3, tp=0.2, phi=np.pi)
+@settings(max_examples=60, deadline=None)
+def test_closed_form_gauge(seed, tp, phi):
+    """Over gapped momenta: the component the closed form puts on the real
+    axis has the larger modulus, an imaginary part of exactly 0 and a
+    positive real part; each state is a unit eigenvector of H(k) at its
+    band energy; the bands are orthogonal; and where hz is nonzero beyond
+    rounding the states are the former normalize-then-rotate states."""
+    p = ModelParams(tp=tp, phi=phi)
+    kpts = np.random.default_rng(seed).uniform(-7.0, 7.0, size=(256, 2))
+    fields = bloch_fields(kpts, p)
+    _, hx, hy, hz = fields
+    n = np.sqrt(hx * hx + hy * hy + hz * hz)
+    gapped = 2 * n > 1e-6
+    assume(np.any(gapped))
+    kpts, fields, n = kpts[gapped], tuple(f[gapped] for f in fields), n[gapped]
+    hz = fields[3]
+    h = hamiltonian(kpts, p)
+    e_lo, e_up = band_energies(kpts, p)
+    states = {}
+    for band, e, real_first in (("lower", e_lo, hz <= 0), ("upper", e_up, hz >= 0)):
+        u = band_states(kpts, p, band)
+        states[band] = u
+        lead = np.where(real_first, u[:, 0], u[:, 1])
+        other = np.where(real_first, u[:, 1], u[:, 0])
+        assert np.all(lead.imag == 0.0) and np.all(lead.real > 0.0)
+        assert np.all(np.abs(lead) >= np.abs(other) - 1e-15)
+        assert np.all(np.abs(np.linalg.norm(u, axis=-1) - 1.0) <= 1e-15)
+        residual = np.einsum("kij,kj->ki", h, u) - e[:, None] * u
+        assert np.max(np.abs(residual)) <= 1e-12 * max(1.0, float(np.max(n)))
+        resolved = np.abs(hz) > 1e-12 * n
+        reference = gauge_fixed_reference(fields, band)
+        assert np.max(np.abs(u - reference)[resolved], initial=0.0) <= 2e-16
+    overlap = np.einsum("kc,kc->k", states["lower"].conj(), states["upper"])
+    assert np.max(np.abs(overlap)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "p", [ModelParams(tp=0.0), ModelParams(phi=0.0)], ids=["tp=0", "phi=0"]
+)
+def test_gauge_ties_go_to_the_first_component(p):
+    """Where hz vanishes both components of a state have modulus |h|/sqrt2;
+    the documented tie rule puts the first one on the positive real axis in
+    both bands."""
+    kpts = np.random.default_rng(7).uniform(-7.0, 7.0, size=(20000, 2))
+    assert np.all(bloch_fields(kpts, p)[3] == 0.0)
+    for band in ("lower", "upper"):
+        first = band_states(kpts, p, band)[:, 0]
+        assert np.all(first.imag == 0.0)
+        assert np.all(first.real > 0.0)
+
+
+def test_geometry_constants_are_computed_once_and_read_only():
+    g = LatticeGeometry.with_scale(1.3)
+    assert g.nn_vectors is g.nn_vectors
+    assert g.inverse_reciprocal_basis is g.inverse_reciprocal_basis
+    assert np.array_equal(g.nn_vectors, np.stack([g.e1, g.e2, g.e3]))
+    assert np.allclose(
+        g.inverse_reciprocal_basis @ g.reciprocal_basis, np.eye(2), rtol=0, atol=1e-15
+    )
+    for constant in (g.nn_vectors, g.inverse_reciprocal_basis):
+        with pytest.raises(ValueError):
+            constant[0, 0] = 0.0
+
+
+@given(
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.sampled_from([0.0, 1e-13, 1e-11, 1e-7, 1e-3, 0.4]),
+    st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_is_reciprocal_agrees_with_a_linear_solve(m, n, offset, angle):
+    """The cached inverse basis classifies G as the 2x2 solve does."""
+    g = DEFAULT_GEOMETRY
+    G = m * g.b1 + n * g.b2 + offset * np.array([np.cos(angle), np.sin(angle)])
+    coeff = np.linalg.solve(g.reciprocal_basis, G)
+    expected = bool(np.max(np.abs(coeff - np.round(coeff))) <= 1e-9)
+    assert is_reciprocal(G, g) == expected
 
 
 def test_band_states_vectorized_matches_pointwise():
