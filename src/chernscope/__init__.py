@@ -63,6 +63,7 @@ from .interferometer import (
     apply_pi,
     apply_pi2,
     evolve_adiabatic,
+    evolve_adiabatic_batch,
     evolve_tdse,
     initial_state,
     landau_zener_estimate,

@@ -15,16 +15,21 @@ threshold, they are diagnostics.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateScan
-from .interferometer import FringeScan, run_fringe, wrap_angle
+from .interferometer import (
+    FringeScan,
+    SpinorState,
+    evolve_adiabatic_batch,
+    readout_scan,
+    wrap_angle,
+)
 from .lattice import ModelParams
-from .protocol import ProtocolPlan, perturb_plan, plan_site
+from .protocol import perturb_plan, plan_site
 from .topology import chern_from_zak
 
 __all__ = [
@@ -42,6 +47,8 @@ __all__ = [
 ]
 
 AMBIGUOUS = "Ambiguous"
+
+_SITES = ("I", "II")
 
 # Largest pulse-phase scan and largest sweep, counted in trials over all
 # radii; see default_phi_grid and robustness_sweep for what they imply.
@@ -177,22 +184,20 @@ def classify(
 
 
 def _site_scan_and_points(
-    p: ModelParams,
-    plan: ProtocolPlan,
-    phi_grid: np.ndarray,
-    nominal_phi: float,
-    zeeman_rate: float,
+    end: SpinorState, site: str, phi_grid: np.ndarray, nominal_phi: float
 ) -> tuple[FringeScan, float, float]:
-    """One evolution, scanned over the grid plus the two diagnostic phases
-    (0 and ``nominal_phi``) appended to it."""
-    full = run_fringe(
-        p, plan, np.append(phi_grid, [0.0, nominal_phi]), zeeman_rate=zeeman_rate
-    )
+    """The scan of an adiabatic end state over the grid, and N_up at the two
+    diagnostic phases 0 and ``nominal_phi``, read out with the grid."""
+    n_down, n_up = readout_scan(end, np.append(phi_grid, [0.0, nominal_phi]))
     m = len(phi_grid)
-    scan = dataclasses.replace(
-        full, phi_mw_values=phi_grid, n_down=full.n_down[:m], n_up=full.n_up[:m]
+    scan = FringeScan(
+        phi_mw_values=phi_grid,
+        n_down=n_down[:m],
+        n_up=n_up[:m],
+        mode="adiabatic",
+        site=site,
     )
-    return scan, full.n_up[m], full.n_up[m + 1]
+    return scan, n_up[m], n_up[m + 1]
 
 
 def _radius_row(radius: float, records: list) -> RobustnessRow:
@@ -236,11 +241,15 @@ def robustness_sweep(
     and a single seeded generator make the table reproducible.  Every
     evolution runs at ``zeeman_rate``.
 
-    The ``sweep`` command peaks at about 1.1 kB per trial (tracemalloc at
-    100 and 400 trials per radius over 4 radii), so the budget of
+    Each perturbed plan is built as its seed is drawn, in (radius, trial,
+    site) order, and the plans are evolved by
+    :func:`chernscope.interferometer.evolve_adiabatic_batch` a few per
+    pass, so only one batch of plans is held at a time.  The
+    ``sweep`` command peaks at about 1.2 kB per trial (tracemalloc at 400
+    and 1,600 trials per radius over 4 radii), so the budget of
     ``MAX_SWEEP_TRIALS`` = 100,000 trials over all radii implies about
-    110 MB; a trial takes about 3 ms at the default sampling on one Intel Xeon
-    vCPU, so the budget also bounds the run to about five minutes.
+    120 MB; a trial takes about 2 ms at the default sampling on one Intel
+    Xeon vCPU, so the budget also bounds the run to about four minutes.
 
     Raises:
         ValueError: if ``trials`` is below 1, or ``trials`` times the number
@@ -260,18 +269,26 @@ def robustness_sweep(
             site, p, leg_time=leg_time, with_echo=with_echo,
             samples_per_leg=samples_per_leg,
         )
-        for site in ("I", "II")
+        for site in _SITES
     }
     nominal_fits = {}
     nominal_phi = {}
-    for site, plan in plans.items():
-        scan, _, _ = _site_scan_and_points(p, plan, phi_grid, 0.0, zeeman_rate)
+    nominal_ends = evolve_adiabatic_batch(plans.values(), p, zeeman_rate)
+    for site, (end, _) in zip(_SITES, nominal_ends):
+        scan, _, _ = _site_scan_and_points(end, site, phi_grid, 0.0)
         nominal_fits[site] = fit_fringe(scan)
         nominal_phi[site] = nominal_fits[site].phi_zak
     nominal = classify(nominal_fits["I"], nominal_fits["II"])
     nominal_sum = nominal_phi["I"] + nominal_phi["II"]
 
     rng = np.random.default_rng(seed)
+    perturbed = (
+        perturb_plan(plans[site], radius=radius, seed=int(rng.integers(0, 2**63 - 1)))
+        for radius in error_radii
+        for _ in range(trials)
+        for site in _SITES
+    )
+    ends = evolve_adiabatic_batch(perturbed, p, zeeman_rate)
     rows = []
     records = []
     for radius in error_radii:
@@ -280,11 +297,10 @@ def robustness_sweep(
             fits = {}
             zeros = {}
             nominals = {}
-            for site in ("I", "II"):
-                trial_seed = int(rng.integers(0, 2**63 - 1))
-                pplan = perturb_plan(plans[site], radius=radius, seed=trial_seed)
+            for site in _SITES:
+                end, _ = next(ends)
                 scan, zeros[site], nominals[site] = _site_scan_and_points(
-                    p, pplan, phi_grid, nominal_phi[site], zeeman_rate
+                    end, site, phi_grid, nominal_phi[site]
                 )
                 fits[site] = fit_fringe(scan)
             report = classify(fits["I"], fits["II"])

@@ -15,16 +15,19 @@ its straight momentum leg, and the two evolution routes are
   equation with the midpoint Hamiltonian exponentiated in closed form per
   step, which resolves nonadiabatic band leakage.
 
-Each route evaluates the Bloch fields of both legs' samples in one pass,
-:func:`chernscope.protocol.leg_pass`, which also checks the plan and
-stacks the legs, each packet's samples a slice of the stack.  The adiabatic
-route derives the lower-band states with their gap check, the transport
-links and the dynamical phase over the whole stack at once, and reads each
-packet's product and trapezoid off its slice, so the one link across the
-seam between the legs goes unused; the stepwise route derives the
-step-size bandwidth and its end states from the pass, and takes its
-midpoint fields from :func:`chernscope.lattice.line_fields` in fixed-size
-blocks.
+Each route evaluates the Bloch fields of its legs' samples in one pass,
+:func:`chernscope.protocol.leg_pass`, which also checks the plans and
+stacks the legs of a batch of plans with one leg sampling into a
+(plans, 2, n + 1) array.  The adiabatic route takes such a batch:
+:func:`evolve_adiabatic_batch` groups a stream of plans into passes of at
+most ``_ADIABATIC_BATCH`` momenta, and :func:`evolve_adiabatic` is the
+batch of one.  A pass derives the lower-band states with their gap check,
+the transport links and the dynamical phase over the whole stack at once,
+and takes each leg's link product and trapezoid over the sample axis, so
+a plan's result does not depend on the batch it ran in.  The stepwise
+route passes its one plan, derives the step-size bandwidth and its end
+states from the pass, and takes its midpoint fields from
+:func:`chernscope.lattice.line_fields` in fixed-size blocks.
 
 Both routes end with the two packets at momenta one reciprocal vector apart
 (up to planned endpoint error), and close the same way: the split state of
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -75,6 +78,7 @@ __all__ = [
     "readout",
     "readout_scan",
     "evolve_adiabatic",
+    "evolve_adiabatic_batch",
     "evolve_tdse",
     "run_fringe",
     "landau_zener_estimate",
@@ -88,6 +92,12 @@ MAX_TDSE_STEPS = 2**22
 # (about 1.1 MB) stay in cache and their memory is reused by the next
 # block, so a call does not page in memory that grows with the step count.
 _TDSE_BLOCK = 8192
+
+# Momenta per pass of evolve_adiabatic_batch: four plans at the sweep's
+# default 1,200 samples per leg.  A pass peaks at about 1.5 MB (tracemalloc),
+# which stays in a 2 MB per-core L2 cache, and pays its fixed cost once for
+# the batch; two and eight plans per pass made the sweep slower.
+_ADIABATIC_BATCH = 9608
 
 
 def wrap_angle(x: float) -> float:
@@ -290,12 +300,6 @@ def _close(
     return apply_pi(end) if plan.with_echo else end
 
 
-def _trapezoid_phase(e_lower: np.ndarray, leg_time: float) -> float:
-    """Trapezoid integral of the lower band energies at a leg's uniform
-    samples, the leg traversed in ``leg_time``."""
-    return float(np.trapezoid(e_lower, dx=leg_time / (len(e_lower) - 1)))
-
-
 def evolve_adiabatic(
     state: SpinorState,
     plan: ProtocolPlan,
@@ -308,41 +312,80 @@ def evolve_adiabatic(
     Returns the end state and the phase ledger.  The discrete geometric
     phases converge as the leg sampling grows; the plan default keeps them
     well below 1e-8 of the continuum values.  A NaN or infinite
-    ``zeeman_rate`` raises ValueError.
+    ``zeeman_rate`` raises ValueError.  The pass is that of
+    :func:`evolve_adiabatic_batch`, on a batch of one.
     """
     _require_pure_down(state)
-    zeeman_phase = _zeeman_phase(plan, zeeman_rate)
-    legs = leg_pass(plan, p)
+    return _adiabatic_pass([plan], p, zeeman_rate, gauge_fn)[0]
+
+
+def evolve_adiabatic_batch(
+    plans: Iterable[ProtocolPlan], p: ModelParams, zeeman_rate: float = 0.0
+) -> Iterator[tuple[SpinorState, PhaseLedger]]:
+    """``evolve_adiabatic`` from the spin-down state along each plan, in order.
+
+    Consecutive plans with one leg sampling share a pass of at most
+    ``_ADIABATIC_BATCH`` momenta, and at least one plan.  Each plan's end
+    state and ledger equal those of ``evolve_adiabatic`` bit for bit, and
+    ``plans`` is read lazily, so at most one batch of plans is held.
+    """
+    batch: list = []
+    for plan in plans:
+        n = plan.samples_per_leg
+        if batch and (
+            n != batch[0].samples_per_leg
+            or 2 * (n + 1) * (len(batch) + 1) > _ADIABATIC_BATCH
+        ):
+            yield from _adiabatic_pass(batch, p, zeeman_rate)
+            batch = []
+        batch.append(plan)
+    if batch:
+        yield from _adiabatic_pass(batch, p, zeeman_rate)
+
+
+def _adiabatic_pass(
+    plans: Sequence[ProtocolPlan], p: ModelParams, zeeman_rate: float, gauge_fn=None
+) -> list[tuple[SpinorState, PhaseLedger]]:
+    """End state and ledger of each plan of a batch, from one leg pass.
+
+    The lower-band states, their links and the trapezoid rule on the lower
+    band energy run over the whole (plans, 2, n + 1) stack of
+    :func:`chernscope.protocol.leg_pass`; the links' product and the
+    trapezoid are taken over the sample axis, each leg's own.
+    """
+    zeeman = [_zeeman_phase(plan, zeeman_rate) for plan in plans]
+    legs = leg_pass(plans, p)
     u = states_from_fields(legs.fields, legs.points, p, gauge_fn=gauge_fn)
-    links = transport_link(u[1:], u[:-1])
+    products = np.prod(transport_link(u[..., 1:, :], u[..., :-1, :]), axis=-1)
+    n = u.shape[-2] - 1
+    dx = np.array([plan.leg_time for plan in plans])[:, None, None] / n
+    dynamics = np.trapezoid(legs.energies[0], dx=dx, axis=-1)
 
-    phases = {}
-    dynamics = {}
-    ends = {}
-    for packet, rows in legs.slices.items():
-        product = complex(np.prod(links[rows.start:rows.stop - 1]))
-        phases[packet] = product / abs(product)
-        dynamics[packet] = _trapezoid_phase(legs.energies[0][rows], plan.leg_time)
-        ends[packet] = u[rows.stop - 1]
-
-    w = _matching_overlap(plan, ends)
-    ledger = PhaseLedger(
-        geometric_down=float(np.angle(phases["down"])),
-        geometric_up=float(np.angle(phases["up"])),
-        matching=float(np.angle(w)),
-        dynamic_down=dynamics["down"],
-        dynamic_up=dynamics["up"],
-        zeeman=-zeeman_phase,
-        with_echo=plan.with_echo,
-    )
-    final = _close(
-        plan,
-        phases["down"] * np.exp(-1j * dynamics["down"]),
-        phases["up"] * np.exp(-1j * dynamics["up"]),
-        w,
-        zeeman_phase,
-    )
-    return final, ledger
+    results = []
+    for plan, zeeman_phase, product, dynamic, u_end in zip(
+        plans, zeeman, products, dynamics, u[..., -1, :]
+    ):
+        phase_down, phase_up = (complex(x) / abs(complex(x)) for x in product)
+        dynamic_down, dynamic_up = (float(d) for d in dynamic)
+        w = _matching_overlap(plan, {"down": u_end[0], "up": u_end[1]})
+        ledger = PhaseLedger(
+            geometric_down=float(np.angle(phase_down)),
+            geometric_up=float(np.angle(phase_up)),
+            matching=float(np.angle(w)),
+            dynamic_down=dynamic_down,
+            dynamic_up=dynamic_up,
+            zeeman=-zeeman_phase,
+            with_echo=plan.with_echo,
+        )
+        final = _close(
+            plan,
+            phase_down * np.exp(-1j * dynamic_down),
+            phase_up * np.exp(-1j * dynamic_up),
+            w,
+            zeeman_phase,
+        )
+        results.append((final, ledger))
+    return results
 
 
 def _leg_propagator(fields: tuple, dt: float) -> tuple[complex, complex, complex]:
@@ -439,7 +482,7 @@ def evolve_tdse(
     """
     _require_pure_down(state)
     zeeman_phase = _zeeman_phase(plan, zeeman_rate)
-    legs = leg_pass(plan, p)
+    legs = leg_pass([plan], p)
     bw = max(float(np.max(np.abs(e))) for e in legs.energies)
     limit = 0.01 / bw
     if dt is None:
@@ -464,8 +507,7 @@ def evolve_tdse(
     amps = {}
     ends = {}
     drift = 0.0
-    for packet, rows in legs.slices.items():
-        leg = plan.legs[packet]
+    for i, (packet, leg) in enumerate(plan.legs.items()):
         start = leg.start
         step = (leg.end - start) / total_time * dt_actual
         phase, a, b = _line_propagator(
@@ -475,9 +517,9 @@ def evolve_tdse(
         drift = max(
             drift, float(np.max(np.abs(u_total.conj().T @ u_total - np.eye(2))))
         )
-        psi0 = states_from_fields(tuple(f[rows.start] for f in legs.fields), start, p)
+        psi0 = states_from_fields(tuple(f[0, i, 0] for f in legs.fields), start, p)
         ends[packet] = states_from_fields(
-            tuple(f[rows.stop - 1] for f in legs.fields), leg.end, p
+            tuple(f[0, i, -1] for f in legs.fields), leg.end, p
         )
         amps[packet] = complex(np.vdot(ends[packet], u_total @ psi0))
     if drift > 1e-8:
@@ -497,7 +539,7 @@ def evolve_tdse(
     diagnostics = TdseDiagnostics(
         dt=dt_actual,
         n_steps=n_steps,
-        xi=legs.diagnostics.xi,
+        xi=legs.diagnostics[0].xi,
         norm_drift=drift,
         leakage_down=leak_down,
         leakage_up=leak_up,

@@ -82,6 +82,7 @@ __all__ = [
     "band_energies",
     "states_from_fields",
     "energies_from_fields",
+    "field_norm",
     "is_reciprocal",
     "boundary_phase",
     "boundary_matrix",
@@ -246,7 +247,15 @@ def _fields_from_z(z: np.ndarray, p: ModelParams) -> tuple[np.ndarray, ...]:
     """(h0, hx, hy, hz) from the (..., 3) exponentials z_i = exp(i k . e_i)."""
     z1, z2, z3 = z[..., 0], z[..., 1], z[..., 2]
     nn = -p.t * (z1 + z2 + z3)
-    nnn = z3 * np.conj(z2) + z1 * np.conj(z3) + z2 * np.conj(z1)
+    # np.multiply fixes the operand order: from 16,384 values on, numpy
+    # would evaluate ``z3 * np.conj(z2)`` in place in the conj temporary
+    # with the operands swapped, and a momentum's last bits would then
+    # depend on the size of the array it sits in.
+    nnn = (
+        np.multiply(z3, np.conj(z2))
+        + np.multiply(z1, np.conj(z3))
+        + np.multiply(z2, np.conj(z1))
+    )
     h0 = -2 * p.tp * np.cos(p.phi) * nnn.real
     hz = -2 * p.tp * np.sin(p.phi) * nnn.imag
     return h0, nn.real, nn.imag, hz
@@ -313,12 +322,13 @@ def states_from_fields(
 ) -> np.ndarray:
     """``band_states`` from fields already evaluated at ``kpts``.
 
-    ``kpts`` only feeds ``gauge_fn`` and the GaplessPoint message.
+    ``kpts`` only feeds ``gauge_fn`` and the GaplessPoint message.  The
+    fields may carry |h| as a fifth entry (:func:`field_norm`).
     """
     if band not in ("lower", "upper"):
         raise ValueError(f"band must be 'lower' or 'upper', got {band!r}")
-    _, hx, hy, hz = fields
-    n = np.sqrt(hx * hx + hy * hy + hz * hz)
+    hx, hy, hz = fields[1:4]
+    n = field_norm(fields)
     if np.any(2 * n < p.gap_tol):
         bad = np.asarray(kpts)[2 * n < p.gap_tol]
         raise GaplessPoint(f"gap below {p.gap_tol:g} at k={bad[0]}")
@@ -351,10 +361,23 @@ def band_energies(kpts: np.ndarray, p: ModelParams) -> tuple[np.ndarray, np.ndar
 def energies_from_fields(
     fields: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``band_energies`` from fields already evaluated."""
-    h0, hx, hy, hz = fields
-    n = np.sqrt(hx * hx + hy * hy + hz * hz)
-    return h0 - n, h0 + n
+    """``band_energies`` from fields already evaluated; the fields may carry
+    |h| as a fifth entry (:func:`field_norm`)."""
+    n = field_norm(fields)
+    return fields[0] - n, fields[0] + n
+
+
+def field_norm(fields: tuple[np.ndarray, ...]) -> np.ndarray:
+    """|h| = sqrt(hx^2 + hy^2 + hz^2) of the fields (h0, hx, hy, hz), or
+    their fifth entry when they carry it.
+
+    A pass that needs both the energies and the states appends |h| to its
+    fields once, and both read it from there.
+    """
+    if len(fields) == 5:
+        return fields[4]
+    _, hx, hy, hz = fields
+    return np.sqrt(hx * hx + hy * hy + hz * hz)
 
 
 def reciprocal_coefficients(

@@ -32,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .lattice import (
     ModelParams,
     bloch_fields,
     energies_from_fields,
+    field_norm,
     is_reciprocal,
 )
 
@@ -129,8 +130,9 @@ class ProtocolStep:
 class ProtocolPlan:
     """One site's two momentum legs, run in ``leg_time`` with or without
     the midpoint echo.  The legs are the plan: its start, endpoints,
-    sampling and pulse/force sequence are read off them, and the one
-    inconsistency left, legs that start apart, is rejected by ``leg_pass``.
+    sampling and pulse/force sequence are read off them, and the two
+    inconsistencies left, legs that start apart or are sampled unequally,
+    are rejected by ``leg_pass``.
     """
 
     site: str
@@ -251,10 +253,10 @@ def plan_site(
     An odd ``samples_per_leg`` is raised by one, so the echo midpoint is a
     sample.
 
-    A run of the plan peaks at about 275 bytes per sample of
+    A run of the plan peaks at about 310 bytes per sample of
     ``samples_per_leg`` (tracemalloc of ``fringe``, ``zak`` and ``sweep``
     at 20,000 and 80,000), so the budget of ``MAX_SAMPLES_PER_LEG`` =
-    1,000,000 implies a peak of about 275 MB.
+    1,000,000 implies a peak of about 310 MB.
 
     Raises:
         ValueError: if ``samples_per_leg`` is below 1 or over the budget,
@@ -282,51 +284,87 @@ def plan_site(
 
 
 class LegPass(NamedTuple):
-    """Both legs' samples, stacked down leg first, with their Bloch fields
-    (h0, hx, hy, hz) and band energies (lower, upper); ``slices`` holds each
-    packet's rows of the stack, keyed by packet."""
+    """The legs of a batch of plans that share one sampling of n intervals.
+
+    ``points`` holds the samples as a (plans, 2, n + 1, 2) array, each
+    plan's down leg first.  ``fields`` holds the Bloch fields (h0, hx, hy,
+    hz) followed by |h| (:func:`chernscope.lattice.field_norm`), and
+    ``energies`` the band energies (lower, upper), each a (plans, 2, n + 1)
+    array.  ``diagnostics`` holds each plan's PlanDiagnostics, in batch
+    order.
+    """
 
     points: np.ndarray
     fields: tuple
     energies: tuple
-    slices: dict
-    diagnostics: PlanDiagnostics
+    diagnostics: tuple
 
 
 def validate_plan(plan: ProtocolPlan, p: ModelParams) -> PlanDiagnostics:
-    """The diagnostics of ``leg_pass``."""
-    return leg_pass(plan, p).diagnostics
+    """The diagnostics of ``leg_pass`` on the one plan."""
+    return leg_pass([plan], p).diagnostics[0]
 
 
-def leg_pass(plan: ProtocolPlan, p: ModelParams) -> LegPass:
-    """Bloch fields and band energies of both legs and the plan
-    diagnostics; raise MalformedPlan when the plan is broken.
+def leg_pass(plans: Sequence[ProtocolPlan], p: ModelParams) -> LegPass:
+    """Bloch fields and band energies of a batch of plans' legs, and each
+    plan's diagnostics; raise MalformedPlan when a plan is broken.
 
-    The one field evaluation of the plan: both legs' samples go through a
-    single ``bloch_fields`` call.  The legs' start points must lie within
-    1e-9 of each other in every coordinate, which is checked before any
-    field is evaluated.  The adiabaticity figure is xi = max over the legs
-    of |dk/dt| / gap^2 with the leg's minimum gap; a warning is recorded
-    above 0.1.
+    The one field evaluation of the batch: every leg's samples go through a
+    single ``bloch_fields`` call on the flat stack.  Each plan is checked
+    before any field is evaluated: its legs' start points must lie within
+    1e-9 of each other in every coordinate, and each of its legs must have
+    the batch's number of sample intervals.  The samples are those of
+    ``Leg.points``, with one ``np.linspace`` shared by all legs.  The
+    adiabaticity figure of a plan is xi = max over its legs of
+    |dk/dt| / gap^2 with the leg's minimum gap; a warning is recorded above
+    0.1.
     """
-    residual = float(np.max(np.abs(plan.k_path_down.start - plan.k_path_up.start)))
-    if residual >= 1e-9:
-        raise MalformedPlan(f"plan legs start {residual:.3e} apart (>= 1e-9)")
-    slices = {}
-    offset = 0
-    for packet, leg in plan.legs.items():
-        slices[packet] = slice(offset, offset + leg.n + 1)
-        offset += leg.n + 1
-    points = np.concatenate([leg.points for leg in plan.legs.values()])
-    fields = bloch_fields(points, p)
+    n = plans[0].samples_per_leg
+    residuals = []
+    for plan in plans:
+        down, up = plan.k_path_down, plan.k_path_up
+        residual = float(np.max(np.abs(down.start - up.start)))
+        if residual >= 1e-9:
+            raise MalformedPlan(f"plan legs start {residual:.3e} apart (>= 1e-9)")
+        if down.n != n or up.n != n:
+            raise MalformedPlan(
+                f"plan legs take {down.n} and {up.n} sample intervals where "
+                f"the batch takes {n}"
+            )
+        residuals.append(residual)
+    starts = np.array([leg.start for plan in plans for leg in plan.legs.values()])
+    ends = np.array([leg.end for plan in plans for leg in plan.legs.values()])
+    frac = np.linspace(0.0, 1.0, n + 1)
+    diff = ends - starts
+    points = np.empty((len(starts), n + 1, 2))
+    for c in range(2):  # a coordinate at a time, so each loop runs along a leg
+        np.multiply(frac, diff[:, c, None], out=points[..., c])
+        points[..., c] += starts[:, c, None]
+    points = points.reshape(len(plans), 2, n + 1, 2)
+    fields = bloch_fields(points.reshape(-1, 2), p)
+    fields = tuple(
+        f.reshape(points.shape[:-1]) for f in fields + (field_norm(fields),)
+    )
     e_lo, e_up = energies = energies_from_fields(fields)
 
-    reciprocal = is_reciprocal(plan.endpoint_up - plan.endpoint_down, p.geometry)
+    min_gaps = np.min(e_up - e_lo, axis=-1)
+    diagnostics = tuple(
+        _diagnostics(plan, p, residual, gaps)
+        for plan, residual, gaps in zip(plans, residuals, min_gaps)
+    )
+    return LegPass(points, fields, energies, diagnostics)
 
+
+def _diagnostics(
+    plan: ProtocolPlan, p: ModelParams, residual: float, min_gaps: np.ndarray
+) -> PlanDiagnostics:
+    """A checked plan's diagnostics from its start residual and the minimum
+    gap of each of its legs."""
     xi = 0.0
-    for packet, rows in slices.items():
-        speed = np.linalg.norm(plan.total_displacements[packet]) / plan.leg_time
-        xi = max(xi, float(speed / np.min(e_up[rows] - e_lo[rows]) ** 2))
+    for disp, gap in zip(plan.total_displacements.values(), min_gaps):
+        speed = np.linalg.norm(disp) / plan.leg_time
+        xi = max(xi, float(speed / gap**2))
+    reciprocal = is_reciprocal(plan.endpoint_up - plan.endpoint_down, p.geometry)
     warning = xi > 0.1
     messages = []
     if warning:
@@ -335,14 +373,13 @@ def leg_pass(plan: ProtocolPlan, p: ModelParams) -> LegPass:
         )
     if not reciprocal:
         messages.append("endpoint pair is not reciprocal-equivalent")
-    diagnostics = PlanDiagnostics(
+    return PlanDiagnostics(
         endpoint_residual=residual,
         endpoints_reciprocal=reciprocal,
         xi=xi,
         adiabatic_warning=warning,
         messages=tuple(messages),
     )
-    return LegPass(points, fields, energies, slices, diagnostics)
 
 
 def perturb_plan(

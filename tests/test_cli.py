@@ -14,6 +14,7 @@ import pytest
 import chernscope
 import chernscope.analysis
 import chernscope.cli
+import chernscope.interferometer
 import chernscope.lattice
 import chernscope.protocol
 import chernscope.topology
@@ -119,6 +120,30 @@ def test_sweep_runs_are_byte_identical():
     assert summary["nominal-classification"] == "Ambiguous"
     assert "## table: sweep" in first[1]
     assert "## table: sweep-trials" in first[1]
+
+
+def test_sweep_output_does_not_depend_on_batch_size(monkeypatch):
+    """One plan per pass and one pass past 16,384 momenta print the same
+    bytes as the default batches, and the radius-0 row stays exact."""
+    args = ("sweep", "--trials", "3")
+    reference = run_cli(*args)
+    assert reference[0] == 0
+    fields = chernscope.lattice.bloch_fields
+    for batch, pass_sizes in ((1, {2 * 1201}), (10**6, {4 * 1201, 48 * 1201})):
+        sizes = []
+
+        def counting(kpts, p):
+            sizes.append(len(kpts))
+            return fields(kpts, p)
+
+        monkeypatch.setattr(chernscope.protocol, "bloch_fields", counting)
+        monkeypatch.setattr(chernscope.interferometer, "_ADIABATIC_BATCH", batch)
+        assert run_cli(*args) == reference
+        assert set(sizes) == pass_sizes
+    table = reference[1].split("## table: sweep\n", 1)[1].splitlines()
+    assert table[:4] == [
+        "radius: 0", "trials: 3", "success_rate: 1", "max_zak_error: 0"
+    ]
 
 
 def test_sweep_writes_data_files(tmp_path):
@@ -398,7 +423,9 @@ def test_sweep_trials_over_budget_exit_before_evolving(monkeypatch):
     lowered so no long sweep runs."""
     monkeypatch.setattr(chernscope.analysis, "MAX_SWEEP_TRIALS", 8)
     assert run_cli("sweep", "--trials", "2", "--samples-per-leg", "20")[0] == 0
-    monkeypatch.setattr(chernscope.analysis, "run_fringe", _refuse_evolution)
+    monkeypatch.setattr(
+        chernscope.analysis, "evolve_adiabatic_batch", _refuse_evolution
+    )
     code, out, err = run_cli("sweep", "--trials", "3", "--samples-per-leg", "20")
     assert code == 1
     assert "budget of 8" in error_record(out, err)
@@ -410,7 +437,9 @@ def test_phi_mw_points_over_budget_exit_before_evolving(monkeypatch, command):
     monkeypatch.setattr(chernscope.analysis, "MAX_PHI_MW_POINTS", 30)
     argv = (command, "--trials", "1", "--samples-per-leg", "20", "--phi-mw-points")
     assert run_cli(*argv, "30")[0] == 0
-    monkeypatch.setattr(chernscope.analysis, "run_fringe", _refuse_evolution)
+    monkeypatch.setattr(
+        chernscope.analysis, "evolve_adiabatic_batch", _refuse_evolution
+    )
     monkeypatch.setattr(chernscope.cli, "run_fringe", _refuse_evolution)
     code, out, err = run_cli(*argv, "31")
     assert code == 1

@@ -20,6 +20,7 @@ from chernscope import (
     apply_pi,
     apply_pi2,
     evolve_adiabatic,
+    evolve_adiabatic_batch,
     evolve_tdse,
     initial_state,
     landau_zener_estimate,
@@ -392,6 +393,34 @@ def test_adiabatic_evolution_evaluates_each_leg_once(monkeypatch, field_calls):
     assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan))
     assert field_calls.line == []
     assert calls == ["states_from_fields", "transport_link"]
+
+
+def test_adiabatic_batch_equals_single_evolutions(monkeypatch, field_calls):
+    """Each plan of a batch ends in the state and ledger of its own
+    evolution, bit for bit, in one pass or one pass per plan; a plan with
+    another leg sampling starts a new pass."""
+    plans = [
+        perturb_plan(
+            plan_site(site, P0, with_echo=echo, samples_per_leg=n),
+            radius=0.01,
+            seed=seed,
+        )
+        for seed, (site, echo, n) in enumerate(
+            [("I", True, 300), ("II", False, 300), ("II", True, 300),
+             ("I", False, 200), ("II", True, 200), ("I", True, 300)]
+        )
+    ]
+    for batch, passes in ((1, 6), (10**6, 3)):
+        monkeypatch.setattr(chernscope.interferometer, "_ADIABATIC_BATCH", batch)
+        field_calls.bloch.clear()
+        got = list(evolve_adiabatic_batch(plans, P0, zeeman_rate=0.01))
+        assert len(field_calls.bloch) == passes
+        for plan, (end, ledger) in zip(plans, got, strict=True):
+            ref_end, ref_ledger = evolve_adiabatic(
+                initial_state(), plan, P0, zeeman_rate=0.01
+            )
+            assert ledger == ref_ledger
+            assert (end.amp_down, end.amp_up) == (ref_end.amp_down, ref_end.amp_up)
 
 
 def _line_blocks_per_leg(line_calls, n_steps, block):

@@ -109,6 +109,19 @@ def test_line_fields_match_bloch_fields_on_the_line(n, k0, span, tp, phi):
         assert np.max(np.abs(got - ref)) <= 1e-13
 
 
+@pytest.mark.parametrize("copies", [2, 6, 7, 12])
+def test_bloch_fields_of_a_stack_equal_the_single_evaluation(copies):
+    """A momentum's fields do not depend on the array it sits in: stacked
+    copies of 2,402 momenta give the single evaluation's bits, below and
+    past the 16,384 values from which numpy evaluates some products in
+    place in their temporaries."""
+    kpts = np.random.default_rng(5).uniform(-7.0, 7.0, (2402, 2))
+    single = bloch_fields(kpts, P0)
+    stacked = bloch_fields(np.tile(kpts, (copies, 1)), P0)
+    for one, many in zip(single, stacked, strict=True):
+        assert np.array_equal(many, np.tile(one, copies))
+
+
 def test_geometry_refuses_nnn_vectors_off_the_nn_differences():
     g = DEFAULT_GEOMETRY
     assert np.array_equal(g.v1, g.e3 - g.e2)

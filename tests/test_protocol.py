@@ -23,6 +23,7 @@ from chernscope import (
     site_start,
     validate_plan,
 )
+from chernscope.protocol import leg_pass
 
 P0 = ModelParams()
 G = DEFAULT_GEOMETRY
@@ -180,6 +181,50 @@ def test_legs_that_start_apart_are_malformed(check):
     }[check]
     with pytest.raises(MalformedPlan, match="start"):
         run()
+
+
+def test_legs_sampled_unequally_are_malformed():
+    plan = plan_site("I", P0, samples_per_leg=40)
+    uneven = dataclasses.replace(
+        plan, k_path_up=Leg(plan.start, plan.endpoint_up, 42)
+    )
+    with pytest.raises(MalformedPlan, match="sample intervals"):
+        validate_plan(uneven, P0)
+
+
+def test_leg_pass_checks_every_plan_before_any_field(monkeypatch):
+    good = plan_site("I", P0, samples_per_leg=40)
+    apart = dataclasses.replace(
+        good, k_path_up=Leg(good.start + 0.1, good.endpoint_up, 40)
+    )
+
+    def refuse(kpts, p):
+        raise AssertionError("a field was evaluated before the plan check")
+
+    monkeypatch.setattr(chernscope.protocol, "bloch_fields", refuse)
+    with pytest.raises(MalformedPlan, match="start"):
+        leg_pass([good, apart], P0)
+
+
+def test_leg_pass_stacks_each_plans_legs():
+    """A batch's samples are each leg's ``Leg.points`` bit for bit, and each
+    plan's diagnostics are those of the plan on its own."""
+    plans = [
+        plan_site("I", P0, samples_per_leg=40),
+        perturb_plan(plan_site("II", P0, samples_per_leg=40), radius=0.01, seed=3),
+        plan_site("II", P0, leg_time=2.0, samples_per_leg=40),
+    ]
+    legs = leg_pass(plans, P0)
+    assert legs.points.shape == (3, 2, 41, 2)
+    for f in legs.fields + legs.energies:
+        assert f.shape == (3, 2, 41)
+    for plan, points, diagnostics in zip(
+        plans, legs.points, legs.diagnostics, strict=True
+    ):
+        assert np.array_equal(points[0], plan.k_path_down.points)
+        assert np.array_equal(points[1], plan.k_path_up.points)
+        assert diagnostics == validate_plan(plan, P0)
+    assert legs.diagnostics[2].adiabatic_warning
 
 
 def test_perturb_zero_radius_is_identity():
