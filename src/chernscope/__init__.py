@@ -81,6 +81,7 @@ from .analysis import (
     classify,
     default_phi_grid,
     fit_fringe,
+    fit_fringes,
     robustness_sweep,
 )
 

@@ -2,20 +2,29 @@
 
 The fitted fringe model is N_up(phi_mw) = (1 - c cos(phi_zak - phi_mw)) / 2,
 linear in (1, cos, sin) after expansion, so the fit is a plain least-squares
-solve.  Two site phases combine into the estimate (phi_I + phi_II) / pi,
+solve.  :func:`fit_fringes` fits a stack of readouts over one shared grid
+of pulse phases: it checks the grid once, builds the basis and its
+pseudo-inverse once (and keeps them for a small grid, which is fitted
+again and again), and applies them to each row by an elementwise multiply
+and a sum over the phase axis, so a row's fit does not depend on the rows
+that share its stack.  :func:`fit_fringe` is its one-row case.
+Two site phases combine into the estimate (phi_I + phi_II) / pi,
 classified to the nearest integer when within 1/4 (the per-phase pi/4 error
 budget expressed in whole-number units); anything farther is Ambiguous.
 
 The robustness sweep perturbs the leg endpoints, reruns the full pipeline,
-and tabulates how the realized phase error moves the classification.  The
-readout population at the nominal phase is recorded both at phi_mw = 0 and
-at phi_mw equal to the nominal fitted phase; neither is asserted against a
-threshold, they are diagnostics.
+and tabulates how the realized phase error moves the classification.  It
+reads out and fits its plans a block at a time: one readout pulse over the
+block's (plans, phases) array and one stacked fit.  The readout population
+is recorded both at phi_mw = 0 and at phi_mw equal to the nominal fitted
+phase; neither is asserted against a threshold, they are diagnostics.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,8 +33,8 @@ from .errors import DegenerateScan
 from .interferometer import (
     FringeScan,
     SpinorState,
+    _scan_populations,
     evolve_adiabatic_batch,
-    readout_scan,
     wrap_angle,
 )
 from .lattice import ModelParams
@@ -41,6 +50,7 @@ __all__ = [
     "RobustnessRow",
     "RobustnessTable",
     "fit_fringe",
+    "fit_fringes",
     "classify",
     "robustness_sweep",
     "default_phi_grid",
@@ -54,6 +64,15 @@ _SITES = ("I", "II")
 # radii; see default_phi_grid and robustness_sweep for what they imply.
 MAX_PHI_MW_POINTS = 1_000_000
 MAX_SWEEP_TRIALS = 100_000
+
+# Largest pulse-phase grid whose fit basis _fit_basis keeps: its four
+# entries then hold at most about 1 MB.
+_CACHED_GRID = 4096
+
+# Trials per readout block of a sweep: a radius's trials are read out and
+# fitted at most this many at a time, so a block's arrays (about 0.8 MB at
+# the default 24 pulse phases) do not grow with the trial count.
+_READOUT_TRIALS = 256
 
 
 def default_phi_grid(n: int = 24) -> np.ndarray:
@@ -138,25 +157,70 @@ class RobustnessTable:
     nominal: ChernReport
 
 
-def fit_fringe(scan: FringeScan) -> FringeFit:
-    """Least-squares fringe fit; needs at least 5 distinct pulse phases."""
-    phi = np.asarray(scan.phi_mw_values, dtype=float)
-    n_up = np.asarray(scan.n_up, dtype=float)
+@functools.lru_cache(maxsize=4)
+def _fit_basis(grid: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The basis (1, cos, sin) of a pulse-phase grid, given as the bytes of
+    its float64 array, and the basis's pseudo-inverse, both read-only.
+
+    Raises:
+        DegenerateScan: if the grid has fewer than 5 distinct phases.
+    """
+    phi = np.frombuffer(grid)
     if np.unique(np.round(phi, 12)).size < 5:
         raise DegenerateScan("need at least 5 distinct phi_mw points")
-    if np.ptp(n_up) == 0.0:
-        raise DegenerateScan("readout has zero variance across the scan")
     basis = np.column_stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
-    coef, *_ = np.linalg.lstsq(basis, n_up, rcond=None)
-    _, a, b = coef
-    phi_zak = wrap_angle(float(np.arctan2(-b, -a)))
-    contrast = 2.0 * float(np.hypot(a, b))
-    residual = basis @ coef - n_up
-    return FringeFit(
-        phi_zak=phi_zak,
-        contrast=contrast,
-        rms_residual=float(np.sqrt(np.mean(residual**2))),
+    pinv = np.linalg.pinv(basis)
+    basis.flags.writeable = pinv.flags.writeable = False
+    return basis, pinv
+
+
+def fit_fringes(phi_mw_values, n_up_rows) -> tuple:
+    """Least-squares fringe fit of each row of ``n_up_rows`` over one shared
+    grid of pulse phases; one FringeFit per row, in order.
+
+    The grid needs at least 5 distinct pulse phases, and no row may be flat.
+    The basis (1, cos, sin) of the grid and its pseudo-inverse are built
+    once (:func:`_fit_basis`); each row's coefficients are the
+    pseudo-inverse applied by an elementwise multiply and a sum over the
+    phase axis, not a matrix product, so a row's fit is bit for bit the
+    same whatever rows share its stack.
+
+    Raises:
+        DegenerateScan: if the grid has fewer than 5 distinct phases, or
+            any row has zero variance, before any fit is returned.
+        ValueError: if the rows are not a (rows, phases) array over the
+            grid.
+    """
+    phi = np.asarray(phi_mw_values, dtype=float)
+    rows = np.asarray(n_up_rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != phi.size:
+        raise ValueError(
+            f"readout rows of shape {rows.shape} do not match {phi.size} pulse phases"
+        )
+    # A small grid's basis is cached, so repeated fits over one grid (two
+    # per detection) do not decompose it again; a large one is not kept.
+    decompose = _fit_basis if phi.size <= _CACHED_GRID else _fit_basis.__wrapped__
+    basis, pinv = decompose(phi.tobytes())
+    if np.any(np.ptp(rows, axis=1) == 0.0):
+        raise DegenerateScan("readout has zero variance across the scan")
+    coef = (pinv * rows[:, None, :]).sum(axis=-1)
+    residual = (basis * coef[:, None, :]).sum(axis=-1) - rows
+    _, a, b = coef.T
+    return tuple(
+        map(
+            FringeFit,
+            wrap_angle(np.arctan2(-b, -a)).tolist(),
+            (2.0 * np.hypot(a, b)).tolist(),
+            np.sqrt((residual**2).sum(axis=-1) / phi.size).tolist(),
+        )
     )
+
+
+def fit_fringe(scan: FringeScan) -> FringeFit:
+    """Least-squares fringe fit of one scan: :func:`fit_fringes` of its one
+    row; needs at least 5 distinct pulse phases."""
+    (fit,) = fit_fringes(scan.phi_mw_values, [scan.n_up])
+    return fit
 
 
 def _pattern(phi: float) -> str:
@@ -183,21 +247,21 @@ def classify(
     )
 
 
-def _site_scan_and_points(
-    end: SpinorState, site: str, phi_grid: np.ndarray, nominal_phi: float
-) -> tuple[FringeScan, float, float]:
-    """The scan of an adiabatic end state over the grid, and N_up at the two
-    diagnostic phases 0 and ``nominal_phi``, read out with the grid."""
-    n_down, n_up = readout_scan(end, np.append(phi_grid, [0.0, nominal_phi]))
-    m = len(phi_grid)
-    scan = FringeScan(
-        phi_mw_values=phi_grid,
-        n_down=n_down[:m],
-        n_up=n_up[:m],
-        mode="adiabatic",
-        site=site,
-    )
-    return scan, n_up[m], n_up[m + 1]
+def _read_and_fit(
+    ends: Sequence[SpinorState], phases: np.ndarray, m: int
+) -> tuple[tuple, np.ndarray]:
+    """Read out a block of end states and fit their fringes.
+
+    ``ends`` runs over trials and, within a trial, over the sites; row s of
+    ``phases`` holds the pulse phases of site s, the grid first.  Returns
+    the fit of each end state's first ``m`` phases, in order, and N_up of
+    every phase as a (trials, sites, phases) array.  The readout is one
+    pulse over the whole block.
+    """
+    amps = np.array([(end.amp_down, end.amp_up) for end in ends])
+    amps = amps.reshape(-1, len(phases), 2, 1)
+    _, n_up = _scan_populations(amps[..., 0, :], amps[..., 1, :], phases)
+    return fit_fringes(phases[0, :m], n_up[..., :m].reshape(-1, m)), n_up
 
 
 def _radius_row(radius: float, records: list) -> RobustnessRow:
@@ -244,12 +308,17 @@ def robustness_sweep(
     Each perturbed plan is built as its seed is drawn, in (radius, trial,
     site) order, and the plans are evolved by
     :func:`chernscope.interferometer.evolve_adiabatic_batch` a few per
-    pass, so only one batch of plans is held at a time.  The
-    ``sweep`` command peaks at about 1.2 kB per trial (tracemalloc at 400
-    and 1,600 trials per radius over 4 radii), so the budget of
-    ``MAX_SWEEP_TRIALS`` = 100,000 trials over all radii implies about
-    120 MB; a trial takes about 2 ms at the default sampling on one Intel
-    Xeon vCPU, so the budget also bounds the run to about four minutes.
+    pass, so only one batch of plans is held at a time.  Their end states
+    are read out and fitted in blocks of at most ``_READOUT_TRIALS`` trials
+    of one radius: one readout pulse over the block and one
+    :func:`fit_fringes` call, whose rows fit as each would alone, so every
+    record equals that of ``run_fringe``, ``fit_fringe`` and ``classify``
+    taken plan by plan.  The ``sweep`` command peaks at about 1.1 kB per
+    trial (tracemalloc at 400 and 1,600 trials per radius over 4 radii), so
+    the budget of ``MAX_SWEEP_TRIALS`` = 100,000 trials over all radii
+    implies about 110 MB; a trial takes about 2 ms at the default sampling
+    on one Intel Xeon vCPU, so the budget also bounds the run to about four
+    minutes.
 
     Raises:
         ValueError: if ``trials`` is below 1, or ``trials`` times the number
@@ -264,62 +333,58 @@ def robustness_sweep(
             f"the budget of {MAX_SWEEP_TRIALS} trials per sweep"
         )
     phi_grid = default_phi_grid(phi_mw_points)
-    plans = {
-        site: plan_site(
+    m = len(phi_grid)
+    plans = [
+        plan_site(
             site, p, leg_time=leg_time, with_echo=with_echo,
             samples_per_leg=samples_per_leg,
         )
         for site in _SITES
-    }
-    nominal_fits = {}
-    nominal_phi = {}
-    nominal_ends = evolve_adiabatic_batch(plans.values(), p, zeeman_rate)
-    for site, (end, _) in zip(_SITES, nominal_ends):
-        scan, _, _ = _site_scan_and_points(end, site, phi_grid, 0.0)
-        nominal_fits[site] = fit_fringe(scan)
-        nominal_phi[site] = nominal_fits[site].phi_zak
-    nominal = classify(nominal_fits["I"], nominal_fits["II"])
-    nominal_sum = nominal_phi["I"] + nominal_phi["II"]
+    ]
+    nominal_ends = [end for end, _ in evolve_adiabatic_batch(plans, p, zeeman_rate)]
+    nominal_fits, _ = _read_and_fit(nominal_ends, np.stack([phi_grid] * 2), m)
+    nominal = classify(*nominal_fits)
+    nominal_phi = [fit.phi_zak for fit in nominal_fits]
+    nominal_sum = nominal_phi[0] + nominal_phi[1]
+    # Per site: the grid, then the diagnostic phases 0 and the nominal phase.
+    phases = np.array([np.append(phi_grid, [0.0, phi]) for phi in nominal_phi])
 
     rng = np.random.default_rng(seed)
     perturbed = (
-        perturb_plan(plans[site], radius=radius, seed=int(rng.integers(0, 2**63 - 1)))
+        perturb_plan(plan, radius=radius, seed=int(rng.integers(0, 2**63 - 1)))
         for radius in error_radii
         for _ in range(trials)
-        for site in _SITES
+        for plan in plans
     )
-    ends = evolve_adiabatic_batch(perturbed, p, zeeman_rate)
+    ends = (end for end, _ in evolve_adiabatic_batch(perturbed, p, zeeman_rate))
     rows = []
     records = []
     for radius in error_radii:
         block = []
-        for index in range(trials):
-            fits = {}
-            zeros = {}
-            nominals = {}
-            for site in _SITES:
-                end, _ = next(ends)
-                scan, zeros[site], nominals[site] = _site_scan_and_points(
-                    end, site, phi_grid, nominal_phi[site]
-                )
-                fits[site] = fit_fringe(scan)
-            report = classify(fits["I"], fits["II"])
-            error = abs(
-                wrap_angle(fits["I"].phi_zak + fits["II"].phi_zak - nominal_sum)
+        for first in range(0, trials, _READOUT_TRIALS):
+            count = min(_READOUT_TRIALS, trials - first)
+            fits, n_up = _read_and_fit(
+                list(islice(ends, count * len(_SITES))), phases, m
             )
-            block.append(
-                TrialRecord(
-                    radius=float(radius),
-                    index=index,
-                    zak_error=error,
-                    c_classified=report.c_classified,
-                    success=report.c_classified == nominal.c_classified,
-                    n_up_zero_i=zeros["I"],
-                    n_up_zero_ii=zeros["II"],
-                    n_up_nominal_i=nominals["I"],
-                    n_up_nominal_ii=nominals["II"],
+            for index, fit_i, fit_ii, zero, at_nominal in zip(
+                range(first, first + count), fits[0::2], fits[1::2],
+                n_up[..., m], n_up[..., m + 1],
+            ):
+                report = classify(fit_i, fit_ii)
+                error = wrap_angle(fit_i.phi_zak + fit_ii.phi_zak - nominal_sum)
+                block.append(
+                    TrialRecord(
+                        radius=float(radius),
+                        index=index,
+                        zak_error=abs(error),
+                        c_classified=report.c_classified,
+                        success=report.c_classified == nominal.c_classified,
+                        n_up_zero_i=zero[0],
+                        n_up_zero_ii=zero[1],
+                        n_up_nominal_i=at_nominal[0],
+                        n_up_nominal_ii=at_nominal[1],
+                    )
                 )
-            )
         rows.append(_radius_row(float(radius), block))
         records.extend(block)
     return RobustnessTable(rows=tuple(rows), trials=tuple(records), nominal=nominal)

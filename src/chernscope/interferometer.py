@@ -23,8 +23,12 @@ stacks the legs of a batch of plans with one leg sampling into a
 most ``_ADIABATIC_BATCH`` momenta, and :func:`evolve_adiabatic` is the
 batch of one.  A pass derives the lower-band states with their gap check,
 the transport links and the dynamical phase over the whole stack at once,
-and takes each leg's link product and trapezoid over the sample axis, so
-a plan's result does not depend on the batch it ran in.  The stepwise
+and takes each leg's link product and trapezoid over the sample axis.  The
+tail runs over the batch too: the unit link products, the matching
+overlaps, the Zeeman factors and the closed amplitudes are arrays over the
+plans, each element rounded as the one-plan scalar expression rounds it,
+and only the state and ledger objects are built plan by plan.  So a plan's
+result does not depend on the batch it ran in.  The stepwise
 route passes its one plan, derives the step-size bandwidth and its end
 states from the pass, and takes its midpoint fields from
 :func:`chernscope.lattice.line_fields` in fixed-size blocks.
@@ -100,9 +104,11 @@ _TDSE_BLOCK = 8192
 _ADIABATIC_BATCH = 9608
 
 
-def wrap_angle(x: float) -> float:
-    """Reduce a phase to (-pi, pi], matching numpy.angle conventions."""
-    return float(np.angle(np.exp(1j * x)))
+def wrap_angle(x: float | np.ndarray) -> float | np.ndarray:
+    """Reduce a phase to (-pi, pi], matching numpy.angle conventions; an
+    array of phases is reduced element by element."""
+    wrapped = np.angle(np.exp(1j * x))
+    return float(wrapped) if np.ndim(wrapped) == 0 else wrapped
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,12 +213,20 @@ def initial_state() -> SpinorState:
     return SpinorState(amp_down=1.0 + 0.0j, amp_up=0.0j)
 
 
-def _pi2_amplitudes(a: complex, b: complex, phi_mw):
+def _pi2_amplitudes(a, b, phi_mw):
     """The pi/2 pulse [[1, i e^{-i phi}], [i e^{i phi}, 1]] / sqrt(2) applied
-    to (a, b); ``phi_mw`` may be an array of pulse phases."""
+    to (a, b); the amplitudes and ``phi_mw`` may be arrays that broadcast
+    against each other."""
     phase = np.exp(1j * phi_mw)
     down = (a + 1j * np.conj(phase) * b) / np.sqrt(2.0)
     return down, (1j * phase * a + b) / np.sqrt(2.0)
+
+
+def _scan_populations(a, b, phi_mw) -> tuple[np.ndarray, np.ndarray]:
+    """Populations (N_down, N_up) of the amplitudes (a, b) after the readout
+    pi/2 pulse at ``phi_mw``, all three broadcast against each other."""
+    down, up = _pi2_amplitudes(a, b, phi_mw)
+    return np.abs(down) ** 2, np.abs(up) ** 2
 
 
 def apply_pi2(state: SpinorState, phi_mw: float) -> SpinorState:
@@ -244,10 +258,9 @@ def readout_scan(
     Pointwise equal to ``readout(apply_pi2(state, phi))``, computed in one
     pass over the array of pulse phases.
     """
-    down, up = _pi2_amplitudes(
+    return _scan_populations(
         state.amp_down, state.amp_up, np.asarray(phi_mw_values, dtype=float)
     )
-    return np.abs(down) ** 2, np.abs(up) ** 2
 
 
 def _require_pure_down(state: SpinorState) -> None:
@@ -255,49 +268,86 @@ def _require_pure_down(state: SpinorState) -> None:
         raise ValueError("evolution starts from a pure spin-down state")
 
 
-def _zeeman_phase(plan: ProtocolPlan, zeeman_rate: float) -> float:
-    """Zeeman phase of the packet that started spin-down: the rate times the
-    leg time weighted by the gradient direction, whose flipped echo half
-    cancels the first half.  A NaN or infinite rate raises ValueError."""
+def _zeeman_phases(plans: Sequence[ProtocolPlan], zeeman_rate: float) -> np.ndarray:
+    """Zeeman phase of the packet that started spin-down, per plan: the rate
+    times the leg time weighted by the gradient direction, whose flipped
+    echo half cancels the first half.  A NaN or infinite rate raises
+    ValueError."""
     if not np.isfinite(zeeman_rate):
         raise ValueError(f"zeeman_rate must be finite, got {zeeman_rate}")
-    return zeeman_rate * (0.0 if plan.with_echo else plan.leg_time)
+    return zeeman_rate * np.array(
+        [0.0 if plan.with_echo else plan.leg_time for plan in plans]
+    )
 
 
-def _matching_overlap(plan: ProtocolPlan, ends: dict) -> complex:
-    """Overlap of the packets' end band states, keyed by packet, with the
-    sublattice matching of their momentum difference."""
-    dk = plan.endpoint_down - plan.endpoint_up
-    w = np.vdot(sublattice_matching(dk, plan.geometry) * ends["up"], ends["down"])
-    if abs(w) < 1e-6:
+def _scalar_product(a, b) -> np.ndarray:
+    """a * b over arrays of complex numbers, rounded as scalar complex
+    arithmetic rounds each product.
+
+    numpy's vectorized complex multiply fuses a multiply and an add, so its
+    last bits differ from those of the same product taken one scalar at a
+    time; here each real product and sum is rounded on its own.
+    """
+    real = a.real * b.real - a.imag * b.imag
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _matching_overlaps(
+    plans: Sequence[ProtocolPlan], ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Overlap w of each plan's packets' end band states, with the
+    sublattice matching of their momentum difference, and |w|.
+
+    The plans share one geometry.  ``ends`` holds the (plans, 2, 2) end
+    states, each plan's down packet first.  Each overlap is one
+    ``np.vecdot`` row, equal to ``np.vdot`` of that plan's two states.
+    """
+    dk = np.array([plan.endpoint_down - plan.endpoint_up for plan in plans])
+    matching = sublattice_matching(dk, plans[0].geometry)
+    w = np.vecdot(matching * ends[:, 1], ends[:, 0])
+    size = np.hypot(w.real, w.imag)
+    if np.any(size < 1e-6):
         raise ValueError("endpoint band states are nearly orthogonal")
-    return complex(w)
+    return w, size
 
 
 def _close(
-    plan: ProtocolPlan,
-    phase_down: complex,
-    phase_up: complex,
-    w: complex,
-    zeeman_phase: float,
+    plans: Sequence[ProtocolPlan],
+    amplitudes: np.ndarray,
+    w: np.ndarray,
+    w_size: np.ndarray,
+    zeeman_phase: np.ndarray,
     upper_band_population: float = 0.0,
-) -> SpinorState:
-    """The state before the readout pulse, from the packets' evolved amplitudes.
+) -> list[SpinorState]:
+    """The state before the readout pulse of each plan of a batch, from the
+    packets' evolved amplitudes.
 
-    ``phase_down``/``phase_up`` are the complex amplitudes each packet kept
-    through its leg, relative to the gauge-fixed end states.  Each slot of
-    the split state is multiplied by its packet's amplitude; the packet that
-    started spin-up is rotated by conj(w)/|w| onto the common orbital, and
-    the packet that started spin-down carries the Zeeman phase.  The echo
-    pulse then exchanges the slots.
+    ``amplitudes`` holds, per plan, the complex amplitude each packet kept
+    through its leg relative to the gauge-fixed end states, the down
+    packet's first; w, its size |w| and the Zeeman phase are arrays over
+    the batch, or scalars for a batch of one.  Each slot of the split state
+    of :func:`apply_pi2` is multiplied by its packet's amplitude; the packet
+    that started spin-up is rotated by conj(w)/|w| onto the common orbital,
+    and the packet that started spin-down carries the Zeeman phase.  The
+    echo pulse of :func:`apply_pi` then exchanges the slots.  Each product
+    is rounded as on scalars, in the order written here.
     """
     split = apply_pi2(initial_state(), 0.0)
-    end = SpinorState(
-        amp_down=split.amp_down * phase_down * np.exp(1j * zeeman_phase),
-        amp_up=split.amp_up * phase_up * np.conj(w) / abs(w),
-        upper_band_population=upper_band_population,
+    factors = np.empty_like(amplitudes)
+    factors[:, 0] = np.exp(1j * zeeman_phase)
+    factors[:, 1] = np.conj(w)
+    closed = _scalar_product(
+        _scalar_product(np.array([split.amp_down, split.amp_up]), amplitudes), factors
     )
-    return apply_pi(end) if plan.with_echo else end
+    closed[:, 1] /= w_size
+    states = []
+    for plan, slots in zip(plans, closed.tolist()):
+        amp_down, amp_up = slots[::-1] if plan.with_echo else slots  # the echo
+        states.append(SpinorState(amp_down, amp_up, upper_band_population))
+    return states
 
 
 def evolve_adiabatic(
@@ -324,16 +374,18 @@ def evolve_adiabatic_batch(
 ) -> Iterator[tuple[SpinorState, PhaseLedger]]:
     """``evolve_adiabatic`` from the spin-down state along each plan, in order.
 
-    Consecutive plans with one leg sampling share a pass of at most
-    ``_ADIABATIC_BATCH`` momenta, and at least one plan.  Each plan's end
-    state and ledger equal those of ``evolve_adiabatic`` bit for bit, and
-    ``plans`` is read lazily, so at most one batch of plans is held.
+    Consecutive plans with one leg sampling and one geometry share a pass
+    of at most ``_ADIABATIC_BATCH`` momenta, and at least one plan.  Each
+    plan's end state and ledger equal those of ``evolve_adiabatic`` bit for
+    bit, and ``plans`` is read lazily, so at most one batch of plans is
+    held.
     """
     batch: list = []
     for plan in plans:
         n = plan.samples_per_leg
         if batch and (
             n != batch[0].samples_per_leg
+            or plan.geometry is not batch[0].geometry
             or 2 * (n + 1) * (len(batch) + 1) > _ADIABATIC_BATCH
         ):
             yield from _adiabatic_pass(batch, p, zeeman_rate)
@@ -351,9 +403,13 @@ def _adiabatic_pass(
     The lower-band states, their links and the trapezoid rule on the lower
     band energy run over the whole (plans, 2, n + 1) stack of
     :func:`chernscope.protocol.leg_pass`; the links' product and the
-    trapezoid are taken over the sample axis, each leg's own.
+    trapezoid are taken over the sample axis, each leg's own.  The unit
+    link products, the matching overlaps, the Zeeman factors and the closed
+    amplitudes are then arrays over the batch, each element rounded as the
+    one-plan scalar expression rounds it, and the last loop only builds the
+    states and ledgers.
     """
-    zeeman = [_zeeman_phase(plan, zeeman_rate) for plan in plans]
+    zeeman = _zeeman_phases(plans, zeeman_rate)
     legs = leg_pass(plans, p)
     u = states_from_fields(legs.fields, legs.points, p, gauge_fn=gauge_fn)
     products = np.prod(transport_link(u[..., 1:, :], u[..., :-1, :]), axis=-1)
@@ -361,31 +417,37 @@ def _adiabatic_pass(
     dx = np.array([plan.leg_time for plan in plans])[:, None, None] / n
     dynamics = np.trapezoid(legs.energies[0], dx=dx, axis=-1)
 
-    results = []
-    for plan, zeeman_phase, product, dynamic, u_end in zip(
-        plans, zeeman, products, dynamics, u[..., -1, :]
-    ):
-        phase_down, phase_up = (complex(x) / abs(complex(x)) for x in product)
-        dynamic_down, dynamic_up = (float(d) for d in dynamic)
-        w = _matching_overlap(plan, {"down": u_end[0], "up": u_end[1]})
-        ledger = PhaseLedger(
-            geometric_down=float(np.angle(phase_down)),
-            geometric_up=float(np.angle(phase_up)),
-            matching=float(np.angle(w)),
-            dynamic_down=dynamic_down,
-            dynamic_up=dynamic_up,
-            zeeman=-zeeman_phase,
-            with_echo=plan.with_echo,
+    # Each packet's unit link product, a (plans, 2) array, divided part by
+    # part as a complex number is divided by its (real) size.
+    size = np.hypot(products.real, products.imag)
+    units = np.empty_like(products)
+    units.real = products.real / size
+    units.imag = products.imag / size
+    w, w_size = _matching_overlaps(plans, u[..., -1, :])
+    amplitudes = _scalar_product(units, np.exp(-1j * dynamics))
+    finals = _close(plans, amplitudes, w, w_size, zeeman)
+    return [
+        (
+            final,
+            PhaseLedger(
+                geometric_down=geometric[0],
+                geometric_up=geometric[1],
+                matching=matching,
+                dynamic_down=dynamic[0],
+                dynamic_up=dynamic[1],
+                zeeman=-zeeman_phase,
+                with_echo=plan.with_echo,
+            ),
         )
-        final = _close(
-            plan,
-            phase_down * np.exp(-1j * dynamic_down),
-            phase_up * np.exp(-1j * dynamic_up),
-            w,
-            zeeman_phase,
+        for plan, final, geometric, matching, dynamic, zeeman_phase in zip(
+            plans,
+            finals,
+            np.angle(units).tolist(),
+            np.angle(w).tolist(),
+            dynamics.tolist(),
+            zeeman.tolist(),
         )
-        results.append((final, ledger))
-    return results
+    ]
 
 
 def _leg_propagator(fields: tuple, dt: float) -> tuple[complex, complex, complex]:
@@ -481,7 +543,7 @@ def evolve_tdse(
     those of :func:`evolve_adiabatic`.
     """
     _require_pure_down(state)
-    zeeman_phase = _zeeman_phase(plan, zeeman_rate)
+    zeeman_phase = _zeeman_phases([plan], zeeman_rate)[0]
     legs = leg_pass([plan], p)
     bw = max(float(np.max(np.abs(e))) for e in legs.energies)
     limit = 0.01 / bw
@@ -528,13 +590,20 @@ def evolve_tdse(
     c_down, c_up = amps["down"], amps["up"]
     leak_down = max(0.0, 1.0 - abs(c_down) ** 2)
     leak_up = max(0.0, 1.0 - abs(c_up) ** 2)
-    w = _matching_overlap(plan, ends)
+    (w,), (w_size,) = _matching_overlaps(
+        [plan], np.array([[ends["down"], ends["up"]]])
+    )
 
-    site_phase = float(np.angle(c_down * np.conj(c_up) * w / abs(w)))
+    site_phase = float(np.angle(c_down * np.conj(c_up) * w / w_size))
     extracted = _echo_fold(site_phase + zeeman_phase, plan.with_echo)
 
-    final = _close(
-        plan, c_down, c_up, w, zeeman_phase, (leak_down + leak_up) / 2.0
+    (final,) = _close(
+        [plan],
+        np.array([[c_down, c_up]]),
+        w,
+        w_size,
+        zeeman_phase,
+        (leak_down + leak_up) / 2.0,
     )
     diagnostics = TdseDiagnostics(
         dt=dt_actual,

@@ -383,14 +383,20 @@ def field_norm(fields: tuple[np.ndarray, ...]) -> np.ndarray:
 def reciprocal_coefficients(
     G: np.ndarray, geom: LatticeGeometry = DEFAULT_GEOMETRY
 ) -> np.ndarray:
-    """Coefficients (m, n) with G = m b1 + n b2, not necessarily integer."""
-    return geom.inverse_reciprocal_basis @ np.asarray(G, dtype=float)
+    """Coefficients (m, n) with G = m b1 + n b2, not necessarily integer, of
+    one vector or of each of a (..., 2) stack."""
+    G = np.asarray(G, dtype=float)
+    return np.matmul(geom.inverse_reciprocal_basis, G[..., None])[..., 0]
 
 
-def is_reciprocal(G: np.ndarray, geom: LatticeGeometry = DEFAULT_GEOMETRY) -> bool:
-    """Whether G is an integer combination of b1, b2 within RECIPROCAL_TOL."""
+def is_reciprocal(
+    G: np.ndarray, geom: LatticeGeometry = DEFAULT_GEOMETRY
+) -> bool | np.ndarray:
+    """Whether G is an integer combination of b1, b2 within RECIPROCAL_TOL;
+    for a (..., 2) stack, a boolean array of the answer for each vector."""
     coeff = reciprocal_coefficients(G, geom)
-    return bool(np.max(np.abs(coeff - np.round(coeff))) <= RECIPROCAL_TOL)
+    on_lattice = np.max(np.abs(coeff - np.round(coeff)), axis=-1) <= RECIPROCAL_TOL
+    return bool(on_lattice) if on_lattice.ndim == 0 else on_lattice
 
 
 def boundary_phase(G: np.ndarray, geom: LatticeGeometry = DEFAULT_GEOMETRY) -> float:
@@ -420,14 +426,19 @@ def boundary_matrix(
 def sublattice_matching(
     dk: np.ndarray, geom: LatticeGeometry = DEFAULT_GEOMETRY
 ) -> np.ndarray:
-    """Diagonal of the continuous matching unitary W(dk) = diag(1, e^{i dk.e1}).
+    """Diagonal of the continuous matching unitary W(dk) = diag(1, e^{i dk.e1}),
+    of one momentum difference or of each of a (..., 2) stack.
 
     W agrees with the boundary unitary V on reciprocal vectors and extends it
     continuously to arbitrary momentum differences; it is what the physical
     recombination overlap of two Bloch states at momenta k and k + dk picks
-    up from the sublattice offsets.
+    up from the sublattice offsets.  Each dk.e1 is one ``np.vecdot`` row,
+    equal to ``np.dot`` of that difference.
     """
-    return np.array([1.0, np.exp(1j * np.dot(np.asarray(dk, dtype=float), geom.e1))])
+    dk = np.asarray(dk, dtype=float)
+    w = np.ones(dk.shape, dtype=complex)
+    w[..., 1] = np.exp(1j * np.vecdot(dk, geom.e1))
+    return w
 
 
 def band_gap_min(p: ModelParams, n: int = 64) -> float:

@@ -316,8 +316,9 @@ def leg_pass(plans: Sequence[ProtocolPlan], p: ModelParams) -> LegPass:
     the batch's number of sample intervals.  The samples are those of
     ``Leg.points``, with one ``np.linspace`` shared by all legs.  The
     adiabaticity figure of a plan is xi = max over its legs of
-    |dk/dt| / gap^2 with the leg's minimum gap; a warning is recorded above
-    0.1.
+    |dk/dt| / gap^2 with the leg's minimum gap; a warning is recorded
+    above 0.1.  xi and the reciprocity of the endpoint pairs are arrays
+    over the batch; a last loop builds the diagnostics.
     """
     n = plans[0].samples_per_leg
     residuals = []
@@ -347,24 +348,26 @@ def leg_pass(plans: Sequence[ProtocolPlan], p: ModelParams) -> LegPass:
     )
     e_lo, e_up = energies = energies_from_fields(fields)
 
+    # Each packet's displacement from its plan's start, the down leg's, as
+    # ProtocolPlan.total_displacements takes it.
+    plan_ends = ends.reshape(len(plans), 2, 2)
+    disp = plan_ends - starts.reshape(len(plans), 2, 2)[:, :1]
+    leg_times = np.array([plan.leg_time for plan in plans])
+    speed = np.sqrt(np.vecdot(disp, disp)) / leg_times[:, None]
+    # float_power is the libm pow of a scalar gap ** 2, which now and then
+    # differs from gap * gap in the last bit.
     min_gaps = np.min(e_up - e_lo, axis=-1)
+    xi = np.fmax.reduce(speed / np.float_power(min_gaps, 2.0), axis=-1, initial=0.0)
+    reciprocal = is_reciprocal(plan_ends[:, 1] - plan_ends[:, 0], p.geometry)
     diagnostics = tuple(
-        _diagnostics(plan, p, residual, gaps)
-        for plan, residual, gaps in zip(plans, residuals, min_gaps)
+        map(_diagnostics, residuals, reciprocal.tolist(), xi.tolist())
     )
     return LegPass(points, fields, energies, diagnostics)
 
 
-def _diagnostics(
-    plan: ProtocolPlan, p: ModelParams, residual: float, min_gaps: np.ndarray
-) -> PlanDiagnostics:
-    """A checked plan's diagnostics from its start residual and the minimum
-    gap of each of its legs."""
-    xi = 0.0
-    for disp, gap in zip(plan.total_displacements.values(), min_gaps):
-        speed = np.linalg.norm(disp) / plan.leg_time
-        xi = max(xi, float(speed / gap**2))
-    reciprocal = is_reciprocal(plan.endpoint_up - plan.endpoint_down, p.geometry)
+def _diagnostics(residual: float, reciprocal: bool, xi: float) -> PlanDiagnostics:
+    """A checked plan's diagnostics from its start residual, the
+    reciprocity of its endpoint pair and its adiabaticity figure."""
     warning = xi > 0.1
     messages = []
     if warning:

@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+import chernscope.analysis
 from chernscope import (
     DegenerateScan,
     FringeFit,
     FringeScan,
     ModelParams,
+    TrialRecord,
     classify,
     default_phi_grid,
     evolve_adiabatic,
     fit_fringe,
+    fit_fringes,
     initial_state,
     perturb_plan,
     plan_site,
@@ -84,6 +87,69 @@ def test_fit_rejects_flat_scan():
     scan = synthetic_scan(0.7, contrast=0.0)
     with pytest.raises(DegenerateScan):
         fit_fringe(scan)
+
+
+def noisy_rows(count, seed=0):
+    """``count`` fringes of random phase and contrast over the default grid,
+    each with 1% readout noise."""
+    rng = np.random.default_rng(seed)
+    grid = default_phi_grid(24)
+    phases = rng.uniform(-np.pi, np.pi, (count, 1))
+    contrasts = rng.uniform(0.2, 1.0, (count, 1))
+    rows = 0.5 * (1.0 - contrasts * np.cos(phases - grid))
+    return grid, rows + rng.normal(0.0, 0.01, rows.shape)
+
+
+def fit_bits(fit):
+    return (fit.phi_zak, fit.contrast, fit.rms_residual)
+
+
+@pytest.mark.parametrize("count", [1, 3, 50])
+def test_stacked_fit_rows_equal_their_own_fits(count):
+    """Each row of a stack fits, bit for bit, as it does alone, and as
+    ``fit_fringe`` fits its scan."""
+    grid, rows = noisy_rows(count)
+    stacked = fit_fringes(grid, rows)
+    assert len(stacked) == count
+    for row, fit in zip(rows, stacked):
+        row = row.copy()
+        (alone,) = fit_fringes(grid, row[None])
+        scan = FringeScan(
+            phi_mw_values=grid, n_down=1 - row, n_up=row, mode="adiabatic", site="I"
+        )
+        assert fit_bits(fit) == fit_bits(alone) == fit_bits(fit_fringe(scan))
+
+
+def test_fit_past_the_cached_grid_size_keeps_no_basis():
+    """A grid over ``_CACHED_GRID`` phases fits like any other, and its
+    basis is not kept."""
+    grid = default_phi_grid(chernscope.analysis._CACHED_GRID + 1)
+    row = 0.5 * (1.0 - 0.8 * np.cos(0.7 - grid))
+    cached = chernscope.analysis._fit_basis.cache_info().currsize
+    (fit,) = fit_fringes(grid, [row])
+    assert fit.phi_zak == pytest.approx(0.7, abs=1e-10)
+    assert fit.contrast == pytest.approx(0.8, abs=1e-10)
+    assert chernscope.analysis._fit_basis.cache_info().currsize == cached
+
+
+def test_stacked_fit_rejects_sparse_grid():
+    grid = np.array([0.0, 1.0, 2.0, 3.0, 3.0 + 1e-13])
+    rows = 0.5 * (1.0 - np.cos(np.array([[1.0], [2.0], [0.5]]) - grid))
+    with pytest.raises(DegenerateScan, match="5 distinct"):
+        fit_fringes(grid, rows)
+
+
+def test_stacked_fit_rejects_one_flat_row():
+    grid, rows = noisy_rows(6)
+    rows[4] = 0.5
+    with pytest.raises(DegenerateScan, match="zero variance"):
+        fit_fringes(grid, rows)
+
+
+def test_stacked_fit_rejects_rows_off_the_grid():
+    grid, rows = noisy_rows(2)
+    with pytest.raises(ValueError, match="do not match"):
+        fit_fringes(grid[:-1], rows)
 
 
 def test_default_phi_grid_covers_circle():
@@ -237,6 +303,52 @@ def test_sweep_aggregates_match_records():
             max(r.zak_error for r in recs)
         )
         assert row.n_ambiguous == sum(r.c_classified is None for r in recs)
+
+
+def test_sweep_records_equal_the_plan_by_plan_route():
+    """The sweep's stacked readout and fit give, bit for bit, the records
+    of the public route taken one plan at a time: ``perturb_plan`` with the
+    seeds drawn in (radius, trial, site) order, then ``run_fringe``,
+    ``fit_fringe`` and ``classify``."""
+    radii, trials, seed, samples = [0.0, 0.002], 3, 0, 40
+    table = robustness_sweep(
+        P0, radii, trials=trials, seed=seed, samples_per_leg=samples
+    )
+    grid = default_phi_grid(24)
+    plans = [plan_site(site, P0, samples_per_leg=samples) for site in ("I", "II")]
+    nominal = [fit_fringe(run_fringe(P0, plan, grid)) for plan in plans]
+    assert table.nominal == classify(*nominal)
+    nominal_sum = nominal[0].phi_zak + nominal[1].phi_zak
+    rng = np.random.default_rng(seed)
+    expected = []
+    for radius in radii:
+        for index in range(trials):
+            fits, zeros, at_nominal = [], [], []
+            for plan, nominal_fit in zip(plans, nominal):
+                drawn = int(rng.integers(0, 2**63 - 1))
+                pert = perturb_plan(plan, radius=radius, seed=drawn)
+                fits.append(fit_fringe(run_fringe(P0, pert, grid)))
+                zero, at = run_fringe(P0, pert, [0.0, nominal_fit.phi_zak]).n_up
+                zeros.append(zero)
+                at_nominal.append(at)
+            report = classify(*fits)
+            expected.append(
+                TrialRecord(
+                    radius=radius,
+                    index=index,
+                    zak_error=abs(
+                        wrap_angle(fits[0].phi_zak + fits[1].phi_zak - nominal_sum)
+                    ),
+                    c_classified=report.c_classified,
+                    success=report.c_classified == table.nominal.c_classified,
+                    n_up_zero_i=zeros[0],
+                    n_up_zero_ii=zeros[1],
+                    n_up_nominal_i=at_nominal[0],
+                    n_up_nominal_ii=at_nominal[1],
+                )
+            )
+    assert table.trials == tuple(expected)
+    assert table.rows[0].max_zak_error == 0.0
 
 
 def test_sweep_rejects_empty_trials():

@@ -423,6 +423,22 @@ def test_adiabatic_batch_equals_single_evolutions(monkeypatch, field_calls):
             assert (end.amp_down, end.amp_up) == (ref_end.amp_down, ref_end.amp_up)
 
 
+def test_adiabatic_batch_splits_where_the_geometry_changes(field_calls):
+    """Each plan's end state is matched in its own geometry: a plan drawn
+    on another lattice scale starts a new pass and ends as it does alone."""
+    scaled = dataclasses.replace(P0, geometry=DEFAULT_GEOMETRY.with_scale(2.0))
+    plans = [
+        plan_site("I", P0, samples_per_leg=40),
+        plan_site("I", scaled, samples_per_leg=40),
+    ]
+    got = list(evolve_adiabatic_batch(plans, P0))
+    assert len(field_calls.bloch) == 2
+    for plan, (end, ledger) in zip(plans, got, strict=True):
+        ref_end, ref_ledger = evolve_adiabatic(initial_state(), plan, P0)
+        assert ledger == ref_ledger
+        assert (end.amp_down, end.amp_up) == (ref_end.amp_down, ref_end.amp_up)
+
+
 def _line_blocks_per_leg(line_calls, n_steps, block):
     """Groups ``line_fields`` calls (k0, step, n) into legs of n_steps
     midpoints, asserting that each leg's calls tile its midpoints in order:

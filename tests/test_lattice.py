@@ -262,6 +262,24 @@ def test_sublattice_matching_extends_boundary_matrix():
     assert np.allclose(np.abs(w), 1.0, atol=1e-14)
 
 
+def test_stacked_matching_and_reciprocity_equal_each_vector():
+    """A (..., 2) stack of momentum differences gets, vector by vector and
+    bit for bit, the matching diagonal and the reciprocity answer of the
+    vector on its own."""
+    g = DEFAULT_GEOMETRY
+    rng = np.random.default_rng(5)
+    dks = np.concatenate(
+        [rng.normal(size=(5, 2)), [g.b1, g.b1 + g.b2, -g.b2 + 1e-7]]
+    ).reshape(2, 4, 2)
+    w = sublattice_matching(dks, g)
+    on_lattice = is_reciprocal(dks, g)
+    assert w.shape == (2, 4, 2) and on_lattice.shape == (2, 4)
+    for index in np.ndindex(2, 4):
+        assert np.array_equal(w[index], sublattice_matching(dks[index], g))
+        assert on_lattice[index] == is_reciprocal(dks[index], g)
+    assert on_lattice.tolist() == [[False] * 4, [False, True, True, False]]
+
+
 @given(momenta)
 @settings(max_examples=200, deadline=None)
 def test_hamiltonian_is_hermitian(kxy):
