@@ -38,7 +38,7 @@ from .interferometer import (
     wrap_angle,
 )
 from .lattice import ModelParams
-from .protocol import perturb_plan, plan_site
+from .protocol import SITES, perturb_plan, plan_site
 from .topology import chern_from_zak
 
 __all__ = [
@@ -57,8 +57,6 @@ __all__ = [
 ]
 
 AMBIGUOUS = "Ambiguous"
-
-_SITES = ("I", "II")
 
 # Largest pulse-phase scan and largest sweep, counted in trials over all
 # radii; see default_phi_grid and robustness_sweep for what they imply.
@@ -339,7 +337,7 @@ def robustness_sweep(
             site, p, leg_time=leg_time, with_echo=with_echo,
             samples_per_leg=samples_per_leg,
         )
-        for site in _SITES
+        for site in SITES
     ]
     nominal_ends = [end for end, _ in evolve_adiabatic_batch(plans, p, zeeman_rate)]
     nominal_fits, _ = _read_and_fit(nominal_ends, np.stack([phi_grid] * 2), m)
@@ -364,7 +362,7 @@ def robustness_sweep(
         for first in range(0, trials, _READOUT_TRIALS):
             count = min(_READOUT_TRIALS, trials - first)
             fits, n_up = _read_and_fit(
-                list(islice(ends, count * len(_SITES))), phases, m
+                list(islice(ends, count * len(SITES))), phases, m
             )
             for index, fit_i, fit_ii, zero, at_nominal in zip(
                 range(first, first + count), fits[0::2], fits[1::2],

@@ -40,7 +40,7 @@ from .interferometer import (
     run_fringe,
 )
 from .lattice import ModelParams, band_energies, high_symmetry_path
-from .protocol import plan_site, validate_plan
+from .protocol import SITES, plan_site, validate_plan
 from .topology import berry_curvature_fhs, chern_from_zak, chern_number
 
 __all__ = ["main", "RunConfig", "ConfigError"]
@@ -60,29 +60,6 @@ ERROR_EXIT_CODES = {
     "plaquette-saturated": 11,
 }
 
-DEFAULTS = {
-    "model": {"t": 1.0, "tprime": 0.1, "phi": math.pi / 2},
-    "protocol": {
-        "site": "I",
-        "leg_time": 200.0,
-        "echo": True,
-        "zeeman_rate": 0.0,
-        "samples_per_leg": 2000,
-    },
-    "scan": {"phi_mw_points": 24},
-    "mode": {"mode": "adiabatic", "dt": None},
-    "sweep": {
-        "error_radii": [0.0, 0.001, 0.002, 0.003],
-        "trials": 100,
-        "seed": 0,
-        "samples_per_leg": 1200,
-    },
-    "output": {"out": None, "format": "structured-record"},
-}
-
-# Each config key takes its default's type, and these two also take null.
-# A number is stored as a float, so a file's 200 hashes like --leg-time 200.
-_NULLABLE_KEYS = {("mode", "dt"): float, ("output", "out"): str}
 _TYPE_NAMES = {
     float: "a number", int: "an integer", bool: "true or false", str: "a string",
     list: "a list of numbers",
@@ -111,6 +88,46 @@ def parse_phi(text: str) -> float:
     if m.group(2):
         value /= float(m.group(2))
     return value
+
+
+# One row per config setting: (section, key, default, flag, argparse keywords
+# of the flag, whose attribute is the key), in --help order.  A key takes its
+# default's type, or its flag's when the default is null (then also null), and
+# its row's choices.  A row without a flag is set only from a config file, but
+# --samples-per-leg sets sweep.samples_per_leg under sweep (resolve_config).
+SETTINGS = (
+    ("model", "t", 1.0, "--t", {"type": float, "help": "nearest-neighbor hopping"}),
+    ("model", "tprime", 0.1, "--tprime",
+     {"type": float, "help": "next-nearest hopping"}),
+    ("model", "phi", math.pi / 2, "--phi",
+     {"type": parse_phi, "help": "flux phase (accepts forms like pi/2)"}),
+    ("protocol", "site", "I", "--site", {"choices": SITES}),
+    ("protocol", "leg_time", 200.0, "--leg-time", {"type": float}),
+    ("protocol", "echo", True, "--echo", {"action": argparse.BooleanOptionalAction}),
+    ("protocol", "zeeman_rate", 0.0, "--zeeman-rate", {"type": float}),
+    ("protocol", "samples_per_leg", 2000, "--samples-per-leg", {"type": int}),
+    ("mode", "mode", "adiabatic", "--mode", {"choices": ("adiabatic", "tdse")}),
+    ("mode", "dt", None, "--dt", {"type": float}),
+    ("scan", "phi_mw_points", 24, "--phi-mw-points", {"type": int}),
+    ("sweep", "seed", 0, "--seed", {"type": int}),
+    ("sweep", "trials", 100, "--trials", {"type": int}),
+    ("sweep", "error_radii", [0.0, 0.001, 0.002, 0.003], None, {}),
+    ("sweep", "samples_per_leg", 1200, None, {}),
+    ("output", "out", None, "--out", {"type": str, "help": "directory for data files"}),
+    ("output", "format", "structured-record", "--format",
+     {"choices": ("dsv", "structured-record")}),
+)
+
+DEFAULTS: dict = {}
+for _section, _key, _default, _, _ in SETTINGS:
+    DEFAULTS.setdefault(_section, {})[_key] = _default
+
+# Settings of single subcommands, (key, flag, default, subcommands); they
+# enter the config hash as the command's own settings.
+_COMMAND_SETTINGS = (
+    ("grid_n", "--grid-n", 60, ("curvature", "chern")),
+    ("points_per_segment", "--points-per-segment", 60, ("bands",)),
+)
 
 
 @dataclass(frozen=True)
@@ -143,31 +160,21 @@ class RunConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "model": dict(self.model),
-            "protocol": dict(self.protocol),
-            "scan": dict(self.scan),
-            "mode": dict(self.mode),
-            "sweep": dict(self.sweep),
-            "output": dict(self.output),
-        }
+        return {section: dict(getattr(self, section)) for section in DEFAULTS}
 
     def validate(self) -> None:
         """Type-check every key, storing numbers as floats, then check the
         choices; any failure raises ConfigError."""
-        for section, defaults in DEFAULTS.items():
+        for section, key, default, _, options in SETTINGS:
             table = getattr(self, section)
-            for key, default in defaults.items():
-                kind = _NULLABLE_KEYS.get((section, key))
-                if kind is None or table[key] is not None:
-                    kind = kind or type(default)
-                    table[key] = _typed(f"{section}.{key}", table[key], kind)
-        if self.protocol["site"] not in ("I", "II"):
-            raise ConfigError("protocol.site must be 'I' or 'II'")
-        if self.mode["mode"] not in ("adiabatic", "tdse"):
-            raise ConfigError("mode.mode must be 'adiabatic' or 'tdse'")
-        if self.output["format"] not in ("dsv", "structured-record"):
-            raise ConfigError("output.format must be 'dsv' or 'structured-record'")
+            if default is not None or table[key] is not None:
+                kind = options["type"] if default is None else type(default)
+                table[key] = _typed(f"{section}.{key}", table[key], kind)
+        for section, key, _, _, options in SETTINGS:
+            choices = options.get("choices")
+            if choices and getattr(self, section)[key] not in choices:
+                raise ConfigError(f"{section}.{key} must be "
+                                  + " or ".join(map(repr, choices)))
 
     def model_params(self) -> ModelParams:
         return ModelParams(
@@ -214,39 +221,16 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-_FLAG_DESTINATIONS = {
-    "t": ("model", "t"),
-    "tprime": ("model", "tprime"),
-    "phi": ("model", "phi"),
-    "site": ("protocol", "site"),
-    "leg_time": ("protocol", "leg_time"),
-    "echo": ("protocol", "echo"),
-    "zeeman_rate": ("protocol", "zeeman_rate"),
-    "samples_per_leg": ("protocol", "samples_per_leg"),
-    "mode": ("mode", "mode"),
-    "dt": ("mode", "dt"),
-    "phi_mw_points": ("scan", "phi_mw_points"),
-    "seed": ("sweep", "seed"),
-    "trials": ("sweep", "trials"),
-    "out": ("output", "out"),
-    "format": ("output", "format"),
-}
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """File values over defaults, then flags over both.
-
-    ``--samples-per-leg`` sets ``sweep.samples_per_leg`` under ``sweep``, the
-    sampling that subcommand runs, and ``protocol.samples_per_leg`` otherwise.
-    """
+    """File values over defaults, then flags over both."""
     data = _load_config_file(args.config) if args.config else {}
     base = RunConfig.from_dict(data).to_dict()
-    destinations = dict(_FLAG_DESTINATIONS)
-    if args.command == "sweep":
-        destinations["samples_per_leg"] = ("sweep", "samples_per_leg")
-    for flag, (section, key) in destinations.items():
-        value = getattr(args, flag, None)
+    for section, key, _, flag, _ in SETTINGS:
+        value = getattr(args, key) if flag else None
         if value is not None:
+            # Under sweep, --samples-per-leg sets the sampling sweep runs.
+            if flag == "--samples-per-leg" and args.command == "sweep":
+                section = "sweep"
             base[section][key] = value
     cfg = RunConfig(**base)
     cfg.validate()
@@ -344,7 +328,7 @@ def cmd_zak(cfg: RunConfig, args) -> tuple[list, dict]:
     p = cfg.model_params()
     phases = {}
     totals = {}
-    for site in ("I", "II"):
+    for site in SITES:
         _, ledger = evolve_adiabatic(
             initial_state(), _plan(cfg, p, site), p,
             zeeman_rate=cfg.protocol["zeeman_rate"],
@@ -454,7 +438,7 @@ def cmd_fringe(cfg: RunConfig, args) -> tuple[list, dict]:
 def cmd_detect(cfg: RunConfig, args) -> tuple[list, dict]:
     p = cfg.model_params()
     fits = {}
-    for site in ("I", "II"):
+    for site in SITES:
         fits[site] = fit_fringe(_fringe_scan(cfg, p, site))
     oracle = chern_number(p)
     report = classify(fits["I"], fits["II"], oracle_c=oracle.value)
@@ -549,23 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON configuration file")
     common.add_argument("--print-config", action="store_true",
                         help="print the resolved configuration and exit")
-    common.add_argument("--t", type=float, help="nearest-neighbor hopping")
-    common.add_argument("--tprime", type=float, help="next-nearest hopping")
-    common.add_argument("--phi", type=parse_phi,
-                        help="flux phase (accepts forms like pi/2)")
-    common.add_argument("--site", choices=("I", "II"))
-    common.add_argument("--leg-time", dest="leg_time", type=float)
-    common.add_argument("--echo", dest="echo",
-                        action=argparse.BooleanOptionalAction, default=None)
-    common.add_argument("--zeeman-rate", dest="zeeman_rate", type=float)
-    common.add_argument("--samples-per-leg", dest="samples_per_leg", type=int)
-    common.add_argument("--mode", choices=("adiabatic", "tdse"))
-    common.add_argument("--dt", type=float)
-    common.add_argument("--phi-mw-points", dest="phi_mw_points", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--trials", type=int)
-    common.add_argument("--out", help="directory for data files")
-    common.add_argument("--format", choices=("dsv", "structured-record"))
+    for _, _, _, flag, options in SETTINGS:
+        if flag:
+            common.add_argument(flag, **options)
 
     parser = argparse.ArgumentParser(
         prog="chernscope",
@@ -575,11 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name, parents=[common])
-        if name in ("curvature", "chern"):
-            p.add_argument("--grid-n", dest="grid_n", type=int, default=60)
-        if name == "bands":
-            p.add_argument("--points-per-segment", dest="points_per_segment",
-                           type=int, default=60)
+        for key, flag, default, commands in _COMMAND_SETTINGS:
+            if name in commands:
+                p.add_argument(flag, dest=key, type=int, default=default)
     return parser
 
 
@@ -620,11 +588,8 @@ def _emit(
     whose values are all finite but that hit a floating-point error
     (``fp_error``) raises FloatingPointError instead of printing them."""
     fmt = cfg.output["format"]
-    settings = {
-        key: getattr(args, key)
-        for key in ("grid_n", "points_per_segment")
-        if hasattr(args, key)
-    }
+    settings = {key: getattr(args, key) for key, _, _, commands
+                in _COMMAND_SETTINGS if args.command in commands}
     header = [("command", args.command), ("version", __version__),
               ("config-hash", cfg.config_hash(settings))]
     record = record_lines(header + summary)

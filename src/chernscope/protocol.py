@@ -48,6 +48,7 @@ from .lattice import (
 )
 
 __all__ = [
+    "SITES",
     "MAX_SAMPLES_PER_LEG",
     "Leg",
     "ForceSpec",
@@ -62,6 +63,9 @@ __all__ = [
     "leg_pass",
     "perturb_plan",
 ]
+
+# The two detection sites, in the order every two-site loop runs them.
+SITES = ("I", "II")
 
 MAX_ENDPOINT_ERROR_FRACTION = 0.25  # of |b1|
 
@@ -209,22 +213,24 @@ class PlanDiagnostics:
     messages: tuple
 
 
+def _site_sign(site: str) -> float:
+    """-1 for site I and +1 for site II: the sign of its legs, and minus the
+    sign of its start's kx."""
+    if site not in SITES:
+        raise ValueError(f"site must be 'I' or 'II', got {site!r}")
+    return -1.0 if site == "I" else 1.0
+
+
 def site_start(site: str, p: ModelParams) -> np.ndarray:
-    a = p.geometry.a
-    x = 2 * np.pi / (3 * np.sqrt(3.0) * a)
-    if site == "I":
-        return np.array([x, 0.0])
-    if site == "II":
-        return np.array([-x, 0.0])
-    raise ValueError(f"site must be 'I' or 'II', got {site!r}")
+    sign = _site_sign(site)
+    x = 2 * np.pi / (3 * np.sqrt(3.0) * p.geometry.a)
+    return np.array([-sign * x, 0.0])
 
 
 def site_displacements(site: str, p: ModelParams) -> dict[str, np.ndarray]:
     """Leg displacement per packet; keys "down" and "up"."""
     g = p.geometry
-    sign = -1.0 if site == "I" else 1.0
-    if site not in ("I", "II"):
-        raise ValueError(f"site must be 'I' or 'II', got {site!r}")
+    sign = _site_sign(site)
     return {"down": sign * (g.b1 + g.b2), "up": sign * g.b2}
 
 

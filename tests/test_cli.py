@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import io
 import json
 import os
@@ -275,6 +276,61 @@ def test_config_validation_errors():
         RunConfig.from_dict({"model": {"t": "fast"}})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"sweep": {"error_radii": 0.1}})
+
+
+FLAGGED = [
+    pytest.param(row, id=f"{row[0]}.{row[1]}")
+    for row in chernscope.cli.SETTINGS
+    if row[3]
+]
+WITH_CHOICES = [
+    pytest.param(row, id=f"{row[0]}.{row[1]}")
+    for row in chernscope.cli.SETTINGS
+    if "choices" in row[4]
+]
+
+
+def changed_settings(config):
+    """The (section, key) pairs of a printed config that differ from
+    DEFAULTS."""
+    return {
+        (section, key)
+        for section, table in DEFAULTS.items()
+        for key, default in table.items()
+        if config[section][key] != default
+    }
+
+
+@pytest.mark.parametrize("command", ["fringe", "sweep"])
+@pytest.mark.parametrize("row", FLAGGED)
+def test_each_flag_sets_only_its_own_setting(row, command):
+    section, key, default, flag, options = row
+    if options.get("action") is argparse.BooleanOptionalAction:
+        argv = [flag if not default else "--no-" + flag[2:]]
+    elif "choices" in options:
+        argv = [flag, next(c for c in options["choices"] if c != default)]
+    elif default is None:
+        argv = [flag, "0.5" if options["type"] is float else "elsewhere"]
+    else:
+        argv = [flag, str(default + 1)]
+    code, out, _ = run_cli(command, *argv, "--print-config")
+    assert code == 0
+    if command == "sweep" and flag == "--samples-per-leg":
+        section = "sweep"
+    assert changed_settings(json.loads(out)) == {(section, key)}
+
+
+@pytest.mark.parametrize("row", WITH_CHOICES)
+def test_config_value_outside_choices_exits_config(tmp_path, row):
+    section, key = row[:2]
+    path = tmp_path / "choice.json"
+    path.write_text(json.dumps({section: {key: "no-such-choice"}}))
+    code, out, err = run_cli("chern", "--config", str(path))
+    assert code == 3
+    assert out == ""
+    summary = summary_of(err)
+    assert summary["error"] == "config"
+    assert f"{section}.{key}" in summary["message"]
 
 
 @pytest.mark.parametrize(
