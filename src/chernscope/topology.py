@@ -203,7 +203,12 @@ def berry_curvature_fhs(
     A grid point costs about 194 bytes of peak memory (tracemalloc, n = 200
     and 400), so the largest grid, n = ``MAX_GRID_N`` = 1500, implies a peak
     of about 440 MB; the default n = 60 and the n = 200 tables stay far
-    inside it.
+    inside it.  The whole ``curvature`` command peaks at this kernel figure,
+    192.5 to 194 bytes per point at n = 200 and 400, both with its table
+    printed to an in-memory stdout and with ``--format dsv --out``: it
+    formats the table after the kernel returns, in blocks of rows, within
+    less memory.  So ``curvature --grid-n 1500`` should also need about 440
+    MB, a figure extrapolated from the n = 200 and 400 measurements, not run.
 
     Raises:
         ValueError: if n < 6, or n > MAX_GRID_N before anything is allocated.

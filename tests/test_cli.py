@@ -19,7 +19,16 @@ import chernscope.interferometer
 import chernscope.lattice
 import chernscope.protocol
 import chernscope.topology
-from chernscope.cli import DEFAULTS, ConfigError, RunConfig, main, parse_phi
+from chernscope.cli import (
+    DEFAULTS,
+    ConfigError,
+    RunConfig,
+    format_column,
+    format_value,
+    main,
+    parse_phi,
+    table_lines,
+)
 
 
 def run_cli(*argv):
@@ -427,6 +436,103 @@ def test_non_finite_result_exits_invalid_value(tmp_path, argv, field):
     summary = summary_of(err)
     assert summary["error"] == "invalid-value"
     assert summary["message"].startswith(f"{field} is not finite")
+
+
+def _cell_by_cell(headers, rows, fmt, name):
+    """Reference lines of a table: format_value on each cell, row by row."""
+    names = [f"{name}.{h}" for h in headers]
+    lines = ["\t".join(headers)] if fmt == "dsv" else []
+    for row in rows:
+        cells = [format_value(value, n) for value, n in zip(row, names)]
+        if fmt == "dsv":
+            lines.append("\t".join(cells))
+        else:
+            lines.extend(f"{h}: {c}" for h, c in zip(headers, cells))
+            lines.append("")
+    return lines
+
+
+@pytest.mark.parametrize("fmt", ["dsv", "structured-record"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bands", "--points-per-segment", "20"),
+        ("curvature", "--grid-n", "24"),
+        ("curvature", "--grid-n", "70"),  # more rows than one block
+        ("protocol", "--leg-time", "2"),
+        ("fringe",),
+        ("sweep", "--trials", "2"),
+    ],
+    ids=" ".join,
+)
+def test_table_lines_match_cell_by_cell_formatting(argv, fmt):
+    """A table formatted column by column prints exactly what format_value
+    prints for each cell in row-major order."""
+    args = chernscope.cli.build_parser().parse_args(list(argv))
+    cfg = chernscope.cli.resolve_config(args)
+    _, tables = chernscope.cli.COMMANDS[args.command](cfg, args)
+    assert tables
+    for name, (headers, columns) in tables.items():
+        assert len(columns) == len(headers)
+        rows = list(zip(*columns))
+        assert all(len(column) == len(rows) for column in columns)
+        # Compared as lists of lines, which pytest diffs quickly.
+        text = "\n".join(table_lines(headers, columns, fmt, name))
+        assert text.split("\n") == _cell_by_cell(headers, rows, fmt, name)
+
+
+def test_format_column_matches_format_value_on_edge_values():
+    floats = [
+        -0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 0.1 + 0.2, 1 / 3, 2.5e-7,
+        0.1234567890125, 1.0000000000005, 999999999999.5, 9999999999995.0,
+        -1.7976931348623157e308,
+    ]
+    ints = [0, -1, 2**62, np.iinfo(np.int64).min, np.iinfo(np.int64).max]
+    mixed = [True, False, None, np.int64(7), np.float64(-0.0), -0.0, 2.5, 3,
+             "Ambiguous", np.bool_(True)]
+    cases = [
+        np.array(floats),
+        np.array(floats)[::3],  # a strided view
+        np.array(floats[:4] + [0.1, 1e16, -0.0], dtype=np.float32),
+        np.array(ints, dtype=np.int64),
+        np.arange(3, dtype=np.uint8),
+        np.array([True, False]),
+        floats,
+        ints,
+        tuple(mixed),
+        mixed,
+        [],
+    ]
+    for values in cases:
+        expected = [format_value(value, "t.x") for value in values]
+        assert format_column(values, "t.x") == expected
+
+
+_BLOCK = chernscope.cli._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("fmt", ["dsv", "structured-record"])
+@pytest.mark.parametrize(
+    "bad_a,bad_b,message",
+    [
+        (5, 3, "t.b is not finite: inf"),
+        (3, 3, "t.a is not finite: nan"),
+        (_BLOCK, _BLOCK - 1, "t.b is not finite: inf"),  # across a block edge
+        (_BLOCK - 1, _BLOCK, "t.a is not finite: nan"),
+        (_BLOCK + 7, _BLOCK + 2, "t.b is not finite: inf"),
+    ],
+)
+def test_table_names_row_major_first_non_finite_cell(fmt, bad_a, bad_b, message):
+    """A later column's bad cell in an earlier row is the one named, as in
+    formatting cell by cell; ``b`` is a plain list, ``a`` an array."""
+    rows = 2 * _BLOCK + 1
+    a = np.linspace(0.0, 1.0, rows)
+    a[bad_a] = np.nan
+    b = np.linspace(0.0, 1.0, rows).tolist()
+    b[bad_b] = np.inf
+    with pytest.raises(ValueError) as raised:
+        table_lines(("i", "a", "b"), (np.arange(rows), a, b), fmt, "t")
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("count", ["-1", "11"])
