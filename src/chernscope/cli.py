@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -247,7 +248,7 @@ def format_value(value, name: str) -> str:
     or infinite number raises ValueError naming the field ``name``."""
     if value is None:
         return "none"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -546,6 +547,9 @@ COMMANDS = {
 }
 
 
+# Built once per process: parse_args only reads it, into a fresh Namespace.
+# No flag default is mutable: SETTINGS rows set none, _COMMAND_SETTINGS ints.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON configuration file")

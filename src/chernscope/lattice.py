@@ -447,8 +447,20 @@ def band_gap_min(p: ModelParams, n: int = 64) -> float:
     Scans an n x n grid in fractional reciprocal coordinates, then refines
     around the best point: each round rescans a 7 x 7 grid spanning one
     window on either side of it, moves to the grid's best point, and
-    shrinks the window by 0.35, starting from one grid step for 40 rounds.
+    shrinks the window by 0.35, starting from one grid step for 20 rounds.
     The scan and the refinement are the same batched ``band_energies`` pass.
+
+    The search stops at 20 rounds because its result has stopped moving:
+    the last window is 0.35**20 / n, about 2.4e-11 of the zone at n = 32,
+    and further rounds only shuffle rounding noise.  Over 3,000 seeded
+    draws (tp in [0, 0.5], n in {32, 64}, a third of them near-gapless with
+    |phi| from 1e-12 to 1e-3) every result after 18 to 26 rounds lies within
+    4.5e-16 of the 40-round result, and at phi = 0 both stay below 3e-15.
+    In every draw the minimum sits at K, K' or M, which the scan or the
+    first round samples exactly; the later rounds serve a minimum elsewhere.
+    A call takes about 1.4 ms at n = 32 and 2.0 ms at n = 64, against 2.6
+    and 3.4 ms with 40 rounds (the best of 7 x 200 calls over four
+    alternated runs, 2-core Intel Xeon, Python 3.11, numpy 2.4).
 
     The gap at K and K' is 2 * 3*sqrt(3) * tp * |sin phi|.  It is the
     minimum only while it stays below the gap elsewhere, for example 2t at
@@ -470,7 +482,7 @@ def band_gap_min(p: ModelParams, n: int = 64) -> float:
     offsets = np.linspace(-1.0, 1.0, 7)
     o1, o2 = np.meshgrid(offsets, offsets, indexing="ij")
     window = 1.0 / n
-    for _ in range(40):
+    for _ in range(20):
         gap, k1, k2 = grid_min(c1 + window * o1, c2 + window * o2)
         if gap < best:
             best, c1, c2 = gap, k1, k2

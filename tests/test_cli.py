@@ -227,6 +227,55 @@ def test_usage_error_exit_code():
     assert code == 2
 
 
+def _main_captured(capsys, argv):
+    """Exit code, stdout and stderr of one ``main`` call, argparse's own
+    usage and help text included."""
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_reused_parser_changes_no_call(tmp_path, capsys, monkeypatch):
+    """One process's mixed calls print what each prints with a new parser."""
+    monkeypatch.setenv("COLUMNS", "100")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"nope": {}}))
+    calls = [
+        ["detect"], ["fringe", "--site", "II", "--no-echo"],
+        ["sweep", "--trials", "1"], ["chern", "--no-such-flag"], ["--help"],
+        ["chern", "--config", str(bad)], ["detect"],
+    ]
+    build_parser = chernscope.cli.build_parser
+    build_parser.cache_clear()
+    reused = [_main_captured(capsys, argv) for argv in calls]
+    assert build_parser.cache_info()[:2] == (len(calls) - 1, 1)  # hits, misses
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_main_captured(capsys, argv))
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 3, 0]
+    assert reused == fresh
+    assert reused[0] == reused[-1]
+
+
+def test_reused_parser_help_follows_columns(capsys, monkeypatch):
+    """--help takes its width from COLUMNS when it prints, not when the
+    parser was built."""
+    build_parser = chernscope.cli.build_parser
+    build_parser.cache_clear()
+    helps = {}
+    for columns in ("50", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps[columns] = _main_captured(capsys, ["detect", "--help"])
+    assert build_parser.cache_info().misses == 1
+    for columns in ("50", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        build_parser.cache_clear()
+        assert _main_captured(capsys, ["detect", "--help"]) == helps[columns]
+    assert max(len(line) for line in helps["50"][1].splitlines()) < 100
+    assert max(len(line) for line in helps["200"][1].splitlines()) > 100
+
+
 def test_config_file_applies(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"model": {"tprime": 0.2}}))
@@ -479,6 +528,12 @@ def test_table_lines_match_cell_by_cell_formatting(argv, fmt):
         # Compared as lists of lines, which pytest diffs quickly.
         text = "\n".join(table_lines(headers, columns, fmt, name))
         assert text.split("\n") == _cell_by_cell(headers, rows, fmt, name)
+
+
+def test_numpy_booleans_print_true_false():
+    assert format_value(np.bool_(True), "x") == "true"
+    assert format_value(np.bool_(False), "x") == "false"
+    assert format_column(np.array([True, False]), "x") == ["true", "false"]
 
 
 def test_format_column_matches_format_value_on_edge_values():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import chernscope.topology
 from chernscope import (
     DEFAULT_GEOMETRY,
     GaplessPoint,
@@ -212,6 +213,71 @@ def test_band_gap_min_matches_frozen_draws(tp, phi, n, gap):
     assert band_gap_min(ModelParams(tp=tp, phi=phi), n) == pytest.approx(
         gap, abs=1e-12
     )
+
+
+def _gap_search_40_rounds(p, n):
+    """Reference search: ``band_gap_min``'s n x n scan, 7 x 7 grid and 0.35
+    shrink, run for 40 rounds instead of 20."""
+    b1, b2 = p.geometry.b1, p.geometry.b2
+
+    def grid_min(f1, f2):
+        e_lo, e_up = band_energies(f1[..., None] * b1 + f2[..., None] * b2, p)
+        gaps = e_up - e_lo
+        idx = np.unravel_index(np.argmin(gaps), gaps.shape)
+        return float(gaps[idx]), f1[idx], f2[idx]
+
+    fracs = np.arange(n) / n
+    best, c1, c2 = grid_min(*np.meshgrid(fracs, fracs, indexing="ij"))
+    offsets = np.linspace(-1.0, 1.0, 7)
+    o1, o2 = np.meshgrid(offsets, offsets, indexing="ij")
+    window = 1.0 / n
+    for _ in range(40):
+        gap, k1, k2 = grid_min(c1 + window * o1, c2 + window * o2)
+        if gap < best:
+            best, c1, c2 = gap, k1, k2
+        window *= 0.35
+    return best
+
+
+def _gap_search_draws(seed, count):
+    """(tp, phi, n) draws; every third is near-gapless, |phi| in [1e-12, 1e-3]."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for i in range(count):
+        tp, n = rng.uniform(0.0, 0.5), int(rng.choice([32, 64]))
+        if i % 3 == 2:
+            phi = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -3.0)
+        else:
+            phi = rng.uniform(-np.pi, np.pi)
+        draws.append((float(tp), float(phi), n))
+    return draws
+
+
+@pytest.mark.parametrize("tp, phi, n", _gap_search_draws(1674, 60))
+def test_band_gap_min_matches_the_40_round_search(tp, phi, n):
+    p = ModelParams(tp=tp, phi=phi)
+    assert abs(band_gap_min(p, n) - _gap_search_40_rounds(p, n)) <= 1e-15
+
+
+@pytest.mark.parametrize("tp", [0.05, 0.1, 0.37])
+@pytest.mark.parametrize("phi", [1e-3, 1e-6, 1e-9, -1e-9, 1e-12])
+def test_band_gap_min_near_gapless_equals_the_k_gap(tp, phi):
+    # Here the minimum is the gap at K, 2 * 3*sqrt(3) * tp * |sin phi|.
+    k_gap = 6 * np.sqrt(3.0) * tp * abs(np.sin(phi))
+    assert abs(band_gap_min(ModelParams(tp=tp, phi=phi)) - k_gap) <= 1e-15
+
+
+@pytest.mark.parametrize("ratio, gapless", [(0.5, True), (2.0, False)])
+def test_require_gapped_splits_at_gap_tol(ratio, gapless):
+    # phi puts the gap at K, the minimum, at ratio * gap_tol.
+    tp = 0.1
+    phi = float(np.arcsin(ratio * P0.gap_tol / (6 * np.sqrt(3.0) * tp)))
+    p = ModelParams(tp=tp, phi=phi)
+    if gapless:
+        with pytest.raises(GaplessPoint):
+            chernscope.topology._require_gapped(p)
+    else:
+        chernscope.topology._require_gapped(p)
 
 
 def test_gapless_point_raised_without_nnn_hopping():
