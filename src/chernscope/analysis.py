@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import islice
+from itertools import cycle, islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -306,17 +306,22 @@ def robustness_sweep(
     Each perturbed plan is built as its seed is drawn, in (radius, trial,
     site) order, and the plans are evolved by
     :func:`chernscope.interferometer.evolve_adiabatic_batch` a few per
-    pass, so only one batch of plans is held at a time.  Their end states
-    are read out and fitted in blocks of at most ``_READOUT_TRIALS`` trials
-    of one radius: one readout pulse over the block and one
+    pass, so only one batch of plans is held at a time.  A zero radius
+    (also -0.0) draws its trials' seeds but evolves nothing: its trials
+    reuse the nominal end states.  That is exact, because ``perturb_plan``
+    at radius 0 reproduces the nominal plan bit for bit and a batched
+    evolution gives each plan the bits it gets alone.  The end states are
+    read out and fitted in blocks of at most ``_READOUT_TRIALS`` trials of
+    one radius: one readout pulse over the block and one
     :func:`fit_fringes` call, whose rows fit as each would alone, so every
     record equals that of ``run_fringe``, ``fit_fringe`` and ``classify``
     taken plan by plan.  The ``sweep`` command peaks at about 1.1 kB per
     trial (tracemalloc at 400 and 1,600 trials per radius over 4 radii), so
     the budget of ``MAX_SWEEP_TRIALS`` = 100,000 trials over all radii
-    implies about 110 MB; a trial takes about 2 ms at the default sampling
-    on one Intel Xeon vCPU, so the budget also bounds the run to about four
-    minutes.
+    implies about 110 MB; a trial at a nonzero radius takes about 2.5 ms
+    at the default sampling on one Intel Xeon vCPU (400 trials at radius
+    0.002; about 0.04 ms at radius 0), so the budget also bounds the run to
+    about four minutes.
 
     Raises:
         ValueError: if ``trials`` is below 1, or ``trials`` times the number
@@ -348,21 +353,30 @@ def robustness_sweep(
     phases = np.array([np.append(phi_grid, [0.0, phi]) for phi in nominal_phi])
 
     rng = np.random.default_rng(seed)
-    perturbed = (
-        perturb_plan(plan, radius=radius, seed=int(rng.integers(0, 2**63 - 1)))
+    draws = (
+        (radius, plan, int(rng.integers(0, 2**63 - 1)))
         for radius in error_radii
         for _ in range(trials)
         for plan in plans
+    )
+    # A zero radius draws its seeds, so later draws keep their order even
+    # though the batch reads plans ahead, but evolves nothing: its end
+    # states are the nominal ones.
+    perturbed = (
+        perturb_plan(plan, radius=radius, seed=drawn)
+        for radius, plan, drawn in draws
+        if radius != 0
     )
     ends = (end for end, _ in evolve_adiabatic_batch(perturbed, p, zeeman_rate))
     rows = []
     records = []
     for radius in error_radii:
+        source = cycle(nominal_ends) if radius == 0 else ends
         block = []
         for first in range(0, trials, _READOUT_TRIALS):
             count = min(_READOUT_TRIALS, trials - first)
             fits, n_up = _read_and_fit(
-                list(islice(ends, count * len(SITES))), phases, m
+                list(islice(source, count * len(SITES))), phases, m
             )
             for index, fit_i, fit_ii, zero, at_nominal in zip(
                 range(first, first + count), fits[0::2], fits[1::2],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chernscope.analysis
+import chernscope.protocol
 from chernscope import (
     DegenerateScan,
     FringeFit,
@@ -305,12 +306,20 @@ def test_sweep_aggregates_match_records():
         assert row.n_ambiguous == sum(r.c_classified is None for r in recs)
 
 
-def test_sweep_records_equal_the_plan_by_plan_route():
+@pytest.mark.parametrize(
+    "radii, trials, seed",
+    [([0.0, 0.002], 3, 0), ([0.002, 0.0, 0.001, 0.0], 3, 4)],
+    ids=["zero-first", "zero-anywhere"],
+)
+def test_sweep_records_equal_the_plan_by_plan_route(radii, trials, seed):
     """The sweep's stacked readout and fit give, bit for bit, the records
     of the public route taken one plan at a time: ``perturb_plan`` with the
     seeds drawn in (radius, trial, site) order, then ``run_fringe``,
-    ``fit_fringe`` and ``classify``."""
-    radii, trials, seed, samples = [0.0, 0.002], 3, 0, 40
+    ``fit_fringe`` and ``classify``.  The route evolves every radius-0 plan
+    too, so it checks the sweep's reuse of the nominal end states, with a
+    zero radius first, between and last, and an odd trial count, so that
+    an evolution pass spans two radii."""
+    samples = 40
     table = robustness_sweep(
         P0, radii, trials=trials, seed=seed, samples_per_leg=samples
     )
@@ -348,7 +357,40 @@ def test_sweep_records_equal_the_plan_by_plan_route():
                 )
             )
     assert table.trials == tuple(expected)
-    assert table.rows[0].max_zak_error == 0.0
+    zero_rows = [row for row in table.rows if row.radius == 0]
+    assert [row.max_zak_error for row in zero_rows] == [0.0] * radii.count(0.0)
+
+
+def test_sweep_zero_radii_evolve_only_the_nominal_plans(monkeypatch):
+    """Radius-0 trials reuse the nominal end states: the sweep's one field
+    pass is the nominal one, over both sites' 2 x 1,201 leg samples."""
+    sizes = []
+    fields = chernscope.protocol.bloch_fields
+
+    def counting(kpts, p):
+        sizes.append(len(kpts))
+        return fields(kpts, p)
+
+    monkeypatch.setattr(chernscope.protocol, "bloch_fields", counting)
+    table = robustness_sweep(P0, [0.0, 0.0], trials=3)
+    assert sizes == [2 * 2 * 1201]
+    assert [row.max_zak_error for row in table.rows] == [0.0, 0.0]
+
+
+def test_sweep_refuses_a_radius_out_of_range_after_a_zero_radius():
+    with pytest.raises(ValueError) as info:
+        robustness_sweep(P0, [0.0, 1.5], trials=2)
+    assert str(info.value) == (
+        "error radius must lie in [0, |b1|/4 = 1.0472), got 1.5"
+    )
+
+
+def test_sweep_negative_zero_radius_is_a_zero_radius():
+    a = robustness_sweep(P0, [-0.0, 0.001], trials=2, samples_per_leg=40)
+    b = robustness_sweep(P0, [0.0, 0.001], trials=2, samples_per_leg=40)
+    assert a.rows == b.rows
+    assert a.trials == b.trials
+    assert a.nominal == b.nominal
 
 
 def test_sweep_rejects_empty_trials():

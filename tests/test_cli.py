@@ -139,7 +139,7 @@ def test_sweep_output_does_not_depend_on_batch_size(monkeypatch):
     reference = run_cli(*args)
     assert reference[0] == 0
     fields = chernscope.lattice.bloch_fields
-    for batch, pass_sizes in ((1, {2 * 1201}), (10**6, {4 * 1201, 48 * 1201})):
+    for batch, pass_sizes in ((1, {2 * 1201}), (10**6, {4 * 1201, 36 * 1201})):
         sizes = []
 
         def counting(kpts, p):

@@ -42,9 +42,10 @@ def test_traced_fringe_counts_each_leg_point_once():
 
 def test_traced_sweep_evaluates_each_leg_sample_once():
     """A traced sweep at 2 trials and 20 samples per leg evolves the 2
-    nominal plans and 2 sites x 2 trials at each of the 4 default radii, and
-    evaluates the fields of each plan's 2 x 21 leg samples once; the traced
-    wrappers it passes through are handed single plans, never a batch."""
+    nominal plans and 2 sites x 2 trials at each of the 3 nonzero default
+    radii (the radius-0 trials reuse the nominal end states), and evaluates
+    the fields of each plan's 2 x 21 leg samples once; the traced wrappers
+    it passes through are handed single plans, never a batch."""
     tracer = SPANS_NAMESPACE["Tracer"]()
     tracer.install()
     try:
@@ -56,7 +57,7 @@ def test_traced_sweep_evaluates_each_leg_sample_once():
         tracer.restore()
     assert code == 0
     _, counts = tracer.take()
-    assert counts["lattice.fields.momenta"] == (2 + 4 * 2 * 2) * 2 * 21
+    assert counts["lattice.fields.momenta"] == (2 + 3 * 2 * 2) * 2 * 21
 
 
 TDSE_ARGV = ["fringe", "--mode", "tdse", "--leg-time", "2", "--samples-per-leg", "400"]

@@ -11,6 +11,7 @@ import chernscope.protocol
 from chernscope import (
     DEFAULT_GEOMETRY,
     KPath,
+    LatticeGeometry,
     Leg,
     MalformedPlan,
     ModelParams,
@@ -234,6 +235,29 @@ def test_perturb_zero_radius_is_identity():
     assert np.array_equal(same.endpoint_up, plan.endpoint_up)
     noargs = perturb_plan(plan)
     assert np.array_equal(noargs.endpoint_down, plan.endpoint_down)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_perturb_zero_radius_reproduces_endpoints_bit_for_bit(scale):
+    """The identity the sweep's radius-0 reuse rests on: over 200 seeds,
+    both sites, with and without the echo, a zero radius leaves every
+    endpoint coordinate equal, sign of zero included."""
+    p = ModelParams(geometry=LatticeGeometry.with_scale(scale))
+    plans = [
+        plan_site(site, p, with_echo=echo)
+        for site in ("I", "II")
+        for echo in (True, False)
+    ]
+    seeds = np.random.default_rng(3).integers(0, 2**63 - 1, 200)
+    for plan in plans:
+        for seed in seeds:
+            same = perturb_plan(plan, radius=0.0, seed=int(seed))
+            for ours, theirs in (
+                (same.endpoint_down, plan.endpoint_down),
+                (same.endpoint_up, plan.endpoint_up),
+            ):
+                assert np.array_equal(ours, theirs)
+                assert np.array_equal(np.signbit(ours), np.signbit(theirs))
 
 
 def test_perturb_is_seed_deterministic():
