@@ -93,9 +93,17 @@ __all__ = [
 MAX_TDSE_STEPS = 2**22
 
 # Midpoints per block of a TDSE leg.  A block's fields and step factors
-# (about 1.1 MB) stay in cache and their memory is reused by the next
-# block, so a call does not page in memory that grows with the step count.
+# (about 1 MB) stay in cache and their memory is reused by the next
+# block.  What a block leaves behind is its phase and its _SU2_SHORT
+# reduced (a, b) pairs, 32 bytes per pair, so about 2 KB per full block:
+# 64 KB at 2**18 steps, 1 MB at the budget of MAX_TDSE_STEPS.
 _TDSE_BLOCK = 8192
+
+# Pairs a full TDSE block is reduced to before the full blocks' trees are
+# finished together as one (blocks, pairs) stack.  Below about this length
+# a tree level costs its numpy call overhead (about 10 us) whatever its
+# size, so the stack pays the short levels once per leg, not per block.
+_SU2_SHORT = 64
 
 # Momenta per pass of evolve_adiabatic_batch: four plans at the sweep's
 # default 1,200 samples per leg.  A pass peaks at about 1.5 MB (tracemalloc),
@@ -450,8 +458,8 @@ def _adiabatic_pass(
     ]
 
 
-def _leg_propagator(fields: tuple, dt: float) -> tuple[complex, complex, complex]:
-    """Time-ordered product of the step exponentials exp(-i H dt) of a leg.
+def _step_pairs(fields: tuple, dt: float) -> tuple[complex, np.ndarray, np.ndarray]:
+    """The step exponentials exp(-i H dt) of a leg as a phase and (a, b) pairs.
 
     ``fields`` holds (h0, hx, hy, hz) at the step midpoints in time order.
     Each step is a phase times an SU(2) matrix,
@@ -459,40 +467,63 @@ def _leg_propagator(fields: tuple, dt: float) -> tuple[complex, complex, complex
         exp(-i H dt) = e^{-i h0 dt} [[a, -conj(b)], [b, conj(a)]],
 
     with a = cos(|h| dt) - i s hz, b = s (hy - i hx) and s = sin(|h| dt) / |h|
-    (s = dt where |h| = 0).  The SU(2) parts are multiplied as (a, b) pairs
-    by :func:`_su2_product`.  The scalar phases commute with them and are
-    summed once.  Returns the phase exp(-i dt sum(h0)) and the (a, b) pair
-    of the SU(2) product.
+    (s = dt where |h| = 0).  The scalar phases commute with the SU(2) parts
+    and are summed once.  Returns the phase exp(-i dt sum(h0)) and the
+    steps' a and b arrays.
     """
     h0, hx, hy, hz = fields
     hmag = np.sqrt(hx**2 + hy**2 + hz**2)
-    s = np.where(hmag > 0.0, np.sin(hmag * dt) / np.where(hmag > 0, hmag, 1.0), dt)
+    x = hmag * dt
+    live = hmag > 0.0
+    s = np.sin(x)
+    np.divide(s, hmag, out=s, where=live)
+    s[~live] = dt
     a = np.empty(len(hmag), dtype=complex)
-    a.real = np.cos(hmag * dt)
+    a.real = np.cos(x)
     a.imag = -s * hz
     b = np.empty(len(hmag), dtype=complex)
     b.real = s * hy
     b.imag = -s * hx
-    return (complex(np.exp(-1j * dt * np.sum(h0))),) + _su2_product(a, b)
+    return complex(np.exp(-1j * dt * np.sum(h0))), a, b
 
 
-def _su2_product(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex]:
-    """(a, b) pair of the product of SU(2) pairs given in time order.
+def _leg_propagator(fields: tuple, dt: float) -> tuple[complex, complex, complex]:
+    """Time-ordered product of the step exponentials exp(-i H dt) of a leg.
 
-    Multiplies later @ earlier by pairwise reduction with an odd tail
-    carried to the next level, using a = a1 a0 - conj(b1) b0 and
-    b = b1 a0 + conj(a1) b0.
+    The steps of :func:`_step_pairs`, their SU(2) parts multiplied in one
+    tree by :func:`_su2_product`.  Returns the phase exp(-i dt sum(h0)) and
+    the (a, b) pair of the SU(2) product.
     """
-    while len(a) > 1:
-        n = len(a) - len(a) % 2
-        a1, a0, b1, b0 = a[1:n:2], a[0:n:2], b[1:n:2], b[0:n:2]
+    phase, a, b = _step_pairs(fields, dt)
+    a, b = _su2_product(a, b)
+    return phase, complex(a[0]), complex(b[0])
+
+
+def _su2_product(
+    a: np.ndarray, b: np.ndarray, short: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce SU(2) (a, b) pairs, in time order along the last axis.
+
+    Multiplies later @ earlier by pairwise reduction along the last axis,
+    every row of a stack alike, with an odd tail carried to the next level,
+    using a = a1 a0 - conj(b1) b0 and b = b1 a0 + conj(a1) b0.  Stops once
+    the last axis holds at most ``short`` pairs.  The pairing depends only
+    on the length, so a row reduced to a few pairs and finished later,
+    alone or stacked with rows of its length, rounds as one reduced to the
+    end in one call.
+    """
+    while a.shape[-1] > short:
+        m = a.shape[-1]
+        n = m - m % 2
+        a1, a0 = a[..., 1:n:2], a[..., 0:n:2]
+        b1, b0 = b[..., 1:n:2], b[..., 0:n:2]
         a_next = a1 * a0 - b1.conj() * b0
         b_next = b1 * a0 + a1.conj() * b0
-        if n < len(a):
-            a_next = np.append(a_next, a[-1])
-            b_next = np.append(b_next, b[-1])
+        if n < m:
+            a_next = np.concatenate((a_next, a[..., -1:]), axis=-1)
+            b_next = np.concatenate((b_next, b[..., -1:]), axis=-1)
         a, b = a_next, b_next
-    return complex(a[0]), complex(b[0])
+    return a, b
 
 
 def _line_propagator(
@@ -501,18 +532,34 @@ def _line_propagator(
     """:func:`_leg_propagator` of the n midpoints k0 + j step, by blocks.
 
     Each block of at most ``_TDSE_BLOCK`` midpoints takes its fields from
-    one :func:`chernscope.lattice.line_fields` call and is reduced to a
-    phase and an (a, b) pair; the blocks' pairs are then multiplied in time
-    order by :func:`_su2_product` and their phases multiplied together.
+    one :func:`chernscope.lattice.line_fields` call.  A full block is
+    reduced to at most ``_SU2_SHORT`` (a, b) pairs, and the full blocks'
+    pairs, all of one length, are finished as one (blocks, pairs) stack; a
+    last, partial block is reduced alone.  The blocks' products are then
+    multiplied in time order by :func:`_su2_product` and their phases
+    multiplied together.
     """
-    blocks = [
-        _leg_propagator(
-            line_fields(k0 + j * step, step, min(_TDSE_BLOCK, n - j), p), dt
+    n_full = n - n % _TDSE_BLOCK
+    phases, a, b = [], [], []
+    for j in range(0, n_full, _TDSE_BLOCK):
+        phase, a_j, b_j = _step_pairs(
+            line_fields(k0 + j * step, step, _TDSE_BLOCK, p), dt
         )
-        for j in range(0, n, _TDSE_BLOCK)
-    ]
-    phases, a, b = (np.array(x) for x in zip(*blocks))
-    return (complex(np.prod(phases)),) + _su2_product(a, b)
+        a_j, b_j = _su2_product(a_j, b_j, _SU2_SHORT)
+        phases.append(phase)
+        a.append(a_j)
+        b.append(b_j)
+    if n_full:
+        a, b = (list(x[:, 0]) for x in _su2_product(np.stack(a), np.stack(b)))
+    if n_full < n:
+        phase, a_j, b_j = _leg_propagator(
+            line_fields(k0 + n_full * step, step, n - n_full, p), dt
+        )
+        phases.append(phase)
+        a.append(a_j)
+        b.append(b_j)
+    a, b = _su2_product(np.array(a), np.array(b))
+    return complex(np.prod(np.array(phases))), complex(a[0]), complex(b[0])
 
 
 def evolve_tdse(
@@ -528,10 +575,11 @@ def evolve_tdse(
     taken as the largest |band energy| along the legs, and a leg may take
     at most ``MAX_TDSE_STEPS`` steps; either violation raises ValueError
     before the midpoints are allocated.  The midpoints are taken in blocks
-    of ``_TDSE_BLOCK``, so peak memory is about 1.1 MB whatever the step
-    count (tracemalloc, 2**16 to 2**20 steps) and the budget of 2**22 steps
-    bounds time instead: about 0.1 us per step on one Intel Xeon vCPU, so
-    under a second per leg.
+    of ``_TDSE_BLOCK``, so peak memory is about 1.0 MB at 2**16 steps per
+    leg and grows only by the 2 KB of reduced pairs each full block keeps
+    for the stacked finish: 1.06 MB at 2**18 and 1.29 MB at 2**20 steps
+    (tracemalloc).  The budget of 2**22 steps bounds time instead: about
+    0.1 us per step on one Intel Xeon vCPU, so under a second per leg.
 
     Each leg's propagator comes from :func:`_line_propagator`.  The norm
     drift of the assembled 2x2 total propagator, max |U^dagger U - I|,

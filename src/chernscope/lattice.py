@@ -33,7 +33,10 @@ factors each exponential further: with j = q B + r and B about sqrt(n),
 
 a table of about n / B block-start exponentials times a table of B offset
 exponentials, each entry computed directly, so the n points cost one
-complex product per NN vector instead of one exponential.  Both routines
+complex product per NN vector instead of one exponential.  The tables are
+component-major, (3, n / B) and (3, B), so the innermost loop of that
+product runs over the B offsets and not over the three NN vectors, and
+the (3, n) result is read through its (n, 3) transpose.  Both routines
 turn the z_i into fields through one formula.  In this convention H is not
 literally periodic on the reciprocal lattice; instead
 
@@ -228,19 +231,22 @@ def line_fields(
     """``bloch_fields`` at the n momenta k0 + j step, j = 0, ..., n - 1.
 
     Returns (h0, hx, hy, hz), each of length n.  The exponentials come from
-    a block-start table and an offset table of about sqrt(n) entries each
-    (module docstring); every table entry is its own ``np.exp``, so the
-    error does not grow along the line as a running product's would.
+    a block-start table and an offset table of about sqrt(n) entries per NN
+    vector, both component-major (module docstring); every table entry is
+    its own ``np.exp``, so the error does not grow along the line as a
+    running product's would.
     """
     k0 = np.asarray(k0, dtype=float)
     step = np.asarray(step, dtype=float)
     nn_t = p.geometry.nn_vectors.T
     block = math.isqrt(max(n - 1, 0)) + 1  # ceil(sqrt(n))
     starts = np.arange(0, n, block)
-    outer = np.exp(1j * ((k0 + starts[:, None] * step) @ nn_t))
-    inner = np.exp(1j * ((np.arange(block)[:, None] * step) @ nn_t))
-    z = (outer[:, None, :] * inner[None, :, :]).reshape(-1, 3)[:n]
-    return _fields_from_z(z, p)
+    outer, inner = (
+        np.exp(1j * np.ascontiguousarray((k @ nn_t).T))
+        for k in (k0 + starts[:, None] * step, np.arange(block)[:, None] * step)
+    )
+    z = (outer[:, :, None] * inner[:, None, :]).reshape(3, -1)[:, :n]
+    return _fields_from_z(z.T, p)
 
 
 def _fields_from_z(z: np.ndarray, p: ModelParams) -> tuple[np.ndarray, ...]:

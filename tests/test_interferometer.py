@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -505,6 +506,80 @@ def test_line_propagator_matches_one_block(n, block, tp, phi):
     assert max(abs(x - y) for x, y in zip(blocked, whole)) <= 1e-13
 
 
+# Reference for the blocked product: each block's steps (``np.where`` for s)
+# reduced in its own 1-D tree with the odd tail appended, then the blocks'
+# products in one more tree.  The stacked finish keeps this pairing, so it
+# must give the same bits.
+
+
+def _reference_su2_product(a, b):
+    while len(a) > 1:
+        n = len(a) - len(a) % 2
+        a1, a0, b1, b0 = a[1:n:2], a[0:n:2], b[1:n:2], b[0:n:2]
+        a_next = a1 * a0 - b1.conj() * b0
+        b_next = b1 * a0 + a1.conj() * b0
+        if n < len(a):
+            a_next = np.append(a_next, a[-1])
+            b_next = np.append(b_next, b[-1])
+        a, b = a_next, b_next
+    return complex(a[0]), complex(b[0])
+
+
+def _reference_leg_propagator(fields, dt):
+    h0, hx, hy, hz = fields
+    hmag = np.sqrt(hx**2 + hy**2 + hz**2)
+    s = np.where(hmag > 0.0, np.sin(hmag * dt) / np.where(hmag > 0, hmag, 1.0), dt)
+    a = np.empty(len(hmag), dtype=complex)
+    a.real = np.cos(hmag * dt)
+    a.imag = -s * hz
+    b = np.empty(len(hmag), dtype=complex)
+    b.real = s * hy
+    b.imag = -s * hx
+    return (complex(np.exp(-1j * dt * np.sum(h0))),) + _reference_su2_product(a, b)
+
+
+def _reference_line_propagator(k0, step, n, p, dt, block):
+    blocks = [
+        _reference_leg_propagator(
+            chernscope.lattice.line_fields(k0 + j * step, step, min(block, n - j), p),
+            dt,
+        )
+        for j in range(0, n, block)
+    ]
+    phases, a, b = (np.array(x) for x in zip(*blocks))
+    return (complex(np.prod(phases)),) + _reference_su2_product(a, b)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64, 65, 8192])
+def test_line_propagator_is_bit_exact_against_one_tree_per_block(monkeypatch, block):
+    """The stacked finish rounds every product as the per-block trees did:
+    one short of a full block, full blocks, a partial tail, and lengths at
+    and around the length the full blocks are reduced to before stacking."""
+    monkeypatch.setattr(chernscope.interferometer, "_TDSE_BLOCK", block)
+    short = chernscope.interferometer._SU2_SHORT
+    lengths = {1, short - 1, short, short + 1, block - 1, block, block + 1}
+    rng = np.random.default_rng(block)
+    for n in sorted(x for x in lengths | {3 * block + 5} if x >= 1):
+        p = ModelParams(tp=rng.uniform(0.0, 0.5), phi=rng.uniform(-np.pi, np.pi))
+        k0, step = rng.uniform(-4.0, 4.0, 2), rng.uniform(-1.0, 1.0, 2) * 1e-3
+        dt = rng.uniform(1e-3, 0.05)
+        got = _line_propagator(k0, step, n, p, dt)
+        assert got == _reference_line_propagator(k0, step, n, p, dt, block), n
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 257])
+def test_leg_propagator_is_bit_exact_with_zero_fields(n):
+    """One mask for s: where |h| = 0 the step takes s = dt exactly, and
+    elsewhere sin(|h| dt) / |h|, as in the reference.  Fields of 1e-170 square to 0,
+    so their |h| is 0 while b = dt (hy - i hx) is not."""
+    fields = np.random.default_rng(n).uniform(-3.0, 3.0, size=(4, n))
+    fields[1:, :: max(n // 3, 1)] = 0.0
+    fields[1:, n // 2] = 1e-170
+    assert _leg_propagator(tuple(fields), 0.37) == _reference_leg_propagator(
+        tuple(fields), 0.37
+    )
+
+
 @pytest.mark.parametrize("evolve", [evolve_adiabatic, evolve_tdse])
 def test_malformed_plan_raises_before_gap_check(evolve):
     """A leg through a gapless point: the shared-start check still comes
@@ -604,3 +679,22 @@ def test_tdse_diagnostics_carry_plan_xi(leg_time, field_calls):
     )
     assert len(legs) == 2
     assert diag.xi == validate_plan(plan, P0).xi
+
+
+def test_tdse_memory_stays_near_one_block():
+    """A leg of over 2**18 steps peaks near one block's fields and step
+    factors (about 1 MB; bound 1.1 MB), plus the full blocks' reduced pairs
+    held for the stacked finish: 32 bytes per pair, ``_SU2_SHORT`` pairs
+    per block, counted twice for the list and the stack made from it."""
+    plan = plan_site("I", P0, leg_time=1000.0, samples_per_leg=400)
+    evolve_tdse(initial_state(), plan, P0)  # first call sets up numpy
+    tracemalloc.start()
+    try:
+        _, diag = evolve_tdse(initial_state(), plan, P0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert diag.n_steps >= 2**18
+    blocks = diag.n_steps // chernscope.interferometer._TDSE_BLOCK
+    stacked = 2 * blocks * 32 * chernscope.interferometer._SU2_SHORT
+    assert peak < 1_100_000 + stacked

@@ -1,5 +1,7 @@
 """Tests for the Bloch Hamiltonian, eigenvector gauge, and lattice geometry."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -24,6 +26,7 @@ from chernscope import (
     reciprocal_coefficients,
     sublattice_matching,
 )
+from chernscope.lattice import _fields_from_z
 
 P0 = ModelParams()
 GAMMA = np.zeros(2)
@@ -109,6 +112,31 @@ def test_line_fields_match_bloch_fields_on_the_line(n, k0, span, tp, phi):
         assert got.shape == (n,)
         assert np.max(np.abs(got - ref)) <= 1e-13
 
+
+def _point_major_line_fields(k0, step, n, p):
+    """Reference ``line_fields`` with point-major (n / B, B, 3) tables."""
+    nn_t = p.geometry.nn_vectors.T
+    block = math.isqrt(max(n - 1, 0)) + 1
+    starts = np.arange(0, n, block)
+    outer = np.exp(1j * ((k0 + starts[:, None] * step) @ nn_t))
+    inner = np.exp(1j * ((np.arange(block)[:, None] * step) @ nn_t))
+    z = (outer[:, None, :] * inner[None, :, :]).reshape(-1, 3)[:n]
+    return _fields_from_z(z, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 1000, 8191, 8192, 8193, 109288])
+def test_line_fields_bits_do_not_depend_on_the_table_layout(n):
+    """Component-major tables give the point-major tables' fields bit for
+    bit, signs of zero included, over seeded lines and couplings."""
+    rng = np.random.default_rng(n)
+    for tp in (0.0, *rng.uniform(0.0, 0.5, 3)):  # tp = 0: fields of zero
+        p = ModelParams(tp=tp, phi=rng.uniform(-np.pi, np.pi))
+        k0, step = rng.uniform(-8.0, 8.0, 2), rng.uniform(-4.0, 4.0, 2) / n
+        got = line_fields(k0, step, n, p)
+        want = _point_major_line_fields(k0, step, n, p)
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w)
+            assert np.array_equal(np.signbit(g), np.signbit(w))
 
 @pytest.mark.parametrize("copies", [2, 6, 7, 12])
 def test_bloch_fields_of_a_stack_equal_the_single_evaluation(copies):
