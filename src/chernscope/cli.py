@@ -265,23 +265,22 @@ def record_lines(pairs) -> list[str]:
     return [f"{key}: {format_value(value, key)}" for key, value in pairs]
 
 
-def format_column(values, name: str) -> list[str]:
-    """Each of ``values`` as ``format_value`` prints it, in one pass: a finite
-    float array takes one finiteness check and one format map, an integer
-    array one ``str`` map.  Any other sequence, or a float array holding a NaN
-    or infinity, is formatted item by item, so ``format_value`` raises."""
+def format_column(values, name: str) -> tuple[str, list]:
+    """``(spec, items)``, with ``spec % item`` as ``format_value`` prints each
+    value: ``"%.12g"`` and the values plus 0.0 for a finite float array,
+    ``"%d"`` and the values for an integer array, and else (a NaN or infinity
+    included) ``"%s"`` and ``format_value``'s strings, so that it raises."""
     kind = values.dtype.kind if isinstance(values, np.ndarray) else None
     if kind == "f" and np.isfinite(values).all():
-        return list(map(_FLOAT_FORMAT.__mod__, (values + 0.0).tolist()))
+        return _FLOAT_FORMAT, (values + 0.0).tolist()
     if kind in ("i", "u"):
-        return list(map(str, values.tolist()))
-    return [format_value(value, name) for value in values]
+        return "%d", values.tolist()
+    return "%s", [format_value(value, name) for value in values]
 
 
-# Rows formatted and joined at a time, so that only one block's cells are
-# alive as separate strings.  An in-process ``curvature --grid-n 400`` peaks
-# at 192.5 B per grid point (tracemalloc), the kernel's own figure; with whole
-# columns it peaked at 423 B inline and 324 B with ``--format dsv --out``.
+# Rows formatted at a time, one %-format call per block, so that only one
+# block's values are alive as separate objects: an in-process ``curvature
+# --grid-n 400`` peaks at 168 B per grid point (tracemalloc), the kernel's.
 _BLOCK_ROWS = 4096
 
 
@@ -291,26 +290,27 @@ def table_lines(headers, columns, fmt: str, name: str) -> list[str]:
     is named ``name.header``; a non-finite one raises ValueError naming the
     first in row-major order."""
     names = [f"{name}.{h}" for h in headers]
-    if fmt == "dsv":
-        blocks, separator = ["\t".join(headers)], "\t"
-    else:
-        blocks, separator = [], "\n"
-    rows = len(columns[0])
-    for start in range(0, rows, _BLOCK_ROWS):
+    blocks = ["\t".join(headers)] if fmt == "dsv" else []
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
         part = [column[start:start + _BLOCK_ROWS] for column in columns]
         try:
-            cells = list(map(format_column, part, names))
+            specs, items = zip(*map(format_column, part, names))
         except ValueError:
             # Cell by cell, so the error names the row-major first bad cell.
             for row in zip(*part):
                 list(map(format_value, row, names))
             raise
-        if fmt != "dsv":
+        if fmt == "dsv":
+            template = "\t".join(specs)
+        else:
             # A record row is its "header: value" lines and an empty line.
-            cells = [list(map(f"{h}: ".__add__, column))
-                     for h, column in zip(headers, cells)]
-            cells.append([""] * len(cells[0]))
-        blocks.append("\n".join(map(separator.join, zip(*cells))))
+            template = "".join(f"{h.replace('%', '%%')}: {spec}\n"
+                               for h, spec in zip(headers, specs))
+        rows, width = len(items[0]), len(specs)
+        cells = [None] * (rows * width)
+        for c, column in enumerate(items):
+            cells[c::width] = column
+        blocks.append("\n".join([template] * rows) % tuple(cells))
     return blocks
 
 
@@ -347,6 +347,7 @@ def cmd_chern(cfg: RunConfig, args) -> tuple[list, dict]:
         ("chern", result.value),
         ("residual", result.residual),
         ("grid-n", result.n),
+        ("margin", result.margin),
     ]
     return summary, {}
 

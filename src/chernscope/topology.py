@@ -141,6 +141,7 @@ class BerryField:
     n: int
     plaquette_flux: np.ndarray
     total: float
+    margin: float  # pi - max |flux|: how far the grid is from saturating
 
     @property
     def chern_estimate(self) -> float:
@@ -152,6 +153,7 @@ class ChernResult:
     value: int
     residual: float
     n: int
+    margin: float
 
 
 def transport_link(dest: np.ndarray, src: np.ndarray) -> np.ndarray:
@@ -200,15 +202,11 @@ def berry_curvature_fhs(
     states beyond the zone edge.  The result is gauge invariant plaquette by
     plaquette, and the total is 2 pi times an integer for any gapped model.
 
-    A grid point costs about 194 bytes of peak memory (tracemalloc, n = 200
-    and 400), so the largest grid, n = ``MAX_GRID_N`` = 1500, implies a peak
-    of about 440 MB; the default n = 60 and the n = 200 tables stay far
-    inside it.  The whole ``curvature`` command peaks at this kernel figure,
-    192.5 to 194 bytes per point at n = 200 and 400, both with its table
-    printed to an in-memory stdout and with ``--format dsv --out``: it
-    formats the table after the kernel returns, in blocks of rows, within
-    less memory.  So ``curvature --grid-n 1500`` should also need about 440
-    MB, a figure extrapolated from the n = 200 and 400 measurements, not run.
+    A grid point costs about 168 bytes of peak memory (tracemalloc, n = 200
+    and 400), in this kernel and in the whole ``curvature`` command, inline
+    or with ``--format dsv --out``: it formats its table in blocks of rows
+    after the kernel returns, within less memory.  So n = ``MAX_GRID_N`` =
+    1500 implies a peak of about 380 MB, extrapolated, not run.
 
     Raises:
         ValueError: if n < 6, or n > MAX_GRID_N before anything is allocated.
@@ -235,17 +233,18 @@ def berry_curvature_fhs(
     ue[:n, n] = boundary_matched(u[:, 0], g.b2, g)
     ue[n, n] = boundary_matched(u[0, 0], g.b1 + g.b2, g)
 
-    l1 = transport_link(ue[1:, :-1], ue[:-1, :-1])
-    l2 = transport_link(ue[1:, 1:], ue[1:, :-1])
-    l3 = transport_link(ue[:-1, 1:], ue[1:, 1:])
-    l4 = transport_link(ue[:-1, :-1], ue[:-1, 1:])
-    flux = np.angle(l1 * l2 * l3 * l4)
-    if np.any(np.abs(flux) >= np.pi - 1e-9):
+    # Each grid link once, along b1 (h) and b2 (v); the -b1 and -b2 links are
+    # their conjugates bit for bit (same real parts, negated imaginary parts).
+    h = transport_link(ue[1:], ue[:-1])
+    v = transport_link(ue[:, 1:], ue[:, :-1])
+    flux = np.angle(h[:, :-1] * v[1:] * np.conj(h[:, 1:]) * np.conj(v[:-1]))
+    # fmax skips a NaN flux, which the saturation check lets pass.
+    peak = float(np.fmax.reduce(np.abs(flux), axis=None))
+    if peak >= np.pi - 1e-9:
         raise PlaquetteSaturated(
             f"plaquette flux reached pi on the {n}x{n} grid; refine the grid"
         )
-    total = float(np.sum(flux))
-    return BerryField(n=n, plaquette_flux=flux, total=total)
+    return BerryField(n, flux, float(np.sum(flux)), np.pi - peak)
 
 
 def chern_number(p: ModelParams, n: int = 60) -> ChernResult:
@@ -264,7 +263,7 @@ def chern_number(p: ModelParams, n: int = 60) -> ChernResult:
         raise NotQuantized(
             f"total flux / 2pi = {estimate} is not integer within 1e-3"
         )
-    return ChernResult(value=value, residual=residual, n=n)
+    return ChernResult(value, residual, n, fieldgrid.margin)
 
 
 def berry_phase_loop(

@@ -76,6 +76,8 @@ def test_chern_summary():
     assert summary["chern"] == "1"
     assert float(summary["residual"]) < 1e-9
     assert len(summary["config-hash"]) == 64
+    flux = chernscope.berry_curvature_fhs(chernscope.ModelParams(), 60).plaquette_flux
+    assert summary["margin"] == format_value(np.pi - np.max(np.abs(flux)), "m")
 
 
 def test_chern_negative_flux_phase():
@@ -530,10 +532,16 @@ def test_table_lines_match_cell_by_cell_formatting(argv, fmt):
         assert text.split("\n") == _cell_by_cell(headers, rows, fmt, name)
 
 
+def _printed(values, name):
+    """Each of ``values`` as ``format_column``'s (spec, items) pair prints it."""
+    spec, items = format_column(values, name)
+    return [spec % item for item in items]
+
+
 def test_numpy_booleans_print_true_false():
     assert format_value(np.bool_(True), "x") == "true"
     assert format_value(np.bool_(False), "x") == "false"
-    assert format_column(np.array([True, False]), "x") == ["true", "false"]
+    assert _printed(np.array([True, False]), "x") == ["true", "false"]
 
 
 def test_format_column_matches_format_value_on_edge_values():
@@ -560,10 +568,34 @@ def test_format_column_matches_format_value_on_edge_values():
     ]
     for values in cases:
         expected = [format_value(value, "t.x") for value in values]
-        assert format_column(values, "t.x") == expected
+        assert _printed(values, "t.x") == expected
 
 
 _BLOCK = chernscope.cli._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("fmt", ["dsv", "structured-record"])
+@pytest.mark.parametrize(
+    "headers,columns",
+    [
+        (("50%", "a%sb", "%d"),
+         (np.arange(3), np.array([0.5, -0.0, 1e-300]), ["x%s", "%%", "y"])),
+        (("i", "x"), (np.arange(0), np.zeros(0))),
+        (("i", "x"), (np.arange(_BLOCK), np.linspace(-1.0, 1.0, _BLOCK))),
+        (("i", "x"), (np.arange(_BLOCK + 1), np.linspace(-1.0, 1.0, _BLOCK + 1))),
+        (("n", "x", "label"),
+         (np.arange(_BLOCK + 3, dtype=np.uint16) * 7,
+          np.geomspace(1e-9, 1e12, _BLOCK + 3) * (-1) ** np.arange(_BLOCK + 3),
+          [f"s{i}%" for i in range(_BLOCK + 3)])),
+    ],
+    ids=["percent-headers", "no-rows", "one-block", "block-and-one", "mixed"],
+)
+def test_table_lines_match_cell_by_cell_on_edge_tables(headers, columns, fmt):
+    """One %-format call per block prints what format_value prints cell by
+    cell: headers holding %, no rows, a block edge, and mixed column kinds."""
+    blocks = table_lines(headers, columns, fmt, "t")
+    lines = "\n".join(blocks).split("\n") if blocks else []
+    assert lines == _cell_by_cell(headers, list(zip(*columns)), fmt, "t")
 
 
 @pytest.mark.parametrize("fmt", ["dsv", "structured-record"])

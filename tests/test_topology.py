@@ -11,13 +11,16 @@ from chernscope import (
     KPath,
     ModelParams,
     NoClosure,
+    band_states,
     berry_curvature_fhs,
     berry_phase_loop,
+    boundary_matched,
     chern_from_zak,
     chern_number,
     connection_integral,
     noncyclic_zak,
     plan_site,
+    transport_link,
 )
 
 P0 = ModelParams()
@@ -122,6 +125,56 @@ def test_fhs_healthy_grids_stay_below_saturation():
     for n in (24, 60):
         field = berry_curvature_fhs(ModelParams(tp=0.01), n)
         assert np.max(np.abs(field.plaquette_flux)) < np.pi - 1e-9
+
+
+def _four_link_flux(p, n, band, gauge_fn):
+    """The FHS flux with each of a plaquette's four links computed on its
+    own, in the (+b1, +b2, -b1, -b2) order."""
+    g = p.geometry
+    fracs = np.arange(n) / n
+    f1, f2 = np.meshgrid(fracs, fracs, indexing="ij")
+    u = band_states(f1[..., None] * g.b1 + f2[..., None] * g.b2, p, band, gauge_fn)
+    ue = np.empty((n + 1, n + 1, 2), dtype=complex)
+    ue[:n, :n] = u
+    ue[n, :n] = boundary_matched(u[0, :], g.b1, g)
+    ue[:n, n] = boundary_matched(u[:, 0], g.b2, g)
+    ue[n, n] = boundary_matched(u[0, 0], g.b1 + g.b2, g)
+    l1 = transport_link(ue[1:, :-1], ue[:-1, :-1])
+    l2 = transport_link(ue[1:, 1:], ue[1:, :-1])
+    l3 = transport_link(ue[:-1, 1:], ue[1:, 1:])
+    l4 = transport_link(ue[:-1, :-1], ue[:-1, 1:])
+    return np.angle(l1 * l2 * l3 * l4)
+
+
+def _smooth_gauge(kpts):
+    return 0.7 * kpts[..., 0] - 1.3 * kpts[..., 1] + np.sin(3.0 * kpts[..., 0])
+
+
+@pytest.mark.parametrize("n", [6, 7, 60, 200])
+def test_fhs_flux_bit_exact_against_four_links(n):
+    """Reusing each grid link, conjugated for the -b1 and -b2 sides, gives
+    the four-link flux bit for bit, sign bits included (no tolerance)."""
+    rng = np.random.default_rng(1674)
+    for _ in range(3):
+        p = ModelParams(
+            t=rng.uniform(0.6, 1.4),
+            tp=rng.uniform(0.02, 0.15),
+            phi=rng.choice([-1.0, 1.0]) * rng.uniform(0.4, 2.7),
+        )
+        for band in ("lower", "upper"):
+            for gauge_fn in (None, _smooth_gauge):
+                flux = berry_curvature_fhs(p, n, band, gauge_fn).plaquette_flux
+                expected = _four_link_flux(p, n, band, gauge_fn)
+                assert np.array_equal(flux, expected)
+                assert np.array_equal(np.signbit(flux), np.signbit(expected))
+
+
+def test_fhs_margin_is_pi_minus_peak_flux():
+    field = berry_curvature_fhs(P0, 60)
+    margin = np.pi - np.max(np.abs(field.plaquette_flux))
+    assert field.margin == margin
+    assert field.margin > 0
+    assert chern_number(P0, n=60).margin == margin
 
 
 def test_integrality_over_random_gapped_couplings():
