@@ -5,12 +5,13 @@ and stands for the lower-band state at the momentum of the packet in it.
 Microwave pulses act on the amplitudes.  Between pulses each packet follows
 its straight momentum leg, and the two evolution routes are
 
-* ``evolve_adiabatic``: exact lower-band transport.  Geometric phases come
-  from the products of :func:`chernscope.topology.transport_link` along the
-  sampled legs, dynamical phases from the trapezoid rule on the band
-  energy, and the Zeeman term from the plan-level rate times the signed leg
-  time (the sign flips with the gradient direction, so a midpoint echo
-  cancels it exactly).
+* ``evolve_adiabatic``: exact lower-band transport.  Geometric phases are
+  the summed transport-link angles along the sampled legs, taken by
+  :func:`chernscope.topology.field_link_phases` straight from the Bloch
+  fields, dynamical phases from the trapezoid rule on the band energy,
+  and the Zeeman term from the plan-level rate times the signed leg time
+  (the sign flips with the gradient direction, so a midpoint echo cancels
+  it exactly).
 * ``evolve_tdse``: exact stepwise integration of the two-level Schrodinger
   equation with the midpoint Hamiltonian exponentiated in closed form per
   step, which resolves nonadiabatic band leakage.
@@ -21,9 +22,11 @@ stacks the legs of a batch of plans with one leg sampling into a
 (plans, 2, n + 1) array.  The adiabatic route takes such a batch:
 :func:`evolve_adiabatic_batch` groups a stream of plans into passes of at
 most ``_ADIABATIC_BATCH`` momenta, and :func:`evolve_adiabatic` is the
-batch of one.  A pass derives the lower-band states with their gap check,
-the transport links and the dynamical phase over the whole stack at once,
-and takes each leg's link product and trapezoid over the sample axis.  The
+batch of one.  A pass takes the gap check, the transport links and the
+dynamical phase over the whole stack at once, and each leg's summed link
+angle and trapezoid over the sample axis; the links are formed from the
+real fields of the unnormalized lower-band closed forms, and only the
+legs' end samples become normalized states, for the matching overlaps.  The
 tail runs over the batch too: the unit link products, the matching
 overlaps, the Zeeman factors and the closed amplitudes are arrays over the
 plans, each element rounded as the one-plan scalar expression rounds it,
@@ -69,7 +72,7 @@ from .lattice import (
     sublattice_matching,
 )
 from .protocol import ProtocolPlan, leg_pass
-from .topology import transport_link
+from .topology import field_link_phases
 
 __all__ = [
     "SpinorState",
@@ -408,30 +411,33 @@ def _adiabatic_pass(
 ) -> list[tuple[SpinorState, PhaseLedger]]:
     """End state and ledger of each plan of a batch, from one leg pass.
 
-    The lower-band states, their links and the trapezoid rule on the lower
-    band energy run over the whole (plans, 2, n + 1) stack of
-    :func:`chernscope.protocol.leg_pass`; the links' product and the
-    trapezoid are taken over the sample axis, each leg's own.  The unit
-    link products, the matching overlaps, the Zeeman factors and the closed
-    amplitudes are then arrays over the batch, each element rounded as the
-    one-plan scalar expression rounds it, and the last loop only builds the
-    states and ledgers.
+    The transport links and the trapezoid rule on the lower band energy run
+    over the whole (plans, 2, n + 1) stack of
+    :func:`chernscope.protocol.leg_pass`, and each leg's geometric phase
+    and trapezoid are taken over its own sample axis.  The links come from
+    one :func:`chernscope.topology.field_link_phases` call on the stack's
+    real fields, with the gap check before any link; no normalized state
+    is built along the legs.  Only the legs' end samples go through
+    :func:`chernscope.lattice.states_from_fields`, for the matching
+    overlaps.  ``gauge_fn`` rotates the states of both, every sample's.
+    The unit link products, the matching overlaps, the Zeeman factors and
+    the closed amplitudes are then arrays over the batch, each element
+    rounded as the one-plan scalar expression rounds it, and the last loop
+    only builds the states and ledgers.
     """
     zeeman = _zeeman_phases(plans, zeeman_rate)
     legs = leg_pass(plans, p)
-    u = states_from_fields(legs.fields, legs.points, p, gauge_fn=gauge_fn)
-    products = np.prod(transport_link(u[..., 1:, :], u[..., :-1, :]), axis=-1)
-    n = u.shape[-2] - 1
+    phases = field_link_phases(legs.fields, legs.points, p, gauge_fn)
+    ends = states_from_fields(
+        tuple(f[..., -1] for f in legs.fields), legs.points[..., -1, :], p,
+        gauge_fn=gauge_fn,
+    )
+    n = legs.points.shape[-2] - 1
     dx = np.array([plan.leg_time for plan in plans])[:, None, None] / n
     dynamics = np.trapezoid(legs.energies[0], dx=dx, axis=-1)
 
-    # Each packet's unit link product, a (plans, 2) array, divided part by
-    # part as a complex number is divided by its (real) size.
-    size = np.hypot(products.real, products.imag)
-    units = np.empty_like(products)
-    units.real = products.real / size
-    units.imag = products.imag / size
-    w, w_size = _matching_overlaps(plans, u[..., -1, :])
+    units = np.exp(1j * phases)  # each packet's unit link product
+    w, w_size = _matching_overlaps(plans, ends)
     amplitudes = _scalar_product(units, np.exp(-1j * dynamics))
     finals = _close(plans, amplitudes, w, w_size, zeeman)
     return [

@@ -86,6 +86,7 @@ __all__ = [
     "states_from_fields",
     "energies_from_fields",
     "field_norm",
+    "require_gap",
     "is_reciprocal",
     "boundary_phase",
     "boundary_matrix",
@@ -335,9 +336,7 @@ def states_from_fields(
         raise ValueError(f"band must be 'lower' or 'upper', got {band!r}")
     hx, hy, hz = fields[1:4]
     n = field_norm(fields)
-    if np.any(2 * n < p.gap_tol):
-        bad = np.asarray(kpts)[2 * n < p.gap_tol]
-        raise GaplessPoint(f"gap below {p.gap_tol:g} at k={bad[0]}")
+    require_gap(n, kpts, p)
     # The closed forms of band_states, written part by part.
     u = np.empty(np.shape(hx) + (2,), dtype=complex)
     re, im = u.real, u.imag
@@ -353,10 +352,22 @@ def states_from_fields(
         im[..., 0] = np.where(first, 0.0, -hy)
         re[..., 1] = np.where(first, hx, n - hz)
         im[..., 1] = np.where(first, hy, 0.0)
-    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    # np.linalg.norm's own expression, sqrt of the summed (conj(u) u).real,
+    # with the two-term sum written out: bit for bit its value, without the
+    # cost of a length-2 reduction.
+    s = (u.conj() * u).real
+    u /= np.sqrt(s[..., 0] + s[..., 1])[..., None]
     if gauge_fn is not None:
         u = u * np.exp(1j * np.asarray(gauge_fn(kpts)))[..., None]
     return u
+
+
+def require_gap(n: np.ndarray, kpts: np.ndarray, p: ModelParams) -> None:
+    """Raise GaplessPoint, naming the first such momentum, where the gap
+    2 |h| of the field norms ``n`` at ``kpts`` is below ``p.gap_tol``."""
+    if np.any(2 * n < p.gap_tol):
+        bad = np.asarray(kpts)[2 * n < p.gap_tol]
+        raise GaplessPoint(f"gap below {p.gap_tol:g} at k={bad[0]}")
 
 
 def band_energies(kpts: np.ndarray, p: ModelParams) -> tuple[np.ndarray, np.ndarray]:

@@ -3,9 +3,13 @@
 Conventions, fixed once and used by every routine here and downstream:
 
 * Transport link: the discrete link from point k_j to k_{j+1} is
-  ``<u(k_{j+1}) | u(k_j)>`` normalized to unit modulus, computed by
-  :func:`transport_link` and nowhere else.  Products of transport links
-  around a closed circuit are gauge invariant.
+  ``<u(k_{j+1}) | u(k_j)>`` normalized to unit modulus.  It is computed in
+  two places: by :func:`transport_link` from normalized states, for every
+  routine here, and by :func:`field_link_phases` straight from the lower
+  band's Bloch fields, for the interferometer's adiabatic legs.  Both use
+  the closed-form gauge of :mod:`chernscope.lattice`; the second leaves the
+  states unnormalized, which a normalized link does not see.  Products of
+  transport links around a closed circuit are gauge invariant.
 * Cross-boundary matching: whenever a circuit closes through a reciprocal
   vector G, the wrap link is ``transport_link(boundary_matched(u(k_b), G),
   u(k_e))``, i.e. it compares the final state against ``V(G) u(k_b)`` with
@@ -37,8 +41,10 @@ from .lattice import (
     band_gap_min,
     band_states,
     boundary_phase,
+    field_norm,
     is_reciprocal,
     reciprocal_coefficients,
+    require_gap,
 )
 
 __all__ = [
@@ -47,6 +53,7 @@ __all__ = [
     "BerryField",
     "ChernResult",
     "transport_link",
+    "field_link_phases",
     "boundary_matched",
     "berry_curvature_fhs",
     "chern_number",
@@ -160,6 +167,64 @@ def transport_link(dest: np.ndarray, src: np.ndarray) -> np.ndarray:
     """Normalized links ``<dest|src> / |<dest|src>|`` over the last axis."""
     ov = np.einsum("...c,...c->...", np.conj(dest), src)
     return ov / np.abs(ov)
+
+
+def field_link_phases(
+    fields: tuple[np.ndarray, ...],
+    kpts: np.ndarray,
+    p: ModelParams,
+    gauge_fn: GaugeFn = None,
+) -> np.ndarray:
+    """Summed angles of the lower-band transport links along the last axis.
+
+    ``fields`` are (h0, hx, hy, hz), optionally with |h| as a fifth entry
+    (:func:`chernscope.lattice.field_norm`), each shaped (..., m) over the
+    (..., m, 2) momenta ``kpts``; the result is shaped (...).  It is the
+    unwrapped sum of the m - 1 angles arg <u(k_{j+1}) | u(k_j)>, so
+    exp(i result) is the unit product of the :func:`transport_link` links
+    of the :func:`chernscope.lattice.band_states` lower-band states.
+
+    The states are left unnormalized, since a normalized link does not
+    depend on their scale: each is the closed form (|h| - hz, -(hx + i hy))
+    where hz <= 0 and (-(hx - i hy), hz + |h|) where hz > 0, written as
+    (a + ib, c + id), and the link from ends 0 to 1 is
+
+        re = a1 a0 + b1 b0 + c1 c0 + d1 d0
+        im = a1 b0 - b1 a0 + c1 d0 - d1 c0.
+
+    ``gauge_fn`` is the instrumentation of ``band_states``: it rotates the
+    components of every sample by its exp(i theta) before the links.
+
+    Raises:
+        GaplessPoint: before any link, as ``band_states`` raises it, if any
+            momentum has gap below ``p.gap_tol``.
+    """
+    shape = np.shape(fields[1])
+    n = field_norm(fields)
+    require_gap(n, kpts, p)
+    hx, hy, hz, n = (np.reshape(f, -1) for f in (*fields[1:4], n))
+    first = hz <= 0
+    a = np.where(first, n - hz, -hx)
+    b = np.where(first, 0.0, hy)
+    c = np.where(first, -hx, hz + n)
+    d = np.where(first, -hy, 0.0)
+    if gauge_fn is not None:
+        theta = np.broadcast_to(np.asarray(gauge_fn(kpts)), shape).reshape(-1)
+        cos, sin = np.cos(theta), np.sin(theta)
+        a, b = a * cos - b * sin, a * sin + b * cos
+        c, d = c * cos - d * sin, c * sin + d * cos
+    # The links between neighbours of the flattened stack, so each product
+    # runs over one contiguous array; the link from the last sample of a
+    # row to the first of the next is computed but left out of the sums.
+    a1, a0, b1, b0 = a[1:], a[:-1], b[1:], b[:-1]
+    c1, c0, d1, d0 = c[1:], c[:-1], d[1:], d[:-1]
+    angles = np.empty(len(hx))
+    np.arctan2(
+        a1 * b0 - b1 * a0 + c1 * d0 - d1 * c0,
+        a1 * a0 + b1 * b0 + c1 * c0 + d1 * d0,
+        out=angles[:-1],
+    )
+    return np.sum(angles.reshape(shape)[..., :-1], axis=-1)
 
 
 def boundary_matched(

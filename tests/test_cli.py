@@ -1,9 +1,11 @@
 """End-to-end tests for the command line interface."""
 
 import argparse
+import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chernscope
 import chernscope.analysis
@@ -843,3 +846,95 @@ def test_tdse_record_carries_xi():
     assert float(summary["xi"]) > 0.1  # leg time 2 drives past the warning
     keys = list(summary)
     assert keys.index("xi") == keys.index("leakage-up") + 1
+
+
+# ------------------------------------------------------------------- fuzz
+
+# The exit codes README.md documents, read from its "Exit codes:" paragraph.
+README_EXIT_CODES = {
+    int(code)
+    for code in re.findall(
+        r"`(\d+)` ",
+        re.search(
+            r"^Exit codes:.*?(?=\n\S*Non-finite)",
+            (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+            re.S | re.M,
+        )[0],
+    )
+}
+
+_SPECIAL = ["nan", "inf", "-inf", "0", "-1", "1e308", "5e-324"]
+
+
+def _number(low, high, wild):
+    """A flag's value as text: a float in [low, high], or with ``wild`` also
+    a special one."""
+    plain = st.floats(low, high, allow_nan=False).map(repr)
+    return st.one_of(plain, st.sampled_from(_SPECIAL)) if wild else plain
+
+
+# Values per setting key, kept small enough that a drawn run takes
+# milliseconds: short legs, few samples, trials and scan points.
+def _fuzz_values(key, wild):
+    if key == "phi":
+        return st.one_of(
+            _number(-2 * np.pi, 2 * np.pi, wild),
+            st.sampled_from(["pi/2", "-3pi/4", "2pi", "-2pi", "pi"]),
+        )
+    if key in ("samples_per_leg", "phi_mw_points", "trials"):
+        high = {"samples_per_leg": 40, "phi_mw_points": 30, "trials": 3}[key]
+        return st.integers(-1 if wild else 1, high).map(str)
+    if key == "seed":
+        return st.integers(-1 if wild else 0, 2**32).map(str)
+    if key == "dt":
+        return st.sampled_from(
+            ["1e-3", "0.5", "0", "-1", "nan", "inf", "5e-324"] if wild else ["1e-3"]
+        )
+    low, high = {
+        "t": (0.2, 5.0), "tprime": (0.0, 0.5), "leg_time": (0.5, 40.0),
+        "zeeman_rate": (-0.1, 0.1),
+    }[key]
+    return _number(low, high, wild)
+
+
+@st.composite
+def _fuzz_flags(draw):
+    """A random subset of the SETTINGS flags, each with a drawn value
+    (choices from the row's own), and always the size flags; half the runs
+    draw only in-range numbers, the other half also special ones."""
+    wild = draw(st.booleans())
+    argv = []
+    for _, key, _, flag, options in chernscope.cli.SETTINGS:
+        if flag is None or key == "out":
+            continue
+        if key not in ("samples_per_leg", "trials") and not draw(st.booleans()):
+            continue
+        if options.get("action") is argparse.BooleanOptionalAction:
+            argv.append(draw(st.sampled_from([flag, "--no-" + flag[2:]])))
+        elif "choices" in options:
+            argv.append(f"{flag}={draw(st.sampled_from(options['choices']))}")
+        else:
+            argv.append(f"{flag}={draw(_fuzz_values(key, wild))}")
+    return argv
+
+
+_NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
+
+
+@pytest.mark.parametrize("command", ["fringe", "detect", "sweep", "protocol", "zak"])
+@given(flags=_fuzz_flags())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_fuzzed_flags_exit_with_a_documented_code(command, flags):
+    """Seeded fuzz of main over SETTINGS flags: every exit code is one of
+    README's, no run prints a traceback, and a run that exits 0 prints no
+    non-finite number."""
+    err_stream = io.StringIO()
+    with contextlib.redirect_stderr(err_stream):  # argparse writes here
+        code, out, err = run_cli(command, *flags)
+    err += err_stream.getvalue()
+    assert code in README_EXIT_CODES
+    assert "Traceback" not in err and "Traceback" not in out
+    if code == 0:
+        assert _NON_FINITE.search(out) is None
+    else:
+        assert out == ""

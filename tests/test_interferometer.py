@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import chernscope.interferometer
 import chernscope.lattice
+import chernscope.topology
 from chernscope import (
     DEFAULT_GEOMETRY,
     GaplessPoint,
@@ -376,24 +377,37 @@ def _stacked_legs(plan):
 
 def test_adiabatic_evolution_evaluates_each_leg_once(monkeypatch, field_calls):
     """One ``bloch_fields`` call on both legs' samples, each sample once,
-    and one state construction and one link product over the stack."""
+    one link kernel call over the whole (plans, 2, n + 1) stack, states
+    built only at the legs' end samples, and no ``transport_link`` call."""
     plan = plan_site("I", P0, samples_per_leg=300)
     calls = []
-    for name in ("states_from_fields", "transport_link"):
-        original = getattr(chernscope.interferometer, name)
 
-        def counting(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+    def counting(module, name):
+        original = getattr(module, name)
 
-        monkeypatch.setattr(chernscope.interferometer, name, counting)
+        def count(fields, kpts, *args, **kwargs):
+            calls.append((name, np.shape(fields[1]), np.array(kpts)))
+            return original(fields, kpts, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, count)
+
+    counting(chernscope.interferometer, "field_link_phases")
+    counting(chernscope.interferometer, "states_from_fields")
+    counting(chernscope.topology, "transport_link")
     state = initial_state()
     assert field_calls.bloch == []
     evolve_adiabatic(state, plan, P0)
     assert len(field_calls.bloch) == 1
     assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan))
     assert field_calls.line == []
-    assert calls == ["states_from_fields", "transport_link"]
+    assert not hasattr(chernscope.interferometer, "transport_link")
+    assert [(name, shape) for name, shape, _ in calls] == [
+        ("field_link_phases", (1, 2, 301)),
+        ("states_from_fields", (1, 2)),
+    ]
+    stack = _stacked_legs(plan).reshape(1, 2, 301, 2)
+    assert np.array_equal(calls[0][2], stack)
+    assert np.array_equal(calls[1][2], stack[:, :, -1])
 
 
 def test_adiabatic_batch_equals_single_evolutions(monkeypatch, field_calls):
@@ -599,6 +613,21 @@ def test_malformed_plan_raises_before_gap_check(evolve):
         evolve(initial_state(), broken, p)
     with pytest.raises(GaplessPoint):  # the well-formed plan fails its gap check
         evolve_adiabatic(initial_state(), gapless, p)
+
+
+def test_gapless_leg_raises_the_state_route_message():
+    """The adiabatic pass checks the gap of every leg sample before any
+    link, with the message band_states gives on the same stacked samples."""
+    p = ModelParams(tp=0.0)
+    plan = plan_site("I", p, leg_time=2.0, samples_per_leg=40)
+    leg = Leg(plan.start, 2 * DEFAULT_GEOMETRY.K - plan.start, 40)
+    gapless = dataclasses.replace(plan, k_path_down=leg)
+    with pytest.raises(GaplessPoint) as expected:
+        chernscope.lattice.band_states(_stacked_legs(gapless), p)
+    with pytest.raises(GaplessPoint) as got:
+        evolve_adiabatic(initial_state(), gapless, p)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("gap below 1e-09 at k=")
 
 
 # ------------------------------------------------------------ step product

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import chernscope.lattice
 import chernscope.topology
 from chernscope import (
     DEFAULT_GEOMETRY,
@@ -514,6 +515,53 @@ def test_closed_form_gauge(seed, tp, phi):
         assert np.max(np.abs(u - reference)[resolved], initial=0.0) <= 2e-16
     overlap = np.einsum("kc,kc->k", states["lower"].conj(), states["upper"])
     assert np.max(np.abs(overlap)) <= 1e-15
+
+
+def _raw_closed_forms(fields, band):
+    """The unnormalized closed forms of the band_states docstring, each
+    real and imaginary part set on its own, the zeros as +0."""
+    _, hx, hy, hz = fields
+    n = np.sqrt(hx * hx + hy * hy + hz * hz)
+    if band == "lower":  # (n - hz, -(hx + i hy)) or (-(hx - i hy), hz + n)
+        pick, parts = hz <= 0, [(n - hz, 0.0, -hx, -hy), (-hx, hy, hz + n, 0.0)]
+    else:  # (hz + n, hx + i hy) or (hx - i hy, n - hz)
+        pick, parts = hz >= 0, [(hz + n, 0.0, hx, hy), (hx, -hy, n - hz, 0.0)]
+    u = np.empty(hx.shape + (2,), dtype=complex)
+    for c in range(2):
+        u[:, c].real = np.where(pick, parts[0][2 * c], parts[1][2 * c])
+        u[:, c].imag = np.where(pick, parts[0][2 * c + 1], parts[1][2 * c + 1])
+    return u
+
+
+@pytest.mark.parametrize("band", ["lower", "upper"])
+def test_state_normalization_is_bit_exact_with_linalg_norm(band):
+    """states_from_fields divides by numpy's own norm expression, bit for
+    bit, values and the signs of zeros, on both gauge branches, at hz = 0
+    and at |h| just above gap_tol / 2."""
+    rng = np.random.default_rng(11)
+    m = 4000
+    scale = np.concatenate([
+        np.full(m, 1.0),
+        np.full(m, 1e3),
+        P0.gap_tol * rng.uniform(0.5 * (1 + 1e-12), 10.0, size=m),
+    ])
+    direction = rng.normal(size=(3, 3 * m))
+    direction[2, ::7] = 0.0  # the tie at hz = 0
+    direction[2, 1::7] = -0.0
+    direction[:2, 3::14] = 0.0  # states with an exact zero component
+    hx, hy, hz = scale * direction / np.sqrt(np.sum(direction**2, axis=0))
+    fields = (np.zeros(3 * m), hx, hy, hz)
+    assert np.any(hz > 0) and np.any(hz < 0)
+    assert np.all(2 * np.sqrt(hx * hx + hy * hy + hz * hz) >= P0.gap_tol)
+    raw = _raw_closed_forms(fields, band)
+    expected = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    got = chernscope.lattice.states_from_fields(
+        fields, np.zeros((3 * m, 2)), P0, band
+    )
+    for part in ("real", "imag"):
+        a, b = getattr(got, part), getattr(expected, part)
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chernscope.lattice
+import chernscope.protocol
 import chernscope.topology
 from chernscope import (
     DEFAULT_GEOMETRY,
@@ -22,6 +24,7 @@ from chernscope import (
     plan_site,
     transport_link,
 )
+from chernscope.topology import field_link_phases
 
 P0 = ModelParams()
 K = DEFAULT_GEOMETRY.K
@@ -418,3 +421,132 @@ def test_kpath_line_sampling(n):
     assert path.points.shape == (n, 2)
     steps = np.diff(path.points, axis=0)
     assert np.allclose(steps, steps[0], atol=1e-12)
+
+
+# --------------------------------------------------- field-level link kernel
+
+
+def _reference_link_phases(fields, kpts, p, gauge_fn=None):
+    """Summed link angles the state route takes: transport_link on the
+    normalized states_from_fields states."""
+    u = chernscope.lattice.states_from_fields(fields, kpts, p, gauge_fn=gauge_fn)
+    return np.sum(np.angle(transport_link(u[..., 1:, :], u[..., :-1, :])), axis=-1)
+
+
+def _assert_kernel_matches_reference(fields, kpts, p, gauge_fn=None):
+    """The phases enter only through exp(i phase), so they are compared
+    modulo 2 pi; within 1e-13."""
+    got = field_link_phases(fields, kpts, p, gauge_fn)
+    expected = _reference_link_phases(fields, kpts, p, gauge_fn)
+    assert got.shape == np.shape(fields[1])[:-1]
+    assert np.max(np.abs(np.angle(np.exp(1j * (got - expected))))) <= 1e-13
+
+
+def _line_stack(p, lines, m):
+    """Fields and momenta of straight lines (start, end), m samples each,
+    stacked (lines, m)."""
+    frac = np.linspace(0.0, 1.0, m)[:, None]
+    kpts = np.stack([a + frac * (b - a) for a, b in lines])
+    return chernscope.lattice.bloch_fields(kpts, p), kpts
+
+
+def _through(k, direction, m, half_width):
+    """m samples on a line through k, with k itself the middle sample."""
+    s = np.linspace(-half_width, half_width, m)
+    s[m // 2] = 0.0
+    return k + s[:, None] * np.asarray(direction)
+
+
+def test_field_link_phases_across_hz_sign_changes():
+    """Legs from K to K' through Gamma, and across the zone edge, where hz
+    changes sign mid-leg and the closed form switches branch."""
+    lines = [(K, KP), (K, -K), (0.3 * K, DEFAULT_GEOMETRY.b1), (KP, K + 0.2)]
+    for p in (P0, ModelParams(tp=0.3, phi=-2.0)):
+        fields, kpts = _line_stack(p, lines, 401)
+        hz = fields[3]
+        flips = np.sum(np.diff(hz > 0, axis=-1), axis=-1)
+        assert np.all(flips >= 1)
+        _assert_kernel_matches_reference(fields, kpts, p)
+
+
+@pytest.mark.parametrize("tp", [0.1, 1e-3, 1e-6])
+def test_field_link_phases_through_the_dirac_point(tp):
+    """Legs whose middle sample is K, where hx + i hy vanishes (to
+    rounding), down to near-gapless couplings."""
+    p = ModelParams(tp=tp)
+    kpts = np.stack([
+        _through(K, d, 301, 0.2) for d in ([1.0, 0.0], [0.6, 0.8], [0.0, -1.0])
+    ] + [_through(KP, [1.0, 1.0], 301, 0.1)])
+    fields = chernscope.lattice.bloch_fields(kpts, p)
+    _, hx, hy, hz = fields
+    assert np.max(np.hypot(hx, hy)[:, 150]) <= 1e-15
+    assert np.min(2 * np.abs(hz[:, 150])) > p.gap_tol
+    _assert_kernel_matches_reference(fields, kpts, p)
+
+
+def test_field_link_phases_with_exact_zero_components():
+    """Fields with hx = hy = 0 exactly on both branches, and hz = 0 exactly."""
+    rng = np.random.default_rng(5)
+    h0, hx, hy, hz = rng.normal(size=(4, 3, 200))
+    hx[:, ::9] = hy[:, ::9] = 0.0
+    hz[:, 4::9] = 0.0
+    assert np.any(hz[:, ::9] > 0) and np.any(hz[:, ::9] < 0)
+    kpts = rng.uniform(-3.0, 3.0, size=(3, 200, 2))
+    norm = np.sqrt(hx * hx + hy * hy + hz * hz)
+    for fields in ((h0, hx, hy, hz), (h0, hx, hy, hz, norm)):
+        _assert_kernel_matches_reference(fields, kpts, P0)
+
+
+def test_field_link_phases_rotate_every_sample_under_gauge_fn():
+    """gauge_fn rotates each sample's components as band_states rotates the
+    states; the summed phase changes by the end samples' gauge difference."""
+    lines = [(K, KP), (0.3 * K, DEFAULT_GEOMETRY.b1)]
+    fields, kpts = _line_stack(P0, lines, 301)
+    _assert_kernel_matches_reference(fields, kpts, P0, _smooth_gauge)
+    shift = field_link_phases(fields, kpts, P0, _smooth_gauge) - field_link_phases(
+        fields, kpts, P0
+    )
+    theta = _smooth_gauge(kpts)
+    telescoped = theta[:, 0] - theta[:, -1]
+    assert np.max(np.abs(np.angle(np.exp(1j * (shift - telescoped))))) <= 1e-12
+
+
+@pytest.mark.parametrize("with_echo", [True, False])
+def test_field_link_phases_on_plan_legs(with_echo):
+    """The stacked legs of nominal and perturbed plans, echo on and off."""
+    plans = [
+        chernscope.protocol.perturb_plan(
+            plan_site(site, P0, with_echo=with_echo, samples_per_leg=500),
+            radius=radius,
+            seed=seed,
+        )
+        for seed, (site, radius) in enumerate(
+            [("I", 0.0), ("II", 0.0), ("I", 0.003), ("II", 0.003)]
+        )
+    ]
+    legs = chernscope.protocol.leg_pass(plans, P0)
+    _assert_kernel_matches_reference(legs.fields, legs.points, P0)
+    _assert_kernel_matches_reference(legs.fields, legs.points, P0, _smooth_gauge)
+
+
+def test_field_link_phases_check_the_gap_before_any_link():
+    """A leg through a gapless K raises the GaplessPoint of the state
+    route, same message, before gauge_fn or any link is evaluated."""
+    p = ModelParams(tp=0.0)
+    kpts = np.stack(
+        [_through(KP, [0.0, 1.0], 41, 0.3), _through(K, [1.0, 0.0], 41, 0.3)]
+    )
+    fields = chernscope.lattice.bloch_fields(kpts, p)
+    with pytest.raises(GaplessPoint) as expected:
+        chernscope.lattice.states_from_fields(fields, kpts, p)
+    seen = []
+
+    def gauge(k):
+        seen.append(k)
+        return np.zeros(np.shape(k)[:-1])
+
+    with pytest.raises(GaplessPoint) as got:
+        field_link_phases(fields, kpts, p, gauge)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("gap below 1e-09 at k=")
+    assert seen == []
