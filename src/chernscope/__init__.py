@@ -14,8 +14,11 @@ from .errors import (
     StepTooLarge,
 )
 from .lattice import (
-    DEFAULT_GEOMETRY,
-    LatticeGeometry,
+    B1,
+    B2,
+    K,
+    KP,
+    NN_VECTORS,
     ModelParams,
     band_energies,
     band_gap_min,

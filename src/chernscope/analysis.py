@@ -39,7 +39,7 @@ from .interferometer import (
 )
 from .lattice import ModelParams
 from .protocol import SITES, perturb_plan, plan_site
-from .topology import chern_from_zak
+from .topology import _require_gapped, chern_from_zak
 
 __all__ = [
     "MAX_PHI_MW_POINTS",
@@ -326,6 +326,8 @@ def robustness_sweep(
     Raises:
         ValueError: if ``trials`` is below 1, or ``trials`` times the number
             of radii is over ``MAX_SWEEP_TRIALS``, before any evolution.
+        GaplessPoint: if the model is gapless, before any evolution, as
+            :func:`chernscope.topology.chern_number` raises it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -335,11 +337,12 @@ def robustness_sweep(
             f"{trials} trials at {len(error_radii)} radii make {total}, over "
             f"the budget of {MAX_SWEEP_TRIALS} trials per sweep"
         )
+    _require_gapped(p)
     phi_grid = default_phi_grid(phi_mw_points)
     m = len(phi_grid)
     plans = [
         plan_site(
-            site, p, leg_time=leg_time, with_echo=with_echo,
+            site, leg_time=leg_time, with_echo=with_echo,
             samples_per_leg=samples_per_leg,
         )
         for site in SITES

@@ -42,7 +42,12 @@ from .interferometer import (
 )
 from .lattice import ModelParams, band_energies, high_symmetry_path
 from .protocol import SITES, plan_site, validate_plan
-from .topology import berry_curvature_fhs, chern_from_zak, chern_number
+from .topology import (
+    _require_gapped,
+    berry_curvature_fhs,
+    chern_from_zak,
+    chern_number,
+)
 
 __all__ = ["main", "RunConfig", "ConfigError"]
 
@@ -316,7 +321,7 @@ def table_lines(headers, columns, fmt: str, name: str) -> list[str]:
 
 def cmd_bands(cfg: RunConfig, args) -> tuple[list, dict]:
     p = cfg.model_params()
-    pts, labels = high_symmetry_path(p.geometry, args.points_per_segment)
+    pts, labels = high_symmetry_path(args.points_per_segment)
     e_lower, e_upper = band_energies(pts, p)
     columns = (np.arange(len(pts)), pts[:, 0], pts[:, 1], e_lower, e_upper)
     marks = " ".join(f"{label}:{idx}" for idx, label in labels)
@@ -352,10 +357,9 @@ def cmd_chern(cfg: RunConfig, args) -> tuple[list, dict]:
     return summary, {}
 
 
-def _plan(cfg: RunConfig, p: ModelParams, site: str):
+def _plan(cfg: RunConfig, site: str):
     return plan_site(
         site,
-        p,
         leg_time=cfg.protocol["leg_time"],
         with_echo=cfg.protocol["echo"],
         samples_per_leg=cfg.protocol["samples_per_leg"],
@@ -364,11 +368,12 @@ def _plan(cfg: RunConfig, p: ModelParams, site: str):
 
 def cmd_zak(cfg: RunConfig, args) -> tuple[list, dict]:
     p = cfg.model_params()
+    _require_gapped(p)  # no Chern label from a gapless model
     phases = {}
     totals = {}
     for site in SITES:
         _, ledger = evolve_adiabatic(
-            initial_state(), _plan(cfg, p, site), p,
+            initial_state(), _plan(cfg, site), p,
             zeeman_rate=cfg.protocol["zeeman_rate"],
         )
         phases[site] = ledger.pancharatnam_phase
@@ -385,7 +390,7 @@ def cmd_zak(cfg: RunConfig, args) -> tuple[list, dict]:
 
 def cmd_protocol(cfg: RunConfig, args) -> tuple[list, dict]:
     p = cfg.model_params()
-    plan = _plan(cfg, p, cfg.protocol["site"])
+    plan = _plan(cfg, cfg.protocol["site"])
     diag = validate_plan(plan, p)
     steps = plan.steps
     forces = [
@@ -423,7 +428,7 @@ def cmd_protocol(cfg: RunConfig, args) -> tuple[list, dict]:
 def _fringe_scan(cfg: RunConfig, p: ModelParams, site: str):
     return run_fringe(
         p,
-        _plan(cfg, p, site),
+        _plan(cfg, site),
         default_phi_grid(cfg.scan["phi_mw_points"]),
         mode=cfg.mode["mode"],
         zeeman_rate=cfg.protocol["zeeman_rate"],

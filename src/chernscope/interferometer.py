@@ -312,12 +312,12 @@ def _matching_overlaps(
     """Overlap w of each plan's packets' end band states, with the
     sublattice matching of their momentum difference, and |w|.
 
-    The plans share one geometry.  ``ends`` holds the (plans, 2, 2) end
-    states, each plan's down packet first.  Each overlap is one
-    ``np.vecdot`` row, equal to ``np.vdot`` of that plan's two states.
+    ``ends`` holds the (plans, 2, 2) end states, each plan's down packet
+    first.  Each overlap is one ``np.vecdot`` row, equal to ``np.vdot`` of
+    that plan's two states.
     """
     dk = np.array([plan.endpoint_down - plan.endpoint_up for plan in plans])
-    matching = sublattice_matching(dk, plans[0].geometry)
+    matching = sublattice_matching(dk)
     w = np.vecdot(matching * ends[:, 1], ends[:, 0])
     size = np.hypot(w.real, w.imag)
     if np.any(size < 1e-6):
@@ -385,18 +385,16 @@ def evolve_adiabatic_batch(
 ) -> Iterator[tuple[SpinorState, PhaseLedger]]:
     """``evolve_adiabatic`` from the spin-down state along each plan, in order.
 
-    Consecutive plans with one leg sampling and one geometry share a pass
-    of at most ``_ADIABATIC_BATCH`` momenta, and at least one plan.  Each
-    plan's end state and ledger equal those of ``evolve_adiabatic`` bit for
-    bit, and ``plans`` is read lazily, so at most one batch of plans is
-    held.
+    Consecutive plans with one leg sampling share a pass of at most
+    ``_ADIABATIC_BATCH`` momenta, and at least one plan.  Each plan's end
+    state and ledger equal those of ``evolve_adiabatic`` bit for bit, and
+    ``plans`` is read lazily, so at most one batch of plans is held.
     """
     batch: list = []
     for plan in plans:
         n = plan.samples_per_leg
         if batch and (
             n != batch[0].samples_per_leg
-            or plan.geometry is not batch[0].geometry
             or 2 * (n + 1) * (len(batch) + 1) > _ADIABATIC_BATCH
         ):
             yield from _adiabatic_pass(batch, p, zeeman_rate)

@@ -9,13 +9,13 @@ The Bloch Hamiltonian is written in the nearest-neighbor-vector convention,
     hy = -t sum_i sin(k . e_i)
     hz = -2 t' sin(phi) sum_i sin(k . v_i)
 
-with e_i the three nearest-neighbor displacement vectors (A to B sublattice)
-and v_i the next-nearest-neighbor lattice vectors.  The NNN vectors are
-differences of the NN ones,
+with e_i the three nearest-neighbor displacement vectors (A to B sublattice),
+the rows of ``NN_VECTORS``, and v_i the next-nearest-neighbor lattice
+vectors.  The NNN vectors are differences of the NN ones,
 
     v1 = e3 - e2,   v2 = e1 - e3,   v3 = e2 - e1,
 
-which ``LatticeGeometry`` enforces.  So with z_i = exp(i k . e_i), and
+so they need no constant of their own.  With z_i = exp(i k . e_i), and
 exp(i k . v_i) the products z3 conj(z2), z1 conj(z3), z2 conj(z1), the fields
 take the exponential form
 
@@ -58,6 +58,10 @@ a small quantity on a gapped set.  Where hz = 0 both components have
 modulus n and the tie goes to the first component, which is real and
 positive in both bands.
 
+The geometry is one set of read-only module constants: ``NN_VECTORS``, the
+reciprocal basis ``B1`` and ``B2`` with the inverse of its matrix,
+``INVERSE_RECIPROCAL_BASIS``, and the Dirac points ``K`` and ``KP``.
+
 Units: hbar = 1, lattice scale a = 1, nearest-neighbor hopping t = 1 unless
 stated otherwise.
 """
@@ -65,8 +69,7 @@ stated otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,9 +77,13 @@ import numpy as np
 from .errors import GaplessPoint, NotReciprocal
 
 __all__ = [
-    "LatticeGeometry",
+    "NN_VECTORS",
+    "B1",
+    "B2",
+    "K",
+    "KP",
+    "INVERSE_RECIPROCAL_BASIS",
     "ModelParams",
-    "DEFAULT_GEOMETRY",
     "RECIPROCAL_TOL",
     "bloch_fields",
     "line_fields",
@@ -84,6 +91,7 @@ __all__ = [
     "band_states",
     "band_energies",
     "states_from_fields",
+    "lower_band_parts",
     "energies_from_fields",
     "field_norm",
     "require_gap",
@@ -105,83 +113,22 @@ RECIPROCAL_TOL = 1e-9  # largest non-integer part of (m, n) still on the lattice
 MAX_PATH_POINTS_PER_SEGMENT = 100_000
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeGeometry:
-    """Honeycomb vector set: NN vectors, NNN lattice vectors, reciprocal basis.
-
-    All arrays are 2-vectors in Cartesian coordinates.  ``K`` and ``Kp`` are
-    the two inequivalent Dirac-point momenta.
-
-    Raises:
-        ValueError: unless v1 = e3 - e2, v2 = e1 - e3 and v3 = e2 - e1 hold
-            to a relative 1e-12, the identity ``bloch_fields`` is built on.
-    """
-
-    a: float
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-    v3: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    K: np.ndarray
-    Kp: np.ndarray
-
-    def __post_init__(self) -> None:
-        e = self.nn_vectors
-        differences = np.stack([e[2] - e[1], e[0] - e[2], e[1] - e[0]])
-        atol = 1e-12 * np.max(np.abs(differences))
-        if not np.allclose(self.nnn_vectors, differences, rtol=0.0, atol=atol):
-            raise ValueError(
-                "NNN vectors must be differences of the NN vectors: "
-                "v1 = e3 - e2, v2 = e1 - e3, v3 = e2 - e1"
-            )
-
-    @classmethod
-    def with_scale(cls, a: float = 1.0) -> "LatticeGeometry":
-        s3 = np.sqrt(3.0)
-        return cls(
-            a=a,
-            e1=np.array([0.0, a]),
-            e2=np.array([-s3 * a / 2, -a / 2]),
-            e3=np.array([s3 * a / 2, -a / 2]),
-            v1=np.array([s3 * a, 0.0]),
-            v2=np.array([-s3 * a / 2, 3 * a / 2]),
-            v3=np.array([-s3 * a / 2, -3 * a / 2]),
-            b1=np.array([0.0, 4 * np.pi / (3 * a)]),
-            b2=np.array([2 * np.pi / (s3 * a), -2 * np.pi / (3 * a)]),
-            K=np.array([4 * np.pi / (3 * s3 * a), 0.0]),
-            Kp=np.array([-4 * np.pi / (3 * s3 * a), 0.0]),
-        )
-
-    @cached_property
-    def nn_vectors(self) -> np.ndarray:
-        """Rows e1, e2, e3; computed once, read-only."""
-        return _read_only(np.stack([self.e1, self.e2, self.e3]))
-
-    @property
-    def nnn_vectors(self) -> np.ndarray:
-        return np.stack([self.v1, self.v2, self.v3])
-
-    @property
-    def reciprocal_basis(self) -> np.ndarray:
-        """Columns are b1 and b2."""
-        return np.stack([self.b1, self.b2], axis=1)
-
-    @cached_property
-    def inverse_reciprocal_basis(self) -> np.ndarray:
-        """Inverse of ``reciprocal_basis``; computed once, read-only."""
-        return _read_only(np.linalg.inv(self.reciprocal_basis))
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-DEFAULT_GEOMETRY = LatticeGeometry.with_scale(1.0)
+_S3 = np.sqrt(3.0)
+
+# Rows e1, e2, e3: the nearest-neighbor vectors, A to B sublattice.
+NN_VECTORS = _read_only(np.array([[0.0, 1.0], [-_S3 / 2, -1 / 2], [_S3 / 2, -1 / 2]]))
+B1 = _read_only(np.array([0.0, 4 * np.pi / 3]))
+B2 = _read_only(np.array([2 * np.pi / _S3, -2 * np.pi / 3]))
+# The two inequivalent Dirac points.
+K = _read_only(np.array([4 * np.pi / (3 * _S3), 0.0]))
+KP = _read_only(np.array([-4 * np.pi / (3 * _S3), 0.0]))
+# Inverse of the matrix whose columns are B1 and B2.
+INVERSE_RECIPROCAL_BASIS = _read_only(np.linalg.inv(np.stack([B1, B2], axis=1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +138,6 @@ class ModelParams:
     t: float = 1.0
     tp: float = 0.1
     phi: float = np.pi / 2
-    geometry: LatticeGeometry = field(default=DEFAULT_GEOMETRY)
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite([self.t, self.tp, self.phi])):
@@ -219,7 +165,7 @@ def bloch_fields(kpts: np.ndarray, p: ModelParams) -> tuple[np.ndarray, ...]:
     exponential z_i = exp(i k . e_i) per NN vector, its cosine and sine
     written into the real and imaginary parts of one buffer.
     """
-    phases = np.asarray(kpts, dtype=float) @ p.geometry.nn_vectors.T
+    phases = np.asarray(kpts, dtype=float) @ NN_VECTORS.T
     z = np.empty(phases.shape, dtype=complex)
     np.cos(phases, out=z.real)
     np.sin(phases, out=z.imag)
@@ -239,7 +185,7 @@ def line_fields(
     """
     k0 = np.asarray(k0, dtype=float)
     step = np.asarray(step, dtype=float)
-    nn_t = p.geometry.nn_vectors.T
+    nn_t = NN_VECTORS.T
     block = math.isqrt(max(n - 1, 0)) + 1  # ceil(sqrt(n))
     starts = np.arange(0, n, block)
     outer, inner = (
@@ -341,11 +287,9 @@ def states_from_fields(
     u = np.empty(np.shape(hx) + (2,), dtype=complex)
     re, im = u.real, u.imag
     if band == "lower":
-        first = hz <= 0  # (n - hz, -(hx + i hy)), else (-(hx - i hy), hz + n)
-        re[..., 0] = np.where(first, n - hz, -hx)
-        im[..., 0] = np.where(first, 0.0, hy)
-        re[..., 1] = np.where(first, -hx, hz + n)
-        im[..., 1] = np.where(first, -hy, 0.0)
+        re[..., 0], im[..., 0], re[..., 1], im[..., 1] = lower_band_parts(
+            hx, hy, hz, n
+        )
     else:
         first = hz >= 0  # (hz + n, hx + i hy), else (hx - i hy, n - hz)
         re[..., 0] = np.where(first, hz + n, hx)
@@ -360,6 +304,22 @@ def states_from_fields(
     if gauge_fn is not None:
         u = u * np.exp(1j * np.asarray(gauge_fn(kpts)))[..., None]
     return u
+
+
+def lower_band_parts(
+    hx: np.ndarray, hy: np.ndarray, hz: np.ndarray, n: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Real parts (a, b, c, d) of the unnormalized lower-band closed form
+    (a + ib, c + id) at fields hx, hy, hz with norm n = |h|:
+    (n - hz, -(hx + i hy)) where hz <= 0, (-(hx - i hy), hz + n) where
+    hz > 0."""
+    first = hz <= 0
+    return (
+        np.where(first, n - hz, -hx),
+        np.where(first, 0.0, hy),
+        np.where(first, -hx, hz + n),
+        np.where(first, -hy, 0.0),
+    )
 
 
 def require_gap(n: np.ndarray, kpts: np.ndarray, p: ModelParams) -> None:
@@ -397,26 +357,22 @@ def field_norm(fields: tuple[np.ndarray, ...]) -> np.ndarray:
     return np.sqrt(hx * hx + hy * hy + hz * hz)
 
 
-def reciprocal_coefficients(
-    G: np.ndarray, geom: LatticeGeometry = DEFAULT_GEOMETRY
-) -> np.ndarray:
+def reciprocal_coefficients(G: np.ndarray) -> np.ndarray:
     """Coefficients (m, n) with G = m b1 + n b2, not necessarily integer, of
     one vector or of each of a (..., 2) stack."""
     G = np.asarray(G, dtype=float)
-    return np.matmul(geom.inverse_reciprocal_basis, G[..., None])[..., 0]
+    return np.matmul(INVERSE_RECIPROCAL_BASIS, G[..., None])[..., 0]
 
 
-def is_reciprocal(
-    G: np.ndarray, geom: LatticeGeometry = DEFAULT_GEOMETRY
-) -> bool | np.ndarray:
+def is_reciprocal(G: np.ndarray) -> bool | np.ndarray:
     """Whether G is an integer combination of b1, b2 within RECIPROCAL_TOL;
     for a (..., 2) stack, a boolean array of the answer for each vector."""
-    coeff = reciprocal_coefficients(G, geom)
+    coeff = reciprocal_coefficients(G)
     on_lattice = np.max(np.abs(coeff - np.round(coeff)), axis=-1) <= RECIPROCAL_TOL
     return bool(on_lattice) if on_lattice.ndim == 0 else on_lattice
 
 
-def boundary_phase(G: np.ndarray, geom: LatticeGeometry = DEFAULT_GEOMETRY) -> float:
+def boundary_phase(G: np.ndarray) -> float:
     """Sublattice matching phase chi(G) = G . e1 mod 2pi.
 
     Eigenvectors at reciprocal-equivalent momenta satisfy
@@ -427,22 +383,18 @@ def boundary_phase(G: np.ndarray, geom: LatticeGeometry = DEFAULT_GEOMETRY) -> f
         NotReciprocal: if G is not an integer combination of b1, b2
             within RECIPROCAL_TOL.
     """
-    if not is_reciprocal(G, geom):
+    if not is_reciprocal(G):
         raise NotReciprocal(f"{np.asarray(G)} is not on the reciprocal lattice")
-    return float(np.mod(np.dot(np.asarray(G, dtype=float), geom.e1), 2 * np.pi))
+    return float(np.mod(np.dot(np.asarray(G, dtype=float), NN_VECTORS[0]), 2 * np.pi))
 
 
-def boundary_matrix(
-    G: np.ndarray, geom: LatticeGeometry = DEFAULT_GEOMETRY
-) -> np.ndarray:
+def boundary_matrix(G: np.ndarray) -> np.ndarray:
     """The boundary unitary V(G) = diag(1, exp(i chi(G)))."""
-    chi = boundary_phase(G, geom)
+    chi = boundary_phase(G)
     return np.diag([1.0, np.exp(1j * chi)]).astype(complex)
 
 
-def sublattice_matching(
-    dk: np.ndarray, geom: LatticeGeometry = DEFAULT_GEOMETRY
-) -> np.ndarray:
+def sublattice_matching(dk: np.ndarray) -> np.ndarray:
     """Diagonal of the continuous matching unitary W(dk) = diag(1, e^{i dk.e1}),
     of one momentum difference or of each of a (..., 2) stack.
 
@@ -454,7 +406,7 @@ def sublattice_matching(
     """
     dk = np.asarray(dk, dtype=float)
     w = np.ones(dk.shape, dtype=complex)
-    w[..., 1] = np.exp(1j * np.vecdot(dk, geom.e1))
+    w[..., 1] = np.exp(1j * np.vecdot(dk, NN_VECTORS[0]))
     return w
 
 
@@ -486,10 +438,9 @@ def band_gap_min(p: ModelParams, n: int = 64) -> float:
     """
     if n < 16:
         raise ValueError(f"grid size must be at least 16, got {n}")
-    b1, b2 = p.geometry.b1, p.geometry.b2
 
     def grid_min(f1: np.ndarray, f2: np.ndarray) -> tuple[float, float, float]:
-        e_lo, e_up = band_energies(f1[..., None] * b1 + f2[..., None] * b2, p)
+        e_lo, e_up = band_energies(f1[..., None] * B1 + f2[..., None] * B2, p)
         gaps = e_up - e_lo
         idx = np.unravel_index(np.argmin(gaps), gaps.shape)
         return float(gaps[idx]), f1[idx], f2[idx]
@@ -508,7 +459,7 @@ def band_gap_min(p: ModelParams, n: int = 64) -> float:
 
 
 def high_symmetry_path(
-    geom: LatticeGeometry = DEFAULT_GEOMETRY, points_per_segment: int = 60
+    points_per_segment: int = 60
 ) -> tuple[np.ndarray, list[tuple[int, str]]]:
     """Sampled Gamma-K-M-K'-Gamma path for band-structure output.
 
@@ -527,7 +478,7 @@ def high_symmetry_path(
             f"{MAX_PATH_POINTS_PER_SEGMENT}, got {points_per_segment}"
         )
     gamma = np.zeros(2)
-    corners = [gamma, geom.K, geom.b1 / 2, geom.Kp, gamma]
+    corners = [gamma, K, B1 / 2, KP, gamma]
     labels = ["Gamma", "K", "M", "Kp", "Gamma"]
     frac = np.linspace(0.0, 1.0, points_per_segment, endpoint=False)[:, None]
     segments = [a + frac * (b - a) for a, b in zip(corners[:-1], corners[1:])]

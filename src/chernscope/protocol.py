@@ -14,7 +14,7 @@ pulse at the temporal midpoint flips the spin labels together with the
 gradient direction, which leaves every momentum path unchanged while
 cancelling the differential Zeeman phase.
 
-Site geometry (lattice scale a = 1):
+Site geometry, on the lattice constants of :mod:`chernscope.lattice`:
 
     site I:  start ( 2 pi / (3 sqrt 3), 0);  down -> -(b1 + b2), up -> -b2
     site II: start (-2 pi / (3 sqrt 3), 0);  down -> +(b1 + b2), up -> +b2
@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import MalformedPlan
 from .lattice import (
-    DEFAULT_GEOMETRY,
-    LatticeGeometry,
+    B1,
+    B2,
     ModelParams,
     bloch_fields,
     energies_from_fields,
@@ -144,7 +144,6 @@ class ProtocolPlan:
     k_path_up: Leg
     leg_time: float
     with_echo: bool
-    geometry: LatticeGeometry = DEFAULT_GEOMETRY
 
     @property
     def legs(self) -> dict[str, Leg]:
@@ -221,17 +220,16 @@ def _site_sign(site: str) -> float:
     return -1.0 if site == "I" else 1.0
 
 
-def site_start(site: str, p: ModelParams) -> np.ndarray:
+def site_start(site: str) -> np.ndarray:
     sign = _site_sign(site)
-    x = 2 * np.pi / (3 * np.sqrt(3.0) * p.geometry.a)
+    x = 2 * np.pi / (3 * np.sqrt(3.0))
     return np.array([-sign * x, 0.0])
 
 
-def site_displacements(site: str, p: ModelParams) -> dict[str, np.ndarray]:
+def site_displacements(site: str) -> dict[str, np.ndarray]:
     """Leg displacement per packet; keys "down" and "up"."""
-    g = p.geometry
     sign = _site_sign(site)
-    return {"down": sign * (g.b1 + g.b2), "up": sign * g.b2}
+    return {"down": sign * (B1 + B2), "up": sign * B2}
 
 
 def _solve_forces(
@@ -245,7 +243,6 @@ def _solve_forces(
 
 def plan_site(
     site: str,
-    p: ModelParams,
     leg_time: float = 200.0,
     with_echo: bool = True,
     samples_per_leg: int = 2000,
@@ -276,8 +273,8 @@ def plan_site(
         )
     if not (leg_time > 0 and np.isfinite(leg_time)):
         raise ValueError(f"leg_time must be positive and finite, got {leg_time}")
-    start = site_start(site, p)
-    disp = site_displacements(site, p)
+    start = site_start(site)
+    disp = site_displacements(site)
     n = samples_per_leg + samples_per_leg % 2
     return ProtocolPlan(
         site=site,
@@ -285,7 +282,6 @@ def plan_site(
         k_path_up=Leg(start, start + disp["up"], n),
         leg_time=float(leg_time),
         with_echo=with_echo,
-        geometry=p.geometry,
     )
 
 
@@ -364,7 +360,7 @@ def leg_pass(plans: Sequence[ProtocolPlan], p: ModelParams) -> LegPass:
     # differs from gap * gap in the last bit.
     min_gaps = np.min(e_up - e_lo, axis=-1)
     xi = np.fmax.reduce(speed / np.float_power(min_gaps, 2.0), axis=-1, initial=0.0)
-    reciprocal = is_reciprocal(plan_ends[:, 1] - plan_ends[:, 0], p.geometry)
+    reciprocal = is_reciprocal(plan_ends[:, 1] - plan_ends[:, 0])
     diagnostics = tuple(
         map(_diagnostics, residuals, reciprocal.tolist(), xi.tolist())
     )
@@ -392,42 +388,27 @@ def _diagnostics(residual: float, reciprocal: bool, xi: float) -> PlanDiagnostic
 
 
 def perturb_plan(
-    plan: ProtocolPlan,
-    error_down: Optional[np.ndarray] = None,
-    error_up: Optional[np.ndarray] = None,
-    radius: Optional[float] = None,
-    seed: Optional[int] = None,
+    plan: ProtocolPlan, radius: float = 0.0, seed: Optional[int] = None
 ) -> ProtocolPlan:
     """Redraw both legs from the shared start to displaced endpoints, with
     the plan's sampling.
 
-    Explicit per-spin endpoint errors take precedence; otherwise, with
-    ``radius`` set, both errors are drawn uniformly from the disk of that
-    radius using the given seed (deterministic).  Error magnitudes must stay
-    below |b1| / 4.  Zero error reproduces the plan exactly.
+    Both per-spin endpoint errors are drawn uniformly from the disk of
+    ``radius`` using the given seed (deterministic).  The radius must lie
+    in [0, |b1| / 4).  Radius 0 reproduces the plan exactly.
     """
-    limit = MAX_ENDPOINT_ERROR_FRACTION * float(np.linalg.norm(plan.geometry.b1))
-    if error_down is None and error_up is None and radius is not None:
-        if not 0.0 <= radius < limit:
-            raise ValueError(
-                f"error radius must lie in [0, |b1|/4 = {limit:.4f}), got {radius}"
-            )
-        rng = np.random.default_rng(seed)
-        theta = rng.uniform(0.0, 2 * np.pi, 2)
-        r = radius * np.sqrt(rng.uniform(0.0, 1.0, 2))
-        error_down = r[0] * np.array([np.cos(theta[0]), np.sin(theta[0])])
-        error_up = r[1] * np.array([np.cos(theta[1]), np.sin(theta[1])])
-    error_down = np.zeros(2) if error_down is None else np.asarray(error_down, float)
-    error_up = np.zeros(2) if error_up is None else np.asarray(error_up, float)
-
-    for name, err in (("down", error_down), ("up", error_up)):
-        if np.linalg.norm(err) >= limit:
-            raise ValueError(
-                f"endpoint error for spin {name} must stay below |b1|/4 = {limit:.4f}"
-            )
+    limit = MAX_ENDPOINT_ERROR_FRACTION * float(np.linalg.norm(B1))
+    if not 0.0 <= radius < limit:
+        raise ValueError(
+            f"error radius must lie in [0, |b1|/4 = {limit:.4f}), got {radius}"
+        )
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2 * np.pi, 2)
+    r = radius * np.sqrt(rng.uniform(0.0, 1.0, 2))
+    down, up = (ri * np.array([np.cos(ti), np.sin(ti)]) for ri, ti in zip(r, theta))
     n = plan.samples_per_leg
     return dataclasses.replace(
         plan,
-        k_path_down=Leg(plan.start, plan.endpoint_down + error_down, n),
-        k_path_up=Leg(plan.start, plan.endpoint_up + error_up, n),
+        k_path_down=Leg(plan.start, plan.endpoint_down + down, n),
+        k_path_up=Leg(plan.start, plan.endpoint_up + up, n),
     )

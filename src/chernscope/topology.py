@@ -35,15 +35,16 @@ import numpy as np
 
 from .errors import GaplessPoint, NoClosure, NotQuantized, PlaquetteSaturated
 from .lattice import (
+    B1,
+    B2,
     GaugeFn,
-    LatticeGeometry,
     ModelParams,
     band_gap_min,
     band_states,
     boundary_phase,
     field_norm,
     is_reciprocal,
-    reciprocal_coefficients,
+    lower_band_parts,
     require_gap,
 )
 
@@ -185,9 +186,9 @@ def field_link_phases(
     of the :func:`chernscope.lattice.band_states` lower-band states.
 
     The states are left unnormalized, since a normalized link does not
-    depend on their scale: each is the closed form (|h| - hz, -(hx + i hy))
-    where hz <= 0 and (-(hx - i hy), hz + |h|) where hz > 0, written as
-    (a + ib, c + id), and the link from ends 0 to 1 is
+    depend on their scale: each is the closed form (a + ib, c + id) of
+    :func:`chernscope.lattice.lower_band_parts`, and the link from ends 0
+    to 1 is
 
         re = a1 a0 + b1 b0 + c1 c0 + d1 d0
         im = a1 b0 - b1 a0 + c1 d0 - d1 c0.
@@ -202,12 +203,7 @@ def field_link_phases(
     shape = np.shape(fields[1])
     n = field_norm(fields)
     require_gap(n, kpts, p)
-    hx, hy, hz, n = (np.reshape(f, -1) for f in (*fields[1:4], n))
-    first = hz <= 0
-    a = np.where(first, n - hz, -hx)
-    b = np.where(first, 0.0, hy)
-    c = np.where(first, -hx, hz + n)
-    d = np.where(first, -hy, 0.0)
+    a, b, c, d = lower_band_parts(*(np.reshape(f, -1) for f in (*fields[1:4], n)))
     if gauge_fn is not None:
         theta = np.broadcast_to(np.asarray(gauge_fn(kpts)), shape).reshape(-1)
         cos, sin = np.cos(theta), np.sin(theta)
@@ -218,7 +214,7 @@ def field_link_phases(
     # row to the first of the next is computed but left out of the sums.
     a1, a0, b1, b0 = a[1:], a[:-1], b[1:], b[:-1]
     c1, c0, d1, d0 = c[1:], c[:-1], d[1:], d[:-1]
-    angles = np.empty(len(hx))
+    angles = np.empty(len(a))
     np.arctan2(
         a1 * b0 - b1 * a0 + c1 * d0 - d1 * c0,
         a1 * a0 + b1 * b0 + c1 * c0 + d1 * d0,
@@ -227,26 +223,22 @@ def field_link_phases(
     return np.sum(angles.reshape(shape)[..., :-1], axis=-1)
 
 
-def boundary_matched(
-    u: np.ndarray, G: np.ndarray, geom: LatticeGeometry
-) -> np.ndarray:
+def boundary_matched(u: np.ndarray, G: np.ndarray) -> np.ndarray:
     """States ``V(G) u``: the B component of each (..., 2) state times
     exp(i chi(G)).
 
     Raises:
         NotReciprocal: if G is not on the reciprocal lattice.
     """
-    return u * np.array([1.0, np.exp(1j * boundary_phase(G, geom))])
+    return u * np.array([1.0, np.exp(1j * boundary_phase(G))])
 
 
-def _matched_phase(
-    u: np.ndarray, G: Optional[np.ndarray], geom: LatticeGeometry
-) -> float:
+def _matched_phase(u: np.ndarray, G: Optional[np.ndarray]) -> float:
     """Argument of the transport product along ``u``, times the wrap link
     through G when G is given."""
     prod = np.prod(transport_link(u[1:], u[:-1]))
     if G is not None:
-        prod *= transport_link(boundary_matched(u[0], G, geom), u[-1])
+        prod *= transport_link(boundary_matched(u[0], G), u[-1])
     return float(np.angle(prod))
 
 
@@ -286,17 +278,16 @@ def berry_curvature_fhs(
             f"grid size {n} is over the budget of {MAX_GRID_N} points per side"
         )
     _require_gapped(p)
-    g = p.geometry
     fracs = np.arange(n) / n
     f1, f2 = np.meshgrid(fracs, fracs, indexing="ij")
-    kpts = f1[..., None] * g.b1 + f2[..., None] * g.b2
+    kpts = f1[..., None] * B1 + f2[..., None] * B2
     u = band_states(kpts, p, band, gauge_fn)
 
     ue = np.empty((n + 1, n + 1, 2), dtype=complex)
     ue[:n, :n] = u
-    ue[n, :n] = boundary_matched(u[0, :], g.b1, g)
-    ue[:n, n] = boundary_matched(u[:, 0], g.b2, g)
-    ue[n, n] = boundary_matched(u[0, 0], g.b1 + g.b2, g)
+    ue[n, :n] = boundary_matched(u[0, :], B1)
+    ue[:n, n] = boundary_matched(u[:, 0], B2)
+    ue[n, n] = boundary_matched(u[0, 0], B1 + B2)
 
     # Each grid link once, along b1 (h) and b2 (v); the -b1 and -b2 links are
     # their conjugates bit for bit (same real parts, negated imaginary parts).
@@ -331,28 +322,21 @@ def chern_number(p: ModelParams, n: int = 60) -> ChernResult:
     return ChernResult(value, residual, n, fieldgrid.margin)
 
 
-def berry_phase_loop(
-    p: ModelParams, path: KPath, band: str = "lower", gauge_fn: GaugeFn = None
-) -> float:
-    """Berry phase of a closed loop, in (-pi, pi].
+def berry_phase_loop(p: ModelParams, path: KPath, gauge_fn: GaugeFn = None) -> float:
+    """Lower-band Berry phase of a closed loop, in (-pi, pi].
 
     The loop either returns to its first point literally or closes through
     ``closure_G``, in which case the wrap link is boundary matched.
     """
     if not path.closed and path.closure_G is None:
         raise ValueError("berry_phase_loop needs a closed path")
-    u = band_states(path.points, p, band, gauge_fn)
-    return _matched_phase(u, path.closure_G, p.geometry)
+    u = band_states(path.points, p, gauge_fn=gauge_fn)
+    return _matched_phase(u, path.closure_G)
 
 
-def noncyclic_zak(
-    p: ModelParams,
-    path: KPath,
-    band: str = "lower",
-    geodesic_closure: bool = False,
-    gauge_fn: GaugeFn = None,
-) -> float:
-    """Gauge-invariant open-path (Pancharatnam) Zak phase, in (-pi, pi].
+def noncyclic_zak(p: ModelParams, path: KPath, gauge_fn: GaugeFn = None) -> float:
+    """Gauge-invariant lower-band open-path (Pancharatnam) Zak phase, in
+    (-pi, pi].
 
     The value is the argument of the transport-link product along the path
     times the boundary-matched wrap link ``<V(G) u(k_b) | u(k_e)>`` with
@@ -360,40 +344,28 @@ def noncyclic_zak(
     telescopically, so the result is exactly gauge invariant for any
     endpoint pair connected by a reciprocal vector.
 
-    If the endpoints are not reciprocal-equivalent, ``geodesic_closure``
-    extends the path by a straight segment to the nearest equivalent of
-    k_b before wrapping; otherwise NoClosure is raised.
+    Raises:
+        NoClosure: if the endpoints are not reciprocal-equivalent.
     """
     pts = path.points
     g_vec = pts[-1] - pts[0]
-    if not is_reciprocal(g_vec, p.geometry):
-        if not geodesic_closure:
-            raise NoClosure(
-                "endpoints differ by a non-reciprocal vector; pass "
-                "geodesic_closure=True to close along a straight segment"
-            )
-        coeff = np.round(reciprocal_coefficients(g_vec, p.geometry))
-        g_vec = coeff @ np.stack([p.geometry.b1, p.geometry.b2])
-        target = pts[0] + g_vec
-        step = float(np.mean(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-        length = float(np.linalg.norm(target - pts[-1]))
-        if length > 1e-12:
-            nseg = max(2, int(np.ceil(length / max(step, 1e-12))) + 1)
-            closing = KPath.line(pts[-1], target, nseg)
-            pts = np.concatenate([pts, closing.points[1:]])
-
-    u = band_states(pts, p, band, gauge_fn)
-    return _matched_phase(u, g_vec, p.geometry)
+    if not is_reciprocal(g_vec):
+        raise NoClosure(
+            "endpoints differ by a non-reciprocal vector; the open-path phase "
+            "needs reciprocal-equivalent endpoints"
+        )
+    u = band_states(pts, p, gauge_fn=gauge_fn)
+    return _matched_phase(u, g_vec)
 
 
 def connection_integral(
     p: ModelParams,
     segment: KPath,
-    band: str = "lower",
     include_closure: bool = False,
     gauge_fn: GaugeFn = None,
 ) -> float:
-    """Discretized Berry-connection line integral in the fixed gauge.
+    """Discretized lower-band Berry-connection line integral in the fixed
+    gauge.
 
     Returns the accumulated sum of Im log <u(k_j) | u(k_{j+1})> along the
     segment, i.e. the negated angles of the transport links: the
@@ -413,10 +385,10 @@ def connection_integral(
     pts = segment.points
     if np.all(np.linalg.norm(np.diff(pts, axis=0), axis=1) == 0.0):
         return 0.0
-    u = band_states(pts, p, band, gauge_fn)
+    u = band_states(pts, p, gauge_fn=gauge_fn)
     value = -float(np.sum(np.angle(transport_link(u[1:], u[:-1]))))
     if include_closure:
-        matched = boundary_matched(u[0], pts[-1] - pts[0], p.geometry)
+        matched = boundary_matched(u[0], pts[-1] - pts[0])
         value -= float(np.angle(transport_link(matched, u[-1])))
     return value
 

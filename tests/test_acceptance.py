@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from chernscope import (
-    DEFAULT_GEOMETRY,
+    K,
+    KP,
     KPath,
     ModelParams,
     berry_curvature_fhs,
@@ -38,8 +39,6 @@ from chernscope import (
 from chernscope.cli import main
 
 P0 = ModelParams()
-K = DEFAULT_GEOMETRY.K
-KP = DEFAULT_GEOMETRY.Kp
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -49,7 +48,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 def ledger_phase(p: ModelParams, site: str, samples: int = 1200) -> float:
-    plan = plan_site(site, p, samples_per_leg=samples)
+    plan = plan_site(site, samples_per_leg=samples)
     _, ledger = evolve_adiabatic(initial_state(), plan, p)
     return ledger.pancharatnam_phase
 
@@ -143,7 +142,7 @@ def test_criterion_05_readout_law():
     pointwise_worst = 0.0
     fitted = {}
     for site in ("I", "II"):
-        scan = run_fringe(P0, plan_site(site, P0, samples_per_leg=2000), grid)
+        scan = run_fringe(P0, plan_site(site, samples_per_leg=2000), grid)
         law = 0.5 * (1.0 - np.cos(scan.ledger.total - grid))
         pointwise_worst = max(pointwise_worst, float(np.max(np.abs(scan.n_up - law))))
         fitted[site] = fit_fringe(scan).phi_zak
@@ -160,10 +159,10 @@ def test_criterion_05_readout_law():
 
 def test_criterion_06_phase_hygiene():
     dyn = max(
-        abs(evolve_adiabatic(initial_state(), plan_site(site, P0), P0)[1].dynamic)
+        abs(evolve_adiabatic(initial_state(), plan_site(site), P0)[1].dynamic)
         for site in ("I", "II")
     )
-    plan = plan_site("I", P0, samples_per_leg=1200)
+    plan = plan_site("I", samples_per_leg=1200)
     _, ledger = evolve_adiabatic(initial_state(), plan, P0, zeeman_rate=0.05)
     zee = abs(ledger.zeeman)
     report(
@@ -197,7 +196,7 @@ def test_criterion_07_gauge_invariance():
         )
     )
 
-    plan = plan_site("I", P0, samples_per_leg=800)
+    plan = plan_site("I", samples_per_leg=800)
     pair = KPath(
         np.concatenate([plan.k_path_up.points[::-1], plan.k_path_down.points[1:]])
     )
@@ -217,13 +216,13 @@ def test_criterion_07_gauge_invariance():
 
 
 def test_criterion_08_adiabaticity():
-    slow = plan_site("I", P0, leg_time=400.0, samples_per_leg=2000)
+    slow = plan_site("I", leg_time=400.0, samples_per_leg=2000)
     _, diag = evolve_tdse(initial_state(), slow, P0)
     _, ledger = evolve_adiabatic(initial_state(), slow, P0)
     leak_slow = max(diag.leakage_down, diag.leakage_up)
     phase_gap = abs(wrap_angle(diag.extracted_phase - ledger.total))
 
-    fast = plan_site("I", P0, leg_time=2.0, samples_per_leg=400)
+    fast = plan_site("I", leg_time=2.0, samples_per_leg=400)
     _, fast_diag = evolve_tdse(initial_state(), fast, P0)
     estimate = landau_zener_estimate(P0, fast)
     ratios = [

@@ -206,7 +206,7 @@ def test_measured_sites_classify_ambiguous():
     the whole-number readout declines."""
     grid = default_phi_grid(24)
     fits = [
-        fit_fringe(run_fringe(P0, plan_site(site, P0, samples_per_leg=2000), grid))
+        fit_fringe(run_fringe(P0, plan_site(site, samples_per_leg=2000), grid))
         for site in ("I", "II")
     ]
     report = classify(fits[0], fits[1], oracle_c=1)
@@ -224,11 +224,11 @@ def dynamic_mismatch(plan):
 
 def test_dynamic_phase_matched_on_nominal_plans():
     for site in ("I", "II"):
-        assert dynamic_mismatch(plan_site(site, P0)) == pytest.approx(0.0, abs=1e-8)
+        assert dynamic_mismatch(plan_site(site)) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_dynamic_phase_mismatch_on_perturbed_plan():
-    pert = perturb_plan(plan_site("I", P0), radius=0.01, seed=2)
+    pert = perturb_plan(plan_site("I"), radius=0.01, seed=2)
     assert dynamic_mismatch(pert) == pytest.approx(0.6450902901621021, abs=1e-9)
 
 
@@ -324,7 +324,7 @@ def test_sweep_records_equal_the_plan_by_plan_route(radii, trials, seed):
         P0, radii, trials=trials, seed=seed, samples_per_leg=samples
     )
     grid = default_phi_grid(24)
-    plans = [plan_site(site, P0, samples_per_leg=samples) for site in ("I", "II")]
+    plans = [plan_site(site, samples_per_leg=samples) for site in ("I", "II")]
     nominal = [fit_fringe(run_fringe(P0, plan, grid)) for plan in plans]
     assert table.nominal == classify(*nominal)
     nominal_sum = nominal[0].phi_zak + nominal[1].phi_zak

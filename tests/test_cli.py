@@ -96,6 +96,25 @@ def test_chern_gapless_exit_code():
     assert summary_of(err)["error"] == "gapless-point"
 
 
+@pytest.mark.parametrize("flag", ["--phi=0", "--tprime=0"])
+@pytest.mark.parametrize(
+    "argv", [("zak",), ("sweep", "--trials", "1", "--samples-per-leg", "20")]
+)
+def test_gapless_model_gets_no_chern_label(monkeypatch, argv, flag):
+    """zak and sweep refuse a gapless model before any evolution, with the
+    exit code and message of chern's gap check."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evolved a gapless model")
+
+    monkeypatch.setattr(chernscope.cli, "evolve_adiabatic", refuse)
+    monkeypatch.setattr(chernscope.analysis, "evolve_adiabatic_batch", refuse)
+    code, out, err = run_cli(*argv, flag)
+    assert (code, out) == (4, "")
+    assert err == run_cli("chern", flag)[2]
+    assert summary_of(err)["error"] == "gapless-point"
+
+
 def test_zak_summary_phases():
     code, out, _ = run_cli("zak")
     assert code == 0
@@ -921,6 +940,25 @@ def _fuzz_flags(draw):
 _NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
 
 
+def _assert_documented_outcome(argv, out_dir=None):
+    """Run main on ``argv``: its exit code is one of README's, it prints no
+    traceback, and its output (stdout, then any table file under
+    ``out_dir``) holds no non-finite number after exit 0 and is empty
+    otherwise."""
+    err_stream = io.StringIO()
+    with contextlib.redirect_stderr(err_stream):  # argparse writes here
+        code, out, err = run_cli(*argv)
+    err += err_stream.getvalue()
+    if out_dir is not None and out_dir.exists():
+        out += "".join(f.read_text() for f in sorted(out_dir.iterdir()))
+    assert code in README_EXIT_CODES
+    assert "Traceback" not in err and "Traceback" not in out
+    if code == 0:
+        assert _NON_FINITE.search(out) is None
+    else:
+        assert out == ""
+
+
 @pytest.mark.parametrize("command", ["fringe", "detect", "sweep", "protocol", "zak"])
 @given(flags=_fuzz_flags())
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -928,13 +966,37 @@ def test_fuzzed_flags_exit_with_a_documented_code(command, flags):
     """Seeded fuzz of main over SETTINGS flags: every exit code is one of
     README's, no run prints a traceback, and a run that exits 0 prints no
     non-finite number."""
-    err_stream = io.StringIO()
-    with contextlib.redirect_stderr(err_stream):  # argparse writes here
-        code, out, err = run_cli(command, *flags)
-    err += err_stream.getvalue()
-    assert code in README_EXIT_CODES
-    assert "Traceback" not in err and "Traceback" not in out
-    if code == 0:
-        assert _NON_FINITE.search(out) is None
-    else:
-        assert out == ""
+    _assert_documented_outcome([command, *flags])
+
+
+# Each size flag: (flag, smallest and largest in-range value drawn, budget).
+# The in-range values stay small; the floor is 6 for --grid-n and 0 for
+# --points-per-segment, and values past either end are drawn too.
+_SIZE_FLAGS = {
+    "bands": ("--points-per-segment", 0, 12,
+              chernscope.lattice.MAX_PATH_POINTS_PER_SEGMENT),
+    "chern": ("--grid-n", 6, 24, chernscope.topology.MAX_GRID_N),
+    "curvature": ("--grid-n", 6, 24, chernscope.topology.MAX_GRID_N),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SIZE_FLAGS))
+@given(flags=_fuzz_flags(), data=st.data(), to_files=st.booleans())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_fuzzed_size_flags_exit_with_a_documented_code(
+    tmp_path_factory, command, flags, data, to_files
+):
+    """The fuzz of main over the commands with a size flag: a small path or
+    grid, one below the floor or over the budget, and half the runs with
+    --out into a fresh directory."""
+    flag, low, high, budget = _SIZE_FLAGS[command]
+    size = data.draw(st.one_of(
+        st.integers(low, high),
+        st.sampled_from([low - 1, -1, budget + 1, 10**9]),
+    ))
+    argv = [command, *flags, f"{flag}={size}"]
+    out_dir = None
+    if to_files:
+        out_dir = tmp_path_factory.mktemp("out") / "tables"
+        argv += ["--out", str(out_dir)]
+    _assert_documented_outcome(argv, out_dir)

@@ -13,7 +13,7 @@ import chernscope.interferometer
 import chernscope.lattice
 import chernscope.topology
 from chernscope import (
-    DEFAULT_GEOMETRY,
+    K,
     GaplessPoint,
     KPath,
     Leg,
@@ -52,7 +52,7 @@ LEAK_FAST_UP = 0.479697377560215
 def evolve_site(site, **kwargs):
     samples = kwargs.pop("samples_per_leg", 2000)
     zeeman_rate = kwargs.pop("zeeman_rate", 0.0)
-    plan = plan_site(site, P0, samples_per_leg=samples, **kwargs)
+    plan = plan_site(site, samples_per_leg=samples, **kwargs)
     return evolve_adiabatic(initial_state(), plan, P0, zeeman_rate=zeeman_rate)
 
 
@@ -113,7 +113,7 @@ def test_state_norm_validated():
 def test_evolution_requires_pure_spin_down():
     split = apply_pi2(initial_state(), 0.0)
     with pytest.raises(ValueError):
-        evolve_adiabatic(split, plan_site("I", P0), P0)
+        evolve_adiabatic(split, plan_site("I"), P0)
 
 
 # ------------------------------------------------------------ phase ledger
@@ -129,7 +129,7 @@ def test_site_phases_match_frozen_values():
 def test_ledger_matches_open_path_zak():
     """Dual route: the ledger's two-leg Pancharatnam phase must equal the
     noncyclic Zak phase of the reversed-up + down concatenated path."""
-    plan = plan_site("I", P0, samples_per_leg=2000)
+    plan = plan_site("I", samples_per_leg=2000)
     _, ledger = evolve_adiabatic(initial_state(), plan, P0)
     pair = KPath(
         np.concatenate([plan.k_path_up.points[::-1], plan.k_path_down.points[1:]])
@@ -173,7 +173,7 @@ def test_ledger_gauge_invariant():
         kpts = np.asarray(kpts)
         return 2.7 * np.sin(3.1 * kpts[..., 0]) + 1.3 * np.cos(2.3 * kpts[..., 1])
 
-    plan = plan_site("I", P0, samples_per_leg=600)
+    plan = plan_site("I", samples_per_leg=600)
     _, plain = evolve_adiabatic(initial_state(), plan, P0)
     _, rotated = evolve_adiabatic(initial_state(), plan, P0, gauge_fn=gauge)
     assert rotated.total == pytest.approx(plain.total, abs=1e-10)
@@ -189,7 +189,7 @@ def test_ledger_gauge_invariant():
 def test_fringe_law_pointwise(with_echo):
     """N_up must equal (1 - cos(total - phi_mw)) / 2 at every pulse phase."""
     phi = np.linspace(-np.pi, np.pi, 41)
-    plan = plan_site("I", P0, with_echo=with_echo, samples_per_leg=800)
+    plan = plan_site("I", with_echo=with_echo, samples_per_leg=800)
     scan = run_fringe(P0, plan, phi, zeeman_rate=0.01)
     law = 0.5 * (1.0 - np.cos(scan.ledger.total - phi))
     assert np.max(np.abs(scan.n_up - law)) < 1e-9
@@ -198,11 +198,11 @@ def test_fringe_law_pointwise(with_echo):
 
 def test_run_fringe_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        run_fringe(P0, plan_site("I", P0), [0.0, 1.0], mode="exact")
+        run_fringe(P0, plan_site("I"), [0.0, 1.0], mode="exact")
 
 
 def test_run_fringe_accepts_prebuilt_plan():
-    plan = perturb_plan(plan_site("I", P0, samples_per_leg=600), radius=0.002, seed=1)
+    plan = perturb_plan(plan_site("I", samples_per_leg=600), radius=0.002, seed=1)
     scan = run_fringe(P0, plan, [0.0, 0.5, 1.0])
     assert scan.site == "I"
     assert scan.n_up.shape == (3,)
@@ -212,7 +212,7 @@ def test_run_fringe_accepts_prebuilt_plan():
 
 
 def test_slow_drive_stays_in_band():
-    plan = plan_site("I", P0, leg_time=400.0, samples_per_leg=2000)
+    plan = plan_site("I", leg_time=400.0, samples_per_leg=2000)
     _, diag = evolve_tdse(initial_state(), plan, P0)
     assert diag.leakage_down < 1e-3
     assert diag.leakage_up < 1e-3
@@ -222,7 +222,7 @@ def test_slow_drive_stays_in_band():
 
 
 def test_slow_drive_phase_matches_adiabatic():
-    plan = plan_site("I", P0, leg_time=400.0, samples_per_leg=2000)
+    plan = plan_site("I", leg_time=400.0, samples_per_leg=2000)
     _, diag = evolve_tdse(initial_state(), plan, P0)
     _, ledger = evolve_adiabatic(initial_state(), plan, P0)
     assert abs(diag.extracted_phase - ledger.total) < 1e-2
@@ -232,14 +232,14 @@ def test_slow_drive_phase_matches_adiabatic():
 
 
 def test_step_halving_converged():
-    plan = plan_site("I", P0, leg_time=400.0, samples_per_leg=2000)
+    plan = plan_site("I", leg_time=400.0, samples_per_leg=2000)
     _, coarse = evolve_tdse(initial_state(), plan, P0)
     _, fine = evolve_tdse(initial_state(), plan, P0, dt=coarse.dt / 2)
     assert abs(fine.extracted_phase - coarse.extracted_phase) < 1e-6
 
 
 def test_fast_drive_leaks_like_landau_zener():
-    plan = plan_site("I", P0, leg_time=2.0, samples_per_leg=400)
+    plan = plan_site("I", leg_time=2.0, samples_per_leg=400)
     estimate = landau_zener_estimate(P0, plan)
     assert estimate == pytest.approx(LZ_FAST, abs=1e-9)
     _, diag = evolve_tdse(initial_state(), plan, P0)
@@ -250,14 +250,14 @@ def test_fast_drive_leaks_like_landau_zener():
 
 
 def test_tdse_step_size_precondition():
-    plan = plan_site("I", P0, leg_time=2.0, samples_per_leg=400)
+    plan = plan_site("I", leg_time=2.0, samples_per_leg=400)
     with pytest.raises(ValueError):
         evolve_tdse(initial_state(), plan, P0, dt=0.01)
 
 
 def test_tdse_fringe_keeps_populations_physical():
     phi = np.linspace(-np.pi, np.pi, 9)
-    plan = plan_site("I", P0, leg_time=2.0, samples_per_leg=400)
+    plan = plan_site("I", leg_time=2.0, samples_per_leg=400)
     scan = run_fringe(P0, plan, phi, mode="tdse")
     total = scan.n_down + scan.n_up
     assert np.all(total <= 1.0 + 1e-12)
@@ -270,7 +270,7 @@ def test_tdse_fringe_keeps_populations_physical():
 def test_tdse_zeeman_phase_survives_without_echo():
     """The stepwise route takes the ledger's Zeeman phase, the rate times
     the signed leg time, and run_fringe hands it the rate."""
-    plan = plan_site("I", P0, leg_time=2.0, with_echo=False, samples_per_leg=400)
+    plan = plan_site("I", leg_time=2.0, with_echo=False, samples_per_leg=400)
     _, still = evolve_tdse(initial_state(), plan, P0)
     _, driven = evolve_tdse(initial_state(), plan, P0, zeeman_rate=0.02)
     shift = wrap_angle(driven.extracted_phase - still.extracted_phase)
@@ -304,7 +304,7 @@ def _end_state(mode):
     """Site I end state before the readout pulse; the TDSE one leaks."""
     if mode == "adiabatic":
         return evolve_site("I")[0]
-    plan = plan_site("I", P0, leg_time=2.0, samples_per_leg=400)
+    plan = plan_site("I", leg_time=2.0, samples_per_leg=400)
     return evolve_tdse(initial_state(), plan, P0)[0]
 
 
@@ -379,7 +379,7 @@ def test_adiabatic_evolution_evaluates_each_leg_once(monkeypatch, field_calls):
     """One ``bloch_fields`` call on both legs' samples, each sample once,
     one link kernel call over the whole (plans, 2, n + 1) stack, states
     built only at the legs' end samples, and no ``transport_link`` call."""
-    plan = plan_site("I", P0, samples_per_leg=300)
+    plan = plan_site("I", samples_per_leg=300)
     calls = []
 
     def counting(module, name):
@@ -416,7 +416,7 @@ def test_adiabatic_batch_equals_single_evolutions(monkeypatch, field_calls):
     another leg sampling starts a new pass."""
     plans = [
         perturb_plan(
-            plan_site(site, P0, with_echo=echo, samples_per_leg=n),
+            plan_site(site, with_echo=echo, samples_per_leg=n),
             radius=0.01,
             seed=seed,
         )
@@ -436,22 +436,6 @@ def test_adiabatic_batch_equals_single_evolutions(monkeypatch, field_calls):
             )
             assert ledger == ref_ledger
             assert (end.amp_down, end.amp_up) == (ref_end.amp_down, ref_end.amp_up)
-
-
-def test_adiabatic_batch_splits_where_the_geometry_changes(field_calls):
-    """Each plan's end state is matched in its own geometry: a plan drawn
-    on another lattice scale starts a new pass and ends as it does alone."""
-    scaled = dataclasses.replace(P0, geometry=DEFAULT_GEOMETRY.with_scale(2.0))
-    plans = [
-        plan_site("I", P0, samples_per_leg=40),
-        plan_site("I", scaled, samples_per_leg=40),
-    ]
-    got = list(evolve_adiabatic_batch(plans, P0))
-    assert len(field_calls.bloch) == 2
-    for plan, (end, ledger) in zip(plans, got, strict=True):
-        ref_end, ref_ledger = evolve_adiabatic(initial_state(), plan, P0)
-        assert ledger == ref_ledger
-        assert (end.amp_down, end.amp_up) == (ref_end.amp_down, ref_end.amp_up)
 
 
 def _line_blocks_per_leg(line_calls, n_steps, block):
@@ -480,7 +464,7 @@ def test_tdse_evaluates_leg_samples_once_besides_midpoints(monkeypatch, field_ca
     once; the midpoints of each leg go through ``line_fields`` once each,
     in blocks, from the leg start plus half a step.  The leg takes one
     block at the default block size and several with a short tail at 100."""
-    plan = plan_site("I", P0, leg_time=2.0, samples_per_leg=300)
+    plan = plan_site("I", leg_time=2.0, samples_per_leg=300)
     plan_legs = (plan.k_path_down, plan.k_path_up)
     for block in (chernscope.interferometer._TDSE_BLOCK, 100):
         monkeypatch.setattr(chernscope.interferometer, "_TDSE_BLOCK", block)
@@ -601,9 +585,9 @@ def test_malformed_plan_raises_before_gap_check(evolve):
     gapless leg runs straight through the Dirac point K, its midpoint
     sample at tp = 0."""
     p = ModelParams(tp=0.0)
-    plan = plan_site("I", p, leg_time=2.0, samples_per_leg=40)
-    leg = Leg(plan.start, 2 * DEFAULT_GEOMETRY.K - plan.start, 40)
-    assert np.max(np.abs(leg.points[20] - DEFAULT_GEOMETRY.K)) <= 5e-16  # 1 ulp
+    plan = plan_site("I", leg_time=2.0, samples_per_leg=40)
+    leg = Leg(plan.start, 2 * K - plan.start, 40)
+    assert np.max(np.abs(leg.points[20] - K)) <= 5e-16  # 1 ulp
     gapless = dataclasses.replace(plan, k_path_down=leg)
     up = plan.k_path_up
     broken = dataclasses.replace(
@@ -619,8 +603,8 @@ def test_gapless_leg_raises_the_state_route_message():
     """The adiabatic pass checks the gap of every leg sample before any
     link, with the message band_states gives on the same stacked samples."""
     p = ModelParams(tp=0.0)
-    plan = plan_site("I", p, leg_time=2.0, samples_per_leg=40)
-    leg = Leg(plan.start, 2 * DEFAULT_GEOMETRY.K - plan.start, 40)
+    plan = plan_site("I", leg_time=2.0, samples_per_leg=40)
+    leg = Leg(plan.start, 2 * K - plan.start, 40)
     gapless = dataclasses.replace(plan, k_path_down=leg)
     with pytest.raises(GaplessPoint) as expected:
         chernscope.lattice.band_states(_stacked_legs(gapless), p)
@@ -679,7 +663,7 @@ def test_leg_propagator_matches_dense_product(n, seed, dt, zero):
 
 
 def test_tdse_step_budget_refuses_before_allocating(monkeypatch, field_calls):
-    plan = plan_site("I", P0, leg_time=20.0, samples_per_leg=400)
+    plan = plan_site("I", leg_time=20.0, samples_per_leg=400)
     _, diag = evolve_tdse(initial_state(), plan, P0)
     assert 1000 < diag.n_steps < 10000
     monkeypatch.setattr(chernscope.interferometer, "MAX_TDSE_STEPS", diag.n_steps)
@@ -699,7 +683,7 @@ def test_tdse_step_budget_refuses_before_allocating(monkeypatch, field_calls):
 
 @pytest.mark.parametrize("leg_time", [2.0, 400.0])
 def test_tdse_diagnostics_carry_plan_xi(leg_time, field_calls):
-    plan = plan_site("I", P0, leg_time=leg_time, samples_per_leg=400)
+    plan = plan_site("I", leg_time=leg_time, samples_per_leg=400)
     _, diag = evolve_tdse(initial_state(), plan, P0)
     assert len(field_calls.bloch) == 1  # both legs in one pass
     assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan))
@@ -715,7 +699,7 @@ def test_tdse_memory_stays_near_one_block():
     factors (about 1 MB; bound 1.1 MB), plus the full blocks' reduced pairs
     held for the stacked finish: 32 bytes per pair, ``_SU2_SHORT`` pairs
     per block, counted twice for the list and the stack made from it."""
-    plan = plan_site("I", P0, leg_time=1000.0, samples_per_leg=400)
+    plan = plan_site("I", leg_time=1000.0, samples_per_leg=400)
     evolve_tdse(initial_state(), plan, P0)  # first call sets up numpy
     tracemalloc.start()
     try:

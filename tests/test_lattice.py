@@ -9,9 +9,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 import chernscope.lattice
 import chernscope.topology
 from chernscope import (
-    DEFAULT_GEOMETRY,
+    B1,
+    B2,
+    K,
+    KP,
+    NN_VECTORS,
     GaplessPoint,
-    LatticeGeometry,
     ModelParams,
     NotReciprocal,
     band_energies,
@@ -27,12 +30,10 @@ from chernscope import (
     reciprocal_coefficients,
     sublattice_matching,
 )
-from chernscope.lattice import _fields_from_z
+from chernscope.lattice import INVERSE_RECIPROCAL_BASIS, _fields_from_z
 
 P0 = ModelParams()
 GAMMA = np.zeros(2)
-K = DEFAULT_GEOMETRY.K
-KP = DEFAULT_GEOMETRY.Kp
 
 # Analytic values at the default couplings (t=1, tp=0.1, phi=pi/2):
 # the mass term at the zone corner is 3*sqrt(3)*tp*sin(phi).
@@ -48,9 +49,9 @@ momenta = st.tuples(
 def explicit_fields(k, p):
     """The twelve-term cos/sin form of the fields: three cosines or sines of
     k . e_i or k . v_i per component."""
-    g = p.geometry
-    ke = [np.dot(k, e) for e in (g.e1, g.e2, g.e3)]
-    kv = [np.dot(k, v) for v in (g.v1, g.v2, g.v3)]
+    e1, e2, e3 = NN_VECTORS
+    ke = [np.dot(k, e) for e in (e1, e2, e3)]
+    kv = [np.dot(k, v) for v in (e3 - e2, e1 - e3, e2 - e1)]
     h0 = -2 * p.tp * np.cos(p.phi) * sum(np.cos(x) for x in kv)
     hx = -p.t * sum(np.cos(x) for x in ke)
     hy = -p.t * sum(np.sin(x) for x in ke)
@@ -116,7 +117,7 @@ def test_line_fields_match_bloch_fields_on_the_line(n, k0, span, tp, phi):
 
 def _point_major_line_fields(k0, step, n, p):
     """Reference ``line_fields`` with point-major (n / B, B, 3) tables."""
-    nn_t = p.geometry.nn_vectors.T
+    nn_t = NN_VECTORS.T
     block = math.isqrt(max(n - 1, 0)) + 1
     starts = np.arange(0, n, block)
     outer = np.exp(1j * ((k0 + starts[:, None] * step) @ nn_t))
@@ -150,20 +151,6 @@ def test_bloch_fields_of_a_stack_equal_the_single_evaluation(copies):
     stacked = bloch_fields(np.tile(kpts, (copies, 1)), P0)
     for one, many in zip(single, stacked, strict=True):
         assert np.array_equal(many, np.tile(one, copies))
-
-
-def test_geometry_refuses_nnn_vectors_off_the_nn_differences():
-    g = DEFAULT_GEOMETRY
-    assert np.array_equal(g.v1, g.e3 - g.e2)
-    assert np.array_equal(g.v2, g.e1 - g.e3)
-    assert np.array_equal(g.v3, g.e2 - g.e1)
-    vectors = {name: getattr(g, name) for name in LatticeGeometry.__dataclass_fields__}
-    for name in ("v1", "v2", "v3"):
-        broken = dict(vectors, **{name: vectors[name] + np.array([1e-6, 0.0])})
-        with pytest.raises(ValueError):
-            LatticeGeometry(**broken)
-    # Scaled geometries keep the identity up to rounding and are accepted.
-    LatticeGeometry.with_scale(0.7)
 
 
 def test_gamma_point_components():
@@ -207,7 +194,7 @@ def test_band_gap_min_finds_zone_edge_minimum():
     lo, up = band_energies(K, p)
     assert up - lo == pytest.approx(6 * np.sqrt(3.0) * 0.2, abs=1e-12)
     assert band_gap_min(p) == pytest.approx(2.0, abs=1e-9)
-    lo, up = band_energies(DEFAULT_GEOMETRY.b1 / 2, p)
+    lo, up = band_energies(B1 / 2, p)
     assert up - lo == pytest.approx(2.0, abs=1e-12)
 
 
@@ -247,10 +234,9 @@ def test_band_gap_min_matches_frozen_draws(tp, phi, n, gap):
 def _gap_search_40_rounds(p, n):
     """Reference search: ``band_gap_min``'s n x n scan, 7 x 7 grid and 0.35
     shrink, run for 40 rounds instead of 20."""
-    b1, b2 = p.geometry.b1, p.geometry.b2
 
     def grid_min(f1, f2):
-        e_lo, e_up = band_energies(f1[..., None] * b1 + f2[..., None] * b2, p)
+        e_lo, e_up = band_energies(f1[..., None] * B1 + f2[..., None] * B2, p)
         gaps = e_up - e_lo
         idx = np.unravel_index(np.argmin(gaps), gaps.shape)
         return float(gaps[idx]), f1[idx], f2[idx]
@@ -330,11 +316,10 @@ def test_model_params_validation(bad):
 
 
 def test_boundary_phase_values():
-    g = DEFAULT_GEOMETRY
-    assert boundary_phase(g.b1) == pytest.approx(4 * np.pi / 3, abs=1e-12)
-    assert boundary_phase(g.b1 + g.b2) == pytest.approx(2 * np.pi / 3, abs=1e-12)
+    assert boundary_phase(B1) == pytest.approx(4 * np.pi / 3, abs=1e-12)
+    assert boundary_phase(B1 + B2) == pytest.approx(2 * np.pi / 3, abs=1e-12)
     # 3 b1 . e1 = 4 pi, a full winding, so the matching phase vanishes.
-    assert boundary_phase(3 * g.b1) % (2 * np.pi) == pytest.approx(0.0, abs=1e-9)
+    assert boundary_phase(3 * B1) % (2 * np.pi) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_boundary_phase_rejects_off_lattice_vector():
@@ -343,16 +328,15 @@ def test_boundary_phase_rejects_off_lattice_vector():
 
 
 def test_boundary_matrix_is_diagonal_unitary():
-    v = boundary_matrix(DEFAULT_GEOMETRY.b1)
+    v = boundary_matrix(B1)
     assert np.allclose(v @ v.conj().T, np.eye(2), atol=1e-14)
     assert v[0, 1] == 0 and v[1, 0] == 0
     assert v[0, 0] == 1.0
 
 
 def test_sublattice_matching_extends_boundary_matrix():
-    g = DEFAULT_GEOMETRY
-    w = sublattice_matching(g.b1 + g.b2, g)
-    v = boundary_matrix(g.b1 + g.b2, g)
+    w = sublattice_matching(B1 + B2)
+    v = boundary_matrix(B1 + B2)
     assert np.allclose(w, np.diag(v), atol=1e-12)
     assert np.allclose(np.abs(w), 1.0, atol=1e-14)
 
@@ -361,17 +345,16 @@ def test_stacked_matching_and_reciprocity_equal_each_vector():
     """A (..., 2) stack of momentum differences gets, vector by vector and
     bit for bit, the matching diagonal and the reciprocity answer of the
     vector on its own."""
-    g = DEFAULT_GEOMETRY
     rng = np.random.default_rng(5)
     dks = np.concatenate(
-        [rng.normal(size=(5, 2)), [g.b1, g.b1 + g.b2, -g.b2 + 1e-7]]
+        [rng.normal(size=(5, 2)), [B1, B1 + B2, -B2 + 1e-7]]
     ).reshape(2, 4, 2)
-    w = sublattice_matching(dks, g)
-    on_lattice = is_reciprocal(dks, g)
+    w = sublattice_matching(dks)
+    on_lattice = is_reciprocal(dks)
     assert w.shape == (2, 4, 2) and on_lattice.shape == (2, 4)
     for index in np.ndindex(2, 4):
-        assert np.array_equal(w[index], sublattice_matching(dks[index], g))
-        assert on_lattice[index] == is_reciprocal(dks[index], g)
+        assert np.array_equal(w[index], sublattice_matching(dks[index]))
+        assert on_lattice[index] == is_reciprocal(dks[index])
     assert on_lattice.tolist() == [[False] * 4, [False, True, True, False]]
 
 
@@ -396,10 +379,9 @@ def test_mirror_symmetry_conjugates_hamiltonian(kxy):
 @settings(max_examples=150, deadline=None)
 def test_reciprocal_periodicity(kxy, m, n):
     """H(k + G) = V(G) H(k) V(G)^dag for any reciprocal G."""
-    g = DEFAULT_GEOMETRY
-    G = m * g.b1 + n * g.b2
+    G = m * B1 + n * B2
     k = np.array(kxy)
-    v = boundary_matrix(G, g)
+    v = boundary_matrix(G)
     lhs = hamiltonian(k + G, P0)
     rhs = v @ hamiltonian(k, P0) @ v.conj().T
     assert np.allclose(lhs, rhs, atol=1e-10)
@@ -408,9 +390,8 @@ def test_reciprocal_periodicity(kxy, m, n):
 @given(momenta, st.integers(-2, 2), st.integers(-2, 2))
 @settings(max_examples=100, deadline=None)
 def test_reciprocal_coefficients_roundtrip(kxy, m, n):
-    g = DEFAULT_GEOMETRY
-    G = m * g.b1 + n * g.b2 + 0.0 * np.array(kxy)
-    coeff = reciprocal_coefficients(G, g)
+    G = m * B1 + n * B2 + 0.0 * np.array(kxy)
+    coeff = reciprocal_coefficients(G)
     assert np.allclose(coeff, [m, n], atol=1e-9)
 
 
@@ -580,16 +561,24 @@ def test_gauge_ties_go_to_the_first_component(p):
 
 
 def test_geometry_constants_are_computed_once_and_read_only():
-    g = LatticeGeometry.with_scale(1.3)
-    assert g.nn_vectors is g.nn_vectors
-    assert g.inverse_reciprocal_basis is g.inverse_reciprocal_basis
-    assert np.array_equal(g.nn_vectors, np.stack([g.e1, g.e2, g.e3]))
-    assert np.allclose(
-        g.inverse_reciprocal_basis @ g.reciprocal_basis, np.eye(2), rtol=0, atol=1e-15
-    )
-    for constant in (g.nn_vectors, g.inverse_reciprocal_basis):
+    basis = np.stack([B1, B2], axis=1)
+    assert np.allclose(INVERSE_RECIPROCAL_BASIS @ basis, np.eye(2), rtol=0, atol=1e-15)
+    for constant in (NN_VECTORS, B1, B2, K, KP, INVERSE_RECIPROCAL_BASIS):
         with pytest.raises(ValueError):
-            constant[0, 0] = 0.0
+            constant[0] = 0.0
+
+
+def test_geometry_constants_equal_their_closed_forms():
+    """Each constant bit for bit, at lattice scale a = 1."""
+    s3 = np.sqrt(3.0)
+    assert NN_VECTORS.tolist() == [[0.0, 1.0], [-s3 / 2, -0.5], [s3 / 2, -0.5]]
+    assert B1.tolist() == [0.0, 4 * np.pi / 3]
+    assert B2.tolist() == [2 * np.pi / s3, -2 * np.pi / 3]
+    assert K.tolist() == [4 * np.pi / (3 * s3), 0.0]
+    assert KP.tolist() == [-4 * np.pi / (3 * s3), 0.0]
+    assert np.array_equal(
+        INVERSE_RECIPROCAL_BASIS, np.linalg.inv(np.stack([B1, B2], axis=1))
+    )
 
 
 @given(
@@ -601,11 +590,10 @@ def test_geometry_constants_are_computed_once_and_read_only():
 @settings(max_examples=150, deadline=None)
 def test_is_reciprocal_agrees_with_a_linear_solve(m, n, offset, angle):
     """The cached inverse basis classifies G as the 2x2 solve does."""
-    g = DEFAULT_GEOMETRY
-    G = m * g.b1 + n * g.b2 + offset * np.array([np.cos(angle), np.sin(angle)])
-    coeff = np.linalg.solve(g.reciprocal_basis, G)
+    G = m * B1 + n * B2 + offset * np.array([np.cos(angle), np.sin(angle)])
+    coeff = np.linalg.solve(np.stack([B1, B2], axis=1), G)
     expected = bool(np.max(np.abs(coeff - np.round(coeff))) <= 1e-9)
-    assert is_reciprocal(G, g) == expected
+    assert is_reciprocal(G) == expected
 
 
 def test_band_states_vectorized_matches_pointwise():
@@ -630,12 +618,12 @@ def test_high_symmetry_path_markers():
     assert np.allclose(pts[-1], GAMMA)
     idx = dict((lab, i) for i, lab in markers)
     assert np.allclose(pts[idx["K"]], K, atol=1e-12)
-    assert np.allclose(pts[idx["M"]], DEFAULT_GEOMETRY.b1 / 2, atol=1e-12)
+    assert np.allclose(pts[idx["M"]], B1 / 2, atol=1e-12)
 
 
 def test_high_symmetry_path_points_are_segment_lines():
     pts, markers = high_symmetry_path(points_per_segment=7)
-    corners = [GAMMA, K, DEFAULT_GEOMETRY.b1 / 2, KP, GAMMA]
+    corners = [GAMMA, K, B1 / 2, KP, GAMMA]
     assert [i for i, _ in markers] == [0, 7, 14, 21, 28]
     for i, f in enumerate(np.linspace(0.0, 1.0, 7, endpoint=False)):
         for seg in range(4):

@@ -45,7 +45,9 @@ def test_traced_sweep_evaluates_each_leg_sample_once():
     nominal plans and 2 sites x 2 trials at each of the 3 nonzero default
     radii (the radius-0 trials reuse the nominal end states), and evaluates
     the fields of each plan's 2 x 21 leg samples once; the traced wrappers
-    it passes through are handed single plans, never a batch."""
+    it passes through are handed single plans, never a batch.  Before any
+    evolution it runs one gap search, a 32 x 32 scan and 20 rounds of
+    7 x 7 points."""
     tracer = SPANS_NAMESPACE["Tracer"]()
     tracer.install()
     try:
@@ -57,7 +59,9 @@ def test_traced_sweep_evaluates_each_leg_sample_once():
         tracer.restore()
     assert code == 0
     _, counts = tracer.take()
-    assert counts["lattice.fields.momenta"] == (2 + 3 * 2 * 2) * 2 * 21
+    assert counts["lattice.gap_scan.calls"] == 1
+    gap_search = 32 * 32 + 20 * 7 * 7
+    assert counts["lattice.fields.momenta"] == (2 + 3 * 2 * 2) * 2 * 21 + gap_search
 
 
 TDSE_ARGV = ["fringe", "--mode", "tdse", "--leg-time", "2", "--samples-per-leg", "400"]

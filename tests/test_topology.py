@@ -8,7 +8,11 @@ import chernscope.lattice
 import chernscope.protocol
 import chernscope.topology
 from chernscope import (
-    DEFAULT_GEOMETRY,
+    B1,
+    B2,
+    K,
+    KP,
+    NN_VECTORS,
     GaplessPoint,
     KPath,
     ModelParams,
@@ -27,8 +31,6 @@ from chernscope import (
 from chernscope.topology import field_link_phases
 
 P0 = ModelParams()
-K = DEFAULT_GEOMETRY.K
-KP = DEFAULT_GEOMETRY.Kp
 
 # Frozen reference values, all computed with this package's deterministic
 # gauge at the stated samplings and cross-checked against independent
@@ -39,12 +41,11 @@ K_CIRCLE_DEFAULT_PHI = -2.797915202220227
 K_CIRCLE_SMALL_PHI = -3.1381350300652153
 SEGMENT_CONN_OPEN = -3.7972911104277873
 SEGMENT_ZAK = -0.3914990943586027
-GEODESIC_LINE_ZAK = 1.047197551196599
 
 
-def pair_path(site: str, samples: int = 2000, p: ModelParams = P0) -> KPath:
+def pair_path(site: str, samples: int = 2000) -> KPath:
     """Spin-up leg reversed followed by the spin-down leg of one site plan."""
-    plan = plan_site(site, p, samples_per_leg=samples)
+    plan = plan_site(site, samples_per_leg=samples)
     return KPath(
         np.concatenate([plan.k_path_up.points[::-1], plan.k_path_down.points[1:]])
     )
@@ -133,15 +134,14 @@ def test_fhs_healthy_grids_stay_below_saturation():
 def _four_link_flux(p, n, band, gauge_fn):
     """The FHS flux with each of a plaquette's four links computed on its
     own, in the (+b1, +b2, -b1, -b2) order."""
-    g = p.geometry
     fracs = np.arange(n) / n
     f1, f2 = np.meshgrid(fracs, fracs, indexing="ij")
-    u = band_states(f1[..., None] * g.b1 + f2[..., None] * g.b2, p, band, gauge_fn)
+    u = band_states(f1[..., None] * B1 + f2[..., None] * B2, p, band, gauge_fn)
     ue = np.empty((n + 1, n + 1, 2), dtype=complex)
     ue[:n, :n] = u
-    ue[n, :n] = boundary_matched(u[0, :], g.b1, g)
-    ue[:n, n] = boundary_matched(u[:, 0], g.b2, g)
-    ue[n, n] = boundary_matched(u[0, 0], g.b1 + g.b2, g)
+    ue[n, :n] = boundary_matched(u[0, :], B1)
+    ue[:n, n] = boundary_matched(u[:, 0], B2)
+    ue[n, n] = boundary_matched(u[0, 0], B1 + B2)
     l1 = transport_link(ue[1:, :-1], ue[:-1, :-1])
     l2 = transport_link(ue[1:, 1:], ue[1:, :-1])
     l3 = transport_link(ue[:-1, 1:], ue[1:, 1:])
@@ -240,10 +240,9 @@ def test_loop_requires_closure():
 def test_loop_through_zone_boundary():
     """A straight line across one reciprocal vector is a torus loop; its
     phase must be independent of where the line starts."""
-    g = DEFAULT_GEOMETRY
     for start in (np.array([0.1, -0.4]), np.array([-1.3, 0.7])):
-        path = KPath.line(start, start + g.b2, 501)
-        loop = KPath(path.points, closure_G=g.b2)
+        path = KPath.line(start, start + B2, 501)
+        loop = KPath(path.points, closure_G=B2)
         direct = berry_phase_loop(P0, loop)
         via_zak = noncyclic_zak(P0, path)
         assert direct == pytest.approx(via_zak, abs=1e-12)
@@ -277,19 +276,19 @@ def test_site_phase_difference_is_matching_phase():
     H(-k) = sx H(k) sx, so the two products differ only in the wrap link:
     phi_I - phi_II = chi(b1) = b1 . e1 exactly.  Moving the cell origin off
     the A site shifts the two site phases oppositely and keeps their sum."""
-    chi = float(np.dot(DEFAULT_GEOMETRY.b1, DEFAULT_GEOMETRY.e1))
+    chi = float(np.dot(B1, NN_VECTORS[0]))
     for tp in (0.05, 0.1, 0.2):
         for phi in (np.pi / 4, -np.pi / 4, np.pi / 2, -np.pi / 2):
             p = ModelParams(tp=tp, phi=phi)
-            phi_i = noncyclic_zak(p, pair_path("I", 1200, p))
-            phi_ii = noncyclic_zak(p, pair_path("II", 1200, p))
+            phi_i = noncyclic_zak(p, pair_path("I", 1200))
+            phi_ii = noncyclic_zak(p, pair_path("II", 1200))
             assert abs(np.angle(np.exp(1j * (phi_i - phi_ii - chi)))) < 1e-12
 
 
 def test_site_phase_sum_small_tprime():
     p = ModelParams(tp=0.01, phi=np.pi / 2)
     estimate = chern_from_zak(
-        noncyclic_zak(p, pair_path("I", p=p)), noncyclic_zak(p, pair_path("II", p=p))
+        noncyclic_zak(p, pair_path("I")), noncyclic_zak(p, pair_path("II"))
     )
     # The oracle gives C = +1 here, yet the origin-independent sum is about
     # 0.05 pi and shrinks towards 0 as tp -> 0, where the curvature gathers
@@ -330,15 +329,6 @@ def test_zak_rejects_open_endpoints_without_geodesic():
         noncyclic_zak(P0, path)
 
 
-def test_zak_geodesic_closure_matches_full_line():
-    g = DEFAULT_GEOMETRY
-    short = KPath.line(np.zeros(2), 0.98 * g.b1, 800)
-    closed = noncyclic_zak(P0, short, geodesic_closure=True)
-    assert closed == pytest.approx(GEODESIC_LINE_ZAK, abs=1e-9)
-    full = noncyclic_zak(P0, KPath.line(np.zeros(2), g.b1, 800))
-    assert closed == pytest.approx(full, abs=1e-6)
-
-
 def test_corner_segment_values():
     seg = corner_segment()
     assert connection_integral(P0, seg) == pytest.approx(
@@ -361,7 +351,7 @@ def test_route_difference_equals_enclosed_flux():
     """Two open paths sharing endpoints differ by the Berry flux through
     the loop they bound."""
     a = np.array([0.2, -0.8])
-    b = a + DEFAULT_GEOMETRY.b1
+    b = a + B1
     way = np.array([1.4, 0.6])
     direct = KPath.line(a, b, 600)
     dogleg = KPath.concatenate(KPath.line(a, way, 300), KPath.line(way, b, 300))
@@ -460,7 +450,7 @@ def _through(k, direction, m, half_width):
 def test_field_link_phases_across_hz_sign_changes():
     """Legs from K to K' through Gamma, and across the zone edge, where hz
     changes sign mid-leg and the closed form switches branch."""
-    lines = [(K, KP), (K, -K), (0.3 * K, DEFAULT_GEOMETRY.b1), (KP, K + 0.2)]
+    lines = [(K, KP), (K, -K), (0.3 * K, B1), (KP, K + 0.2)]
     for p in (P0, ModelParams(tp=0.3, phi=-2.0)):
         fields, kpts = _line_stack(p, lines, 401)
         hz = fields[3]
@@ -500,7 +490,7 @@ def test_field_link_phases_with_exact_zero_components():
 def test_field_link_phases_rotate_every_sample_under_gauge_fn():
     """gauge_fn rotates each sample's components as band_states rotates the
     states; the summed phase changes by the end samples' gauge difference."""
-    lines = [(K, KP), (0.3 * K, DEFAULT_GEOMETRY.b1)]
+    lines = [(K, KP), (0.3 * K, B1)]
     fields, kpts = _line_stack(P0, lines, 301)
     _assert_kernel_matches_reference(fields, kpts, P0, _smooth_gauge)
     shift = field_link_phases(fields, kpts, P0, _smooth_gauge) - field_link_phases(
@@ -516,7 +506,7 @@ def test_field_link_phases_on_plan_legs(with_echo):
     """The stacked legs of nominal and perturbed plans, echo on and off."""
     plans = [
         chernscope.protocol.perturb_plan(
-            plan_site(site, P0, with_echo=with_echo, samples_per_leg=500),
+            plan_site(site, with_echo=with_echo, samples_per_leg=500),
             radius=radius,
             seed=seed,
         )
