@@ -6,7 +6,6 @@ from .errors import (
     ChernscopeError,
     DegenerateScan,
     GaplessPoint,
-    MalformedPlan,
     NoClosure,
     NotQuantized,
     NotReciprocal,
@@ -63,7 +62,6 @@ from .interferometer import (
     PhaseLedger,
     SpinorState,
     TdseDiagnostics,
-    apply_pi,
     apply_pi2,
     evolve_adiabatic,
     evolve_adiabatic_batch,

@@ -38,7 +38,7 @@ from .interferometer import (
     wrap_angle,
 )
 from .lattice import ModelParams
-from .protocol import SITES, perturb_plan, plan_site
+from .protocol import SITES, _require_error_radius, perturb_plan, plan_site
 from .topology import _require_gapped, chern_from_zak
 
 __all__ = [
@@ -81,9 +81,12 @@ def default_phi_grid(n: int = 24) -> np.ndarray:
     1,000,000 implies a peak of about 460 MB.
 
     Raises:
+        DegenerateScan: if n is below 5, too few phases to fit.
         ValueError: if n is over ``MAX_PHI_MW_POINTS``, before anything is
             allocated.
     """
+    if n < 5:
+        raise DegenerateScan("need at least 5 distinct phi_mw points")
     if n > MAX_PHI_MW_POINTS:
         raise ValueError(
             f"{n} pulse phases are over the budget of {MAX_PHI_MW_POINTS}"
@@ -325,9 +328,12 @@ def robustness_sweep(
 
     Raises:
         ValueError: if ``trials`` is below 1, or ``trials`` times the number
-            of radii is over ``MAX_SWEEP_TRIALS``, before any evolution.
+            of radii is over ``MAX_SWEEP_TRIALS``, or a radius lies outside
+            [0, |b1| / 4), before any evolution.
         GaplessPoint: if the model is gapless, before any evolution, as
             :func:`chernscope.topology.chern_number` raises it.
+        DegenerateScan: if ``phi_mw_points`` is below 5, before any
+            evolution.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -340,6 +346,8 @@ def robustness_sweep(
     _require_gapped(p)
     phi_grid = default_phi_grid(phi_mw_points)
     m = len(phi_grid)
+    for radius in error_radii:
+        _require_error_radius(radius)
     plans = [
         plan_site(
             site, leg_time=leg_time, with_echo=with_echo,

@@ -58,7 +58,6 @@ EXIT_CONFIG = 3
 ERROR_EXIT_CODES = {
     "gapless-point": 4,
     "not-quantized": 5,
-    "malformed-plan": 6,
     "no-closure": 7,
     "step-too-large": 8,
     "degenerate-scan": 9,

@@ -42,16 +42,10 @@ class PlaquetteSaturated(ChernscopeError):
 
 
 class NoClosure(ChernscopeError):
-    """Open-path endpoints are not reciprocal-equivalent and no geodesic
-    closure was requested."""
+    """Open-path endpoints are not reciprocal-equivalent, so the path has
+    no boundary match to close it."""
 
     code = "no-closure"
-
-
-class MalformedPlan(ChernscopeError):
-    """A protocol plan whose two legs do not share their start."""
-
-    code = "malformed-plan"
 
 
 class StepTooLarge(ChernscopeError):

@@ -17,7 +17,7 @@ its straight momentum leg, and the two evolution routes are
   step, which resolves nonadiabatic band leakage.
 
 Each route evaluates the Bloch fields of its legs' samples in one pass,
-:func:`chernscope.protocol.leg_pass`, which also checks the plans and
+:func:`chernscope.protocol.leg_pass`, which also checks their sampling and
 stacks the legs of a batch of plans with one leg sampling into a
 (plans, 2, n + 1) array.  The adiabatic route takes such a batch:
 :func:`evolve_adiabatic_batch` groups a stream of plans into passes of at
@@ -37,13 +37,13 @@ states from the pass, and takes its midpoint fields from
 :func:`chernscope.lattice.line_fields` in fixed-size blocks.
 
 Both routes end with the two packets at momenta one reciprocal vector apart
-(up to planned endpoint error), and close the same way: the split state of
-:func:`apply_pi2`, each slot times its packet's amplitude, and the echo's
-:func:`apply_pi`.  Before the final readout pulse the slot amplitudes are
-referred to a common orbital: the end state of the packet that started
-spin-down, with the other slot rotated by the conjugated
-sublattice-matching overlap phase.  With that convention the adiabatic
-fringe obeys
+(up to planned endpoint error), and close the same way, in :func:`_close`:
+the split state of :func:`apply_pi2`, each slot times its packet's
+amplitude, and the echo's exchange of the two slots.  Before the final
+readout pulse the slot amplitudes are referred to a common orbital: the
+end state of the packet that started spin-down, with the other slot
+rotated by the conjugated sublattice-matching overlap phase.  With that
+convention the adiabatic fringe obeys
 
     N_up(phi_mw) = (1 - contrast * cos(phi_total - phi_mw)) / 2
 
@@ -81,7 +81,6 @@ __all__ = [
     "FringeScan",
     "initial_state",
     "apply_pi2",
-    "apply_pi",
     "readout",
     "readout_scan",
     "evolve_adiabatic",
@@ -251,11 +250,6 @@ def apply_pi2(state: SpinorState, phi_mw: float) -> SpinorState:
     return dataclasses.replace(state, amp_down=down, amp_up=up)
 
 
-def apply_pi(state: SpinorState) -> SpinorState:
-    """Echo pulse: exchanges the slot contents wholesale (involutive)."""
-    return dataclasses.replace(state, amp_down=state.amp_up, amp_up=state.amp_down)
-
-
 def readout(state: SpinorState) -> tuple[float, float]:
     """Populations (N_down, N_up) of the tracked lower-band amplitudes."""
     return abs(state.amp_down) ** 2, abs(state.amp_up) ** 2
@@ -343,7 +337,7 @@ def _close(
     of :func:`apply_pi2` is multiplied by its packet's amplitude; the packet
     that started spin-up is rotated by conj(w)/|w| onto the common orbital,
     and the packet that started spin-down carries the Zeeman phase.  The
-    echo pulse of :func:`apply_pi` then exchanges the slots.  Each product
+    echo pulse then exchanges the slots wholesale.  Each product
     is rounded as on scalars, in the order written here.
     """
     split = apply_pi2(initial_state(), 0.0)
@@ -591,7 +585,7 @@ def evolve_tdse(
     and the slot amplitudes keep only the lower band projection, so
     population conservation shows up as |amps|^2 + upper_band_population
     = 1.  The diagnostics carry the plan's adiabaticity figure xi from the
-    same plan check.  The Zeeman phase and its check on ``zeeman_rate`` are
+    same leg pass.  The Zeeman phase and its check on ``zeeman_rate`` are
     those of :func:`evolve_adiabatic`.
     """
     _require_pure_down(state)
@@ -621,9 +615,11 @@ def evolve_tdse(
     amps = {}
     ends = {}
     drift = 0.0
-    for i, (packet, leg) in enumerate(plan.legs.items()):
-        start = leg.start
-        step = (leg.end - start) / total_time * dt_actual
+    start = plan.start
+    for i, (packet, end) in enumerate(
+        (("down", plan.endpoint_down), ("up", plan.endpoint_up))
+    ):
+        step = (end - start) / total_time * dt_actual
         phase, a, b = _line_propagator(
             start + step / 2, step, n_steps, p, dt_actual
         )
@@ -633,7 +629,7 @@ def evolve_tdse(
         )
         psi0 = states_from_fields(tuple(f[0, i, 0] for f in legs.fields), start, p)
         ends[packet] = states_from_fields(
-            tuple(f[0, i, -1] for f in legs.fields), leg.end, p
+            tuple(f[0, i, -1] for f in legs.fields), end, p
         )
         amps[packet] = complex(np.vdot(ends[packet], u_total @ psi0))
     if drift > 1e-8:
@@ -676,8 +672,8 @@ def landau_zener_estimate(p: ModelParams, plan: ProtocolPlan) -> float:
     the realized leakage of a full leg stays within a small factor of this.
     """
     force = max(
-        float(np.linalg.norm(d)) / plan.leg_time
-        for d in plan.total_displacements.values()
+        float(np.linalg.norm(end - plan.start)) / plan.leg_time
+        for end in (plan.endpoint_down, plan.endpoint_up)
     )
     gap = band_gap_min(p)
     return float(np.exp(-np.pi * gap**2 / (2.0 * force)))

@@ -22,9 +22,10 @@ Site geometry, on the lattice constants of :mod:`chernscope.lattice`:
 so the endpoint pair differs by b1 in both cases.  The magnitudes satisfy
 |lattice| / |gradient| = sqrt(3) exactly.
 
-A plan is its two legs, straight lines from the shared start sampled at
-equal intervals; the forces and the pulse table derive from them, the leg
-time and the echo flag.
+A plan is one start, two endpoints and one sampling: its two legs are
+straight lines from the start, each sampled at the same number of equal
+intervals.  The forces and the pulse table derive from them, the leg time
+and the echo flag.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import MalformedPlan
 from .lattice import (
     B1,
     B2,
@@ -69,7 +69,7 @@ SITES = ("I", "II")
 
 MAX_ENDPOINT_ERROR_FRACTION = 0.25  # of |b1|
 
-# Largest leg sampling; see plan_site for the memory it implies.
+# Largest leg sampling; see ProtocolPlan for the memory it implies.
 MAX_SAMPLES_PER_LEG = 1_000_000
 
 
@@ -132,51 +132,59 @@ class ProtocolStep:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolPlan:
-    """One site's two momentum legs, run in ``leg_time`` with or without
-    the midpoint echo.  The legs are the plan: its start, endpoints,
-    sampling and pulse/force sequence are read off them, and the two
-    inconsistencies left, legs that start apart or are sampled unequally,
-    are rejected by ``leg_pass``.
+    """One site's two momentum legs, from ``start`` to ``endpoint_down``
+    and to ``endpoint_up``, each in ``samples_per_leg`` equal intervals,
+    run in ``leg_time`` with or without the midpoint echo.  The legs and
+    the pulse/force sequence are read off these fields.
+
+    A run of the plan peaks at about 310 bytes per sample of
+    ``samples_per_leg`` (tracemalloc of ``fringe``, ``zak`` and ``sweep``
+    at 20,000 and 80,000), so the budget of ``MAX_SAMPLES_PER_LEG`` =
+    1,000,000 implies a peak of about 310 MB.
+
+    Raises:
+        ValueError: if ``samples_per_leg`` is below 1 or over the budget,
+            before anything is allocated, or if ``leg_time`` is not
+            positive and finite.
     """
 
     site: str
-    k_path_down: Leg
-    k_path_up: Leg
+    start: np.ndarray
+    endpoint_down: np.ndarray
+    endpoint_up: np.ndarray
+    samples_per_leg: int
     leg_time: float
     with_echo: bool
 
-    @property
-    def legs(self) -> dict[str, Leg]:
-        """Each packet's leg, keyed by the packet's initial spin label."""
-        return {"down": self.k_path_down, "up": self.k_path_up}
+    def __post_init__(self) -> None:
+        if not 1 <= self.samples_per_leg <= MAX_SAMPLES_PER_LEG:
+            raise ValueError(
+                f"samples per leg must lie between 1 and the budget of "
+                f"{MAX_SAMPLES_PER_LEG}, got {self.samples_per_leg}"
+            )
+        if not (self.leg_time > 0 and np.isfinite(self.leg_time)):
+            raise ValueError(
+                f"leg_time must be positive and finite, got {self.leg_time}"
+            )
 
-    @property
-    def start(self) -> np.ndarray:
-        return self.k_path_down.start
+    @cached_property
+    def k_path_down(self) -> Leg:
+        """The leg of the packet that starts spin-down."""
+        return Leg(self.start, self.endpoint_down, self.samples_per_leg)
 
-    @property
-    def endpoint_down(self) -> np.ndarray:
-        return self.k_path_down.end
-
-    @property
-    def endpoint_up(self) -> np.ndarray:
-        return self.k_path_up.end
-
-    @property
-    def samples_per_leg(self) -> int:
-        """Sample intervals of a leg (even for planned legs)."""
-        return self.k_path_down.n
-
-    @property
-    def total_displacements(self) -> dict[str, np.ndarray]:
-        """Displacement of each packet over its leg."""
-        return {packet: leg.end - self.start for packet, leg in self.legs.items()}
+    @cached_property
+    def k_path_up(self) -> Leg:
+        """The leg of the packet that starts spin-up."""
+        return Leg(self.start, self.endpoint_up, self.samples_per_leg)
 
     @property
     def steps(self) -> tuple:
         """The pulse/force sequence, its leg force solved from the legs."""
-        disp = self.total_displacements
-        force = _solve_forces(disp["down"], disp["up"], self.leg_time)
+        force = _solve_forces(
+            self.endpoint_down - self.start,
+            self.endpoint_up - self.start,
+            self.leg_time,
+        )
         pre_time = self.leg_time / 4
         legs = (ProtocolStep("force_leg", duration=self.leg_time, force=force),)
         if self.with_echo:
@@ -202,14 +210,12 @@ class ProtocolPlan:
 
 @dataclass(frozen=True)
 class PlanDiagnostics:
-    """``endpoint_residual`` is the largest coordinate gap between the two
-    legs' start points."""
+    """Whether the endpoint pair is reciprocal-equivalent, and the
+    adiabaticity figure xi with its warning above 0.1."""
 
-    endpoint_residual: float
     endpoints_reciprocal: bool
     xi: float
     adiabatic_warning: bool
-    messages: tuple
 
 
 def _site_sign(site: str) -> float:
@@ -253,33 +259,21 @@ def plan_site(
     keeps the adiabaticity figure well below the warning level for the
     default couplings.  With the echo the motion splits into two equal legs
     around the pi pulse, whose gradient flip keeps every k path straight.
-    An odd ``samples_per_leg`` is raised by one, so the echo midpoint is a
-    sample.
-
-    A run of the plan peaks at about 310 bytes per sample of
-    ``samples_per_leg`` (tracemalloc of ``fringe``, ``zak`` and ``sweep``
-    at 20,000 and 80,000), so the budget of ``MAX_SAMPLES_PER_LEG`` =
-    1,000,000 implies a peak of about 310 MB.
-
-    Raises:
-        ValueError: if ``samples_per_leg`` is below 1 or over the budget,
-            before anything is allocated, or if ``leg_time`` is not
-            positive and finite.
+    An odd ``samples_per_leg`` within the budget is raised by one, so the
+    echo midpoint is a sample; one outside it is refused as given
+    (:class:`ProtocolPlan`).
     """
-    if not 1 <= samples_per_leg <= MAX_SAMPLES_PER_LEG:
-        raise ValueError(
-            f"samples per leg must lie between 1 and the budget of "
-            f"{MAX_SAMPLES_PER_LEG}, got {samples_per_leg}"
-        )
-    if not (leg_time > 0 and np.isfinite(leg_time)):
-        raise ValueError(f"leg_time must be positive and finite, got {leg_time}")
     start = site_start(site)
     disp = site_displacements(site)
-    n = samples_per_leg + samples_per_leg % 2
+    n = samples_per_leg
+    if 0 < n < MAX_SAMPLES_PER_LEG:
+        n += n % 2
     return ProtocolPlan(
         site=site,
-        k_path_down=Leg(start, start + disp["down"], n),
-        k_path_up=Leg(start, start + disp["up"], n),
+        start=start,
+        endpoint_down=start + disp["down"],
+        endpoint_up=start + disp["up"],
+        samples_per_leg=n,
         leg_time=float(leg_time),
         with_echo=with_echo,
     )
@@ -309,106 +303,83 @@ def validate_plan(plan: ProtocolPlan, p: ModelParams) -> PlanDiagnostics:
 
 def leg_pass(plans: Sequence[ProtocolPlan], p: ModelParams) -> LegPass:
     """Bloch fields and band energies of a batch of plans' legs, and each
-    plan's diagnostics; raise MalformedPlan when a plan is broken.
+    plan's diagnostics.
 
     The one field evaluation of the batch: every leg's samples go through a
-    single ``bloch_fields`` call on the flat stack.  Each plan is checked
-    before any field is evaluated: its legs' start points must lie within
-    1e-9 of each other in every coordinate, and each of its legs must have
-    the batch's number of sample intervals.  The samples are those of
-    ``Leg.points``, with one ``np.linspace`` shared by all legs.  The
+    single ``bloch_fields`` call on the flat stack.  The samples are those
+    of ``Leg.points``, with one ``np.linspace`` shared by all legs.  The
     adiabaticity figure of a plan is xi = max over its legs of
     |dk/dt| / gap^2 with the leg's minimum gap; a warning is recorded
     above 0.1.  xi and the reciprocity of the endpoint pairs are arrays
     over the batch; a last loop builds the diagnostics.
+
+    Raises:
+        ValueError: if the plans differ in ``samples_per_leg``, before any
+            field is evaluated.
     """
     n = plans[0].samples_per_leg
-    residuals = []
-    for plan in plans:
-        down, up = plan.k_path_down, plan.k_path_up
-        residual = float(np.max(np.abs(down.start - up.start)))
-        if residual >= 1e-9:
-            raise MalformedPlan(f"plan legs start {residual:.3e} apart (>= 1e-9)")
-        if down.n != n or up.n != n:
-            raise MalformedPlan(
-                f"plan legs take {down.n} and {up.n} sample intervals where "
-                f"the batch takes {n}"
-            )
-        residuals.append(residual)
-    starts = np.array([leg.start for plan in plans for leg in plan.legs.values()])
-    ends = np.array([leg.end for plan in plans for leg in plan.legs.values()])
+    sampling = {plan.samples_per_leg for plan in plans}
+    if len(sampling) > 1:
+        raise ValueError(
+            f"a leg pass takes plans of one sampling, got {sorted(sampling)} "
+            f"sample intervals"
+        )
+    starts = np.array([plan.start for plan in plans])[:, None]
+    ends = np.array([(plan.endpoint_down, plan.endpoint_up) for plan in plans])
+    # Each packet's displacement from its plan's start, down packet first.
+    disp = ends - starts
     frac = np.linspace(0.0, 1.0, n + 1)
-    diff = ends - starts
-    points = np.empty((len(starts), n + 1, 2))
+    points = np.empty((len(plans), 2, n + 1, 2))
     for c in range(2):  # a coordinate at a time, so each loop runs along a leg
-        np.multiply(frac, diff[:, c, None], out=points[..., c])
-        points[..., c] += starts[:, c, None]
-    points = points.reshape(len(plans), 2, n + 1, 2)
+        np.multiply(frac, disp[..., c, None], out=points[..., c])
+        points[..., c] += starts[..., c, None]
     fields = bloch_fields(points.reshape(-1, 2), p)
     fields = tuple(
         f.reshape(points.shape[:-1]) for f in fields + (field_norm(fields),)
     )
     e_lo, e_up = energies = energies_from_fields(fields)
 
-    # Each packet's displacement from its plan's start, the down leg's, as
-    # ProtocolPlan.total_displacements takes it.
-    plan_ends = ends.reshape(len(plans), 2, 2)
-    disp = plan_ends - starts.reshape(len(plans), 2, 2)[:, :1]
     leg_times = np.array([plan.leg_time for plan in plans])
     speed = np.sqrt(np.vecdot(disp, disp)) / leg_times[:, None]
     # float_power is the libm pow of a scalar gap ** 2, which now and then
     # differs from gap * gap in the last bit.
     min_gaps = np.min(e_up - e_lo, axis=-1)
     xi = np.fmax.reduce(speed / np.float_power(min_gaps, 2.0), axis=-1, initial=0.0)
-    reciprocal = is_reciprocal(plan_ends[:, 1] - plan_ends[:, 0])
+    reciprocal = is_reciprocal(ends[:, 1] - ends[:, 0])
     diagnostics = tuple(
-        map(_diagnostics, residuals, reciprocal.tolist(), xi.tolist())
+        PlanDiagnostics(
+            endpoints_reciprocal=r, xi=x, adiabatic_warning=x > 0.1
+        )
+        for r, x in zip(reciprocal.tolist(), xi.tolist())
     )
     return LegPass(points, fields, energies, diagnostics)
 
 
-def _diagnostics(residual: float, reciprocal: bool, xi: float) -> PlanDiagnostics:
-    """A checked plan's diagnostics from its start residual, the
-    reciprocity of its endpoint pair and its adiabaticity figure."""
-    warning = xi > 0.1
-    messages = []
-    if warning:
-        messages.append(
-            f"adiabaticity figure xi = {xi:.3g} exceeds 0.1; expect band leakage"
-        )
-    if not reciprocal:
-        messages.append("endpoint pair is not reciprocal-equivalent")
-    return PlanDiagnostics(
-        endpoint_residual=residual,
-        endpoints_reciprocal=reciprocal,
-        xi=xi,
-        adiabatic_warning=warning,
-        messages=tuple(messages),
-    )
-
-
-def perturb_plan(
-    plan: ProtocolPlan, radius: float = 0.0, seed: Optional[int] = None
-) -> ProtocolPlan:
-    """Redraw both legs from the shared start to displaced endpoints, with
-    the plan's sampling.
-
-    Both per-spin endpoint errors are drawn uniformly from the disk of
-    ``radius`` using the given seed (deterministic).  The radius must lie
-    in [0, |b1| / 4).  Radius 0 reproduces the plan exactly.
-    """
+def _require_error_radius(radius: float) -> None:
+    """Refuse an endpoint error radius outside [0, |b1| / 4), NaN included."""
     limit = MAX_ENDPOINT_ERROR_FRACTION * float(np.linalg.norm(B1))
     if not 0.0 <= radius < limit:
         raise ValueError(
             f"error radius must lie in [0, |b1|/4 = {limit:.4f}), got {radius}"
         )
+
+
+def perturb_plan(
+    plan: ProtocolPlan, radius: float = 0.0, seed: Optional[int] = None
+) -> ProtocolPlan:
+    """The plan with both endpoints displaced; its start and sampling stay.
+
+    Both per-spin endpoint errors are drawn uniformly from the disk of
+    ``radius`` using the given seed (deterministic).  The radius must lie
+    in [0, |b1| / 4).  Radius 0 reproduces the plan exactly.
+    """
+    _require_error_radius(radius)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2 * np.pi, 2)
     r = radius * np.sqrt(rng.uniform(0.0, 1.0, 2))
     down, up = (ri * np.array([np.cos(ti), np.sin(ti)]) for ri, ti in zip(r, theta))
-    n = plan.samples_per_leg
     return dataclasses.replace(
         plan,
-        k_path_down=Leg(plan.start, plan.endpoint_down + down, n),
-        k_path_up=Leg(plan.start, plan.endpoint_up + up, n),
+        endpoint_down=plan.endpoint_down + down,
+        endpoint_up=plan.endpoint_up + up,
     )

@@ -153,6 +153,12 @@ def test_stacked_fit_rejects_rows_off_the_grid():
         fit_fringes(grid[:-1], rows)
 
 
+@pytest.mark.parametrize("n", [-1, 0, 4])
+def test_default_phi_grid_refuses_fewer_than_five_phases(n):
+    with pytest.raises(DegenerateScan, match="need at least 5 distinct phi_mw"):
+        default_phi_grid(n)
+
+
 def test_default_phi_grid_covers_circle():
     grid = default_phi_grid(24)
     assert grid.size == 24
@@ -383,6 +389,26 @@ def test_sweep_refuses_a_radius_out_of_range_after_a_zero_radius():
     assert str(info.value) == (
         "error radius must lie in [0, |b1|/4 = 1.0472), got 1.5"
     )
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan])
+def test_sweep_checks_every_radius_before_any_evolution(monkeypatch, bad):
+    """A radius out of range, or NaN, after a valid one is refused before
+    the nominal plans are evolved, with perturb_plan's message."""
+    sizes = []
+    fields = chernscope.protocol.bloch_fields
+
+    def counting(kpts, p):
+        sizes.append(len(kpts))
+        return fields(kpts, p)
+
+    monkeypatch.setattr(chernscope.protocol, "bloch_fields", counting)
+    with pytest.raises(ValueError) as info:
+        robustness_sweep(P0, [0.001, bad], trials=25)
+    assert str(info.value) == (
+        f"error radius must lie in [0, |b1|/4 = 1.0472), got {bad}"
+    )
+    assert sizes == []
 
 
 def test_sweep_negative_zero_radius_is_a_zero_radius():

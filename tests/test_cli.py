@@ -717,6 +717,25 @@ def test_phi_mw_points_over_budget_exit_before_evolving(monkeypatch, command):
     assert "budget of 30" in error_record(out, err)
 
 
+@pytest.mark.parametrize("count", ["-1", "0", "4"])
+@pytest.mark.parametrize(
+    "command",
+    [("fringe",), ("fringe", "--mode", "tdse", "--leg-time", "40"), ("detect",),
+     ("sweep", "--trials", "1")],
+    ids=["fringe", "fringe-tdse", "detect", "sweep"],
+)
+def test_phi_mw_points_below_five_exit_degenerate_before_any_leg(
+    monkeypatch, command, count
+):
+    """Too few pulse phases to fit are refused before any leg pass."""
+    monkeypatch.setattr(chernscope.protocol, "bloch_fields", _refuse_evolution)
+    code, out, err = run_cli(*command, f"--phi-mw-points={count}")
+    assert (code, out) == (9, "")
+    assert err == (
+        "error: degenerate-scan\nmessage: need at least 5 distinct phi_mw points\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -16,10 +16,7 @@ from chernscope import (
     K,
     GaplessPoint,
     KPath,
-    Leg,
-    MalformedPlan,
     ModelParams,
-    apply_pi,
     apply_pi2,
     evolve_adiabatic,
     evolve_adiabatic_batch,
@@ -96,13 +93,6 @@ def test_pi2_pulse_is_unitary(phi_mw, weight, rel_phase):
     )
     out = apply_pi2(mixed, phi_mw)
     assert out.norm == pytest.approx(1.0, abs=1e-12)
-
-
-def test_pi_pulse_is_involutive():
-    state = apply_pi2(initial_state(), 0.4)
-    back = apply_pi(apply_pi(state))
-    assert back.amp_down == pytest.approx(state.amp_down, abs=1e-15)
-    assert back.amp_up == pytest.approx(state.amp_up, abs=1e-15)
 
 
 def test_state_norm_validated():
@@ -578,34 +568,17 @@ def test_leg_propagator_is_bit_exact_with_zero_fields(n):
     )
 
 
-@pytest.mark.parametrize("evolve", [evolve_adiabatic, evolve_tdse])
-def test_malformed_plan_raises_before_gap_check(evolve):
-    """A leg through a gapless point: the shared-start check still comes
-    first, so a malformed plan keeps its MalformedPlan exit code.  The
-    gapless leg runs straight through the Dirac point K, its midpoint
-    sample at tp = 0."""
-    p = ModelParams(tp=0.0)
-    plan = plan_site("I", leg_time=2.0, samples_per_leg=40)
-    leg = Leg(plan.start, 2 * K - plan.start, 40)
-    assert np.max(np.abs(leg.points[20] - K)) <= 5e-16  # 1 ulp
-    gapless = dataclasses.replace(plan, k_path_down=leg)
-    up = plan.k_path_up
-    broken = dataclasses.replace(
-        gapless, k_path_up=Leg(up.start + 0.1, up.end + 0.1, up.n)
-    )
-    with pytest.raises(MalformedPlan):
-        evolve(initial_state(), broken, p)
-    with pytest.raises(GaplessPoint):  # the well-formed plan fails its gap check
-        evolve_adiabatic(initial_state(), gapless, p)
-
-
 def test_gapless_leg_raises_the_state_route_message():
     """The adiabatic pass checks the gap of every leg sample before any
-    link, with the message band_states gives on the same stacked samples."""
+    link, with the message band_states gives on the same stacked samples.
+    The gapless leg runs straight through the Dirac point K, its midpoint
+    sample at tp = 0."""
     p = ModelParams(tp=0.0)
-    plan = plan_site("I", leg_time=2.0, samples_per_leg=40)
-    leg = Leg(plan.start, 2 * K - plan.start, 40)
-    gapless = dataclasses.replace(plan, k_path_down=leg)
+    plan = plan_site("I", leg_time=2.0)
+    gapless = dataclasses.replace(
+        plan, endpoint_down=2 * K - plan.start, samples_per_leg=40
+    )
+    assert np.max(np.abs(gapless.k_path_down.points[20] - K)) <= 5e-16  # 1 ulp
     with pytest.raises(GaplessPoint) as expected:
         chernscope.lattice.band_states(_stacked_legs(gapless), p)
     with pytest.raises(GaplessPoint) as got:
