@@ -47,7 +47,6 @@ from .topology import (
 )
 from .protocol import (
     ForceSpec,
-    Leg,
     PlanDiagnostics,
     ProtocolPlan,
     ProtocolStep,

@@ -327,9 +327,10 @@ def robustness_sweep(
     about four minutes.
 
     Raises:
-        ValueError: if ``trials`` is below 1, or ``trials`` times the number
-            of radii is over ``MAX_SWEEP_TRIALS``, or a radius lies outside
-            [0, |b1| / 4), before any evolution.
+        ValueError: if ``trials`` is below 1, or ``error_radii`` is empty,
+            or ``trials`` times the number of radii is over
+            ``MAX_SWEEP_TRIALS``, or a radius lies outside [0, |b1| / 4),
+            before any evolution.
         GaplessPoint: if the model is gapless, before any evolution, as
             :func:`chernscope.topology.chern_number` raises it.
         DegenerateScan: if ``phi_mw_points`` is below 5, before any
@@ -337,6 +338,8 @@ def robustness_sweep(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if len(error_radii) == 0:
+        raise ValueError("a sweep needs at least one error radius")
     total = trials * len(error_radii)
     if total > MAX_SWEEP_TRIALS:
         raise ValueError(

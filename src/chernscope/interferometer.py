@@ -459,7 +459,8 @@ def _adiabatic_pass(
 def _step_pairs(fields: tuple, dt: float) -> tuple[complex, np.ndarray, np.ndarray]:
     """The step exponentials exp(-i H dt) of a leg as a phase and (a, b) pairs.
 
-    ``fields`` holds (h0, hx, hy, hz) at the step midpoints in time order.
+    ``fields`` holds (h0, hx, hy, hz, |h|) at the step midpoints in time
+    order, as :func:`chernscope.lattice.line_fields` returns them.
     Each step is a phase times an SU(2) matrix,
 
         exp(-i H dt) = e^{-i h0 dt} [[a, -conj(b)], [b, conj(a)]],
@@ -469,8 +470,7 @@ def _step_pairs(fields: tuple, dt: float) -> tuple[complex, np.ndarray, np.ndarr
     and are summed once.  Returns the phase exp(-i dt sum(h0)) and the
     steps' a and b arrays.
     """
-    h0, hx, hy, hz = fields
-    hmag = np.sqrt(hx**2 + hy**2 + hz**2)
+    h0, hx, hy, hz, hmag = fields
     x = hmag * dt
     live = hmag > 0.0
     s = np.sin(x)

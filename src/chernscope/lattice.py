@@ -37,7 +37,13 @@ complex product per NN vector instead of one exponential.  The tables are
 component-major, (3, n / B) and (3, B), so the innermost loop of that
 product runs over the B offsets and not over the three NN vectors, and
 the (3, n) result is read through its (n, 3) transpose.  Both routines
-turn the z_i into fields through one formula.  In this convention H is not
+turn the z_i into fields through one formula and return the five arrays
+
+    (h0, hx, hy, hz, |h|),    |h| = sqrt(hx^2 + hy^2 + hz^2),
+
+the norm being half the gap, so the energies, the eigenvectors, the
+transport links and the TDSE steps all read it from the fields instead of
+computing it again.  In this convention H is not
 literally periodic on the reciprocal lattice; instead
 
     H(k + G) = V H(k) V*,    V = diag(1, exp(i chi)),   chi = G . e1 (mod 2pi)
@@ -93,7 +99,6 @@ __all__ = [
     "states_from_fields",
     "lower_band_parts",
     "energies_from_fields",
-    "field_norm",
     "require_gap",
     "is_reciprocal",
     "boundary_phase",
@@ -158,17 +163,19 @@ class ModelParams:
 
 
 def bloch_fields(kpts: np.ndarray, p: ModelParams) -> tuple[np.ndarray, ...]:
-    """Vectorized Pauli components over an (..., 2) array of momenta.
+    """Vectorized Pauli components and their norm over an (..., 2) array
+    of momenta.
 
-    Returns (h0, hx, hy, hz), each shaped like ``kpts`` without the last axis.
-    Uses the exponential form of the module docstring: one complex
-    exponential z_i = exp(i k . e_i) per NN vector, its cosine and sine
-    written into the real and imaginary parts of one buffer.
+    Returns (h0, hx, hy, hz, |h|), each shaped like ``kpts`` without the
+    last axis.  Uses the exponential form of the module docstring: one
+    complex exponential z_i = exp(i k . e_i) per NN vector, its cosine and
+    sine written into the real and imaginary parts of one buffer.
     """
     phases = np.asarray(kpts, dtype=float) @ NN_VECTORS.T
     z = np.empty(phases.shape, dtype=complex)
     np.cos(phases, out=z.real)
     np.sin(phases, out=z.imag)
+    del phases  # released before the fields' temporaries are made
     return _fields_from_z(z, p)
 
 
@@ -177,11 +184,11 @@ def line_fields(
 ) -> tuple[np.ndarray, ...]:
     """``bloch_fields`` at the n momenta k0 + j step, j = 0, ..., n - 1.
 
-    Returns (h0, hx, hy, hz), each of length n.  The exponentials come from
-    a block-start table and an offset table of about sqrt(n) entries per NN
-    vector, both component-major (module docstring); every table entry is
-    its own ``np.exp``, so the error does not grow along the line as a
-    running product's would.
+    Returns (h0, hx, hy, hz, |h|), each of length n.  The exponentials come
+    from a block-start table and an offset table of about sqrt(n) entries
+    per NN vector, both component-major (module docstring); every table
+    entry is its own ``np.exp``, so the error does not grow along the line
+    as a running product's would.
     """
     k0 = np.asarray(k0, dtype=float)
     step = np.asarray(step, dtype=float)
@@ -197,7 +204,8 @@ def line_fields(
 
 
 def _fields_from_z(z: np.ndarray, p: ModelParams) -> tuple[np.ndarray, ...]:
-    """(h0, hx, hy, hz) from the (..., 3) exponentials z_i = exp(i k . e_i)."""
+    """(h0, hx, hy, hz, |h|) from the (..., 3) exponentials
+    z_i = exp(i k . e_i)."""
     z1, z2, z3 = z[..., 0], z[..., 1], z[..., 2]
     nn = -p.t * (z1 + z2 + z3)
     # np.multiply fixes the operand order: from 16,384 values on, numpy
@@ -211,7 +219,9 @@ def _fields_from_z(z: np.ndarray, p: ModelParams) -> tuple[np.ndarray, ...]:
     )
     h0 = -2 * p.tp * np.cos(p.phi) * nnn.real
     hz = -2 * p.tp * np.sin(p.phi) * nnn.imag
-    return h0, nn.real, nn.imag, hz
+    del nnn  # released before the norm's temporaries are made
+    hx, hy = nn.real, nn.imag
+    return h0, hx, hy, hz, np.sqrt(hx * hx + hy * hy + hz * hz)
 
 
 def hamiltonian(kpts: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -219,7 +229,7 @@ def hamiltonian(kpts: np.ndarray, p: ModelParams) -> np.ndarray:
 
     A single momentum gives one 2x2 matrix.
     """
-    h0, hx, hy, hz = bloch_fields(kpts, p)
+    h0, hx, hy, hz, _ = bloch_fields(kpts, p)
     return np.stack(
         [
             np.stack([h0 + hz, hx - 1j * hy], axis=-1),
@@ -275,13 +285,11 @@ def states_from_fields(
 ) -> np.ndarray:
     """``band_states`` from fields already evaluated at ``kpts``.
 
-    ``kpts`` only feeds ``gauge_fn`` and the GaplessPoint message.  The
-    fields may carry |h| as a fifth entry (:func:`field_norm`).
+    ``kpts`` only feeds ``gauge_fn`` and the GaplessPoint message.
     """
     if band not in ("lower", "upper"):
         raise ValueError(f"band must be 'lower' or 'upper', got {band!r}")
-    hx, hy, hz = fields[1:4]
-    n = field_norm(fields)
+    hx, hy, hz, n = fields[1:]
     require_gap(n, kpts, p)
     # The closed forms of band_states, written part by part.
     u = np.empty(np.shape(hx) + (2,), dtype=complex)
@@ -338,23 +346,8 @@ def band_energies(kpts: np.ndarray, p: ModelParams) -> tuple[np.ndarray, np.ndar
 def energies_from_fields(
     fields: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``band_energies`` from fields already evaluated; the fields may carry
-    |h| as a fifth entry (:func:`field_norm`)."""
-    n = field_norm(fields)
-    return fields[0] - n, fields[0] + n
-
-
-def field_norm(fields: tuple[np.ndarray, ...]) -> np.ndarray:
-    """|h| = sqrt(hx^2 + hy^2 + hz^2) of the fields (h0, hx, hy, hz), or
-    their fifth entry when they carry it.
-
-    A pass that needs both the energies and the states appends |h| to its
-    fields once, and both read it from there.
-    """
-    if len(fields) == 5:
-        return fields[4]
-    _, hx, hy, hz = fields
-    return np.sqrt(hx * hx + hy * hy + hz * hz)
+    """``band_energies`` from fields already evaluated."""
+    return fields[0] - fields[4], fields[0] + fields[4]
 
 
 def reciprocal_coefficients(G: np.ndarray) -> np.ndarray:

@@ -24,8 +24,9 @@ so the endpoint pair differs by b1 in both cases.  The magnitudes satisfy
 
 A plan is one start, two endpoints and one sampling: its two legs are
 straight lines from the start, each sampled at the same number of equal
-intervals.  The forces and the pulse table derive from them, the leg time
-and the echo flag.
+intervals, and read as :meth:`chernscope.topology.KPath.line` paths
+(``k_path_down``, ``k_path_up``).  The forces and the pulse table derive
+from them, the leg time and the echo flag.
 """
 
 from __future__ import annotations
@@ -43,14 +44,13 @@ from .lattice import (
     ModelParams,
     bloch_fields,
     energies_from_fields,
-    field_norm,
     is_reciprocal,
 )
+from .topology import KPath
 
 __all__ = [
     "SITES",
     "MAX_SAMPLES_PER_LEG",
-    "Leg",
     "ForceSpec",
     "ProtocolStep",
     "ProtocolPlan",
@@ -71,27 +71,6 @@ MAX_ENDPOINT_ERROR_FRACTION = 0.25  # of |b1|
 
 # Largest leg sampling; see ProtocolPlan for the memory it implies.
 MAX_SAMPLES_PER_LEG = 1_000_000
-
-
-@dataclass(frozen=True, eq=False)
-class Leg:
-    """Straight momentum leg from ``start`` to ``end`` in ``n`` equal sample
-    intervals, traversed at uniform speed: a Bloch oscillation under a
-    constant force."""
-
-    start: np.ndarray
-    end: np.ndarray
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"a leg needs at least one sample interval, got {self.n}")
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        """The n + 1 samples from ``start`` to ``end``, computed on first use."""
-        frac = np.linspace(0.0, 1.0, self.n + 1)
-        return self.start + frac[:, None] * (self.end - self.start)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,10 +116,10 @@ class ProtocolPlan:
     run in ``leg_time`` with or without the midpoint echo.  The legs and
     the pulse/force sequence are read off these fields.
 
-    A run of the plan peaks at about 310 bytes per sample of
+    A run of the plan peaks at about 270 bytes per sample of
     ``samples_per_leg`` (tracemalloc of ``fringe``, ``zak`` and ``sweep``
     at 20,000 and 80,000), so the budget of ``MAX_SAMPLES_PER_LEG`` =
-    1,000,000 implies a peak of about 310 MB.
+    1,000,000 implies a peak of about 270 MB.
 
     Raises:
         ValueError: if ``samples_per_leg`` is below 1 or over the budget,
@@ -168,14 +147,14 @@ class ProtocolPlan:
             )
 
     @cached_property
-    def k_path_down(self) -> Leg:
-        """The leg of the packet that starts spin-down."""
-        return Leg(self.start, self.endpoint_down, self.samples_per_leg)
+    def k_path_down(self) -> KPath:
+        """The leg of the packet that starts spin-down, as a sampled line."""
+        return KPath.line(self.start, self.endpoint_down, self.samples_per_leg + 1)
 
     @cached_property
-    def k_path_up(self) -> Leg:
-        """The leg of the packet that starts spin-up."""
-        return Leg(self.start, self.endpoint_up, self.samples_per_leg)
+    def k_path_up(self) -> KPath:
+        """The leg of the packet that starts spin-up, as a sampled line."""
+        return KPath.line(self.start, self.endpoint_up, self.samples_per_leg + 1)
 
     @property
     def steps(self) -> tuple:
@@ -233,7 +212,7 @@ def site_start(site: str) -> np.ndarray:
 
 
 def site_displacements(site: str) -> dict[str, np.ndarray]:
-    """Leg displacement per packet; keys "down" and "up"."""
+    """The displacement of each packet's leg; keys "down" and "up"."""
     sign = _site_sign(site)
     return {"down": sign * (B1 + B2), "up": sign * B2}
 
@@ -284,10 +263,9 @@ class LegPass(NamedTuple):
 
     ``points`` holds the samples as a (plans, 2, n + 1, 2) array, each
     plan's down leg first.  ``fields`` holds the Bloch fields (h0, hx, hy,
-    hz) followed by |h| (:func:`chernscope.lattice.field_norm`), and
-    ``energies`` the band energies (lower, upper), each a (plans, 2, n + 1)
-    array.  ``diagnostics`` holds each plan's PlanDiagnostics, in batch
-    order.
+    hz, |h|) of :func:`chernscope.lattice.bloch_fields`, and ``energies``
+    the band energies (lower, upper), each a (plans, 2, n + 1) array.
+    ``diagnostics`` holds each plan's PlanDiagnostics, in batch order.
     """
 
     points: np.ndarray
@@ -306,12 +284,13 @@ def leg_pass(plans: Sequence[ProtocolPlan], p: ModelParams) -> LegPass:
     plan's diagnostics.
 
     The one field evaluation of the batch: every leg's samples go through a
-    single ``bloch_fields`` call on the flat stack.  The samples are those
-    of ``Leg.points``, with one ``np.linspace`` shared by all legs.  The
-    adiabaticity figure of a plan is xi = max over its legs of
-    |dk/dt| / gap^2 with the leg's minimum gap; a warning is recorded
-    above 0.1.  xi and the reciprocity of the endpoint pairs are arrays
-    over the batch; a last loop builds the diagnostics.
+    single ``bloch_fields`` call on the flat stack, and its five arrays are
+    reshaped to the legs as they come.  The samples are those of the plans'
+    ``k_path_down`` and ``k_path_up`` lines, with one ``np.linspace``
+    shared by all legs.  The adiabaticity figure of a plan is xi = max over
+    its legs of |dk/dt| / gap^2 with the leg's minimum gap; a warning is
+    recorded above 0.1.  xi and the reciprocity of the endpoint pairs are
+    arrays over the batch; a last loop builds the diagnostics.
 
     Raises:
         ValueError: if the plans differ in ``samples_per_leg``, before any
@@ -334,9 +313,7 @@ def leg_pass(plans: Sequence[ProtocolPlan], p: ModelParams) -> LegPass:
         np.multiply(frac, disp[..., c, None], out=points[..., c])
         points[..., c] += starts[..., c, None]
     fields = bloch_fields(points.reshape(-1, 2), p)
-    fields = tuple(
-        f.reshape(points.shape[:-1]) for f in fields + (field_norm(fields),)
-    )
+    fields = tuple(f.reshape(points.shape[:-1]) for f in fields)
     e_lo, e_up = energies = energies_from_fields(fields)
 
     leg_times = np.array([plan.leg_time for plan in plans])

@@ -42,7 +42,6 @@ from .lattice import (
     band_gap_min,
     band_states,
     boundary_phase,
-    field_norm,
     is_reciprocal,
     lower_band_parts,
     require_gap,
@@ -178,9 +177,10 @@ def field_link_phases(
 ) -> np.ndarray:
     """Summed angles of the lower-band transport links along the last axis.
 
-    ``fields`` are (h0, hx, hy, hz), optionally with |h| as a fifth entry
-    (:func:`chernscope.lattice.field_norm`), each shaped (..., m) over the
-    (..., m, 2) momenta ``kpts``; the result is shaped (...).  It is the
+    ``fields`` are (h0, hx, hy, hz, |h|), as
+    :func:`chernscope.lattice.bloch_fields` returns them, each shaped
+    (..., m) over the (..., m, 2) momenta ``kpts``; the result is shaped
+    (...).  It is the
     unwrapped sum of the m - 1 angles arg <u(k_{j+1}) | u(k_j)>, so
     exp(i result) is the unit product of the :func:`transport_link` links
     of the :func:`chernscope.lattice.band_states` lower-band states.
@@ -201,9 +201,8 @@ def field_link_phases(
             momentum has gap below ``p.gap_tol``.
     """
     shape = np.shape(fields[1])
-    n = field_norm(fields)
-    require_gap(n, kpts, p)
-    a, b, c, d = lower_band_parts(*(np.reshape(f, -1) for f in (*fields[1:4], n)))
+    require_gap(fields[4], kpts, p)
+    a, b, c, d = lower_band_parts(*(np.reshape(f, -1) for f in fields[1:]))
     if gauge_fn is not None:
         theta = np.broadcast_to(np.asarray(gauge_fn(kpts)), shape).reshape(-1)
         cos, sin = np.cos(theta), np.sin(theta)
@@ -259,11 +258,12 @@ def berry_curvature_fhs(
     states beyond the zone edge.  The result is gauge invariant plaquette by
     plaquette, and the total is 2 pi times an integer for any gapped model.
 
-    A grid point costs about 168 bytes of peak memory (tracemalloc, n = 200
-    and 400), in this kernel and in the whole ``curvature`` command, inline
-    or with ``--format dsv --out``: it formats its table in blocks of rows
-    after the kernel returns, within less memory.  So n = ``MAX_GRID_N`` =
-    1500 implies a peak of about 380 MB, extrapolated, not run.
+    A grid point costs about 164 bytes of peak memory at n = 200 and 161 at
+    n = 400 (tracemalloc), in this kernel and in the whole ``curvature``
+    command, inline or with ``--format dsv --out``: it formats its table in
+    blocks of rows after the kernel returns, within less memory.  So n =
+    ``MAX_GRID_N`` = 1500 implies a peak of about 360 MB, extrapolated, not
+    run.
 
     Raises:
         ValueError: if n < 6, or n > MAX_GRID_N before anything is allocated.

@@ -391,10 +391,19 @@ def test_sweep_refuses_a_radius_out_of_range_after_a_zero_radius():
     )
 
 
-@pytest.mark.parametrize("bad", [1.5, np.nan])
-def test_sweep_checks_every_radius_before_any_evolution(monkeypatch, bad):
+@pytest.mark.parametrize(
+    "radii,message",
+    [
+        ([0.001, 1.5], "error radius must lie in [0, |b1|/4 = 1.0472), got 1.5"),
+        ([0.001, np.nan], "error radius must lie in [0, |b1|/4 = 1.0472), got nan"),
+        ([], "a sweep needs at least one error radius"),
+    ],
+    ids=["1.5", "nan", "empty"],
+)
+def test_sweep_checks_every_radius_before_any_evolution(monkeypatch, radii, message):
     """A radius out of range, or NaN, after a valid one is refused before
-    the nominal plans are evolved, with perturb_plan's message."""
+    the nominal plans are evolved, with perturb_plan's message; so is an
+    empty radius list, which has no trial to report."""
     sizes = []
     fields = chernscope.protocol.bloch_fields
 
@@ -404,10 +413,8 @@ def test_sweep_checks_every_radius_before_any_evolution(monkeypatch, bad):
 
     monkeypatch.setattr(chernscope.protocol, "bloch_fields", counting)
     with pytest.raises(ValueError) as info:
-        robustness_sweep(P0, [0.001, bad], trials=25)
-    assert str(info.value) == (
-        f"error radius must lie in [0, |b1|/4 = 1.0472), got {bad}"
-    )
+        robustness_sweep(P0, radii, trials=25)
+    assert str(info.value) == message
     assert sizes == []
 
 

@@ -702,6 +702,39 @@ def test_sweep_trials_over_budget_exit_before_evolving(monkeypatch):
     assert "budget of 8" in error_record(out, err)
 
 
+def test_sweep_empty_radii_exit_before_evolving(monkeypatch, tmp_path):
+    """A sweep with no error radius exits 1 before any leg pass, with
+    nothing printed."""
+    path = tmp_path / "radii.json"
+    path.write_text(json.dumps({"sweep": {"error_radii": []}}))
+    monkeypatch.setattr(chernscope.protocol, "bloch_fields", _refuse_evolution)
+    code, out, err = run_cli(
+        "sweep", "--trials", "2", "--samples-per-leg", "20", "--config", str(path)
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: invalid-value\nmessage: a sweep needs at least one error radius\n"
+    )
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+def test_out_that_cannot_be_a_directory_exits_config(tmp_path, sub):
+    """An --out that is an existing file, or lies under one, is refused as a
+    config error naming it, before the record is printed."""
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out_dir = blocker / sub
+    code, out, err = run_cli("bands", "--out", str(out_dir))
+    assert (code, out) == (3, "")
+    assert "Traceback" not in err
+    summary = summary_of(err)
+    assert summary["error"] == "config"
+    assert summary["message"].startswith(
+        f"cannot write tables to output directory {out_dir}: "
+    )
+    assert blocker.read_text() == "kept"
+
+
 @pytest.mark.parametrize("command", ["fringe", "detect", "sweep"])
 def test_phi_mw_points_over_budget_exit_before_evolving(monkeypatch, command):
     """The budget is lowered so no long scan is read out."""

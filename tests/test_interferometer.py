@@ -468,8 +468,8 @@ def test_tdse_evaluates_leg_samples_once_besides_midpoints(monkeypatch, field_ca
         legs = _line_blocks_per_leg(field_calls.line, n, block)
         assert len(legs) == 2
         for leg, (k0, step) in zip(plan_legs, legs):
-            assert np.array_equal(k0, leg.start + step / 2)
-            assert np.allclose(n * step, leg.end - leg.start, rtol=0, atol=1e-12)
+            assert np.array_equal(k0, leg.k_b + step / 2)
+            assert np.allclose(n * step, leg.k_e - leg.k_b, rtol=0, atol=1e-12)
 
 
 @given(
@@ -513,8 +513,14 @@ def _reference_su2_product(a, b):
     return complex(a[0]), complex(b[0])
 
 
-def _reference_leg_propagator(fields, dt):
+def _with_norm(fields):
+    """Four field rows (h0, hx, hy, hz) as a field tuple, |h| appended."""
     h0, hx, hy, hz = fields
+    return (h0, hx, hy, hz, np.sqrt(hx * hx + hy * hy + hz * hz))
+
+
+def _reference_leg_propagator(fields, dt):
+    h0, hx, hy, hz = fields[:4]
     hmag = np.sqrt(hx**2 + hy**2 + hz**2)
     s = np.where(hmag > 0.0, np.sin(hmag * dt) / np.where(hmag > 0, hmag, 1.0), dt)
     a = np.empty(len(hmag), dtype=complex)
@@ -563,7 +569,7 @@ def test_leg_propagator_is_bit_exact_with_zero_fields(n):
     fields = np.random.default_rng(n).uniform(-3.0, 3.0, size=(4, n))
     fields[1:, :: max(n // 3, 1)] = 0.0
     fields[1:, n // 2] = 1e-170
-    assert _leg_propagator(tuple(fields), 0.37) == _reference_leg_propagator(
+    assert _leg_propagator(_with_norm(fields), 0.37) == _reference_leg_propagator(
         tuple(fields), 0.37
     )
 
@@ -617,7 +623,7 @@ def test_leg_propagator_matches_dense_product(n, seed, dt, zero):
     fields = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(4, n))
     zero %= n
     fields[1:, zero] = 0.0  # at least one step with zero field
-    phase, a, b = _leg_propagator(tuple(fields), dt)
+    phase, a, b = _leg_propagator(_with_norm(fields), dt)
 
     ref_su2 = np.eye(2, dtype=complex)
     ref_phase = 1.0 + 0.0j

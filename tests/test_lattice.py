@@ -27,10 +27,12 @@ from chernscope import (
     high_symmetry_path,
     is_reciprocal,
     line_fields,
+    plan_site,
     reciprocal_coefficients,
     sublattice_matching,
 )
 from chernscope.lattice import INVERSE_RECIPROCAL_BASIS, _fields_from_z
+from chernscope.protocol import leg_pass
 
 P0 = ModelParams()
 GAMMA = np.zeros(2)
@@ -48,7 +50,7 @@ momenta = st.tuples(
 
 def explicit_fields(k, p):
     """The twelve-term cos/sin form of the fields: three cosines or sines of
-    k . e_i or k . v_i per component."""
+    k . e_i or k . v_i per component, then |h|."""
     e1, e2, e3 = NN_VECTORS
     ke = [np.dot(k, e) for e in (e1, e2, e3)]
     kv = [np.dot(k, v) for v in (e3 - e2, e1 - e3, e2 - e1)]
@@ -56,7 +58,7 @@ def explicit_fields(k, p):
     hx = -p.t * sum(np.cos(x) for x in ke)
     hy = -p.t * sum(np.sin(x) for x in ke)
     hz = -2 * p.tp * np.sin(p.phi) * sum(np.sin(x) for x in kv)
-    return h0, hx, hy, hz
+    return h0, hx, hy, hz, np.sqrt(hx * hx + hy * hy + hz * hz)
 
 
 @given(
@@ -153,8 +155,24 @@ def test_bloch_fields_of_a_stack_equal_the_single_evaluation(copies):
         assert np.array_equal(many, np.tile(one, copies))
 
 
+def test_every_field_tuple_carries_the_norm():
+    """bloch_fields, line_fields and a leg pass each give five arrays, the
+    fifth |h| = sqrt(hx*hx + hy*hy + hz*hz) of the other four bit for bit."""
+    kpts = np.random.default_rng(3).uniform(-7.0, 7.0, (500, 2))
+    legs = leg_pass([plan_site("I", samples_per_leg=40)], P0)
+    for fields in (
+        bloch_fields(kpts, P0),
+        bloch_fields(K, P0),
+        line_fields(GAMMA, np.array([0.01, 0.02]), 300, P0),
+        legs.fields,
+    ):
+        assert len(fields) == 5
+        _, hx, hy, hz, hmag = fields
+        assert np.array_equal(hmag, np.sqrt(hx * hx + hy * hy + hz * hz))
+
+
 def test_gamma_point_components():
-    h0, hx, hy, hz = bloch_fields(GAMMA, P0)
+    h0, hx, hy, hz, _ = bloch_fields(GAMMA, P0)
     assert h0 == pytest.approx(0.0, abs=1e-15)
     assert hx == pytest.approx(-3.0, abs=1e-15)
     assert hy == pytest.approx(0.0, abs=1e-15)
@@ -162,7 +180,7 @@ def test_gamma_point_components():
 
 
 def test_mass_term_at_zone_corner():
-    _, hx, hy, hz = bloch_fields(K, P0)
+    _, hx, hy, hz, _ = bloch_fields(K, P0)
     assert hx == pytest.approx(0.0, abs=1e-12)
     assert hy == pytest.approx(0.0, abs=1e-12)
     assert hz == pytest.approx(HZ_AT_K, abs=1e-12)
@@ -438,7 +456,7 @@ def gauge_fixed_reference(fields, band):
     (-(hx - i hy), hz + n) elsewhere, normalized, the upper band as the
     orthogonal complement, then each state rotated so that its computed
     larger-modulus component is real positive, ties to the first."""
-    _, hx, hy, hz = fields
+    hx, hy, hz = fields[1:4]
     n = np.sqrt(hx * hx + hy * hy + hz * hz)
     u = np.empty(np.shape(hx) + (2,), dtype=complex)
     use_a = hz <= 0
@@ -472,7 +490,7 @@ def test_closed_form_gauge(seed, tp, phi):
     p = ModelParams(tp=tp, phi=phi)
     kpts = np.random.default_rng(seed).uniform(-7.0, 7.0, size=(256, 2))
     fields = bloch_fields(kpts, p)
-    _, hx, hy, hz = fields
+    hx, hy, hz = fields[1:4]
     n = np.sqrt(hx * hx + hy * hy + hz * hz)
     gapped = 2 * n > 1e-6
     assume(np.any(gapped))
@@ -501,7 +519,7 @@ def test_closed_form_gauge(seed, tp, phi):
 def _raw_closed_forms(fields, band):
     """The unnormalized closed forms of the band_states docstring, each
     real and imaginary part set on its own, the zeros as +0."""
-    _, hx, hy, hz = fields
+    hx, hy, hz = fields[1:4]
     n = np.sqrt(hx * hx + hy * hy + hz * hz)
     if band == "lower":  # (n - hz, -(hx + i hy)) or (-(hx - i hy), hz + n)
         pick, parts = hz <= 0, [(n - hz, 0.0, -hx, -hy), (-hx, hy, hz + n, 0.0)]
@@ -531,9 +549,9 @@ def test_state_normalization_is_bit_exact_with_linalg_norm(band):
     direction[2, 1::7] = -0.0
     direction[:2, 3::14] = 0.0  # states with an exact zero component
     hx, hy, hz = scale * direction / np.sqrt(np.sum(direction**2, axis=0))
-    fields = (np.zeros(3 * m), hx, hy, hz)
+    fields = (np.zeros(3 * m), hx, hy, hz, np.sqrt(hx * hx + hy * hy + hz * hz))
     assert np.any(hz > 0) and np.any(hz < 0)
-    assert np.all(2 * np.sqrt(hx * hx + hy * hy + hz * hz) >= P0.gap_tol)
+    assert np.all(2 * fields[4] >= P0.gap_tol)
     raw = _raw_closed_forms(fields, band)
     expected = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
     got = chernscope.lattice.states_from_fields(

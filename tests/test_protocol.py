@@ -5,14 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
 
 import chernscope.protocol
 from chernscope import (
     B1,
     B2,
     KPath,
-    Leg,
     ModelParams,
     ProtocolPlan,
     perturb_plan,
@@ -118,13 +116,18 @@ def test_plan_fields_are_one_start_two_endpoints_and_one_sampling():
 @pytest.mark.parametrize("site", ["I", "II"])
 @pytest.mark.parametrize("samples", [1, 40, 601])
 def test_plan_legs_are_lines_from_the_shared_start(site, samples):
+    """Each leg is the line path from the start to its endpoint with one
+    point per sample, and its points are the leg pass's, bit for bit."""
     plan = perturb_plan(plan_site(site, samples_per_leg=samples), 0.01, seed=2)
     n = plan.samples_per_leg
-    for leg, end in (
-        (plan.k_path_down, plan.endpoint_down),
-        (plan.k_path_up, plan.endpoint_up),
+    passed = leg_pass([plan], P0).points[0]
+    for leg, end, points in (
+        (plan.k_path_down, plan.endpoint_down, passed[0]),
+        (plan.k_path_up, plan.endpoint_up, passed[1]),
     ):
-        assert np.array_equal(leg.points, Leg(plan.start, end, n).points)
+        assert isinstance(leg, KPath)
+        assert np.array_equal(leg.points, KPath.line(plan.start, end, n + 1).points)
+        assert np.array_equal(leg.points, points)
 
 
 @pytest.mark.parametrize("samples", [0, MAX_SAMPLES_PER_LEG + 1])
@@ -168,30 +171,6 @@ def test_plan_refuses_leg_time_that_is_not_positive_and_finite(leg_time):
     assert str(info.value) == message
 
 
-_COORD = st.floats(min_value=-20.0, max_value=20.0)
-
-
-@given(
-    a=st.tuples(_COORD, _COORD),
-    b=st.tuples(_COORD, _COORD),
-    n=st.integers(min_value=1, max_value=500),
-)
-@settings(max_examples=60, deadline=None)
-def test_leg_points_match_kpath_line(a, b, n):
-    """A leg's samples are those of the line path with n + 1 points, bit
-    for bit.  Ends closer than 1e-6 could repeat a sample, which a path
-    refuses."""
-    a, b = np.array(a), np.array(b)
-    assume(np.max(np.abs(b - a)) > 1e-6)
-    assert np.array_equal(Leg(a, b, n).points, KPath.line(a, b, n + 1).points)
-
-
-@pytest.mark.parametrize("n", [0, -1])
-def test_leg_refuses_fewer_than_one_interval(n):
-    with pytest.raises(ValueError, match="at least one sample interval"):
-        Leg(np.zeros(2), np.ones(2), n)
-
-
 def test_plan_site_rejects_unknown_site():
     with pytest.raises(ValueError):
         plan_site("III")
@@ -225,7 +204,7 @@ def test_leg_pass_checks_every_plan_before_any_field(monkeypatch):
 
 
 def test_leg_pass_stacks_each_plans_legs():
-    """A batch's samples are each leg's ``Leg.points`` bit for bit, and each
+    """A batch's samples are each leg's ``KPath`` points bit for bit, and each
     plan's diagnostics are those of the plan on its own."""
     plans = [
         plan_site("I", samples_per_leg=40),
@@ -299,8 +278,8 @@ def test_perturb_keeps_sampling_and_shared_start():
     plan = plan_site("II", samples_per_leg=601)
     pert = perturb_plan(plan, radius=0.01, seed=4)
     for leg in (pert.k_path_down, pert.k_path_up):
-        assert leg.n == plan.samples_per_leg == 602
-        assert np.array_equal(leg.start, plan.start)
+        assert len(leg.points) - 1 == plan.samples_per_leg == 602
+        assert np.array_equal(leg.k_b, plan.start)
 
 
 def test_perturb_builds_no_sample_arrays():
