@@ -573,9 +573,9 @@ def evolve_tdse(
     taken as the largest |band energy| along the legs, and a leg may take
     at most ``MAX_TDSE_STEPS`` steps; either violation raises ValueError
     before the midpoints are allocated.  The midpoints are taken in blocks
-    of ``_TDSE_BLOCK``, so peak memory is about 1.0 MB at 2**16 steps per
+    of ``_TDSE_BLOCK``, so peak memory is about 0.94 MB at 2**16 steps per
     leg and grows only by the 2 KB of reduced pairs each full block keeps
-    for the stacked finish: 1.06 MB at 2**18 and 1.29 MB at 2**20 steps
+    for the stacked finish: 1.00 MB at 2**18 and 1.23 MB at 2**20 steps
     (tracemalloc).  The budget of 2**22 steps bounds time instead: about
     0.1 us per step on one Intel Xeon vCPU, so under a second per leg.
 

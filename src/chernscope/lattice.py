@@ -15,29 +15,36 @@ vectors.  The NNN vectors are differences of the NN ones,
 
     v1 = e3 - e2,   v2 = e1 - e3,   v3 = e2 - e1,
 
-so they need no constant of their own.  With z_i = exp(i k . e_i), and
-exp(i k . v_i) the products z3 conj(z2), z1 conj(z3), z2 conj(z1), the fields
-take the exponential form
+so they need no constant of their own.  Only two phases are independent:
+with X = k . (e3 - e2) / 2 = (sqrt 3 / 2) kx and Y = k . e1 / 2 = ky / 2,
+and w = exp(i X), u = exp(i Y), the NN exponentials z_i = exp(i k . e_i)
+are exactly
 
-    hx + i hy = -t (z1 + z2 + z3)
+    z1 = u^2,    z2 = conj(u w),    z3 = w conj(u),
+
+and the NNN ones, exp(i k . v_i), are w^2, conj(w) u^3 and conj(w u^3).
+The fields therefore take the two-exponential form
+
+    hx + i hy = -t (u^2 + 2 cos X conj(u))
     h0 = -2 t' cos(phi) Re S,    hz = -2 t' sin(phi) Im S,
-    S  = z3 conj(z2) + z1 conj(z3) + z2 conj(z1),
+    S  = w^2 + 2 cos 3Y conj(w),    cos 3Y = Re u^3,
 
-three complex exponentials per momentum instead of twelve real cosines and
-sines; ``bloch_fields`` evaluates this form, writing the cosine and sine
-of each phase k . e_i into the real and imaginary parts of one complex
-buffer.  Along n evenly spaced momenta k_j = k0 + j step, ``line_fields``
-factors each exponential further: with j = q B + r and B about sqrt(n),
+two complex exponentials per momentum, four real cosines and sines, where
+the three NN exponentials take six and the explicit form twelve;
+``bloch_fields`` evaluates this form, writing the cosine and sine of X and
+Y into the real and imaginary parts of one complex buffer.
+Along n evenly spaced momenta k_j = k0 + j step, ``line_fields`` factors
+each exponential further: with j = q B + r and B about sqrt(n),
 
-    z_i(k_j) = exp(i (k0 + q B step) . e_i) exp(i r step . e_i),
+    w(k_j) = w(k0 + q B step) w(r step),   and likewise u(k_j),
 
 a table of about n / B block-start exponentials times a table of B offset
 exponentials, each entry computed directly, so the n points cost one
-complex product per NN vector instead of one exponential.  The tables are
-component-major, (3, n / B) and (3, B), so the innermost loop of that
-product runs over the B offsets and not over the three NN vectors, and
-the (3, n) result is read through its (n, 3) transpose.  Both routines
-turn the z_i into fields through one formula and return the five arrays
+complex product per phase instead of one exponential.  The tables are
+component-major, (2, n / B) and (2, B), so the innermost loop of that
+product runs over the B offsets and not over the two phases, and w and u
+are the two rows of the (2, n) result.  Both routines turn w and u into
+fields through one formula and return the five arrays
 
     (h0, hx, hy, hz, |h|),    |h| = sqrt(hx^2 + hy^2 + hz^2),
 
@@ -134,6 +141,11 @@ K = _read_only(np.array([4 * np.pi / (3 * _S3), 0.0]))
 KP = _read_only(np.array([-4 * np.pi / (3 * _S3), 0.0]))
 # Inverse of the matrix whose columns are B1 and B2.
 INVERSE_RECIPROCAL_BASIS = _read_only(np.linalg.inv(np.stack([B1, B2], axis=1)))
+# (X, Y) = (kx, ky) * _XY_SCALE, X = k . (e3 - e2) / 2 and Y = k . e1 / 2: the
+# other component of e3 - e2 and of e1 is zero, so each phase is one product.
+_XY_SCALE = _read_only(
+    0.5 * np.array([NN_VECTORS[2, 0] - NN_VECTORS[1, 0], NN_VECTORS[0, 1]])
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,16 +179,22 @@ def bloch_fields(kpts: np.ndarray, p: ModelParams) -> tuple[np.ndarray, ...]:
     of momenta.
 
     Returns (h0, hx, hy, hz, |h|), each shaped like ``kpts`` without the
-    last axis.  Uses the exponential form of the module docstring: one
-    complex exponential z_i = exp(i k . e_i) per NN vector, its cosine and
-    sine written into the real and imaginary parts of one buffer.
+    last axis.  Uses the two-exponential form of the module docstring:
+    w = exp(i X) and u = exp(i Y) per momentum, the phases scaled from the
+    momenta into the real parts of one (m, 2) complex buffer and replaced
+    there by their cosines, their sines written into the imaginary parts.
     """
-    phases = np.asarray(kpts, dtype=float) @ NN_VECTORS.T
-    z = np.empty(phases.shape, dtype=complex)
-    np.cos(phases, out=z.real)
+    kpts = np.asarray(kpts, dtype=float)
+    flat = kpts.reshape(-1, 2)
+    z = np.empty(flat.shape, dtype=complex)
+    phases = z.real
+    for c in range(2):  # a column at a time, so each loop runs over the momenta
+        np.multiply(flat[:, c], _XY_SCALE[c], out=phases[:, c])
     np.sin(phases, out=z.imag)
-    del phases  # released before the fields' temporaries are made
-    return _fields_from_z(z, p)
+    np.cos(phases, out=phases)
+    fields = _fields_from_z(z[:, 0], z[:, 1], p)
+    # A single momentum's fields come out as five numpy scalars.
+    return tuple(fields.reshape((5,) + kpts.shape[:-1]))
 
 
 def line_fields(
@@ -184,44 +202,70 @@ def line_fields(
 ) -> tuple[np.ndarray, ...]:
     """``bloch_fields`` at the n momenta k0 + j step, j = 0, ..., n - 1.
 
-    Returns (h0, hx, hy, hz, |h|), each of length n.  The exponentials come
-    from a block-start table and an offset table of about sqrt(n) entries
-    per NN vector, both component-major (module docstring); every table
-    entry is its own ``np.exp``, so the error does not grow along the line
-    as a running product's would.
+    Returns (h0, hx, hy, hz, |h|), each of length n.  The exponentials w
+    and u come from a block-start table and an offset table of about
+    sqrt(n) entries per phase, both component-major (module docstring);
+    every table entry is its own ``np.exp``, so the error does not grow
+    along the line as a running product's would.
     """
     k0 = np.asarray(k0, dtype=float)
     step = np.asarray(step, dtype=float)
-    nn_t = NN_VECTORS.T
     block = math.isqrt(max(n - 1, 0)) + 1  # ceil(sqrt(n))
     starts = np.arange(0, n, block)
     outer, inner = (
-        np.exp(1j * np.ascontiguousarray((k @ nn_t).T))
+        np.exp(1j * np.ascontiguousarray((k * _XY_SCALE).T))
         for k in (k0 + starts[:, None] * step, np.arange(block)[:, None] * step)
     )
-    z = (outer[:, :, None] * inner[:, None, :]).reshape(3, -1)[:, :n]
-    return _fields_from_z(z.T, p)
+    w, u = (outer[:, :, None] * inner[:, None, :]).reshape(2, -1)[:, :n]
+    return tuple(_fields_from_z(w, u, p))
 
 
-def _fields_from_z(z: np.ndarray, p: ModelParams) -> tuple[np.ndarray, ...]:
-    """(h0, hx, hy, hz, |h|) from the (..., 3) exponentials
-    z_i = exp(i k . e_i)."""
-    z1, z2, z3 = z[..., 0], z[..., 1], z[..., 2]
-    nn = -p.t * (z1 + z2 + z3)
-    # np.multiply fixes the operand order: from 16,384 values on, numpy
-    # would evaluate ``z3 * np.conj(z2)`` in place in the conj temporary
-    # with the operands swapped, and a momentum's last bits would then
-    # depend on the size of the array it sits in.
-    nnn = (
-        np.multiply(z3, np.conj(z2))
-        + np.multiply(z1, np.conj(z3))
-        + np.multiply(z2, np.conj(z1))
-    )
-    h0 = -2 * p.tp * np.cos(p.phi) * nnn.real
-    hz = -2 * p.tp * np.sin(p.phi) * nnn.imag
-    del nnn  # released before the norm's temporaries are made
-    hx, hy = nn.real, nn.imag
-    return h0, hx, hy, hz, np.sqrt(hx * hx + hy * hy + hz * hz)
+def _fields_from_z(w: np.ndarray, u: np.ndarray, p: ModelParams) -> np.ndarray:
+    """The fields h0, hx, hy, hz and |h| as the rows of one (5, m) array,
+    from the exponentials w = exp(i X) and u = exp(i Y) of the module
+    docstring, two arrays of length m.
+
+    The two-exponential form, written in real parts:
+
+        hx = -t (Re u^2 + 2 cos X cos Y),    hy = t (2 cos X sin Y - Im u^2),
+        h0 = -2 t' cos(phi) (Re w^2 + 2 cos 3Y cos X),
+        hz = 2 t' sin(phi) (2 cos 3Y sin X - Im w^2),
+
+    with 2 cos 3Y = 2 Re(u^2 u).  Each field is built in place in its row,
+    and each temporary is released once read, so no peak rises above the
+    result, the two squares and a row.  Only the two squares are complex
+    products, so a momentum's bits do not depend on the array or the
+    layout it sits in.
+    """
+    fields = np.empty((5, len(w)))
+    h0, hx, hy, hz, hmag = fields
+    two_cos_x = 2 * w.real
+    u2 = np.multiply(u, u)
+    np.multiply(two_cos_x, u.real, out=hx)
+    hx += u2.real
+    hx *= -p.t
+    np.multiply(two_cos_x, u.imag, out=hy)
+    hy -= u2.imag
+    hy *= p.t
+    del two_cos_x
+    two_cos_3y = u2.real * u.real
+    two_cos_3y -= u2.imag * u.imag
+    two_cos_3y *= 2
+    del u2
+    w2 = np.multiply(w, w)
+    np.multiply(two_cos_3y, w.real, out=h0)
+    h0 += w2.real
+    h0 *= -2 * p.tp * np.cos(p.phi)
+    np.multiply(two_cos_3y, w.imag, out=hz)
+    hz -= w2.imag
+    hz *= 2 * p.tp * np.sin(p.phi)
+    del two_cos_3y, w2  # released before the norm's temporaries are made
+    # |h| = sqrt(hx * hx + hy * hy + hz * hz), in that order.
+    np.multiply(hx, hx, out=hmag)
+    hmag += hy * hy
+    hmag += hz * hz
+    np.sqrt(hmag, out=hmag)
+    return fields
 
 
 def hamiltonian(kpts: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -458,8 +502,11 @@ def high_symmetry_path(
 
     Returns the (N, 2) point array and a list of (index, label) markers.
     M is the zone-edge midpoint b1 / 2.  The ``bands`` command peaks at
-    about 690 bytes per path point (tracemalloc), so the budget of
-    ``MAX_PATH_POINTS_PER_SEGMENT`` = 100,000 implies about 280 MB.
+    about 320 bytes per path point inline and 215 with ``--format dsv
+    --out`` (tracemalloc at 2,000, 8,000 and 80,000 points per segment),
+    its table formatting above the 120 of the path and its fields, so the
+    budget of ``MAX_PATH_POINTS_PER_SEGMENT`` = 100,000 implies about
+    130 MB.
 
     Raises:
         ValueError: if points_per_segment is negative or over the budget,

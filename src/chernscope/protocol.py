@@ -31,7 +31,6 @@ from them, the leg time and the echo flag.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
@@ -67,7 +66,8 @@ __all__ = [
 # The two detection sites, in the order every two-site loop runs them.
 SITES = ("I", "II")
 
-MAX_ENDPOINT_ERROR_FRACTION = 0.25  # of |b1|
+# Endpoint error radii lie below a quarter of |b1|.
+_MAX_ENDPOINT_ERROR = 0.25 * float(np.linalg.norm(B1))
 
 # Largest leg sampling; see ProtocolPlan for the memory it implies.
 MAX_SAMPLES_PER_LEG = 1_000_000
@@ -334,10 +334,10 @@ def leg_pass(plans: Sequence[ProtocolPlan], p: ModelParams) -> LegPass:
 
 def _require_error_radius(radius: float) -> None:
     """Refuse an endpoint error radius outside [0, |b1| / 4), NaN included."""
-    limit = MAX_ENDPOINT_ERROR_FRACTION * float(np.linalg.norm(B1))
-    if not 0.0 <= radius < limit:
+    if not 0.0 <= radius < _MAX_ENDPOINT_ERROR:
         raise ValueError(
-            f"error radius must lie in [0, |b1|/4 = {limit:.4f}), got {radius}"
+            f"error radius must lie in [0, |b1|/4 = {_MAX_ENDPOINT_ERROR:.4f}), "
+            f"got {radius}"
         )
 
 
@@ -347,16 +347,21 @@ def perturb_plan(
     """The plan with both endpoints displaced; its start and sampling stay.
 
     Both per-spin endpoint errors are drawn uniformly from the disk of
-    ``radius`` using the given seed (deterministic).  The radius must lie
-    in [0, |b1| / 4).  Radius 0 reproduces the plan exactly.
+    ``radius`` using the given seed (deterministic): four uniform draws
+    u, the angles 2 pi u[:2] and the radii radius sqrt(u[2:]).  The radius
+    must lie in [0, |b1| / 4).  Radius 0 reproduces the plan exactly.
     """
     _require_error_radius(radius)
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2 * np.pi, 2)
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, 2))
+    u = np.random.default_rng(seed).random(4)
+    theta = 2 * np.pi * u[:2]
+    r = radius * np.sqrt(u[2:])
     down, up = (ri * np.array([np.cos(ti), np.sin(ti)]) for ri, ti in zip(r, theta))
-    return dataclasses.replace(
-        plan,
+    return ProtocolPlan(
+        site=plan.site,
+        start=plan.start,
         endpoint_down=plan.endpoint_down + down,
         endpoint_up=plan.endpoint_up + up,
+        samples_per_leg=plan.samples_per_leg,
+        leg_time=plan.leg_time,
+        with_echo=plan.with_echo,
     )

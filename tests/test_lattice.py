@@ -79,6 +79,56 @@ def test_bloch_fields_match_explicit_formula(radius, angle, tp, phi):
         assert np.allclose(fields[:, i], want, rtol=0, atol=1e-12)
 
 
+def _seeded_disk(rng, n, radius):
+    """n momenta drawn uniformly from the disk |k| <= radius."""
+    r = radius * np.sqrt(rng.random(n))
+    angle = rng.uniform(-np.pi, np.pi, n)
+    return np.stack([r * np.cos(angle), r * np.sin(angle)], axis=-1)
+
+
+def three_exponential_fields(k, p):
+    """The three-exponential form: z_i = exp(i k . e_i) per NN vector,
+    hx + i hy = -t (z1 + z2 + z3) and S = z3 conj(z2) + z1 conj(z3) +
+    z2 conj(z1), then h0, hz from Re S, Im S and |h|."""
+    phases = k @ NN_VECTORS.T
+    z = np.empty(phases.shape, dtype=complex)
+    np.cos(phases, out=z.real)
+    np.sin(phases, out=z.imag)
+    z1, z2, z3 = z[..., 0], z[..., 1], z[..., 2]
+    nn = -p.t * (z1 + z2 + z3)
+    nnn = z3 * np.conj(z2) + z1 * np.conj(z3) + z2 * np.conj(z1)
+    h0 = -2 * p.tp * np.cos(p.phi) * nnn.real
+    hz = -2 * p.tp * np.sin(p.phi) * nnn.imag
+    hx, hy = nn.real, nn.imag
+    return h0, hx, hy, hz, np.sqrt(hx * hx + hy * hy + hz * hz)
+
+
+def test_bloch_fields_match_the_three_exponential_form():
+    """Two exponentials per momentum give the three-exponential fields to
+    4e-15 over 100,000 seeded momenta with |k| <= 7, at t = 1 and
+    tp <= 0.5 (tp = 0 included)."""
+    rng = np.random.default_rng(23)
+    kpts = _seeded_disk(rng, 100_000, 7.0)
+    for tp in (0.0, 0.1, 0.5, *rng.uniform(0.0, 0.5, 2)):
+        p = ModelParams(t=1.0, tp=tp, phi=rng.uniform(-np.pi, np.pi))
+        got = bloch_fields(kpts, p)
+        want = three_exponential_fields(kpts, p)
+        for g, w in zip(got, want, strict=True):
+            assert np.max(np.abs(g - w)) <= 4e-15
+
+
+def test_nn_exponentials_are_products_of_the_two_phases():
+    """z1 = u^2, z2 = conj(u w) and z3 = w conj(u), with w = exp(i X),
+    u = exp(i Y) and (X, Y) = k * _XY_SCALE, to rounding over seeded
+    momenta with |k| <= 7."""
+    kpts = _seeded_disk(np.random.default_rng(29), 50_000, 7.0)
+    xy = kpts * chernscope.lattice._XY_SCALE
+    w, u = np.exp(1j * xy[:, 0]), np.exp(1j * xy[:, 1])
+    z1, z2, z3 = np.exp(1j * (kpts @ NN_VECTORS.T)).T
+    for got, want in ((u * u, z1), (np.conj(u * w), z2), (w * np.conj(u), z3)):
+        assert np.max(np.abs(got - want)) <= 2e-15
+
+
 @given(
     n=st.integers(min_value=1, max_value=1100),
     k0=momenta,
@@ -118,14 +168,15 @@ def test_line_fields_match_bloch_fields_on_the_line(n, k0, span, tp, phi):
 
 
 def _point_major_line_fields(k0, step, n, p):
-    """Reference ``line_fields`` with point-major (n / B, B, 3) tables."""
-    nn_t = NN_VECTORS.T
+    """Reference ``line_fields`` with point-major (n / B, B, 2) tables of
+    the exponentials w = exp(i X) and u = exp(i Y)."""
+    scale = chernscope.lattice._XY_SCALE
     block = math.isqrt(max(n - 1, 0)) + 1
     starts = np.arange(0, n, block)
-    outer = np.exp(1j * ((k0 + starts[:, None] * step) @ nn_t))
-    inner = np.exp(1j * ((np.arange(block)[:, None] * step) @ nn_t))
-    z = (outer[:, None, :] * inner[None, :, :]).reshape(-1, 3)[:n]
-    return _fields_from_z(z, p)
+    outer = np.exp(1j * ((k0 + starts[:, None] * step) * scale))
+    inner = np.exp(1j * ((np.arange(block)[:, None] * step) * scale))
+    z = (outer[:, None, :] * inner[None, :, :]).reshape(-1, 2)[:n]
+    return tuple(_fields_from_z(z[:, 0], z[:, 1], p))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 1000, 8191, 8192, 8193, 109288])

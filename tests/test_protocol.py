@@ -266,6 +266,33 @@ def test_perturb_is_seed_deterministic():
     assert not np.array_equal(a.endpoint_down, c.endpoint_down)
 
 
+def _two_uniform_draw_endpoints(plan, radius, seed):
+    """The endpoints of two ``Generator.uniform`` calls per plan, angles
+    then radii, the form every trial's draws are pinned to."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2 * np.pi, 2)
+    r = radius * np.sqrt(rng.uniform(0.0, 1.0, 2))
+    down, up = (ri * np.array([np.cos(ti), np.sin(ti)]) for ri, ti in zip(r, theta))
+    return plan.endpoint_down + down, plan.endpoint_up + up
+
+
+def test_perturb_draws_equal_the_two_uniform_calls_bit_for_bit():
+    """One ``random(4)`` draw gives the endpoints of the two ``uniform``
+    calls bit for bit, over 1,200 seeded (seed, radius) pairs on both
+    sites."""
+    rng = np.random.default_rng(17)
+    limit = np.linalg.norm(B1) / 4
+    plans = [plan_site("I"), plan_site("II", with_echo=False)]
+    for i in range(1200):
+        plan = plans[i % 2]
+        seed = int(rng.integers(0, 2**63 - 1))
+        radius = float(rng.uniform(0.0, limit))
+        pert = perturb_plan(plan, radius=radius, seed=seed)
+        down, up = _two_uniform_draw_endpoints(plan, radius, seed)
+        assert np.array_equal(pert.endpoint_down, down)
+        assert np.array_equal(pert.endpoint_up, up)
+
+
 def test_perturb_draw_stays_inside_disk():
     plan = plan_site("I")
     for seed in range(20):
