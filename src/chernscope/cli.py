@@ -32,10 +32,17 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .analysis import classify, default_phi_grid, fit_fringe, robustness_sweep
+from .analysis import (
+    _read_and_fit,
+    classify,
+    default_phi_grid,
+    fit_fringe,
+    robustness_sweep,
+)
 from .errors import ChernscopeError
 from .interferometer import (
-    evolve_adiabatic,
+    evolve_adiabatic_batch,
+    evolve_tdse,
     initial_state,
     landau_zener_estimate,
     run_fringe,
@@ -368,21 +375,17 @@ def _plan(cfg: RunConfig, site: str):
 def cmd_zak(cfg: RunConfig, args) -> tuple[list, dict]:
     p = cfg.model_params()
     _require_gapped(p)  # no Chern label from a gapless model
-    phases = {}
-    totals = {}
-    for site in SITES:
-        _, ledger = evolve_adiabatic(
-            initial_state(), _plan(cfg, site), p,
-            zeeman_rate=cfg.protocol["zeeman_rate"],
-        )
-        phases[site] = ledger.pancharatnam_phase
-        totals[site] = ledger.total
+    plans = [_plan(cfg, site) for site in SITES]
+    (_, ledger_i), (_, ledger_ii) = evolve_adiabatic_batch(
+        plans, p, cfg.protocol["zeeman_rate"]
+    )
+    phase_i, phase_ii = ledger_i.pancharatnam_phase, ledger_ii.pancharatnam_phase
     summary = [
-        ("phi-zak-i", phases["I"]),
-        ("phi-zak-ii", phases["II"]),
-        ("total-i", totals["I"]),
-        ("total-ii", totals["II"]),
-        ("c-from-zak", chern_from_zak(phases["I"], phases["II"])),
+        ("phi-zak-i", phase_i),
+        ("phi-zak-ii", phase_ii),
+        ("total-i", ledger_i.total),
+        ("total-ii", ledger_ii.total),
+        ("c-from-zak", chern_from_zak(phase_i, phase_ii)),
     ]
     return summary, {}
 
@@ -424,8 +427,10 @@ def cmd_protocol(cfg: RunConfig, args) -> tuple[list, dict]:
     return summary, {"protocol": (headers, columns)}
 
 
-def _fringe_scan(cfg: RunConfig, p: ModelParams, site: str):
-    return run_fringe(
+def cmd_fringe(cfg: RunConfig, args) -> tuple[list, dict]:
+    p = cfg.model_params()
+    site = cfg.protocol["site"]
+    scan = run_fringe(
         p,
         _plan(cfg, site),
         default_phi_grid(cfg.scan["phi_mw_points"]),
@@ -433,12 +438,6 @@ def _fringe_scan(cfg: RunConfig, p: ModelParams, site: str):
         zeeman_rate=cfg.protocol["zeeman_rate"],
         dt=cfg.mode["dt"],
     )
-
-
-def cmd_fringe(cfg: RunConfig, args) -> tuple[list, dict]:
-    p = cfg.model_params()
-    site = cfg.protocol["site"]
-    scan = _fringe_scan(cfg, p, site)
     fit = fit_fringe(scan)
     summary = [
         ("site", site),
@@ -475,17 +474,29 @@ def cmd_fringe(cfg: RunConfig, args) -> tuple[list, dict]:
 
 
 def cmd_detect(cfg: RunConfig, args) -> tuple[list, dict]:
+    """Both sites' fringes from one evolution pass (one ``evolve_tdse`` per
+    plan in tdse mode), one readout pulse and one fit, each record equal to
+    the site's ``run_fringe`` and ``fit_fringe``.  The oracle, gap search
+    included, runs before any evolution."""
     p = cfg.model_params()
-    fits = {}
-    for site in SITES:
-        fits[site] = fit_fringe(_fringe_scan(cfg, p, site))
+    grid = default_phi_grid(cfg.scan["phi_mw_points"])
+    plans = [_plan(cfg, site) for site in SITES]
     oracle = chern_number(p)
-    report = classify(fits["I"], fits["II"], oracle_c=oracle.value)
+    zeeman_rate = cfg.protocol["zeeman_rate"]
+    if cfg.mode["mode"] == "tdse":
+        ends = [
+            evolve_tdse(initial_state(), plan, p, cfg.mode["dt"], zeeman_rate)[0]
+            for plan in plans
+        ]
+    else:
+        ends = [end for end, _ in evolve_adiabatic_batch(plans, p, zeeman_rate)]
+    fit_i, fit_ii = _read_and_fit(ends, np.stack([grid] * len(SITES)), len(grid))[0]
+    report = classify(fit_i, fit_ii, oracle_c=oracle.value)
     summary = [
         ("phi-zak-i", report.phi_zak_i),
         ("phi-zak-ii", report.phi_zak_ii),
-        ("contrast-i", fits["I"].contrast),
-        ("contrast-ii", fits["II"].contrast),
+        ("contrast-i", fit_i.contrast),
+        ("contrast-ii", fit_ii.contrast),
         ("c-estimate", report.c_estimate),
         ("c-classified", report.classified_label),
         ("pattern-i", report.pattern_i),

@@ -98,21 +98,27 @@ def test_chern_gapless_exit_code():
 
 @pytest.mark.parametrize("flag", ["--phi=0", "--tprime=0"])
 @pytest.mark.parametrize(
-    "argv", [("zak",), ("sweep", "--trials", "1", "--samples-per-leg", "20")]
+    "argv",
+    [("zak",), ("sweep", "--trials", "1", "--samples-per-leg", "20"), ("detect",)],
 )
 def test_gapless_model_gets_no_chern_label(monkeypatch, argv, flag):
-    """zak and sweep refuse a gapless model before any evolution, with the
-    exit code and message of chern's gap check."""
+    """zak, sweep and detect refuse a gapless model before any adiabatic
+    pass, with the exit code and message of chern's gap check; the spy
+    sees the passes of the same command at the default model."""
+    passes = []
+    adiabatic_pass = chernscope.interferometer._adiabatic_pass
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("evolved a gapless model")
+    def spy(plans, *args, **kwargs):
+        passes.append(len(plans))
+        return adiabatic_pass(plans, *args, **kwargs)
 
-    monkeypatch.setattr(chernscope.cli, "evolve_adiabatic", refuse)
-    monkeypatch.setattr(chernscope.analysis, "evolve_adiabatic_batch", refuse)
+    monkeypatch.setattr(chernscope.interferometer, "_adiabatic_pass", spy)
     code, out, err = run_cli(*argv, flag)
-    assert (code, out) == (4, "")
+    assert (code, out, passes) == (4, "", [])
     assert err == run_cli("chern", flag)[2]
     assert summary_of(err)["error"] == "gapless-point"
+    assert run_cli(*argv)[0] == 0
+    assert passes
 
 
 def test_zak_summary_phases():
@@ -135,6 +141,93 @@ def test_detect_reports_honest_ambiguity():
     assert summary["pattern-i"] == "alpha-"
     assert summary["pattern-ii"] == "alpha+"
     assert float(summary["contrast-i"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def _cmd(argv):
+    """The summary of ``argv``'s command, its values unformatted, and its
+    resolved configuration."""
+    args = chernscope.cli.build_parser().parse_args(argv)
+    cfg = chernscope.cli.resolve_config(args)
+    summary, _ = chernscope.cli.COMMANDS[args.command](cfg, args)
+    return summary, cfg
+
+
+def _seeded_couplings(seed):
+    """Two (tp, phi) draws in the benchmark's range, one per sign of phi."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for sign in (1.0, -1.0):
+        tp, phi = rng.uniform([0.05, np.pi / 6], [0.3, 5 * np.pi / 6]).tolist()
+        draws.append((tp, sign * phi))
+    return draws
+
+
+@pytest.mark.parametrize("tp, phi", _seeded_couplings(2601) + [(0.1, np.pi / 2)])
+@pytest.mark.parametrize(
+    "mode",
+    [(), ("--mode", "tdse", "--leg-time", "40", "--samples-per-leg", "200")],
+    ids=["adiabatic", "tdse"],
+)
+def test_detect_record_equals_the_per_site_route(tp, phi, mode):
+    """detect evolves both sites in one pass (one evolve_tdse per plan in
+    tdse mode) and reads out and fits them as one stack; every value of
+    its record is bit for bit that of run_fringe and fit_fringe per site."""
+    summary, cfg = _cmd(["detect", f"--tprime={tp!r}", f"--phi={phi!r}", *mode])
+    p = cfg.model_params()
+    grid = chernscope.analysis.default_phi_grid()
+    fit_i, fit_ii = (
+        chernscope.analysis.fit_fringe(
+            chernscope.interferometer.run_fringe(
+                p,
+                chernscope.protocol.plan_site(
+                    site,
+                    leg_time=cfg.protocol["leg_time"],
+                    samples_per_leg=cfg.protocol["samples_per_leg"],
+                ),
+                grid,
+                mode=cfg.mode["mode"],
+            )
+        )
+        for site in chernscope.protocol.SITES
+    )
+    report = chernscope.analysis.classify(
+        fit_i, fit_ii, oracle_c=chernscope.topology.chern_number(p).value
+    )
+    assert summary == [
+        ("phi-zak-i", fit_i.phi_zak),
+        ("phi-zak-ii", fit_ii.phi_zak),
+        ("contrast-i", fit_i.contrast),
+        ("contrast-ii", fit_ii.contrast),
+        ("c-estimate", report.c_estimate),
+        ("c-classified", report.classified_label),
+        ("pattern-i", report.pattern_i),
+        ("pattern-ii", report.pattern_ii),
+        ("oracle-c", report.oracle_c),
+        ("agrees-with-oracle", report.c_classified == report.oracle_c),
+    ]
+
+
+@pytest.mark.parametrize("tp, phi", _seeded_couplings(2602) + [(0.1, np.pi / 2)])
+def test_zak_record_equals_the_per_site_ledgers(tp, phi):
+    """zak evolves both sites in one adiabatic pass; its record is bit for
+    bit that of evolve_adiabatic's ledger per site."""
+    summary, cfg = _cmd(["zak", f"--tprime={tp!r}", f"--phi={phi!r}"])
+    p = cfg.model_params()
+    ledger_i, ledger_ii = (
+        chernscope.interferometer.evolve_adiabatic(
+            chernscope.interferometer.initial_state(),
+            chernscope.protocol.plan_site(site), p,
+        )[1]
+        for site in chernscope.protocol.SITES
+    )
+    phase_i, phase_ii = ledger_i.pancharatnam_phase, ledger_ii.pancharatnam_phase
+    assert summary == [
+        ("phi-zak-i", phase_i),
+        ("phi-zak-ii", phase_ii),
+        ("total-i", ledger_i.total),
+        ("total-ii", ledger_ii.total),
+        ("c-from-zak", chernscope.topology.chern_from_zak(phase_i, phase_ii)),
+    ]
 
 
 def test_detect_runs_are_byte_identical():
@@ -744,6 +837,7 @@ def test_phi_mw_points_over_budget_exit_before_evolving(monkeypatch, command):
     monkeypatch.setattr(
         chernscope.analysis, "evolve_adiabatic_batch", _refuse_evolution
     )
+    monkeypatch.setattr(chernscope.cli, "evolve_adiabatic_batch", _refuse_evolution)
     monkeypatch.setattr(chernscope.cli, "run_fringe", _refuse_evolution)
     code, out, err = run_cli(*argv, "31")
     assert code == 1

@@ -300,9 +300,9 @@ def test_band_gap_min_matches_frozen_draws(tp, phi, n, gap):
     )
 
 
-def _gap_search_40_rounds(p, n):
+def _gap_search(p, n, rounds):
     """Reference search: ``band_gap_min``'s n x n scan, 7 x 7 grid and 0.35
-    shrink, run for 40 rounds instead of 20."""
+    shrink, one ``band_energies`` call per round, for ``rounds`` rounds."""
 
     def grid_min(f1, f2):
         e_lo, e_up = band_energies(f1[..., None] * B1 + f2[..., None] * B2, p)
@@ -315,7 +315,7 @@ def _gap_search_40_rounds(p, n):
     offsets = np.linspace(-1.0, 1.0, 7)
     o1, o2 = np.meshgrid(offsets, offsets, indexing="ij")
     window = 1.0 / n
-    for _ in range(40):
+    for _ in range(rounds):
         gap, k1, k2 = grid_min(c1 + window * o1, c2 + window * o2)
         if gap < best:
             best, c1, c2 = gap, k1, k2
@@ -340,7 +340,35 @@ def _gap_search_draws(seed, count):
 @pytest.mark.parametrize("tp, phi, n", _gap_search_draws(1674, 60))
 def test_band_gap_min_matches_the_40_round_search(tp, phi, n):
     p = ModelParams(tp=tp, phi=phi)
-    assert abs(band_gap_min(p, n) - _gap_search_40_rounds(p, n)) <= 1e-15
+    assert abs(band_gap_min(p, n) - _gap_search(p, n, 40)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "tp, phi, n",
+    _gap_search_draws(1674, 60) + [(P0.tp, P0.phi, 32), (P0.tp, P0.phi, 64)],
+)
+def test_band_gap_min_equals_the_sequential_20_round_search(tp, phi, n):
+    """The batched rounds give the bits of the rounds taken one at a time.
+    At the default couplings the centre moves at round 17, so a search of
+    16 or fewer rounds gives another result and fails here."""
+    p = ModelParams(tp=tp, phi=phi)
+    assert band_gap_min(p, n) == _gap_search(p, n, 20)
+
+
+def test_band_gap_min_batches_its_rounds(monkeypatch):
+    """At the default couplings and n = 32 the centre moves at rounds 1 and
+    17: the scan, round 1 alone, rounds 2-20 around the new centre, and
+    rounds 18-20 again around the centre round 17 found."""
+    sizes = []
+    fields = chernscope.lattice.bloch_fields
+
+    def spy(kpts, p):
+        sizes.append(np.size(kpts) // 2)
+        return fields(kpts, p)
+
+    monkeypatch.setattr(chernscope.lattice, "bloch_fields", spy)
+    band_gap_min(P0, n=32)
+    assert sizes == [32 * 32, 49, 19 * 49, 3 * 49]
 
 
 @pytest.mark.parametrize("tp", [0.05, 0.1, 0.37])

@@ -46,8 +46,10 @@ def test_traced_sweep_evaluates_each_leg_sample_once():
     radii (the radius-0 trials reuse the nominal end states), and evaluates
     the fields of each plan's 2 x 21 leg samples once; the traced wrappers
     it passes through are handed single plans, never a batch.  Before any
-    evolution it runs one gap search, a 32 x 32 scan and 20 rounds of
-    7 x 7 points."""
+    evolution it runs one gap search: a 32 x 32 scan and 20 rounds of 7 x 7
+    points, batched.  Round 1 runs alone and moves the centre; rounds 2-20
+    run as one batch around the new centre, which round 17 moves again, so
+    rounds 18-20 run once more around it: 1 + 19 + 3 = 23 rounds' grids."""
     tracer = SPANS_NAMESPACE["Tracer"]()
     tracer.install()
     try:
@@ -60,7 +62,7 @@ def test_traced_sweep_evaluates_each_leg_sample_once():
     assert code == 0
     _, counts = tracer.take()
     assert counts["lattice.gap_scan.calls"] == 1
-    gap_search = 32 * 32 + 20 * 7 * 7
+    gap_search = 32 * 32 + 23 * 7 * 7
     assert counts["lattice.fields.momenta"] == (2 + 3 * 2 * 2) * 2 * 21 + gap_search
 
 
