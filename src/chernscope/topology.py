@@ -28,6 +28,7 @@ Conventions, fixed once and used by every routine here and downstream:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,6 +67,15 @@ __all__ = [
 # Largest side of a curvature grid; see berry_curvature_fhs for the memory
 # it implies.
 MAX_GRID_N = 1500
+
+# Grid momenta per row block of berry_curvature_fhs, at least one row.  A
+# block's states, links and fluxes (about 0.8 MB, 200 B per momentum) are
+# freed and their memory reused by the next block, and the heap keeps it
+# between calls: in a loop of n = 200 grids that imports scipy and runs
+# the benchmark's calibration timer, blocks of 4,096 momenta take about 2
+# minor page faults per call, and blocks of 8,192 take about 470, their
+# 2 MB handed back to the system at the end of every call.
+_FHS_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +252,15 @@ def _matched_phase(u: np.ndarray, G: Optional[np.ndarray]) -> float:
 
 
 def _require_gapped(p: ModelParams) -> None:
-    if band_gap_min(p, n=32) < p.gap_tol:
+    """Raise GaplessPoint if the gap search finds a gap below ``p.gap_tol``,
+    and ValueError if its gap is NaN (energies out of float range), which
+    no comparison with the tolerance catches."""
+    gap = band_gap_min(p, n=32)
+    if math.isnan(gap):
+        raise ValueError(
+            f"band gap is NaN for tp={p.tp}, phi={p.phi}; topology undefined"
+        )
+    if gap < p.gap_tol:
         raise GaplessPoint(
             f"band gap closes for tp={p.tp}, phi={p.phi}; topology undefined"
         )
@@ -258,15 +276,22 @@ def berry_curvature_fhs(
     states beyond the zone edge.  The result is gauge invariant plaquette by
     plaquette, and the total is 2 pi times an integer for any gapped model.
 
-    A grid point costs about 164 bytes of peak memory at n = 200 and 161 at
-    n = 400 (tracemalloc), in this kernel and in the whole ``curvature``
-    command, inline or with ``--format dsv --out``: it formats its table in
-    blocks of rows after the kernel returns, within less memory.  So n =
-    ``MAX_GRID_N`` = 1500 implies a peak of about 360 MB, extrapolated, not
-    run.
+    The grid is evaluated in blocks of whole rows, about ``_FHS_BLOCK``
+    momenta each, and each momentum once: a block's fluxes go into the
+    (n, n) result, and its last row is carried to the next block, whose
+    first plaquette row it closes.  The last block closes the grid with the
+    first row matched through b1.  Only the flux grid, its absolute values
+    for the saturation check and one block are alive at once: the kernel
+    peaks at about 18 bytes per grid point at n = 400 and 17 at n = 800
+    (tracemalloc), so n = ``MAX_GRID_N`` = 1500 implies about 37 MB,
+    extrapolated, not run.  The ``curvature`` command also holds its
+    formatted table: it peaks at about 54 bytes per grid point with
+    ``--format dsv --out`` and 67 inline at n = 400 (51 and 64 at n = 800),
+    about 145 MB inline at the budget.
 
     Raises:
-        ValueError: if n < 6, or n > MAX_GRID_N before anything is allocated.
+        ValueError: if n < 6, or n > MAX_GRID_N before anything is allocated;
+            if the gap search's gap is NaN.
         GaplessPoint: if the model is gapless.
         PlaquetteSaturated: if any single plaquette reaches |flux| >= pi,
             meaning the grid is too coarse to resolve the curvature.
@@ -279,21 +304,36 @@ def berry_curvature_fhs(
         )
     _require_gapped(p)
     fracs = np.arange(n) / n
-    f1, f2 = np.meshgrid(fracs, fracs, indexing="ij")
-    kpts = f1[..., None] * B1 + f2[..., None] * B2
-    u = band_states(kpts, p, band, gauge_fn)
-
-    ue = np.empty((n + 1, n + 1, 2), dtype=complex)
-    ue[:n, :n] = u
-    ue[n, :n] = boundary_matched(u[0, :], B1)
-    ue[:n, n] = boundary_matched(u[:, 0], B2)
-    ue[n, n] = boundary_matched(u[0, 0], B1 + B2)
-
-    # Each grid link once, along b1 (h) and b2 (v); the -b1 and -b2 links are
-    # their conjugates bit for bit (same real parts, negated imaginary parts).
-    h = transport_link(ue[1:], ue[:-1])
-    v = transport_link(ue[:, 1:], ue[:, :-1])
-    flux = np.angle(h[:, :-1] * v[1:] * np.conj(h[:, 1:]) * np.conj(v[:-1]))
+    across = fracs[:, None] * B2  # the b2 part of every row's momenta
+    rows = max(1, _FHS_BLOCK // n)
+    flux = np.empty((n, n))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        # The block's rows, each extended by its b2 wrap, after the row
+        # carried from the block before and, in the last block, before the
+        # first row matched through b1.
+        lead, m = int(start > 0), stop - start
+        ue = np.empty((lead + m + (stop == n), n + 1, 2), dtype=complex)
+        ue[lead:lead + m, :n] = band_states(
+            (fracs[start:stop, None] * B1)[:, None] + across, p, band, gauge_fn
+        )
+        ue[lead:lead + m, n] = boundary_matched(ue[lead:lead + m, 0], B2)
+        if lead:
+            ue[0] = carried
+        else:
+            first = ue[0, :n].copy()
+        if stop == n:
+            ue[-1, :n] = boundary_matched(first, B1)
+            ue[-1, n] = boundary_matched(first[0], B1 + B2)
+        carried = ue[lead + m - 1].copy()
+        # Each grid link once, along b1 (h) and b2 (v); the -b1 and -b2
+        # links are their conjugates bit for bit (same real parts, negated
+        # imaginary parts).
+        h = transport_link(ue[1:], ue[:-1])
+        v = transport_link(ue[:, 1:], ue[:, :-1])
+        flux[start - lead:start - lead + len(h)] = np.angle(
+            h[:, :-1] * v[1:] * np.conj(h[:, 1:]) * np.conj(v[:-1])
+        )
     # fmax skips a NaN flux, which the saturation check lets pass.
     peak = float(np.fmax.reduce(np.abs(flux), axis=None))
     if peak >= np.pi - 1e-9:

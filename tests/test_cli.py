@@ -121,6 +121,27 @@ def test_gapless_model_gets_no_chern_label(monkeypatch, argv, flag):
     assert passes
 
 
+@pytest.mark.parametrize("command", ["zak", "curvature"])
+def test_nan_gap_gets_the_floating_point_refusal(monkeypatch, command):
+    """At --tprime 1e308 the gap search's energies overflow and its gap is
+    NaN.  zak and curvature refuse it after the gap search, with detect's
+    floating-point message and nothing printed: no adiabatic pass and no
+    grid state runs."""
+    calls = []
+    monkeypatch.setattr(
+        chernscope.interferometer, "_adiabatic_pass",
+        lambda *args, **kwargs: calls.append("pass"),
+    )
+    monkeypatch.setattr(
+        chernscope.topology, "band_states",
+        lambda *args, **kwargs: calls.append("states"),
+    )
+    code, out, err = run_cli(command, "--tprime", "1e308")
+    assert (code, out, calls) == (1, "", [])
+    assert error_record(out, err).startswith("floating-point invalid value")
+    assert err == run_cli("detect", "--tprime", "1e308")[2]
+
+
 def test_zak_summary_phases():
     code, out, _ = run_cli("zak")
     assert code == 0
@@ -826,6 +847,43 @@ def test_out_that_cannot_be_a_directory_exits_config(tmp_path, sub):
         f"cannot write tables to output directory {out_dir}: "
     )
     assert blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("fmt", ["dsv", "structured-record"])
+def test_multi_block_table_streams_its_joined_lines(tmp_path, fmt):
+    """A table of more rows than one formatting block is written block by
+    block, inline and as a file, and reads byte for byte as its lines
+    joined by newlines with a final newline."""
+    argv = ["curvature", "--grid-n", "70", "--format", fmt]
+    args = chernscope.cli.build_parser().parse_args(argv)
+    cfg = chernscope.cli.resolve_config(args)
+    _, tables = chernscope.cli.COMMANDS[args.command](cfg, args)
+    headers, columns = tables["curvature"]
+    assert len(columns[0]) == 4900 > _BLOCK
+    blocks = table_lines(headers, columns, fmt, "curvature")
+    assert len(blocks) > 1
+    expected = "\n".join(blocks) + "\n"
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    assert out.split("\n## table: curvature\n", 1)[1] == expected
+    ext = "dsv" if fmt == "dsv" else "rec"
+    code, out, _ = run_cli(*argv, "--out", str(tmp_path))
+    assert code == 0
+    assert "## table" not in out
+    assert (tmp_path / f"curvature.{ext}").read_bytes() == expected.encode()
+
+
+def test_table_file_that_cannot_be_opened_exits_config(tmp_path):
+    """A table file that cannot be written in a usable --out (here a
+    directory in its place) is refused as a config error, nothing printed."""
+    (tmp_path / "curvature.dsv").mkdir()
+    code, out, err = run_cli(
+        "curvature", "--grid-n", "70", "--format", "dsv", "--out", str(tmp_path)
+    )
+    assert (code, out) == (3, "")
+    assert summary_of(err)["message"].startswith(
+        f"cannot write tables to output directory {tmp_path}: "
+    )
 
 
 @pytest.mark.parametrize("command", ["fringe", "detect", "sweep"])

@@ -392,6 +392,23 @@ def test_require_gapped_splits_at_gap_tol(ratio, gapless):
         chernscope.topology._require_gapped(p)
 
 
+def test_require_gapped_refuses_a_nan_gap(monkeypatch):
+    """A NaN gap is neither gapped nor gapless (nan < gap_tol is false):
+    ValueError, before any grid state is built."""
+    monkeypatch.setattr(
+        chernscope.topology, "band_gap_min", lambda *args, **kw: np.nan
+    )
+    calls = []
+    monkeypatch.setattr(
+        chernscope.topology, "band_states", lambda *args: calls.append(args)
+    )
+    with pytest.raises(ValueError, match="band gap is NaN"):
+        chernscope.topology._require_gapped(P0)
+    with pytest.raises(ValueError, match="band gap is NaN"):
+        chernscope.topology.chern_number(P0)
+    assert calls == []
+
+
 def test_gapless_point_raised_without_nnn_hopping():
     p = ModelParams(tp=0.0)
     with pytest.raises(GaplessPoint):

@@ -1,5 +1,7 @@
 """Tests for lattice Berry curvature, loop phases, and open-path Zak phases."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,9 +156,12 @@ def _smooth_gauge(kpts):
 
 
 @pytest.mark.parametrize("n", [6, 7, 60, 200])
-def test_fhs_flux_bit_exact_against_four_links(n):
+def test_fhs_flux_bit_exact_against_four_links(n, monkeypatch):
     """Reusing each grid link, conjugated for the -b1 and -b2 sides, gives
-    the four-link flux bit for bit, sign bits included (no tolerance)."""
+    the four-link flux bit for bit, sign bits included (no tolerance), at
+    every row block edge: the default block, one row per block, two blocks
+    with a partial last one, and the whole grid in one block."""
+    default_block = chernscope.topology._FHS_BLOCK
     rng = np.random.default_rng(1674)
     for _ in range(3):
         p = ModelParams(
@@ -166,10 +171,47 @@ def test_fhs_flux_bit_exact_against_four_links(n):
         )
         for band in ("lower", "upper"):
             for gauge_fn in (None, _smooth_gauge):
-                flux = berry_curvature_fhs(p, n, band, gauge_fn).plaquette_flux
                 expected = _four_link_flux(p, n, band, gauge_fn)
-                assert np.array_equal(flux, expected)
-                assert np.array_equal(np.signbit(flux), np.signbit(expected))
+                for block in (default_block, n, (n // 2 + 1) * n, n * n):
+                    monkeypatch.setattr(chernscope.topology, "_FHS_BLOCK", block)
+                    flux = berry_curvature_fhs(p, n, band, gauge_fn).plaquette_flux
+                    assert np.array_equal(flux, expected)
+                    assert np.array_equal(np.signbit(flux), np.signbit(expected))
+
+
+@pytest.mark.parametrize("n, rows", [(7, 1), (7, 3), (60, None), (200, None)])
+def test_fhs_evaluates_each_grid_momentum_once(monkeypatch, n, rows):
+    """Besides the gap search, stubbed here, one call passes exactly n * n
+    momenta through bloch_fields, one block of rows per call."""
+    if rows is not None:
+        monkeypatch.setattr(chernscope.topology, "_FHS_BLOCK", rows * n)
+    rows = max(1, chernscope.topology._FHS_BLOCK // n)
+    monkeypatch.setattr(chernscope.topology, "band_gap_min", lambda *a, **kw: 1.0)
+    sizes = []
+    bloch_fields = chernscope.lattice.bloch_fields
+
+    def spy(kpts, p):
+        sizes.append(np.shape(kpts)[:-1])
+        return bloch_fields(kpts, p)
+
+    monkeypatch.setattr(chernscope.lattice, "bloch_fields", spy)
+    berry_curvature_fhs(P0, n)
+    assert sizes == [(min(rows, n - start), n) for start in range(0, n, rows)]
+    assert sum(r * c for r, c in sizes) == n * n
+
+
+def test_fhs_memory_is_the_flux_grid_and_one_block():
+    """At n = 400 the kernel peaks at about 18 bytes per grid point: the
+    flux grid, its absolute values and one row block (bound 40 B)."""
+    n = 400
+    berry_curvature_fhs(P0, n)  # first call sets up numpy
+    tracemalloc.start()
+    try:
+        berry_curvature_fhs(P0, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * n * n
 
 
 def test_fhs_margin_is_pi_minus_peak_flux():
