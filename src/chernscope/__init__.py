@@ -50,6 +50,7 @@ from .protocol import (
     PlanDiagnostics,
     ProtocolPlan,
     ProtocolStep,
+    endpoint_errors,
     perturb_plan,
     plan_site,
     site_displacements,
@@ -64,6 +65,7 @@ from .interferometer import (
     apply_pi2,
     evolve_adiabatic,
     evolve_adiabatic_batch,
+    evolve_endpoints,
     evolve_tdse,
     initial_state,
     landau_zener_estimate,

@@ -14,7 +14,7 @@ budget expressed in whole-number units); anything farther is Ambiguous.
 
 The robustness sweep perturbs the leg endpoints, reruns the full pipeline,
 and tabulates how the realized phase error moves the classification.  It
-reads out and fits its plans a block at a time: one readout pulse over the
+reads out and fits its trials a block at a time: one readout pulse over the
 block's (plans, phases) array and one stacked fit.  The readout population
 is recorded both at phi_mw = 0 and at phi_mw equal to the nominal fitted
 phase; neither is asserted against a threshold, they are diagnostics.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import cycle, islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,13 +31,18 @@ import numpy as np
 from .errors import DegenerateScan
 from .interferometer import (
     FringeScan,
-    SpinorState,
     _scan_populations,
-    evolve_adiabatic_batch,
+    evolve_endpoints,
     wrap_angle,
 )
 from .lattice import ModelParams
-from .protocol import SITES, _require_error_radius, perturb_plan, plan_site
+from .protocol import (
+    SITES,
+    _require_error_radius,
+    endpoint_errors,
+    plan_arrays,
+    plan_site,
+)
 from .topology import _require_gapped, chern_from_zak
 
 __all__ = [
@@ -249,17 +253,17 @@ def classify(
 
 
 def _read_and_fit(
-    ends: Sequence[SpinorState], phases: np.ndarray, m: int
+    amps: np.ndarray, phases: np.ndarray, m: int
 ) -> tuple[tuple, np.ndarray]:
-    """Read out a block of end states and fit their fringes.
+    """Read out a block of closed slot amplitudes and fit their fringes.
 
-    ``ends`` runs over trials and, within a trial, over the sites; row s of
-    ``phases`` holds the pulse phases of site s, the grid first.  Returns
-    the fit of each end state's first ``m`` phases, in order, and N_up of
-    every phase as a (trials, sites, phases) array.  The readout is one
-    pulse over the whole block.
+    ``amps`` holds the (amp_down, amp_up) pairs of the end states, a
+    (states, 2) array over trials and, within a trial, over the sites; row
+    s of ``phases`` holds the pulse phases of site s, the grid first.
+    Returns the fit of each end state's first ``m`` phases, in order, and
+    N_up of every phase as a (trials, sites, phases) array.  The readout is
+    one pulse over the whole block.
     """
-    amps = np.array([(end.amp_down, end.amp_up) for end in ends])
     amps = amps.reshape(-1, len(phases), 2, 1)
     _, n_up = _scan_populations(amps[..., 0, :], amps[..., 1, :], phases)
     return fit_fringes(phases[0, :m], n_up[..., :m].reshape(-1, m)), n_up
@@ -306,25 +310,29 @@ def robustness_sweep(
     and a single seeded generator make the table reproducible.  Every
     evolution runs at ``zeeman_rate``.
 
-    Each perturbed plan is built as its seed is drawn, in (radius, trial,
-    site) order, and the plans are evolved by
-    :func:`chernscope.interferometer.evolve_adiabatic_batch` a few per
-    pass, so only one batch of plans is held at a time.  A zero radius
-    (also -0.0) draws its trials' seeds but evolves nothing: its trials
-    reuse the nominal end states.  That is exact, because ``perturb_plan``
-    at radius 0 reproduces the nominal plan bit for bit and a batched
-    evolution gives each plan the bits it gets alone.  The end states are
-    read out and fitted in blocks of at most ``_READOUT_TRIALS`` trials of
-    one radius: one readout pulse over the block and one
-    :func:`fit_fringes` call, whose rows fit as each would alone, so every
-    record equals that of ``run_fringe``, ``fit_fringe`` and ``classify``
-    taken plan by plan.  The ``sweep`` command peaks at about 1.1 kB per
-    trial (tracemalloc at 400 and 1,600 trials per radius over 4 radii), so
-    the budget of ``MAX_SWEEP_TRIALS`` = 100,000 trials over all radii
-    implies about 110 MB; a trial at a nonzero radius takes about 2.5 ms
-    at the default sampling on one Intel Xeon vCPU (400 trials at radius
-    0.002; about 0.04 ms at radius 0), so the budget also bounds the run to
-    about four minutes.
+    The seeds are drawn in (radius, trial, site) order, and each nonzero
+    radius's endpoint errors come from one
+    :func:`chernscope.protocol.endpoint_errors` call, whose rows are those
+    of ``perturb_plan`` seed by seed.  The perturbed plans are never built
+    as objects: their starts and endpoints, as arrays over all nonzero
+    radii, are evolved by :func:`chernscope.interferometer.evolve_endpoints`
+    in the passes ``evolve_adiabatic_batch`` would make of the same plans,
+    and only their closed amplitudes are kept.  A zero radius (also -0.0)
+    draws its trials' seeds but evolves nothing: its trials reuse the
+    nominal amplitudes.  That is exact, because ``perturb_plan`` at radius
+    0 reproduces the nominal plan bit for bit and a batched evolution gives
+    each plan the bits it gets alone.  The amplitudes are read out and
+    fitted in blocks of at most ``_READOUT_TRIALS`` trials of one radius:
+    one readout pulse over the block and one :func:`fit_fringes` call,
+    whose rows fit as each would alone, so every record equals that of
+    ``perturb_plan``, ``run_fringe``, ``fit_fringe`` and ``classify`` taken
+    plan by plan.  The ``sweep`` command peaks at about 2.2 MB at 400
+    trials per radius over 4 radii and 5.9 MB at 1,600 (tracemalloc), about
+    0.8 kB more per trial, so the budget of ``MAX_SWEEP_TRIALS`` = 100,000
+    trials over all radii implies about 80 MB; a trial at a nonzero radius
+    takes about 0.8 ms at the default sampling on one Intel Xeon vCPU (400
+    trials at radius 0.002; about 0.03 ms at radius 0), so the budget also
+    bounds the run to under two minutes.
 
     Raises:
         ValueError: if ``trials`` is below 1, or ``error_radii`` is empty,
@@ -358,39 +366,50 @@ def robustness_sweep(
         )
         for site in SITES
     ]
-    nominal_ends = [end for end, _ in evolve_adiabatic_batch(plans, p, zeeman_rate)]
-    nominal_fits, _ = _read_and_fit(nominal_ends, np.stack([phi_grid] * 2), m)
+    starts, endpoints, n = plan_arrays(plans)
+
+    def evolve(trial_starts, trial_endpoints):
+        return evolve_endpoints(
+            trial_starts, trial_endpoints, n, plans[0].leg_time, with_echo, p,
+            zeeman_rate,
+        )
+
+    nominal_amps = evolve(starts, endpoints)
+    nominal_fits, _ = _read_and_fit(nominal_amps, np.stack([phi_grid] * 2), m)
     nominal = classify(*nominal_fits)
     nominal_phi = [fit.phi_zak for fit in nominal_fits]
     nominal_sum = nominal_phi[0] + nominal_phi[1]
     # Per site: the grid, then the diagnostic phases 0 and the nominal phase.
     phases = np.array([np.append(phi_grid, [0.0, phi]) for phi in nominal_phi])
 
-    rng = np.random.default_rng(seed)
-    draws = (
-        (radius, plan, int(rng.integers(0, 2**63 - 1)))
-        for radius in error_radii
-        for _ in range(trials)
-        for plan in plans
-    )
-    # A zero radius draws its seeds, so later draws keep their order even
-    # though the batch reads plans ahead, but evolves nothing: its end
+    # The seeds in (radius, trial, site) order.  A zero radius draws its
+    # seeds, so later draws keep their order, but evolves nothing: its end
     # states are the nominal ones.
-    perturbed = (
-        perturb_plan(plan, radius=radius, seed=drawn)
-        for radius, plan, drawn in draws
-        if radius != 0
+    rng = np.random.default_rng(seed)
+    perturbed = [np.empty((0,) + endpoints.shape)]
+    for radius in error_radii:
+        drawn = [int(rng.integers(0, 2**63 - 1)) for _ in range(trials * len(SITES))]
+        if radius != 0:
+            errors = endpoint_errors(radius, drawn)
+            perturbed.append(endpoints + errors.reshape((trials,) + endpoints.shape))
+    perturbed = np.concatenate(perturbed)
+    perturbed_amps = evolve(
+        np.tile(starts, (len(perturbed), 1)), perturbed.reshape(-1, 2, 2)
     )
-    ends = (end for end, _ in evolve_adiabatic_batch(perturbed, p, zeeman_rate))
     rows = []
     records = []
+    evolved = 0
     for radius in error_radii:
-        source = cycle(nominal_ends) if radius == 0 else ends
+        if radius == 0:
+            amps = np.tile(nominal_amps, (trials, 1))
+        else:
+            amps = perturbed_amps[evolved:evolved + trials * len(SITES)]
+            evolved += len(amps)
         block = []
         for first in range(0, trials, _READOUT_TRIALS):
             count = min(_READOUT_TRIALS, trials - first)
             fits, n_up = _read_and_fit(
-                list(islice(source, count * len(SITES))), phases, m
+                amps[first * len(SITES):(first + count) * len(SITES)], phases, m
             )
             for index, fit_i, fit_ii, zero, at_nominal in zip(
                 range(first, first + count), fits[0::2], fits[1::2],

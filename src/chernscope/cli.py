@@ -492,7 +492,8 @@ def cmd_detect(cfg: RunConfig, args) -> tuple[list, dict]:
         ]
     else:
         ends = [end for end, _ in evolve_adiabatic_batch(plans, p, zeeman_rate)]
-    fit_i, fit_ii = _read_and_fit(ends, np.stack([grid] * len(SITES)), len(grid))[0]
+    amps = np.array([(end.amp_down, end.amp_up) for end in ends])
+    fit_i, fit_ii = _read_and_fit(amps, np.stack([grid] * len(SITES)), len(grid))[0]
     report = classify(fit_i, fit_ii, oracle_c=oracle.value)
     summary = [
         ("phi-zak-i", report.phi_zak_i),

@@ -16,24 +16,20 @@ its straight momentum leg, and the two evolution routes are
   equation with the midpoint Hamiltonian exponentiated in closed form per
   step, which resolves nonadiabatic band leakage.
 
-Each route evaluates the Bloch fields of its legs' samples in one pass,
-:func:`chernscope.protocol.leg_pass`, which also checks their sampling and
-stacks the legs of a batch of plans with one leg sampling into a
-(plans, 2, n + 1) array.  The adiabatic route takes such a batch:
-:func:`evolve_adiabatic_batch` groups a stream of plans into passes of at
-most ``_ADIABATIC_BATCH`` momenta, and :func:`evolve_adiabatic` is the
-batch of one.  A pass takes the gap check, the transport links and the
-dynamical phase over the whole stack at once, and each leg's summed link
-angle and trapezoid over the sample axis; the links are formed from the
-real fields of the unnormalized lower-band closed forms, and only the
-legs' end samples become normalized states, for the matching overlaps.  The
-tail runs over the batch too: the unit link products, the matching
-overlaps, the Zeeman factors and the closed amplitudes are arrays over the
-plans, each element rounded as the one-plan scalar expression rounds it,
-and only the state and ledger objects are built plan by plan.  So a plan's
-result does not depend on the batch it ran in.  The stepwise
-route passes its one plan, derives the step-size bandwidth and its end
-states from the pass, and takes its midpoint fields from
+Each route evaluates the Bloch fields of its legs' samples in one pass of
+:func:`chernscope.protocol.leg_fields`, over a (plans, 2, n + 1) stack of
+legs with one sampling.  The adiabatic route's pass math is one array core,
+:func:`_adiabatic_core`, over plans given as arrays: it returns the closed
+slot amplitudes and each packet's geometric, matching and dynamical phases,
+each element rounded as the one-plan scalar expression rounds it, so a
+plan's result does not depend on the batch it ran in.
+:func:`evolve_adiabatic_batch` stacks a stream of plans into passes of at
+most ``_ADIABATIC_BATCH`` momenta and wraps each row in a state and a
+ledger, :func:`evolve_adiabatic` is its batch of one, and
+:func:`evolve_endpoints` runs plans given as arrays through passes of the
+same size and keeps only the amplitudes.  The stepwise route passes its one
+plan through :func:`chernscope.protocol.leg_pass`, derives the step-size
+bandwidth and its end states from it, and takes its midpoint fields from
 :func:`chernscope.lattice.line_fields` in fixed-size blocks.
 
 Both routes end with the two packets at momenta one reciprocal vector apart
@@ -71,7 +67,13 @@ from .lattice import (
     states_from_fields,
     sublattice_matching,
 )
-from .protocol import ProtocolPlan, leg_pass
+from .protocol import (
+    ProtocolPlan,
+    leg_fields,
+    leg_pass,
+    plan_arrays,
+    plan_diagnostics,
+)
 from .topology import field_link_phases
 
 __all__ = [
@@ -85,6 +87,7 @@ __all__ = [
     "readout_scan",
     "evolve_adiabatic",
     "evolve_adiabatic_batch",
+    "evolve_endpoints",
     "evolve_tdse",
     "run_fringe",
     "landau_zener_estimate",
@@ -107,10 +110,13 @@ _TDSE_BLOCK = 8192
 # size, so the stack pays the short levels once per leg, not per block.
 _SU2_SHORT = 64
 
-# Momenta per pass of evolve_adiabatic_batch: four plans at the sweep's
-# default 1,200 samples per leg.  A pass peaks at about 1.5 MB (tracemalloc),
-# which stays in a 2 MB per-core L2 cache, and pays its fixed cost once for
-# the batch; two and eight plans per pass made the sweep slower.
+# Momenta per adiabatic pass: four plans at the sweep's default 1,200
+# samples per leg.  A pass peaks at about 1.4 MB (tracemalloc), which stays
+# in a 2 MB per-core L2 cache, and pays its fixed cost once for the batch.
+# In-process `sweep --trials 25` loops on one Intel Xeon vCPU: two and
+# three plans per pass were 18% and 3% slower, six and eight 29% and 44%
+# slower, as a larger pass's freed memory is handed back to the system and
+# faulted in again on every pass.
 _ADIABATIC_BATCH = 9608
 
 
@@ -134,18 +140,27 @@ class SpinorState:
     upper_band_population: float = 0.0
 
     def __post_init__(self):
-        deviation = self.norm**2 - 1.0
-        if abs(deviation) > 1e-12:
-            raise ValueError(f"state norm deviates from 1 by {deviation:.3e}")
+        _require_unit_norm(self.amp_down, self.amp_up, self.upper_band_population)
 
     @property
     def norm(self) -> float:
-        return float(
-            np.sqrt(
-                abs(self.amp_down) ** 2 + abs(self.amp_up) ** 2
-                + self.upper_band_population
-            )
-        )
+        return float(_norm(self.amp_down, self.amp_up, self.upper_band_population))
+
+
+def _norm(amp_down, amp_up, upper_band_population):
+    """sqrt(|amp_down|^2 + |amp_up|^2 + upper_band_population), of scalars
+    or elementwise over arrays."""
+    return np.sqrt(abs(amp_down) ** 2 + abs(amp_up) ** 2 + upper_band_population)
+
+
+def _require_unit_norm(amp_down, amp_up, upper_band_population) -> None:
+    """Refuse slot amplitudes, scalars or arrays, whose state norm deviates
+    from 1 by more than 1e-12, naming the largest deviation."""
+    deviation = _norm(amp_down, amp_up, upper_band_population) ** 2 - 1.0
+    if (abs(deviation) > 1e-12).any():
+        deviation = np.ravel(deviation)
+        worst = deviation[np.argmax(abs(deviation))]
+        raise ValueError(f"state norm deviates from 1 by {worst:.3e}")
 
 
 def _echo_fold(site_phase: float, with_echo: bool) -> float:
@@ -239,6 +254,11 @@ def _scan_populations(a, b, phi_mw) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(down) ** 2, np.abs(up) ** 2
 
 
+# The slot amplitudes of the split state: apply_pi2 on the spin-down state.
+_SPLIT = np.array(_pi2_amplitudes(1.0 + 0.0j, 0.0j, 0.0))
+_SPLIT.flags.writeable = False
+
+
 def apply_pi2(state: SpinorState, phi_mw: float) -> SpinorState:
     """Microwave pi/2 pulse on the spin amplitudes.
 
@@ -273,16 +293,15 @@ def _require_pure_down(state: SpinorState) -> None:
         raise ValueError("evolution starts from a pure spin-down state")
 
 
-def _zeeman_phases(plans: Sequence[ProtocolPlan], zeeman_rate: float) -> np.ndarray:
+def _zeeman_phases(zeeman_rate: float, leg_time, with_echo) -> np.ndarray:
     """Zeeman phase of the packet that started spin-down, per plan: the rate
     times the leg time weighted by the gradient direction, whose flipped
-    echo half cancels the first half.  A NaN or infinite rate raises
+    echo half cancels the first half.  ``leg_time`` and ``with_echo`` are
+    arrays over the plans or scalars.  A NaN or infinite rate raises
     ValueError."""
     if not np.isfinite(zeeman_rate):
         raise ValueError(f"zeeman_rate must be finite, got {zeeman_rate}")
-    return zeeman_rate * np.array(
-        [0.0 if plan.with_echo else plan.leg_time for plan in plans]
-    )
+    return zeeman_rate * np.where(with_echo, 0.0, leg_time)
 
 
 def _scalar_product(a, b) -> np.ndarray:
@@ -301,18 +320,18 @@ def _scalar_product(a, b) -> np.ndarray:
 
 
 def _matching_overlaps(
-    plans: Sequence[ProtocolPlan], ends: np.ndarray
+    endpoints: np.ndarray, states: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Overlap w of each plan's packets' end band states, with the
     sublattice matching of their momentum difference, and |w|.
 
-    ``ends`` holds the (plans, 2, 2) end states, each plan's down packet
-    first.  Each overlap is one ``np.vecdot`` row, equal to ``np.vdot`` of
-    that plan's two states.
+    ``endpoints`` holds the (plans, 2, 2) end momenta and ``states`` the
+    (plans, 2, 2) end states, each plan's down packet first.  Each overlap
+    is one ``np.vecdot`` row, equal to ``np.vdot`` of that plan's two
+    states.
     """
-    dk = np.array([plan.endpoint_down - plan.endpoint_up for plan in plans])
-    matching = sublattice_matching(dk)
-    w = np.vecdot(matching * ends[:, 1], ends[:, 0])
+    matching = sublattice_matching(endpoints[:, 0] - endpoints[:, 1])
+    w = np.vecdot(matching * states[:, 1], states[:, 0])
     size = np.hypot(w.real, w.imag)
     if np.any(size < 1e-6):
         raise ValueError("endpoint band states are nearly orthogonal")
@@ -320,39 +339,35 @@ def _matching_overlaps(
 
 
 def _close(
-    plans: Sequence[ProtocolPlan],
     amplitudes: np.ndarray,
     w: np.ndarray,
     w_size: np.ndarray,
-    zeeman_phase: np.ndarray,
+    zeeman_phase,
+    with_echo,
     upper_band_population: float = 0.0,
-) -> list[SpinorState]:
-    """The state before the readout pulse of each plan of a batch, from the
-    packets' evolved amplitudes.
+) -> np.ndarray:
+    """The slot amplitudes before the readout pulse of each plan of a
+    batch, a (plans, 2) array, from the packets' evolved amplitudes.
 
     ``amplitudes`` holds, per plan, the complex amplitude each packet kept
     through its leg relative to the gauge-fixed end states, the down
-    packet's first; w, its size |w| and the Zeeman phase are arrays over
-    the batch, or scalars for a batch of one.  Each slot of the split state
-    of :func:`apply_pi2` is multiplied by its packet's amplitude; the packet
+    packet's first; w, its size |w|, the Zeeman phase and the echo flag are
+    arrays over the batch, or scalars.  Each slot of the split state of
+    :func:`apply_pi2` is multiplied by its packet's amplitude; the packet
     that started spin-up is rotated by conj(w)/|w| onto the common orbital,
     and the packet that started spin-down carries the Zeeman phase.  The
-    echo pulse then exchanges the slots wholesale.  Each product
-    is rounded as on scalars, in the order written here.
+    echo pulse then exchanges the slots wholesale.  Each product is rounded
+    as on scalars, in the order written here.  The closed amplitudes, with
+    ``upper_band_population``, must keep the state's unit norm.
     """
-    split = apply_pi2(initial_state(), 0.0)
     factors = np.empty_like(amplitudes)
     factors[:, 0] = np.exp(1j * zeeman_phase)
     factors[:, 1] = np.conj(w)
-    closed = _scalar_product(
-        _scalar_product(np.array([split.amp_down, split.amp_up]), amplitudes), factors
-    )
+    closed = _scalar_product(_scalar_product(_SPLIT, amplitudes), factors)
     closed[:, 1] /= w_size
-    states = []
-    for plan, slots in zip(plans, closed.tolist()):
-        amp_down, amp_up = slots[::-1] if plan.with_echo else slots  # the echo
-        states.append(SpinorState(amp_down, amp_up, upper_band_population))
-    return states
+    closed = np.where(np.reshape(with_echo, (-1, 1)), closed[:, ::-1], closed)
+    _require_unit_norm(closed[:, 0], closed[:, 1], upper_band_population)
+    return closed
 
 
 def evolve_adiabatic(
@@ -374,6 +389,12 @@ def evolve_adiabatic(
     return _adiabatic_pass([plan], p, zeeman_rate, gauge_fn)[0]
 
 
+def _pass_plans(n: int) -> int:
+    """Plans per pass at n sample intervals per leg: as many as fit in
+    ``_ADIABATIC_BATCH`` momenta, and at least one."""
+    return max(1, _ADIABATIC_BATCH // (2 * (n + 1)))
+
+
 def evolve_adiabatic_batch(
     plans: Iterable[ProtocolPlan], p: ModelParams, zeeman_rate: float = 0.0
 ) -> Iterator[tuple[SpinorState, PhaseLedger]]:
@@ -387,10 +408,7 @@ def evolve_adiabatic_batch(
     batch: list = []
     for plan in plans:
         n = plan.samples_per_leg
-        if batch and (
-            n != batch[0].samples_per_leg
-            or 2 * (n + 1) * (len(batch) + 1) > _ADIABATIC_BATCH
-        ):
+        if batch and (n != batch[0].samples_per_leg or len(batch) == _pass_plans(n)):
             yield from _adiabatic_pass(batch, p, zeeman_rate)
             batch = []
         batch.append(plan)
@@ -398,62 +416,118 @@ def evolve_adiabatic_batch(
         yield from _adiabatic_pass(batch, p, zeeman_rate)
 
 
+def evolve_endpoints(
+    starts: np.ndarray,
+    endpoints: np.ndarray,
+    samples_per_leg: int,
+    leg_time: float,
+    with_echo: bool,
+    p: ModelParams,
+    zeeman_rate: float = 0.0,
+) -> np.ndarray:
+    """Closed slot amplitudes, (plans, 2), of plans given as arrays.
+
+    Plan j runs from ``starts[j]`` to ``endpoints[j]`` (down endpoint
+    first) in ``samples_per_leg`` intervals per leg; all share the leg time
+    and the echo.  The sampling and the leg time are not checked here:
+    they are to be those of a :class:`ProtocolPlan`, which checks them
+    where it is made.  The plans run in order, in passes of
+    :func:`evolve_adiabatic_batch`'s size, and row j holds the amplitudes
+    of the end state ``evolve_adiabatic`` gives plan j, bit for bit.  A NaN
+    or infinite ``zeeman_rate`` raises ValueError before any pass.
+    """
+    zeeman_phase = _zeeman_phases(zeeman_rate, leg_time, with_echo)
+    closed = np.empty((len(endpoints), 2), dtype=complex)
+    step = _pass_plans(samples_per_leg)
+    for first in range(0, len(endpoints), step):
+        part = slice(first, first + step)
+        closed[part] = _adiabatic_core(
+            starts[part], endpoints[part], samples_per_leg, leg_time, with_echo,
+            zeeman_phase, p,
+        )[0]
+    return closed
+
+
 def _adiabatic_pass(
     plans: Sequence[ProtocolPlan], p: ModelParams, zeeman_rate: float, gauge_fn=None
 ) -> list[tuple[SpinorState, PhaseLedger]]:
-    """End state and ledger of each plan of a batch, from one leg pass.
+    """End state and ledger of each plan of a batch: the plans stacked into
+    one :func:`_adiabatic_core` pass, and its rows wrapped."""
+    leg_time = np.array([plan.leg_time for plan in plans])
+    with_echo = np.array([plan.with_echo for plan in plans])
+    zeeman = _zeeman_phases(zeeman_rate, leg_time, with_echo)
+    starts, endpoints, n = plan_arrays(plans)
+    closed, geometric, matching, dynamic = _adiabatic_core(
+        starts, endpoints, n, leg_time, with_echo, zeeman, p, gauge_fn
+    )
+    return [
+        (
+            SpinorState(*amplitudes),
+            PhaseLedger(
+                geometric_down=geometric_pair[0],
+                geometric_up=geometric_pair[1],
+                matching=overlap_angle,
+                dynamic_down=dynamic_pair[0],
+                dynamic_up=dynamic_pair[1],
+                zeeman=-zeeman_phase,
+                with_echo=echo,
+            ),
+        )
+        for amplitudes, geometric_pair, overlap_angle, dynamic_pair, zeeman_phase, echo
+        in zip(
+            closed.tolist(), geometric.tolist(), matching.tolist(),
+            dynamic.tolist(), zeeman.tolist(), with_echo.tolist(),
+        )
+    ]
 
-    The transport links and the trapezoid rule on the lower band energy run
-    over the whole (plans, 2, n + 1) stack of
-    :func:`chernscope.protocol.leg_pass`, and each leg's geometric phase
-    and trapezoid are taken over its own sample axis.  The links come from
-    one :func:`chernscope.topology.field_link_phases` call on the stack's
-    real fields, with the gap check before any link; no normalized state
-    is built along the legs.  Only the legs' end samples go through
-    :func:`chernscope.lattice.states_from_fields`, for the matching
-    overlaps.  ``gauge_fn`` rotates the states of both, every sample's.
-    The unit link products, the matching overlaps, the Zeeman factors and
-    the closed amplitudes are then arrays over the batch, each element
-    rounded as the one-plan scalar expression rounds it, and the last loop
-    only builds the states and ledgers.
+
+def _adiabatic_core(
+    starts: np.ndarray,
+    endpoints: np.ndarray,
+    n: int,
+    leg_time,
+    with_echo,
+    zeeman_phase,
+    p: ModelParams,
+    gauge_fn=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One adiabatic pass over a batch of plans given as arrays.
+
+    Plan j runs from ``starts[j]`` to the endpoints ``endpoints[j]``, down
+    packet first, in n intervals per leg; the leg time, the echo flag and
+    the Zeeman phase of :func:`_zeeman_phases` are arrays over the plans or
+    scalars.  Returns the closed slot amplitudes of :func:`_close`,
+    (plans, 2), each packet's geometric phase, (plans, 2), the matching
+    overlap angle, (plans,), and each packet's dynamical phase, (plans, 2).
+
+    The legs' fields come from one :func:`chernscope.protocol.leg_fields`
+    call.  The transport links and the trapezoid rule on the lower band
+    energy run over the whole (plans, 2, n + 1) stack, and each leg's
+    geometric phase and trapezoid are taken over its own sample axis.  The
+    links come from one :func:`chernscope.topology.field_link_phases` call
+    on the stack's real fields, with the gap check before any link; no
+    normalized state is built along the legs.  Only the legs' end samples
+    go through :func:`chernscope.lattice.states_from_fields`, for the
+    matching overlaps.  ``gauge_fn`` rotates the states of both, every
+    sample's.  The unit link products, the matching overlaps, the Zeeman
+    factors and the closed amplitudes are arrays over the batch, each
+    element rounded as the one-plan scalar expression rounds it, so a
+    plan's row does not depend on the batch it ran in.
     """
-    zeeman = _zeeman_phases(plans, zeeman_rate)
-    legs = leg_pass(plans, p)
+    legs = leg_fields(starts, endpoints, n, p)
     phases = field_link_phases(legs.fields, legs.points, p, gauge_fn)
-    ends = states_from_fields(
+    states = states_from_fields(
         tuple(f[..., -1] for f in legs.fields), legs.points[..., -1, :], p,
         gauge_fn=gauge_fn,
     )
-    n = legs.points.shape[-2] - 1
-    dx = np.array([plan.leg_time for plan in plans])[:, None, None] / n
+    dx = np.reshape(leg_time, (-1, 1, 1)) / n
     dynamics = np.trapezoid(legs.energies[0], dx=dx, axis=-1)
 
     units = np.exp(1j * phases)  # each packet's unit link product
-    w, w_size = _matching_overlaps(plans, ends)
+    w, w_size = _matching_overlaps(endpoints, states)
     amplitudes = _scalar_product(units, np.exp(-1j * dynamics))
-    finals = _close(plans, amplitudes, w, w_size, zeeman)
-    return [
-        (
-            final,
-            PhaseLedger(
-                geometric_down=geometric[0],
-                geometric_up=geometric[1],
-                matching=matching,
-                dynamic_down=dynamic[0],
-                dynamic_up=dynamic[1],
-                zeeman=-zeeman_phase,
-                with_echo=plan.with_echo,
-            ),
-        )
-        for plan, final, geometric, matching, dynamic, zeeman_phase in zip(
-            plans,
-            finals,
-            np.angle(units).tolist(),
-            np.angle(w).tolist(),
-            dynamics.tolist(),
-            zeeman.tolist(),
-        )
-    ]
+    closed = _close(amplitudes, w, w_size, zeeman_phase, with_echo)
+    return closed, np.angle(units), np.angle(w), dynamics
 
 
 def _step_pairs(fields: tuple, dt: float) -> tuple[complex, np.ndarray, np.ndarray]:
@@ -589,7 +663,7 @@ def evolve_tdse(
     those of :func:`evolve_adiabatic`.
     """
     _require_pure_down(state)
-    zeeman_phase = _zeeman_phases([plan], zeeman_rate)[0]
+    zeeman_phase = _zeeman_phases(zeeman_rate, plan.leg_time, plan.with_echo)
     legs = leg_pass([plan], p)
     bw = max(float(np.max(np.abs(e))) for e in legs.energies)
     limit = 0.01 / bw
@@ -613,7 +687,7 @@ def evolve_tdse(
     dt_actual = total_time / n_steps
 
     amps = {}
-    ends = {}
+    states = {}
     drift = 0.0
     start = plan.start
     for i, (packet, end) in enumerate(
@@ -628,10 +702,10 @@ def evolve_tdse(
             drift, float(np.max(np.abs(u_total.conj().T @ u_total - np.eye(2))))
         )
         psi0 = states_from_fields(tuple(f[0, i, 0] for f in legs.fields), start, p)
-        ends[packet] = states_from_fields(
+        states[packet] = states_from_fields(
             tuple(f[0, i, -1] for f in legs.fields), end, p
         )
-        amps[packet] = complex(np.vdot(ends[packet], u_total @ psi0))
+        amps[packet] = complex(np.vdot(states[packet], u_total @ psi0))
     if drift > 1e-8:
         raise StepTooLarge(f"propagator norm drift {drift:.3e} exceeds 1e-8")
 
@@ -639,30 +713,32 @@ def evolve_tdse(
     leak_down = max(0.0, 1.0 - abs(c_down) ** 2)
     leak_up = max(0.0, 1.0 - abs(c_up) ** 2)
     (w,), (w_size,) = _matching_overlaps(
-        [plan], np.array([[ends["down"], ends["up"]]])
+        np.array([[plan.endpoint_down, plan.endpoint_up]]),
+        np.array([[states["down"], states["up"]]]),
     )
 
     site_phase = float(np.angle(c_down * np.conj(c_up) * w / w_size))
     extracted = _echo_fold(site_phase + zeeman_phase, plan.with_echo)
 
-    (final,) = _close(
-        [plan],
+    upper_band_population = (leak_down + leak_up) / 2.0
+    (closed,) = _close(
         np.array([[c_down, c_up]]),
         w,
         w_size,
         zeeman_phase,
-        (leak_down + leak_up) / 2.0,
-    )
+        plan.with_echo,
+        upper_band_population,
+    ).tolist()
     diagnostics = TdseDiagnostics(
         dt=dt_actual,
         n_steps=n_steps,
-        xi=legs.diagnostics[0].xi,
+        xi=plan_diagnostics([plan], legs)[0].xi,
         norm_drift=drift,
         leakage_down=leak_down,
         leakage_up=leak_up,
         extracted_phase=extracted,
     )
-    return final, diagnostics
+    return SpinorState(*closed, upper_band_population), diagnostics
 
 
 def landau_zener_estimate(p: ModelParams, plan: ProtocolPlan) -> float:

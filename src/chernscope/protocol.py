@@ -59,7 +59,11 @@ __all__ = [
     "plan_site",
     "validate_plan",
     "LegPass",
+    "plan_arrays",
     "leg_pass",
+    "leg_fields",
+    "plan_diagnostics",
+    "endpoint_errors",
     "perturb_plan",
 ]
 
@@ -259,63 +263,37 @@ def plan_site(
 
 
 class LegPass(NamedTuple):
-    """The legs of a batch of plans that share one sampling of n intervals.
+    """The legs of a batch that share one sampling of n intervals.
 
     ``points`` holds the samples as a (plans, 2, n + 1, 2) array, each
     plan's down leg first.  ``fields`` holds the Bloch fields (h0, hx, hy,
     hz, |h|) of :func:`chernscope.lattice.bloch_fields`, and ``energies``
     the band energies (lower, upper), each a (plans, 2, n + 1) array.
-    ``diagnostics`` holds each plan's PlanDiagnostics, in batch order.
     """
 
     points: np.ndarray
     fields: tuple
     energies: tuple
-    diagnostics: tuple
 
 
 def validate_plan(plan: ProtocolPlan, p: ModelParams) -> PlanDiagnostics:
-    """The diagnostics of ``leg_pass`` on the one plan."""
-    return leg_pass([plan], p).diagnostics[0]
+    """The diagnostics of the one plan, from its ``leg_pass``."""
+    return plan_diagnostics([plan], leg_pass([plan], p))[0]
 
 
-def leg_pass(plans: Sequence[ProtocolPlan], p: ModelParams) -> LegPass:
-    """Bloch fields and band energies of a batch of plans' legs, and each
-    plan's diagnostics.
+def plan_diagnostics(
+    plans: Sequence[ProtocolPlan], legs: LegPass
+) -> tuple[PlanDiagnostics, ...]:
+    """Each plan's diagnostics, in batch order, from the plans' leg pass.
 
-    The one field evaluation of the batch: every leg's samples go through a
-    single ``bloch_fields`` call on the flat stack, and its five arrays are
-    reshaped to the legs as they come.  The samples are those of the plans'
-    ``k_path_down`` and ``k_path_up`` lines, with one ``np.linspace``
-    shared by all legs.  The adiabaticity figure of a plan is xi = max over
-    its legs of |dk/dt| / gap^2 with the leg's minimum gap; a warning is
-    recorded above 0.1.  xi and the reciprocity of the endpoint pairs are
-    arrays over the batch; a last loop builds the diagnostics.
-
-    Raises:
-        ValueError: if the plans differ in ``samples_per_leg``, before any
-            field is evaluated.
+    The adiabaticity figure of a plan is xi = max over its legs of
+    |dk/dt| / gap^2 with the leg's minimum gap; a warning is recorded above
+    0.1.  xi and the reciprocity of the endpoint pairs are arrays over the
+    batch; a last loop builds the diagnostics.
     """
-    n = plans[0].samples_per_leg
-    sampling = {plan.samples_per_leg for plan in plans}
-    if len(sampling) > 1:
-        raise ValueError(
-            f"a leg pass takes plans of one sampling, got {sorted(sampling)} "
-            f"sample intervals"
-        )
-    starts = np.array([plan.start for plan in plans])[:, None]
-    ends = np.array([(plan.endpoint_down, plan.endpoint_up) for plan in plans])
-    # Each packet's displacement from its plan's start, down packet first.
-    disp = ends - starts
-    frac = np.linspace(0.0, 1.0, n + 1)
-    points = np.empty((len(plans), 2, n + 1, 2))
-    for c in range(2):  # a coordinate at a time, so each loop runs along a leg
-        np.multiply(frac, disp[..., c, None], out=points[..., c])
-        points[..., c] += starts[..., c, None]
-    fields = bloch_fields(points.reshape(-1, 2), p)
-    fields = tuple(f.reshape(points.shape[:-1]) for f in fields)
-    e_lo, e_up = energies = energies_from_fields(fields)
-
+    starts, ends, _ = plan_arrays(plans)
+    disp = ends - starts[:, None]
+    e_lo, e_up = legs.energies
     leg_times = np.array([plan.leg_time for plan in plans])
     speed = np.sqrt(np.vecdot(disp, disp)) / leg_times[:, None]
     # float_power is the libm pow of a scalar gap ** 2, which now and then
@@ -323,13 +301,64 @@ def leg_pass(plans: Sequence[ProtocolPlan], p: ModelParams) -> LegPass:
     min_gaps = np.min(e_up - e_lo, axis=-1)
     xi = np.fmax.reduce(speed / np.float_power(min_gaps, 2.0), axis=-1, initial=0.0)
     reciprocal = is_reciprocal(ends[:, 1] - ends[:, 0])
-    diagnostics = tuple(
+    return tuple(
         PlanDiagnostics(
             endpoints_reciprocal=r, xi=x, adiabatic_warning=x > 0.1
         )
         for r, x in zip(reciprocal.tolist(), xi.tolist())
     )
-    return LegPass(points, fields, energies, diagnostics)
+
+
+def plan_arrays(
+    plans: Sequence[ProtocolPlan],
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The plans' starts, (plans, 2), their endpoints, (plans, 2, 2), each
+    plan's down endpoint first, and their one sampling of n intervals.
+
+    Raises:
+        ValueError: if the plans differ in ``samples_per_leg``.
+    """
+    sampling = {plan.samples_per_leg for plan in plans}
+    if len(sampling) > 1:
+        raise ValueError(
+            f"a leg pass takes plans of one sampling, got {sorted(sampling)} "
+            f"sample intervals"
+        )
+    starts = np.array([plan.start for plan in plans])
+    ends = np.array([(plan.endpoint_down, plan.endpoint_up) for plan in plans])
+    return starts, ends, plans[0].samples_per_leg
+
+
+def leg_pass(plans: Sequence[ProtocolPlan], p: ModelParams) -> LegPass:
+    """:func:`leg_fields` of a batch of plans, whose sampling
+    :func:`plan_arrays` checks before any field is evaluated."""
+    return leg_fields(*plan_arrays(plans), p)
+
+
+def leg_fields(
+    starts: np.ndarray, ends: np.ndarray, n: int, p: ModelParams
+) -> LegPass:
+    """Bloch fields and band energies of the straight legs from each start,
+    (plans, 2), to its two endpoints, (plans, 2, 2), in n equal intervals.
+
+    The one field evaluation of the batch: every leg's samples go through a
+    single ``bloch_fields`` call on the flat stack, and its five arrays are
+    reshaped to the legs as they come.  The samples are those of the
+    :meth:`chernscope.topology.KPath.line` paths of a plan's legs, with one
+    ``np.linspace`` shared by all legs, so a leg's samples do not depend on
+    the batch it is in.
+    """
+    starts = starts[:, None]
+    # Each packet's displacement from its start, down packet first.
+    disp = ends - starts
+    frac = np.linspace(0.0, 1.0, n + 1)
+    points = np.empty((len(ends), 2, n + 1, 2))
+    for c in range(2):  # a coordinate at a time, so each loop runs along a leg
+        np.multiply(frac, disp[..., c, None], out=points[..., c])
+        points[..., c] += starts[..., c, None]
+    fields = bloch_fields(points.reshape(-1, 2), p)
+    fields = tuple(f.reshape(points.shape[:-1]) for f in fields)
+    return LegPass(points, fields, energies_from_fields(fields))
 
 
 def _require_error_radius(radius: float) -> None:
@@ -341,21 +370,32 @@ def _require_error_radius(radius: float) -> None:
         )
 
 
+def endpoint_errors(radius: float, seeds: Sequence) -> np.ndarray:
+    """Both per-spin endpoint errors of each seed, a (seeds, 2, 2) array,
+    the down packet's first.
+
+    Each seed's errors are drawn uniformly from the disk of ``radius`` by
+    its own generator (deterministic): four uniform draws u, the angles
+    2 pi u[:2] and the radii radius sqrt(u[2:]).  A seed's errors are
+    those it gets alone, bit for bit.  The radius must lie in
+    [0, |b1| / 4); radius 0 gives zero errors.
+    """
+    _require_error_radius(radius)
+    u = np.array([np.random.default_rng(seed).random(4) for seed in seeds])
+    u = u.reshape(-1, 4)
+    theta = 2 * np.pi * u[:, :2]
+    r = radius * np.sqrt(u[:, 2:])
+    return r[..., None] * np.stack((np.cos(theta), np.sin(theta)), axis=-1)
+
+
 def perturb_plan(
     plan: ProtocolPlan, radius: float = 0.0, seed: Optional[int] = None
 ) -> ProtocolPlan:
-    """The plan with both endpoints displaced; its start and sampling stay.
-
-    Both per-spin endpoint errors are drawn uniformly from the disk of
-    ``radius`` using the given seed (deterministic): four uniform draws
-    u, the angles 2 pi u[:2] and the radii radius sqrt(u[2:]).  The radius
-    must lie in [0, |b1| / 4).  Radius 0 reproduces the plan exactly.
+    """The plan with both endpoints displaced by the :func:`endpoint_errors`
+    of the one seed; its start and sampling stay.  Radius 0 reproduces the
+    plan exactly.
     """
-    _require_error_radius(radius)
-    u = np.random.default_rng(seed).random(4)
-    theta = 2 * np.pi * u[:2]
-    r = radius * np.sqrt(u[2:])
-    down, up = (ri * np.array([np.cos(ti), np.sin(ti)]) for ri, ti in zip(r, theta))
+    ((down, up),) = endpoint_errors(radius, [seed])
     return ProtocolPlan(
         site=plan.site,
         start=plan.start,

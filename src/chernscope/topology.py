@@ -280,11 +280,11 @@ def berry_curvature_fhs(
     momenta each, and each momentum once: a block's fluxes go into the
     (n, n) result, and its last row is carried to the next block, whose
     first plaquette row it closes.  The last block closes the grid with the
-    first row matched through b1.  Only the flux grid, its absolute values
-    for the saturation check and one block are alive at once: the kernel
-    peaks at about 18 bytes per grid point at n = 400 and 17 at n = 800
-    (tracemalloc), so n = ``MAX_GRID_N`` = 1500 implies about 37 MB,
-    extrapolated, not run.  The ``curvature`` command also holds its
+    first row matched through b1.  The saturation check takes each block's
+    peak |flux| as the block is written, so only the flux grid and one
+    block are alive at once: the kernel peaks at about 14 bytes per grid
+    point at n = 400 and 10 at n = 800 (tracemalloc), so n =
+    ``MAX_GRID_N`` = 1500 implies about 20 MB, extrapolated, not run.  The ``curvature`` command also holds its
     formatted table: it peaks at about 54 bytes per grid point with
     ``--format dsv --out`` and 67 inline at n = 400 (51 and 64 at n = 800),
     about 145 MB inline at the budget.
@@ -307,6 +307,7 @@ def berry_curvature_fhs(
     across = fracs[:, None] * B2  # the b2 part of every row's momenta
     rows = max(1, _FHS_BLOCK // n)
     flux = np.empty((n, n))
+    peaks = []  # each block's largest |flux|
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         # The block's rows, each extended by its b2 wrap, after the row
@@ -331,11 +332,12 @@ def berry_curvature_fhs(
         # imaginary parts).
         h = transport_link(ue[1:], ue[:-1])
         v = transport_link(ue[:, 1:], ue[:, :-1])
-        flux[start - lead:start - lead + len(h)] = np.angle(
-            h[:, :-1] * v[1:] * np.conj(h[:, 1:]) * np.conj(v[:-1])
-        )
-    # fmax skips a NaN flux, which the saturation check lets pass.
-    peak = float(np.fmax.reduce(np.abs(flux), axis=None))
+        block = flux[start - lead:start - lead + len(h)]
+        block[:] = np.angle(h[:, :-1] * v[1:] * np.conj(h[:, 1:]) * np.conj(v[:-1]))
+        # fmax skips a NaN flux, which the saturation check lets pass, and
+        # the NaN start of a block with no plaquette row.
+        peaks.append(np.fmax.reduce(np.abs(block), axis=None, initial=np.nan))
+    peak = float(np.fmax.reduce(peaks))
     if peak >= np.pi - 1e-9:
         raise PlaquetteSaturated(
             f"plaquette flux reached pi on the {n}x{n} grid; refine the grid"

@@ -313,25 +313,48 @@ def test_sweep_aggregates_match_records():
 
 
 @pytest.mark.parametrize(
-    "radii, trials, seed",
-    [([0.0, 0.002], 3, 0), ([0.002, 0.0, 0.001, 0.0], 3, 4)],
-    ids=["zero-first", "zero-anywhere"],
+    "radii, trials, seed, with_echo, zeeman_rate, readout_trials",
+    [
+        ([0.0, 0.002], 3, 0, True, 0.0, None),
+        ([0.002, 0.0, 0.001, 0.0], 3, 4, True, 0.0, None),
+        ([0.002, 0.0, 0.001], 3, 5, False, 0.0, None),
+        ([0.0, 0.002, 0.001], 3, 6, True, 0.01, None),
+        ([0.0, 0.002, 0.001], 3, 7, False, 0.01, None),
+        ([0.002, 0.0, 0.001], 5, 8, True, 0.0, 2),
+    ],
+    ids=[
+        "zero-first", "zero-anywhere", "no-echo", "zeeman", "no-echo-zeeman",
+        "two-readout-blocks",
+    ],
 )
-def test_sweep_records_equal_the_plan_by_plan_route(radii, trials, seed):
+def test_sweep_records_equal_the_plan_by_plan_route(
+    monkeypatch, radii, trials, seed, with_echo, zeeman_rate, readout_trials
+):
     """The sweep's stacked readout and fit give, bit for bit, the records
     of the public route taken one plan at a time: ``perturb_plan`` with the
     seeds drawn in (radius, trial, site) order, then ``run_fringe``,
     ``fit_fringe`` and ``classify``.  The route evolves every radius-0 plan
     too, so it checks the sweep's reuse of the nominal end states, with a
     zero radius first, between and last, and an odd trial count, so that
-    an evolution pass spans two radii."""
+    an evolution pass spans two radii.  The echo-free and Zeeman cases run
+    the other branches of the pass, and a readout block of two trials makes
+    a radius's trials span several blocks, the last one short."""
+    if readout_trials is not None:
+        monkeypatch.setattr(chernscope.analysis, "_READOUT_TRIALS", readout_trials)
     samples = 40
     table = robustness_sweep(
-        P0, radii, trials=trials, seed=seed, samples_per_leg=samples
+        P0, radii, trials=trials, seed=seed, samples_per_leg=samples,
+        with_echo=with_echo, zeeman_rate=zeeman_rate,
     )
     grid = default_phi_grid(24)
-    plans = [plan_site(site, samples_per_leg=samples) for site in ("I", "II")]
-    nominal = [fit_fringe(run_fringe(P0, plan, grid)) for plan in plans]
+    plans = [
+        plan_site(site, with_echo=with_echo, samples_per_leg=samples)
+        for site in ("I", "II")
+    ]
+    nominal = [
+        fit_fringe(run_fringe(P0, plan, grid, zeeman_rate=zeeman_rate))
+        for plan in plans
+    ]
     assert table.nominal == classify(*nominal)
     nominal_sum = nominal[0].phi_zak + nominal[1].phi_zak
     rng = np.random.default_rng(seed)
@@ -342,8 +365,12 @@ def test_sweep_records_equal_the_plan_by_plan_route(radii, trials, seed):
             for plan, nominal_fit in zip(plans, nominal):
                 drawn = int(rng.integers(0, 2**63 - 1))
                 pert = perturb_plan(plan, radius=radius, seed=drawn)
-                fits.append(fit_fringe(run_fringe(P0, pert, grid)))
-                zero, at = run_fringe(P0, pert, [0.0, nominal_fit.phi_zak]).n_up
+                fits.append(
+                    fit_fringe(run_fringe(P0, pert, grid, zeeman_rate=zeeman_rate))
+                )
+                zero, at = run_fringe(
+                    P0, pert, [0.0, nominal_fit.phi_zak], zeeman_rate=zeeman_rate
+                ).n_up
                 zeros.append(zero)
                 at_nominal.append(at)
             report = classify(*fits)

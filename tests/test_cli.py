@@ -106,13 +106,13 @@ def test_gapless_model_gets_no_chern_label(monkeypatch, argv, flag):
     pass, with the exit code and message of chern's gap check; the spy
     sees the passes of the same command at the default model."""
     passes = []
-    adiabatic_pass = chernscope.interferometer._adiabatic_pass
+    adiabatic_core = chernscope.interferometer._adiabatic_core
 
-    def spy(plans, *args, **kwargs):
-        passes.append(len(plans))
-        return adiabatic_pass(plans, *args, **kwargs)
+    def spy(starts, endpoints, *args, **kwargs):
+        passes.append(len(endpoints))
+        return adiabatic_core(starts, endpoints, *args, **kwargs)
 
-    monkeypatch.setattr(chernscope.interferometer, "_adiabatic_pass", spy)
+    monkeypatch.setattr(chernscope.interferometer, "_adiabatic_core", spy)
     code, out, err = run_cli(*argv, flag)
     assert (code, out, passes) == (4, "", [])
     assert err == run_cli("chern", flag)[2]
@@ -129,7 +129,7 @@ def test_nan_gap_gets_the_floating_point_refusal(monkeypatch, command):
     grid state runs."""
     calls = []
     monkeypatch.setattr(
-        chernscope.interferometer, "_adiabatic_pass",
+        chernscope.interferometer, "_adiabatic_core",
         lambda *args, **kwargs: calls.append("pass"),
     )
     monkeypatch.setattr(
@@ -809,7 +809,7 @@ def test_sweep_trials_over_budget_exit_before_evolving(monkeypatch):
     monkeypatch.setattr(chernscope.analysis, "MAX_SWEEP_TRIALS", 8)
     assert run_cli("sweep", "--trials", "2", "--samples-per-leg", "20")[0] == 0
     monkeypatch.setattr(
-        chernscope.analysis, "evolve_adiabatic_batch", _refuse_evolution
+        chernscope.interferometer, "_adiabatic_core", _refuse_evolution
     )
     code, out, err = run_cli("sweep", "--trials", "3", "--samples-per-leg", "20")
     assert code == 1
@@ -893,9 +893,8 @@ def test_phi_mw_points_over_budget_exit_before_evolving(monkeypatch, command):
     argv = (command, "--trials", "1", "--samples-per-leg", "20", "--phi-mw-points")
     assert run_cli(*argv, "30")[0] == 0
     monkeypatch.setattr(
-        chernscope.analysis, "evolve_adiabatic_batch", _refuse_evolution
+        chernscope.interferometer, "_adiabatic_core", _refuse_evolution
     )
-    monkeypatch.setattr(chernscope.cli, "evolve_adiabatic_batch", _refuse_evolution)
     monkeypatch.setattr(chernscope.cli, "run_fringe", _refuse_evolution)
     code, out, err = run_cli(*argv, "31")
     assert code == 1

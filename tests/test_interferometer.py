@@ -17,6 +17,7 @@ from chernscope import (
     GaplessPoint,
     KPath,
     ModelParams,
+    SpinorState,
     apply_pi2,
     evolve_adiabatic,
     evolve_adiabatic_batch,
@@ -32,7 +33,7 @@ from chernscope import (
     validate_plan,
     wrap_angle,
 )
-from chernscope.interferometer import _leg_propagator, _line_propagator
+from chernscope.interferometer import _close, _leg_propagator, _line_propagator
 
 P0 = ModelParams()
 
@@ -98,6 +99,20 @@ def test_pi2_pulse_is_unitary(phi_mw, weight, rel_phase):
 def test_state_norm_validated():
     with pytest.raises(ValueError):
         dataclasses.replace(initial_state(), amp_down=0.5)
+
+
+def test_closed_amplitudes_get_the_state_norm_check():
+    """The pass's closed amplitudes, an array over the batch, are held to
+    the state's norm tolerance with its message, naming the worst row."""
+    amplitudes = np.array([[1.0, 1.0], [0.5, 1.0], [1.0, 0.9]], dtype=complex)
+    ones = np.ones(3)
+    with pytest.raises(ValueError) as got:
+        _close(amplitudes, ones.astype(complex), ones, 0.0, True)
+    split = apply_pi2(initial_state(), 0.0)
+    with pytest.raises(ValueError) as expected:
+        SpinorState(split.amp_up, 0.5 * split.amp_down)  # the echo's exchange
+    assert str(got.value) == str(expected.value)
+    assert _close(amplitudes[:1], ones[:1], ones[:1], 0.0, True).shape == (1, 2)
 
 
 def test_evolution_requires_pure_spin_down():

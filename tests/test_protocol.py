@@ -19,7 +19,12 @@ from chernscope import (
     site_start,
     validate_plan,
 )
-from chernscope.protocol import MAX_SAMPLES_PER_LEG, leg_pass
+from chernscope.protocol import (
+    MAX_SAMPLES_PER_LEG,
+    endpoint_errors,
+    leg_pass,
+    plan_diagnostics,
+)
 
 P0 = ModelParams()
 
@@ -215,13 +220,14 @@ def test_leg_pass_stacks_each_plans_legs():
     assert legs.points.shape == (3, 2, 41, 2)
     for f in legs.fields + legs.energies:
         assert f.shape == (3, 2, 41)
-    for plan, points, diagnostics in zip(
-        plans, legs.points, legs.diagnostics, strict=True
+    diagnostics = plan_diagnostics(plans, legs)
+    for plan, points, diagnostic in zip(
+        plans, legs.points, diagnostics, strict=True
     ):
         assert np.array_equal(points[0], plan.k_path_down.points)
         assert np.array_equal(points[1], plan.k_path_up.points)
-        assert diagnostics == validate_plan(plan, P0)
-    assert legs.diagnostics[2].adiabatic_warning
+        assert diagnostic == validate_plan(plan, P0)
+    assert diagnostics[2].adiabatic_warning
 
 
 def test_perturb_zero_radius_is_identity():
@@ -291,6 +297,32 @@ def test_perturb_draws_equal_the_two_uniform_calls_bit_for_bit():
         down, up = _two_uniform_draw_endpoints(plan, radius, seed)
         assert np.array_equal(pert.endpoint_down, down)
         assert np.array_equal(pert.endpoint_up, up)
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.0, 0.001, 0.2])
+def test_perturb_equals_the_vectorized_draw_bit_for_bit(radius):
+    """``perturb_plan`` of each of 1,000 seeds displaces the endpoints by
+    that seed's row of one ``endpoint_errors`` call over all of them, bit
+    for bit and sign of zero included; at a zero radius the plan comes back
+    exactly."""
+    plan = plan_site("II", with_echo=False)
+    seeds = np.random.default_rng(23).integers(0, 2**63 - 1, 1000).tolist()
+    errors = endpoint_errors(radius, seeds)
+    assert errors.shape == (1000, 2, 2)
+    for seed, (down, up) in zip(seeds, errors):
+        pert = perturb_plan(plan, radius=radius, seed=seed)
+        pairs = [
+            (pert.endpoint_down, plan.endpoint_down + down),
+            (pert.endpoint_up, plan.endpoint_up + up),
+        ]
+        if radius == 0:
+            pairs += [
+                (pert.endpoint_down, plan.endpoint_down),
+                (pert.endpoint_up, plan.endpoint_up),
+            ]
+        for ours, theirs in pairs:
+            assert np.array_equal(ours, theirs)
+            assert np.array_equal(np.signbit(ours), np.signbit(theirs))
 
 
 def test_perturb_draw_stays_inside_disk():

@@ -160,7 +160,8 @@ def test_fhs_flux_bit_exact_against_four_links(n, monkeypatch):
     """Reusing each grid link, conjugated for the -b1 and -b2 sides, gives
     the four-link flux bit for bit, sign bits included (no tolerance), at
     every row block edge: the default block, one row per block, two blocks
-    with a partial last one, and the whole grid in one block."""
+    with a partial last one, and the whole grid in one block.  The margin,
+    taken block by block, is pi less the whole grid's peak |flux|."""
     default_block = chernscope.topology._FHS_BLOCK
     rng = np.random.default_rng(1674)
     for _ in range(3):
@@ -174,9 +175,11 @@ def test_fhs_flux_bit_exact_against_four_links(n, monkeypatch):
                 expected = _four_link_flux(p, n, band, gauge_fn)
                 for block in (default_block, n, (n // 2 + 1) * n, n * n):
                     monkeypatch.setattr(chernscope.topology, "_FHS_BLOCK", block)
-                    flux = berry_curvature_fhs(p, n, band, gauge_fn).plaquette_flux
+                    field = berry_curvature_fhs(p, n, band, gauge_fn)
+                    flux = field.plaquette_flux
                     assert np.array_equal(flux, expected)
                     assert np.array_equal(np.signbit(flux), np.signbit(expected))
+                    assert field.margin == np.pi - np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("n, rows", [(7, 1), (7, 3), (60, None), (200, None)])
@@ -201,8 +204,8 @@ def test_fhs_evaluates_each_grid_momentum_once(monkeypatch, n, rows):
 
 
 def test_fhs_memory_is_the_flux_grid_and_one_block():
-    """At n = 400 the kernel peaks at about 18 bytes per grid point: the
-    flux grid, its absolute values and one row block (bound 40 B)."""
+    """At n = 400 the kernel peaks at about 14 bytes per grid point: the
+    flux grid and one row block (bound 18 B)."""
     n = 400
     berry_curvature_fhs(P0, n)  # first call sets up numpy
     tracemalloc.start()
@@ -211,7 +214,7 @@ def test_fhs_memory_is_the_flux_grid_and_one_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 40 * n * n
+    assert peak < 18 * n * n
 
 
 def test_fhs_margin_is_pi_minus_peak_flux():
