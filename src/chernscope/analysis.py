@@ -71,9 +71,10 @@ MAX_SWEEP_TRIALS = 100_000
 # entries then hold at most about 1 MB.
 _CACHED_GRID = 4096
 
-# Trials per readout block of a sweep: a radius's trials are read out and
-# fitted at most this many at a time, so a block's arrays (about 0.8 MB at
-# the default 24 pulse phases) do not grow with the trial count.
+# Trials per block of a sweep: the sweep's plans are evolved and closed at
+# most this many trials' worth at a time, and a radius's trials are read
+# out and fitted at most this many at a time, so a block's arrays (about
+# 0.8 MB at the default 24 pulse phases) do not grow with the trial count.
 _READOUT_TRIALS = 256
 
 
@@ -310,29 +311,33 @@ def robustness_sweep(
     and a single seeded generator make the table reproducible.  Every
     evolution runs at ``zeeman_rate``.
 
-    The seeds are drawn in (radius, trial, site) order, and each nonzero
-    radius's endpoint errors come from one
-    :func:`chernscope.protocol.endpoint_errors` call, whose rows are those
-    of ``perturb_plan`` seed by seed.  The perturbed plans are never built
-    as objects: their starts and endpoints, as arrays over all nonzero
-    radii, are evolved by :func:`chernscope.interferometer.evolve_endpoints`
-    in the passes ``evolve_adiabatic_batch`` would make of the same plans,
-    and only their closed amplitudes are kept.  A zero radius (also -0.0)
-    draws its trials' seeds but evolves nothing: its trials reuse the
-    nominal amplitudes.  That is exact, because ``perturb_plan`` at radius
-    0 reproduces the nominal plan bit for bit and a batched evolution gives
-    each plan the bits it gets alone.  The amplitudes are read out and
-    fitted in blocks of at most ``_READOUT_TRIALS`` trials of one radius:
-    one readout pulse over the block and one :func:`fit_fringes` call,
-    whose rows fit as each would alone, so every record equals that of
-    ``perturb_plan``, ``run_fringe``, ``fit_fringe`` and ``classify`` taken
-    plan by plan.  The ``sweep`` command peaks at about 2.2 MB at 400
-    trials per radius over 4 radii and 5.9 MB at 1,600 (tracemalloc), about
-    0.8 kB more per trial, so the budget of ``MAX_SWEEP_TRIALS`` = 100,000
-    trials over all radii implies about 80 MB; a trial at a nonzero radius
-    takes about 0.8 ms at the default sampling on one Intel Xeon vCPU (400
-    trials at radius 0.002; about 0.03 ms at radius 0), so the budget also
-    bounds the run to under two minutes.
+    The seeds are drawn in (radius, trial, site) order, one
+    ``rng.integers`` call per radius, and each nonzero radius's endpoint
+    errors come from one :func:`chernscope.protocol.endpoint_errors` call,
+    whose rows are those of ``perturb_plan`` seed by seed.  The perturbed
+    plans are never built as objects: the nominal pair and then every
+    perturbed trial of the nonzero radii form one array of starts and
+    endpoints, which :func:`chernscope.interferometer.evolve_endpoints`
+    evolves in chunks of at most ``_READOUT_TRIALS`` trials' plans.  Each
+    chunk's legs are reduced in passes of four plans at the default
+    sampling, the nominal pair sharing its pass with the first perturbed
+    trial, and the chunk is closed once; only the closed amplitudes are
+    kept.  A zero radius (also -0.0) draws its trials' seeds but evolves
+    nothing: its trials reuse the nominal amplitudes.  That is exact,
+    because ``perturb_plan`` at radius 0 reproduces the nominal plan bit
+    for bit and a batched evolution gives each plan the bits it gets
+    alone.  The amplitudes are read out and fitted in blocks of at most
+    ``_READOUT_TRIALS`` trials of one radius: one readout pulse over the
+    block and one :func:`fit_fringes` call, whose rows fit as each would
+    alone, so every record equals that of ``perturb_plan``,
+    ``run_fringe``, ``fit_fringe`` and ``classify`` taken plan by plan.
+    The ``sweep`` command peaks at about 1.8 MB at 400 trials per radius
+    over 4 radii and 4.0 MB at 1,600 (tracemalloc), about 0.45 kB more per
+    trial, so the budget of ``MAX_SWEEP_TRIALS`` = 100,000 trials over all
+    radii implies about 45 MB; a trial at a nonzero radius takes about 0.7
+    ms at the default sampling on one Intel Xeon vCPU (best of five runs
+    of 400 trials at radius 0.002; about 0.03 ms at radius 0), so the
+    budget also bounds the run to under two minutes.
 
     Raises:
         ValueError: if ``trials`` is below 1, or ``error_radii`` is empty,
@@ -368,13 +373,29 @@ def robustness_sweep(
     ]
     starts, endpoints, n = plan_arrays(plans)
 
-    def evolve(trial_starts, trial_endpoints):
-        return evolve_endpoints(
-            trial_starts, trial_endpoints, n, plans[0].leg_time, with_echo, p,
+    # The nominal pair, then every perturbed trial, as one array of plans.
+    # The seeds are drawn in (radius, trial, site) order.  A zero radius
+    # draws its seeds, so later draws keep their order, but adds no plan:
+    # its end states are the nominal ones.
+    rng = np.random.default_rng(seed)
+    ends = [endpoints]
+    for radius in error_radii:
+        drawn = rng.integers(0, 2**63 - 1, size=trials * len(SITES))
+        if radius != 0:
+            errors = endpoint_errors(radius, drawn.tolist())
+            ends.append(np.tile(endpoints, (trials, 1, 1)) + errors)
+    ends = np.concatenate(ends)
+    starts = np.tile(starts, (len(ends) // len(SITES), 1))
+    amps = np.empty((len(ends), 2), dtype=complex)
+    chunk = _READOUT_TRIALS * len(SITES)
+    for first in range(0, len(ends), chunk):
+        part = slice(first, first + chunk)
+        amps[part] = evolve_endpoints(
+            starts[part], ends[part], n, plans[0].leg_time, with_echo, p,
             zeeman_rate,
         )
 
-    nominal_amps = evolve(starts, endpoints)
+    nominal_amps = amps[:len(SITES)]
     nominal_fits, _ = _read_and_fit(nominal_amps, np.stack([phi_grid] * 2), m)
     nominal = classify(*nominal_fits)
     nominal_phi = [fit.phi_zak for fit in nominal_fits]
@@ -382,34 +403,21 @@ def robustness_sweep(
     # Per site: the grid, then the diagnostic phases 0 and the nominal phase.
     phases = np.array([np.append(phi_grid, [0.0, phi]) for phi in nominal_phi])
 
-    # The seeds in (radius, trial, site) order.  A zero radius draws its
-    # seeds, so later draws keep their order, but evolves nothing: its end
-    # states are the nominal ones.
-    rng = np.random.default_rng(seed)
-    perturbed = [np.empty((0,) + endpoints.shape)]
-    for radius in error_radii:
-        drawn = [int(rng.integers(0, 2**63 - 1)) for _ in range(trials * len(SITES))]
-        if radius != 0:
-            errors = endpoint_errors(radius, drawn)
-            perturbed.append(endpoints + errors.reshape((trials,) + endpoints.shape))
-    perturbed = np.concatenate(perturbed)
-    perturbed_amps = evolve(
-        np.tile(starts, (len(perturbed), 1)), perturbed.reshape(-1, 2, 2)
-    )
     rows = []
     records = []
-    evolved = 0
+    evolved = len(SITES)
     for radius in error_radii:
         if radius == 0:
-            amps = np.tile(nominal_amps, (trials, 1))
+            radius_amps = np.tile(nominal_amps, (trials, 1))
         else:
-            amps = perturbed_amps[evolved:evolved + trials * len(SITES)]
-            evolved += len(amps)
+            radius_amps = amps[evolved:evolved + trials * len(SITES)]
+            evolved += len(radius_amps)
         block = []
         for first in range(0, trials, _READOUT_TRIALS):
             count = min(_READOUT_TRIALS, trials - first)
             fits, n_up = _read_and_fit(
-                amps[first * len(SITES):(first + count) * len(SITES)], phases, m
+                radius_amps[first * len(SITES):(first + count) * len(SITES)],
+                phases, m,
             )
             for index, fit_i, fit_ii, zero, at_nominal in zip(
                 range(first, first + count), fits[0::2], fits[1::2],

@@ -541,8 +541,14 @@ def cmd_sweep(cfg: RunConfig, args) -> tuple[list, dict]:
     )
     # A radius row's fields are named as its headers; a trial's are too,
     # but for its index and its classification, whose None prints Ambiguous.
+    # The numeric trial columns are arrays, which format_column formats in
+    # one pass; the classification and success columns stay lists.
     trial_fields = ("radius", "index", "zak_error", "c_classified") + trial_headers[4:]
-    trial_columns = [[getattr(t, f) for t in table.trials] for f in trial_fields]
+    trial_columns = [
+        [getattr(t, f) for t in table.trials] if f in ("c_classified", "success")
+        else np.array([getattr(t, f) for t in table.trials])
+        for f in trial_fields
+    ]
     trial_columns[3] = ["Ambiguous" if c is None else c for c in trial_columns[3]]
     tables = {
         "sweep": (

@@ -18,18 +18,23 @@ its straight momentum leg, and the two evolution routes are
 
 Each route evaluates the Bloch fields of its legs' samples in one pass of
 :func:`chernscope.protocol.leg_fields`, over a (plans, 2, n + 1) stack of
-legs with one sampling.  The adiabatic route's pass math is one array core,
-:func:`_adiabatic_core`, over plans given as arrays: it returns the closed
-slot amplitudes and each packet's geometric, matching and dynamical phases,
-each element rounded as the one-plan scalar expression rounds it, so a
-plan's result does not depend on the batch it ran in.
+legs with one sampling.  The adiabatic route's math is two array functions
+over plans given as arrays.  :func:`_reduce_legs` runs once per pass and
+reduces the stack to each packet's summed link angles and dynamical phase
+and copies of its end sample's fields and momentum.  :func:`_close_legs`
+closes the reductions of one pass or of many at once: it builds the end
+states, the matching overlaps and the closed slot amplitudes, and returns
+them with each packet's geometric, matching and dynamical phases.  Each
+element is rounded as the one-plan scalar expression rounds it, so a plan's
+result does not depend on the pass or the closing it ran in.
 :func:`evolve_adiabatic_batch` stacks a stream of plans into passes of at
-most ``_ADIABATIC_BATCH`` momenta and wraps each row in a state and a
-ledger, :func:`evolve_adiabatic` is its batch of one, and
-:func:`evolve_endpoints` runs plans given as arrays through passes of the
-same size and keeps only the amplitudes.  The stepwise route passes its one
-plan through :func:`chernscope.protocol.leg_pass`, derives the step-size
-bandwidth and its end states from it, and takes its midpoint fields from
+most ``_ADIABATIC_BATCH`` momenta, closes each pass and wraps each row in a
+state and a ledger, :func:`evolve_adiabatic` is its batch of one, and
+:func:`evolve_endpoints` reduces plans given as arrays in passes of the
+same size, closes them all at once and keeps only the amplitudes.  The
+stepwise route passes its one plan through
+:func:`chernscope.protocol.leg_pass`, derives the step-size bandwidth and
+its end states from it, and takes its midpoint fields from
 :func:`chernscope.lattice.line_fields` in fixed-size blocks.
 
 Both routes end with the two packets at momenta one reciprocal vector apart
@@ -111,12 +116,14 @@ _TDSE_BLOCK = 8192
 _SU2_SHORT = 64
 
 # Momenta per adiabatic pass: four plans at the sweep's default 1,200
-# samples per leg.  A pass peaks at about 1.4 MB (tracemalloc), which stays
-# in a 2 MB per-core L2 cache, and pays its fixed cost once for the batch.
-# In-process `sweep --trials 25` loops on one Intel Xeon vCPU: two and
-# three plans per pass were 18% and 3% slower, six and eight 29% and 44%
-# slower, as a larger pass's freed memory is handed back to the system and
-# faulted in again on every pass.
+# samples per leg.  A pass's leg reduction peaks at about 1.4 MB
+# (tracemalloc), which stays in a 2 MB per-core L2 cache, and pays its
+# fixed cost once for the batch; evolve_endpoints closes all its passes
+# at once.  In-process `sweep --trials 25` loops on one Intel Xeon
+# vCPU, measured while each pass still closed its own plans: two and three
+# plans per pass were 18% and 3% slower, six and eight 29% and 44% slower,
+# as a larger pass's freed memory is handed back to the system and faulted
+# in again on every pass.
 _ADIABATIC_BATCH = 9608
 
 
@@ -431,34 +438,51 @@ def evolve_endpoints(
     first) in ``samples_per_leg`` intervals per leg; all share the leg time
     and the echo.  The sampling and the leg time are not checked here:
     they are to be those of a :class:`ProtocolPlan`, which checks them
-    where it is made.  The plans run in order, in passes of
-    :func:`evolve_adiabatic_batch`'s size, and row j holds the amplitudes
-    of the end state ``evolve_adiabatic`` gives plan j, bit for bit.  A NaN
-    or infinite ``zeeman_rate`` raises ValueError before any pass.
+    where it is made.  The plans' legs are reduced in order by
+    :func:`_reduce_legs`, in passes of :func:`evolve_adiabatic_batch`'s
+    size (four plans at 1,200 samples per leg), each pass's sums and end
+    samples copied into arrays over all the plans; one :func:`_close_legs`
+    call then closes them all.  Row j holds the amplitudes of the end state
+    ``evolve_adiabatic`` gives plan j, bit for bit.  At the default
+    sampling a call peaks at about 1.4 MB for one pass's reduction plus
+    about 0.18 kB per plan for the closing (tracemalloc: 1.48 MB at 512
+    plans, 1.76 MB at 2,048), so a caller with many plans passes them in
+    chunks.  A NaN or infinite ``zeeman_rate`` raises ValueError before
+    any pass.
     """
     zeeman_phase = _zeeman_phases(zeeman_rate, leg_time, with_echo)
-    closed = np.empty((len(endpoints), 2), dtype=complex)
+    count = len(endpoints)
+    phases = np.empty((count, 2))
+    dynamics = np.empty((count, 2))
+    end_fields = np.empty((5, count, 2))
+    end_points = np.empty((count, 2, 2))
     step = _pass_plans(samples_per_leg)
-    for first in range(0, len(endpoints), step):
+    for first in range(0, count, step):
         part = slice(first, first + step)
-        closed[part] = _adiabatic_core(
-            starts[part], endpoints[part], samples_per_leg, leg_time, with_echo,
-            zeeman_phase, p,
-        )[0]
-    return closed
+        (
+            phases[part], dynamics[part], end_fields[:, part], end_points[part]
+        ) = _reduce_legs(
+            starts[part], endpoints[part], samples_per_leg, leg_time, p
+        )
+    return _close_legs(
+        endpoints, phases, dynamics, end_fields, end_points, with_echo,
+        zeeman_phase, p,
+    )[0]
 
 
 def _adiabatic_pass(
     plans: Sequence[ProtocolPlan], p: ModelParams, zeeman_rate: float, gauge_fn=None
 ) -> list[tuple[SpinorState, PhaseLedger]]:
     """End state and ledger of each plan of a batch: the plans stacked into
-    one :func:`_adiabatic_core` pass, and its rows wrapped."""
+    one :func:`_reduce_legs` pass, closed by :func:`_close_legs`, and its
+    rows wrapped."""
     leg_time = np.array([plan.leg_time for plan in plans])
     with_echo = np.array([plan.with_echo for plan in plans])
     zeeman = _zeeman_phases(zeeman_rate, leg_time, with_echo)
     starts, endpoints, n = plan_arrays(plans)
-    closed, geometric, matching, dynamic = _adiabatic_core(
-        starts, endpoints, n, leg_time, with_echo, zeeman, p, gauge_fn
+    closed, geometric, matching, dynamic = _close_legs(
+        endpoints, *_reduce_legs(starts, endpoints, n, leg_time, p, gauge_fn),
+        with_echo, zeeman, p, gauge_fn,
     )
     return [
         (
@@ -481,48 +505,71 @@ def _adiabatic_pass(
     ]
 
 
-def _adiabatic_core(
+def _reduce_legs(
     starts: np.ndarray,
     endpoints: np.ndarray,
     n: int,
     leg_time,
+    p: ModelParams,
+    gauge_fn=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One adiabatic pass over a batch of plans given as arrays, reduced to
+    what the closing needs.
+
+    Plan j runs from ``starts[j]`` to the endpoints ``endpoints[j]``, down
+    packet first, in n intervals per leg; the leg time is an array over the
+    plans or a scalar.  Returns each packet's summed link angles and its
+    dynamical phase, (plans, 2) each, and copies of the fields (h0, hx, hy,
+    hz, |h|) of the legs' end samples, (5, plans, 2), and of their momenta,
+    (plans, 2, 2), so that nothing of the pass's field stack outlives it.
+
+    The legs' fields come from one :func:`chernscope.protocol.leg_fields`
+    call.  The transport links and the trapezoid rule on the lower band
+    energy run over the whole (plans, 2, n + 1) stack, and each leg's sum
+    and trapezoid are taken over its own sample axis.  The links come from
+    one :func:`chernscope.topology.field_link_phases` call on the stack's
+    real fields, with the gap check before any link; no normalized state
+    is built along the legs.  ``gauge_fn`` rotates every sample's state.
+    Each element is reduced along its own leg, so a plan's rows do not
+    depend on the batch it ran in.
+    """
+    legs = leg_fields(starts, endpoints, n, p)
+    phases = field_link_phases(legs.fields, legs.points, p, gauge_fn)
+    dx = np.reshape(leg_time, (-1, 1, 1)) / n
+    dynamics = np.trapezoid(legs.energies[0], dx=dx, axis=-1)
+    end_fields = np.array([f[..., -1] for f in legs.fields])
+    return phases, dynamics, end_fields, legs.points[..., -1, :].copy()
+
+
+def _close_legs(
+    endpoints: np.ndarray,
+    phases: np.ndarray,
+    dynamics: np.ndarray,
+    end_fields: np.ndarray,
+    end_points: np.ndarray,
     with_echo,
     zeeman_phase,
     p: ModelParams,
     gauge_fn=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One adiabatic pass over a batch of plans given as arrays.
+    """Close the reduced legs of :func:`_reduce_legs`, of one pass or of
+    many written into arrays over all their plans.
 
-    Plan j runs from ``starts[j]`` to the endpoints ``endpoints[j]``, down
-    packet first, in n intervals per leg; the leg time, the echo flag and
-    the Zeeman phase of :func:`_zeeman_phases` are arrays over the plans or
-    scalars.  Returns the closed slot amplitudes of :func:`_close`,
-    (plans, 2), each packet's geometric phase, (plans, 2), the matching
-    overlap angle, (plans,), and each packet's dynamical phase, (plans, 2).
+    The echo flag and the Zeeman phase of :func:`_zeeman_phases` are arrays
+    over the plans or scalars.  Returns the closed slot amplitudes of
+    :func:`_close`, (plans, 2), each packet's geometric phase, (plans, 2),
+    the matching overlap angle, (plans,), and each packet's dynamical
+    phase, (plans, 2).
 
-    The legs' fields come from one :func:`chernscope.protocol.leg_fields`
-    call.  The transport links and the trapezoid rule on the lower band
-    energy run over the whole (plans, 2, n + 1) stack, and each leg's
-    geometric phase and trapezoid are taken over its own sample axis.  The
-    links come from one :func:`chernscope.topology.field_link_phases` call
-    on the stack's real fields, with the gap check before any link; no
-    normalized state is built along the legs.  Only the legs' end samples
-    go through :func:`chernscope.lattice.states_from_fields`, for the
-    matching overlaps.  ``gauge_fn`` rotates the states of both, every
-    sample's.  The unit link products, the matching overlaps, the Zeeman
-    factors and the closed amplitudes are arrays over the batch, each
+    Only the legs' end samples become normalized states, in one
+    :func:`chernscope.lattice.states_from_fields` call, which checks their
+    gap once more and applies ``gauge_fn``; they give the matching
+    overlaps.  The unit link products, the matching overlaps, the Zeeman
+    factors and the closed amplitudes are arrays over the plans, each
     element rounded as the one-plan scalar expression rounds it, so a
-    plan's row does not depend on the batch it ran in.
+    plan's row does not depend on the plans closed with it.
     """
-    legs = leg_fields(starts, endpoints, n, p)
-    phases = field_link_phases(legs.fields, legs.points, p, gauge_fn)
-    states = states_from_fields(
-        tuple(f[..., -1] for f in legs.fields), legs.points[..., -1, :], p,
-        gauge_fn=gauge_fn,
-    )
-    dx = np.reshape(leg_time, (-1, 1, 1)) / n
-    dynamics = np.trapezoid(legs.energies[0], dx=dx, axis=-1)
-
+    states = states_from_fields(tuple(end_fields), end_points, p, gauge_fn=gauge_fn)
     units = np.exp(1j * phases)  # each packet's unit link product
     w, w_size = _matching_overlaps(endpoints, states)
     amplitudes = _scalar_product(units, np.exp(-1j * dynamics))

@@ -106,13 +106,13 @@ def test_gapless_model_gets_no_chern_label(monkeypatch, argv, flag):
     pass, with the exit code and message of chern's gap check; the spy
     sees the passes of the same command at the default model."""
     passes = []
-    adiabatic_core = chernscope.interferometer._adiabatic_core
+    reduce_legs = chernscope.interferometer._reduce_legs
 
     def spy(starts, endpoints, *args, **kwargs):
         passes.append(len(endpoints))
-        return adiabatic_core(starts, endpoints, *args, **kwargs)
+        return reduce_legs(starts, endpoints, *args, **kwargs)
 
-    monkeypatch.setattr(chernscope.interferometer, "_adiabatic_core", spy)
+    monkeypatch.setattr(chernscope.interferometer, "_reduce_legs", spy)
     code, out, err = run_cli(*argv, flag)
     assert (code, out, passes) == (4, "", [])
     assert err == run_cli("chern", flag)[2]
@@ -129,7 +129,7 @@ def test_nan_gap_gets_the_floating_point_refusal(monkeypatch, command):
     grid state runs."""
     calls = []
     monkeypatch.setattr(
-        chernscope.interferometer, "_adiabatic_core",
+        chernscope.interferometer, "_reduce_legs",
         lambda *args, **kwargs: calls.append("pass"),
     )
     monkeypatch.setattr(
@@ -277,7 +277,7 @@ def test_sweep_output_does_not_depend_on_batch_size(monkeypatch):
     reference = run_cli(*args)
     assert reference[0] == 0
     fields = chernscope.lattice.bloch_fields
-    for batch, pass_sizes in ((1, {2 * 1201}), (10**6, {4 * 1201, 36 * 1201})):
+    for batch, pass_sizes in ((1, {2 * 1201}), (10**6, {40 * 1201})):
         sizes = []
 
         def counting(kpts, p):
@@ -809,7 +809,7 @@ def test_sweep_trials_over_budget_exit_before_evolving(monkeypatch):
     monkeypatch.setattr(chernscope.analysis, "MAX_SWEEP_TRIALS", 8)
     assert run_cli("sweep", "--trials", "2", "--samples-per-leg", "20")[0] == 0
     monkeypatch.setattr(
-        chernscope.interferometer, "_adiabatic_core", _refuse_evolution
+        chernscope.interferometer, "_reduce_legs", _refuse_evolution
     )
     code, out, err = run_cli("sweep", "--trials", "3", "--samples-per-leg", "20")
     assert code == 1
@@ -893,7 +893,7 @@ def test_phi_mw_points_over_budget_exit_before_evolving(monkeypatch, command):
     argv = (command, "--trials", "1", "--samples-per-leg", "20", "--phi-mw-points")
     assert run_cli(*argv, "30")[0] == 0
     monkeypatch.setattr(
-        chernscope.interferometer, "_adiabatic_core", _refuse_evolution
+        chernscope.interferometer, "_reduce_legs", _refuse_evolution
     )
     monkeypatch.setattr(chernscope.cli, "run_fringe", _refuse_evolution)
     code, out, err = run_cli(*argv, "31")
@@ -1095,28 +1095,30 @@ def _number(low, high, wild):
     return st.one_of(plain, st.sampled_from(_SPECIAL)) if wild else plain
 
 
-# Values per setting key, kept small enough that a drawn run takes
+# In-range values per setting key, kept small enough that a drawn run takes
 # milliseconds: short legs, few samples, trials and scan points.
+_FUZZ_SIZES = {"samples_per_leg": 40, "phi_mw_points": 30, "trials": 3}
+_FUZZ_RANGES = {
+    "t": (0.2, 5.0), "tprime": (0.0, 0.5), "phi": (-2 * np.pi, 2 * np.pi),
+    "leg_time": (0.5, 40.0), "zeeman_rate": (-0.1, 0.1),
+}
+
+
 def _fuzz_values(key, wild):
     if key == "phi":
         return st.one_of(
-            _number(-2 * np.pi, 2 * np.pi, wild),
+            _number(*_FUZZ_RANGES[key], wild),
             st.sampled_from(["pi/2", "-3pi/4", "2pi", "-2pi", "pi"]),
         )
-    if key in ("samples_per_leg", "phi_mw_points", "trials"):
-        high = {"samples_per_leg": 40, "phi_mw_points": 30, "trials": 3}[key]
-        return st.integers(-1 if wild else 1, high).map(str)
+    if key in _FUZZ_SIZES:
+        return st.integers(-1 if wild else 1, _FUZZ_SIZES[key]).map(str)
     if key == "seed":
         return st.integers(-1 if wild else 0, 2**32).map(str)
     if key == "dt":
         return st.sampled_from(
             ["1e-3", "0.5", "0", "-1", "nan", "inf", "5e-324"] if wild else ["1e-3"]
         )
-    low, high = {
-        "t": (0.2, 5.0), "tprime": (0.0, 0.5), "leg_time": (0.5, 40.0),
-        "zeeman_rate": (-0.1, 0.1),
-    }[key]
-    return _number(low, high, wild)
+    return _number(*_FUZZ_RANGES[key], wild)
 
 
 @st.composite
@@ -1138,6 +1140,78 @@ def _fuzz_flags(draw):
         else:
             argv.append(f"{flag}={draw(_fuzz_values(key, wild))}")
     return argv
+
+
+# Config values that most keys refuse: wrong types (null is dt's and out's
+# default), JSON bools, non-finite numbers (json writes NaN and Infinity and
+# reads them back), an integer too large for a float, and -1.
+_WRONG_CONFIG_VALUES = [
+    "1", [1], {"a": 1}, None, True, False, float("nan"), float("inf"),
+    float("-inf"), 10**400, -1,
+]
+
+
+def _config_value(key, default, options):
+    """An in-range JSON value of a SETTINGS key, as the flag fuzz draws it."""
+    if key == "error_radii":
+        return st.lists(st.floats(0.0, 0.003), max_size=4)
+    if key == "out":
+        return st.none()
+    if "choices" in options:
+        return st.sampled_from(options["choices"])
+    if isinstance(default, bool):
+        return st.booleans()
+    if key in _FUZZ_SIZES:
+        return st.integers(1, _FUZZ_SIZES[key])
+    if key == "seed":
+        return st.integers(0, 2**32)
+    if key == "dt":
+        return st.sampled_from([None, 1e-3])
+    return st.floats(*_FUZZ_RANGES[key])
+
+
+@st.composite
+def _fuzz_config(draw):
+    """A --config file, as ("file", its text), ("unreadable", None) or
+    ("none", None) for no --config.  The text holds a random subset of the
+    SETTINGS keys; half the files draw only in-range values, the other half
+    also wrong ones, an unknown key or section, a list of sections or text
+    that is not JSON."""
+    kind = draw(st.sampled_from(["none", "file", "file", "unreadable"]))
+    if kind != "file":
+        return kind, None
+    wild = draw(st.booleans())
+    data = {}
+    for section, key, default, _, options in chernscope.cli.SETTINGS:
+        if draw(st.booleans()):
+            value = _config_value(key, default, options)
+            if wild:
+                value = st.one_of(value, st.sampled_from(_WRONG_CONFIG_VALUES))
+            data.setdefault(section, {})[key] = draw(value)
+    if wild:
+        shape = draw(st.sampled_from(["tables"] * 3 + ["key", "section", "list", "text"]))
+        if shape == "key":
+            data.setdefault("model", {})["bogus"] = 1.0
+        elif shape == "section":
+            data["bogus"] = {}
+        elif shape == "list":
+            data = [data]
+        elif shape == "text":
+            return kind, "{"
+    return kind, json.dumps(data)
+
+
+def _config_argv(tmp_path_factory, config):
+    """The --config flag of a drawn config, written to a fresh directory;
+    an unreadable config is that directory itself."""
+    kind, text = config
+    if kind == "none":
+        return []
+    path = tmp_path_factory.mktemp("config")
+    if kind == "file":
+        path = path / "config.json"
+        path.write_text(text)
+    return [f"--config={path}"]
 
 
 _NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
@@ -1163,13 +1237,17 @@ def _assert_documented_outcome(argv, out_dir=None):
 
 
 @pytest.mark.parametrize("command", ["fringe", "detect", "sweep", "protocol", "zak"])
-@given(flags=_fuzz_flags())
+@given(flags=_fuzz_flags(), config=_fuzz_config())
 @settings(max_examples=25, deadline=None, derandomize=True)
-def test_fuzzed_flags_exit_with_a_documented_code(command, flags):
-    """Seeded fuzz of main over SETTINGS flags: every exit code is one of
-    README's, no run prints a traceback, and a run that exits 0 prints no
-    non-finite number."""
-    _assert_documented_outcome([command, *flags])
+def test_fuzzed_flags_exit_with_a_documented_code(
+    tmp_path_factory, command, flags, config
+):
+    """Seeded fuzz of main over SETTINGS flags and --config files: every
+    exit code is one of README's, no run prints a traceback, and a run that
+    exits 0 prints no non-finite number."""
+    _assert_documented_outcome(
+        [command, *flags, *_config_argv(tmp_path_factory, config)]
+    )
 
 
 # Each size flag: (flag, smallest and largest in-range value drawn, budget).
@@ -1184,20 +1262,22 @@ _SIZE_FLAGS = {
 
 
 @pytest.mark.parametrize("command", sorted(_SIZE_FLAGS))
-@given(flags=_fuzz_flags(), data=st.data(), to_files=st.booleans())
+@given(
+    flags=_fuzz_flags(), config=_fuzz_config(), data=st.data(), to_files=st.booleans()
+)
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_fuzzed_size_flags_exit_with_a_documented_code(
-    tmp_path_factory, command, flags, data, to_files
+    tmp_path_factory, command, flags, config, data, to_files
 ):
     """The fuzz of main over the commands with a size flag: a small path or
-    grid, one below the floor or over the budget, and half the runs with
-    --out into a fresh directory."""
+    grid, one below the floor or over the budget, a drawn --config file,
+    and half the runs with --out into a fresh directory."""
     flag, low, high, budget = _SIZE_FLAGS[command]
     size = data.draw(st.one_of(
         st.integers(low, high),
         st.sampled_from([low - 1, -1, budget + 1, 10**9]),
     ))
-    argv = [command, *flags, f"{flag}={size}"]
+    argv = [command, *flags, f"{flag}={size}", *_config_argv(tmp_path_factory, config)]
     out_dir = None
     if to_files:
         out_dir = tmp_path_factory.mktemp("out") / "tables"
