@@ -53,6 +53,7 @@ from .protocol import (
     endpoint_errors,
     perturb_plan,
     plan_site,
+    plans_from_config,
     site_displacements,
     site_start,
     validate_plan,
@@ -70,7 +71,6 @@ from .interferometer import (
     initial_state,
     landau_zener_estimate,
     readout,
-    readout_scan,
     run_fringe,
     wrap_angle,
 )
@@ -80,6 +80,7 @@ from .analysis import (
     RobustnessRow,
     RobustnessTable,
     TrialRecord,
+    TwoSiteReadout,
     classify,
     default_phi_grid,
     fit_fringe,

@@ -1,4 +1,4 @@
-"""Fringe fitting, site-pair classification, and the robustness study.
+"""Fringe fitting, the two-site readout, and the robustness study.
 
 The fitted fringe model is N_up(phi_mw) = (1 - c cos(phi_zak - phi_mw)) / 2,
 linear in (1, cos, sin) after expansion, so the fit is a plain least-squares
@@ -12,12 +12,12 @@ Two site phases combine into the estimate (phi_I + phi_II) / pi,
 classified to the nearest integer when within 1/4 (the per-phase pi/4 error
 budget expressed in whole-number units); anything farther is Ambiguous.
 
-The robustness sweep perturbs the leg endpoints, reruns the full pipeline,
-and tabulates how the realized phase error moves the classification.  It
-reads out and fits its trials a block at a time: one readout pulse over the
-block's (plans, phases) array and one stacked fit.  The readout population
-is recorded both at phi_mw = 0 and at phi_mw equal to the nominal fitted
-phase; neither is asserted against a threshold, they are diagnostics.
+:class:`TwoSiteReadout` holds that scheme's plans, evolves them, and reads
+out, fits and classifies a stack of trials at once.  The robustness sweep
+perturbs its leg endpoints and tabulates how the realized phase error
+moves the classification.  The readout population is recorded both at
+phi_mw = 0 and at phi_mw equal to the nominal fitted phase; neither is
+asserted against a threshold, they are diagnostics.
 """
 
 from __future__ import annotations
@@ -31,17 +31,18 @@ import numpy as np
 from .errors import DegenerateScan
 from .interferometer import (
     FringeScan,
-    _scan_populations,
+    _stacked_readout,
     evolve_endpoints,
+    evolve_tdse,
+    initial_state,
     wrap_angle,
 )
 from .lattice import ModelParams
 from .protocol import (
-    SITES,
     _require_error_radius,
     endpoint_errors,
     plan_arrays,
-    plan_site,
+    plans_from_config,
 )
 from .topology import _require_gapped, chern_from_zak
 
@@ -51,6 +52,7 @@ __all__ = [
     "FringeFit",
     "ChernReport",
     "TrialRecord",
+    "TwoSiteReadout",
     "RobustnessRow",
     "RobustnessTable",
     "fit_fringe",
@@ -253,21 +255,61 @@ def classify(
     )
 
 
-def _read_and_fit(
-    amps: np.ndarray, phases: np.ndarray, m: int
-) -> tuple[tuple, np.ndarray]:
-    """Read out a block of closed slot amplitudes and fit their fringes.
-
-    ``amps`` holds the (amp_down, amp_up) pairs of the end states, a
-    (states, 2) array over trials and, within a trial, over the sites; row
-    s of ``phases`` holds the pulse phases of site s, the grid first.
-    Returns the fit of each end state's first ``m`` phases, in order, and
-    N_up of every phase as a (trials, sites, phases) array.  The readout is
-    one pulse over the whole block.
+@dataclass(frozen=True)
+class TwoSiteReadout:
+    """The two-site Zak-phase readout, the spin-dependent-force scheme of
+    Abanin et al., PRL 110, 165304 (2013): one plan per detection site, in
+    ``SITES`` order.  A trial evolves each plan, reads out and fits its
+    fringe, and reduces its fits to a ChernReport by :func:`classify`.
     """
-    amps = amps.reshape(-1, len(phases), 2, 1)
-    _, n_up = _scan_populations(amps[..., 0, :], amps[..., 1, :], phases)
-    return fit_fringes(phases[0, :m], n_up[..., :m].reshape(-1, m)), n_up
+
+    plans: tuple
+
+    def evolve(
+        self, p: ModelParams, zeeman_rate: float = 0.0, mode: str = "adiabatic",
+        dt: Optional[float] = None, errors: Sequence[np.ndarray] = (),
+    ) -> np.ndarray:
+        """Closed slot amplitudes, (plans, 2), of the plans: one
+        ``evolve_tdse`` each in tdse mode, else one
+        :func:`chernscope.interferometer.evolve_endpoints` pass.  There,
+        each array of ``errors``, (trials * plans, 2, 2), adds a row per
+        trial and plan with the plan's endpoints displaced by its errors;
+        the rows are evolved at most ``_READOUT_TRIALS`` trials at a time.
+        """
+        if mode == "tdse":
+            ends = (evolve_tdse(initial_state(), plan, p, dt, zeeman_rate)[0]
+                    for plan in self.plans)
+            return np.array([(end.amp_down, end.amp_up) for end in ends])
+        k = len(self.plans)
+        starts, nominal, n = plan_arrays(self.plans)
+        ends = np.concatenate(
+            [nominal, *(np.tile(nominal, (len(e) // k, 1, 1)) + e for e in errors)]
+        )
+        starts = np.tile(starts, (len(ends) // k, 1))
+        amps = np.empty((len(ends), 2), dtype=complex)
+        for first in range(0, len(ends), _READOUT_TRIALS * k):
+            part = slice(first, first + _READOUT_TRIALS * k)
+            amps[part] = evolve_endpoints(
+                starts[part], ends[part], n, self.plans[0].leg_time,
+                self.plans[0].with_echo, p, zeeman_rate,
+            )
+        return amps
+
+    def read(
+        self, amps, grid, extra=(), oracle_c: Optional[int] = None
+    ) -> tuple[list, list, np.ndarray]:
+        """The one stacked readout and fit: each trial's report and fits and
+        N_up of every phase, (trials, plans, phases), of the closed
+        amplitudes of whole trials, (trials * plans, 2).  Each plan is read
+        at the grid, which is fitted, then at its row of ``extra`` phases;
+        one pulse, that of ``run_fringe``, reads the whole stack and one
+        :func:`fit_fringes` fits it."""
+        k, m = len(self.plans), len(grid)
+        phases = np.hstack([np.tile(grid, (k, 1)), np.reshape(extra, (k, -1))])
+        _, n_up = _stacked_readout(amps, phases)
+        fits = fit_fringes(grid, n_up[..., :m].reshape(-1, m))
+        trials = [fits[i:i + k] for i in range(0, len(fits), k)]
+        return [classify(*f, oracle_c=oracle_c) for f in trials], trials, n_up
 
 
 def _radius_row(radius: float, records: list) -> RobustnessRow:
@@ -299,7 +341,7 @@ def robustness_sweep(
     phi_mw_points: int = 24,
     zeeman_rate: float = 0.0,
 ) -> RobustnessTable:
-    """Endpoint-error Monte Carlo over the full two-site pipeline.
+    """Endpoint-error Monte Carlo over the two-site readout.
 
     Success means the classification of a perturbed run equals the nominal
     one.  When the nominal run is Ambiguous, as at the default couplings,
@@ -311,25 +353,21 @@ def robustness_sweep(
     and a single seeded generator make the table reproducible.  Every
     evolution runs at ``zeeman_rate``.
 
-    The seeds are drawn in (radius, trial, site) order, one
-    ``rng.integers`` call per radius, and each nonzero radius's endpoint
-    errors come from one :func:`chernscope.protocol.endpoint_errors` call,
-    whose rows are those of ``perturb_plan`` seed by seed.  The perturbed
-    plans are never built as objects: the nominal pair and then every
-    perturbed trial of the nonzero radii form one array of starts and
-    endpoints, which :func:`chernscope.interferometer.evolve_endpoints`
-    evolves in chunks of at most ``_READOUT_TRIALS`` trials' plans.  Each
-    chunk's legs are reduced in passes of four plans at the default
-    sampling, the nominal pair sharing its pass with the first perturbed
-    trial, and the chunk is closed once; only the closed amplitudes are
-    kept.  A zero radius (also -0.0) draws its trials' seeds but evolves
-    nothing: its trials reuse the nominal amplitudes.  That is exact,
-    because ``perturb_plan`` at radius 0 reproduces the nominal plan bit
-    for bit and a batched evolution gives each plan the bits it gets
-    alone.  The amplitudes are read out and fitted in blocks of at most
-    ``_READOUT_TRIALS`` trials of one radius: one readout pulse over the
-    block and one :func:`fit_fringes` call, whose rows fit as each would
-    alone, so every record equals that of ``perturb_plan``,
+    The nominal plans of the :class:`TwoSiteReadout` and every perturbed
+    trial of the nonzero radii are evolved as one array of endpoints
+    (:meth:`TwoSiteReadout.evolve`), the nominal pair sharing its pass
+    with the first perturbed trial.  The seeds are drawn in (radius,
+    trial, site) order, one ``rng.integers`` call per radius, and each
+    nonzero radius's endpoint errors come from one
+    :func:`chernscope.protocol.endpoint_errors` call, whose rows are those
+    of ``perturb_plan`` seed by seed.  A zero radius (also -0.0) draws its
+    trials' seeds but evolves nothing: its trials reuse the nominal
+    amplitudes, which is exact, as ``perturb_plan`` at radius 0 gives the
+    nominal plan bit for bit and a batched evolution gives each plan the
+    bits it gets alone.  :meth:`TwoSiteReadout.read` then reads the
+    nominal trial, as ``detect`` does, and the perturbed trials in blocks
+    of at most ``_READOUT_TRIALS`` trials of one radius, each fit as it
+    would be alone, so every record equals that of ``perturb_plan``,
     ``run_fringe``, ``fit_fringe`` and ``classify`` taken plan by plan.
     The ``sweep`` command peaks at about 1.8 MB at 400 trials per radius
     over 4 radii and 4.0 MB at 1,600 (tracemalloc), about 0.45 kB more per
@@ -361,70 +399,47 @@ def robustness_sweep(
         )
     _require_gapped(p)
     phi_grid = default_phi_grid(phi_mw_points)
-    m = len(phi_grid)
     for radius in error_radii:
         _require_error_radius(radius)
-    plans = [
-        plan_site(
-            site, leg_time=leg_time, with_echo=with_echo,
-            samples_per_leg=samples_per_leg,
-        )
-        for site in SITES
-    ]
-    starts, endpoints, n = plan_arrays(plans)
+    readout = TwoSiteReadout(plans_from_config(
+        {"leg_time": leg_time, "echo": with_echo, "samples_per_leg": samples_per_leg}
+    ))
+    k = len(readout.plans)
 
-    # The nominal pair, then every perturbed trial, as one array of plans.
-    # The seeds are drawn in (radius, trial, site) order.  A zero radius
-    # draws its seeds, so later draws keep their order, but adds no plan:
-    # its end states are the nominal ones.
+    # A zero radius draws its seeds, so later draws keep their order, but
+    # adds no plan: its end states are the nominal ones.
     rng = np.random.default_rng(seed)
-    ends = [endpoints]
+    errors = []
     for radius in error_radii:
-        drawn = rng.integers(0, 2**63 - 1, size=trials * len(SITES))
+        drawn = rng.integers(0, 2**63 - 1, size=trials * k)
         if radius != 0:
-            errors = endpoint_errors(radius, drawn.tolist())
-            ends.append(np.tile(endpoints, (trials, 1, 1)) + errors)
-    ends = np.concatenate(ends)
-    starts = np.tile(starts, (len(ends) // len(SITES), 1))
-    amps = np.empty((len(ends), 2), dtype=complex)
-    chunk = _READOUT_TRIALS * len(SITES)
-    for first in range(0, len(ends), chunk):
-        part = slice(first, first + chunk)
-        amps[part] = evolve_endpoints(
-            starts[part], ends[part], n, plans[0].leg_time, with_echo, p,
-            zeeman_rate,
-        )
+            errors.append(endpoint_errors(radius, drawn.tolist()))
+    amps = readout.evolve(p, zeeman_rate, errors=errors)
 
-    nominal_amps = amps[:len(SITES)]
-    nominal_fits, _ = _read_and_fit(nominal_amps, np.stack([phi_grid] * 2), m)
-    nominal = classify(*nominal_fits)
-    nominal_phi = [fit.phi_zak for fit in nominal_fits]
-    nominal_sum = nominal_phi[0] + nominal_phi[1]
-    # Per site: the grid, then the diagnostic phases 0 and the nominal phase.
-    phases = np.array([np.append(phi_grid, [0.0, phi]) for phi in nominal_phi])
+    (nominal,), (nominal_fits,), _ = readout.read(amps[:k], phi_grid)
+    nominal_sum = sum(fit.phi_zak for fit in nominal_fits)
+    # Read besides the grid: the diagnostic phases 0 and the nominal phase.
+    extra = [[0.0, fit.phi_zak] for fit in nominal_fits]
 
     rows = []
     records = []
-    evolved = len(SITES)
+    evolved = k
     for radius in error_radii:
         if radius == 0:
-            radius_amps = np.tile(nominal_amps, (trials, 1))
+            radius_amps = np.tile(amps[:k], (trials, 1))
         else:
-            radius_amps = amps[evolved:evolved + trials * len(SITES)]
+            radius_amps = amps[evolved:evolved + trials * k]
             evolved += len(radius_amps)
         block = []
         for first in range(0, trials, _READOUT_TRIALS):
-            count = min(_READOUT_TRIALS, trials - first)
-            fits, n_up = _read_and_fit(
-                radius_amps[first * len(SITES):(first + count) * len(SITES)],
-                phases, m,
+            reports, fits, n_up = readout.read(
+                radius_amps[first * k:(first + _READOUT_TRIALS) * k],
+                phi_grid, extra,
             )
-            for index, fit_i, fit_ii, zero, at_nominal in zip(
-                range(first, first + count), fits[0::2], fits[1::2],
-                n_up[..., m], n_up[..., m + 1],
+            for index, report, trial_fits, zero, at_nominal in zip(
+                range(first, trials), reports, fits, n_up[..., -2], n_up[..., -1]
             ):
-                report = classify(fit_i, fit_ii)
-                error = wrap_angle(fit_i.phi_zak + fit_ii.phi_zak - nominal_sum)
+                error = wrap_angle(sum(f.phi_zak for f in trial_fits) - nominal_sum)
                 block.append(
                     TrialRecord(
                         radius=float(radius),

@@ -33,8 +33,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    _read_and_fit,
-    classify,
+    TwoSiteReadout,
     default_phi_grid,
     fit_fringe,
     robustness_sweep,
@@ -42,13 +41,11 @@ from .analysis import (
 from .errors import ChernscopeError
 from .interferometer import (
     evolve_adiabatic_batch,
-    evolve_tdse,
-    initial_state,
     landau_zener_estimate,
     run_fringe,
 )
 from .lattice import ModelParams, band_energies, high_symmetry_path
-from .protocol import SITES, plan_site, validate_plan
+from .protocol import SITES, plans_from_config, validate_plan
 from .topology import (
     _require_gapped,
     berry_curvature_fhs,
@@ -365,21 +362,11 @@ def cmd_chern(cfg: RunConfig, args) -> tuple[list, dict]:
     return summary, {}
 
 
-def _plan(cfg: RunConfig, site: str):
-    return plan_site(
-        site,
-        leg_time=cfg.protocol["leg_time"],
-        with_echo=cfg.protocol["echo"],
-        samples_per_leg=cfg.protocol["samples_per_leg"],
-    )
-
-
 def cmd_zak(cfg: RunConfig, args) -> tuple[list, dict]:
     p = cfg.model_params()
     _require_gapped(p)  # no Chern label from a gapless model
-    plans = [_plan(cfg, site) for site in SITES]
     (_, ledger_i), (_, ledger_ii) = evolve_adiabatic_batch(
-        plans, p, cfg.protocol["zeeman_rate"]
+        plans_from_config(cfg.protocol), p, cfg.protocol["zeeman_rate"]
     )
     phase_i, phase_ii = ledger_i.pancharatnam_phase, ledger_ii.pancharatnam_phase
     summary = [
@@ -394,7 +381,7 @@ def cmd_zak(cfg: RunConfig, args) -> tuple[list, dict]:
 
 def cmd_protocol(cfg: RunConfig, args) -> tuple[list, dict]:
     p = cfg.model_params()
-    plan = _plan(cfg, cfg.protocol["site"])
+    (plan,) = plans_from_config(cfg.protocol, [cfg.protocol["site"]])
     diag = validate_plan(plan, p)
     steps = plan.steps
     forces = [
@@ -434,7 +421,7 @@ def cmd_fringe(cfg: RunConfig, args) -> tuple[list, dict]:
     site = cfg.protocol["site"]
     scan = run_fringe(
         p,
-        _plan(cfg, site),
+        plans_from_config(cfg.protocol, [site])[0],
         default_phi_grid(cfg.scan["phi_mw_points"]),
         mode=cfg.mode["mode"],
         zeeman_rate=cfg.protocol["zeeman_rate"],
@@ -476,25 +463,19 @@ def cmd_fringe(cfg: RunConfig, args) -> tuple[list, dict]:
 
 
 def cmd_detect(cfg: RunConfig, args) -> tuple[list, dict]:
-    """Both sites' fringes from one evolution pass (one ``evolve_tdse`` per
-    plan in tdse mode), one readout pulse and one fit, each record equal to
-    the site's ``run_fringe`` and ``fit_fringe``.  The oracle, gap search
-    included, runs before any evolution."""
+    """One trial of the two-site readout: its plans evolved in one pass
+    (one ``evolve_tdse`` per plan in tdse mode), then read out and fitted
+    as one stack and classified against the oracle, each site's values
+    equal to its ``run_fringe`` and ``fit_fringe``.  The oracle, gap
+    search included, runs before any evolution."""
     p = cfg.model_params()
     grid = default_phi_grid(cfg.scan["phi_mw_points"])
-    plans = [_plan(cfg, site) for site in SITES]
+    readout = TwoSiteReadout(plans_from_config(cfg.protocol))
     oracle = chern_number(p)
-    zeeman_rate = cfg.protocol["zeeman_rate"]
-    if cfg.mode["mode"] == "tdse":
-        ends = [
-            evolve_tdse(initial_state(), plan, p, cfg.mode["dt"], zeeman_rate)[0]
-            for plan in plans
-        ]
-    else:
-        ends = [end for end, _ in evolve_adiabatic_batch(plans, p, zeeman_rate)]
-    amps = np.array([(end.amp_down, end.amp_up) for end in ends])
-    fit_i, fit_ii = _read_and_fit(amps, np.stack([grid] * len(SITES)), len(grid))[0]
-    report = classify(fit_i, fit_ii, oracle_c=oracle.value)
+    amps = readout.evolve(
+        p, cfg.protocol["zeeman_rate"], cfg.mode["mode"], cfg.mode["dt"]
+    )
+    (report,), ((fit_i, fit_ii),), _ = readout.read(amps, grid, oracle_c=oracle.value)
     summary = [
         ("phi-zak-i", report.phi_zak_i),
         ("phi-zak-ii", report.phi_zak_ii),

@@ -49,11 +49,13 @@ convention the adiabatic fringe obeys
     N_up(phi_mw) = (1 - contrast * cos(phi_total - phi_mw)) / 2
 
 pointwise, where phi_total is the ledger total.  The readout itself never
-uses that law: :func:`readout_scan` applies the pi/2 pulse matrix to the
-slot amplitudes for a whole array of pulse phases in one pass, with the
-same formula as :func:`apply_pi2`.  The pre-positioning transport step is
-common to both packets and contributes no differential phase, so it only
-moves the momenta.
+uses that law: :func:`_stacked_readout` applies the pi/2 pulse matrix of
+:func:`apply_pi2` to a stack of closed slot amplitudes, trials by plans,
+each plan at its own row of pulse phases, in one pass.  :func:`run_fringe`
+reads its one state through it, and so do the two-site readout's detect
+and sweep in :mod:`chernscope.analysis`.  The pre-positioning transport
+step is common to both packets and contributes no differential phase, so
+it only moves the momenta.
 """
 
 from __future__ import annotations
@@ -89,7 +91,6 @@ __all__ = [
     "initial_state",
     "apply_pi2",
     "readout",
-    "readout_scan",
     "evolve_adiabatic",
     "evolve_adiabatic_batch",
     "evolve_endpoints",
@@ -254,13 +255,6 @@ def _pi2_amplitudes(a, b, phi_mw):
     return down, (1j * phase * a + b) / np.sqrt(2.0)
 
 
-def _scan_populations(a, b, phi_mw) -> tuple[np.ndarray, np.ndarray]:
-    """Populations (N_down, N_up) of the amplitudes (a, b) after the readout
-    pi/2 pulse at ``phi_mw``, all three broadcast against each other."""
-    down, up = _pi2_amplitudes(a, b, phi_mw)
-    return np.abs(down) ** 2, np.abs(up) ** 2
-
-
 # The slot amplitudes of the split state: apply_pi2 on the spin-down state.
 _SPLIT = np.array(_pi2_amplitudes(1.0 + 0.0j, 0.0j, 0.0))
 _SPLIT.flags.writeable = False
@@ -282,17 +276,18 @@ def readout(state: SpinorState) -> tuple[float, float]:
     return abs(state.amp_down) ** 2, abs(state.amp_up) ** 2
 
 
-def readout_scan(
-    state: SpinorState, phi_mw_values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Populations (N_down, N_up) after the readout pi/2 pulse at each phase.
+def _stacked_readout(amps, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Populations (N_down, N_up) of a stack of closed slot amplitudes after
+    the readout pi/2 pulse, each a (trials, plans, phases) array.
 
-    Pointwise equal to ``readout(apply_pi2(state, phi))``, computed in one
-    pass over the array of pulse phases.
+    ``amps`` holds the (amp_down, amp_up) pairs, (trials * plans, 2), over
+    trials and, within a trial, over the plans; row s of ``phases`` holds
+    plan s's pulse phases.  One pulse over the whole stack, pointwise equal
+    to ``readout(apply_pi2(state, phi))``.
     """
-    return _scan_populations(
-        state.amp_down, state.amp_up, np.asarray(phi_mw_values, dtype=float)
-    )
+    amps = np.reshape(amps, (-1, len(phases), 2, 1))
+    down, up = _pi2_amplitudes(amps[..., 0, :], amps[..., 1, :], phases)
+    return np.abs(down) ** 2, np.abs(up) ** 2
 
 
 def _require_pure_down(state: SpinorState) -> None:
@@ -829,11 +824,11 @@ def run_fringe(
         raise ValueError(f"mode must be 'adiabatic' or 'tdse', got {mode!r}")
 
     phi = np.asarray(list(phi_mw_values), dtype=float)
-    n_down, n_up = readout_scan(end, phi)
+    n_down, n_up = _stacked_readout([(end.amp_down, end.amp_up)], phi[None])
     return FringeScan(
         phi_mw_values=phi,
-        n_down=n_down,
-        n_up=n_up,
+        n_down=n_down[0, 0],
+        n_up=n_up[0, 0],
         mode=mode,
         site=plan.site,
         ledger=ledger,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +57,7 @@ __all__ = [
     "site_start",
     "site_displacements",
     "plan_site",
+    "plans_from_config",
     "validate_plan",
     "LegPass",
     "plan_arrays",
@@ -83,11 +84,6 @@ class ForceSpec:
 
     gradient_force: np.ndarray
     lattice_force: np.ndarray
-
-    def velocity(self, spin_sign: float, flipped: bool = False) -> np.ndarray:
-        """dk/dt for one spin; ``flipped`` reverses the gradient direction."""
-        g = -self.gradient_force if flipped else self.gradient_force
-        return -self.lattice_force - spin_sign * g
 
     @property
     def magnitude_ratio(self) -> float:
@@ -260,6 +256,14 @@ def plan_site(
         leg_time=float(leg_time),
         with_echo=with_echo,
     )
+
+
+def plans_from_config(settings: Mapping, sites: Sequence[str] = SITES) -> tuple:
+    """The nominal plan of each of ``sites`` at the "leg_time", "echo" and
+    "samples_per_leg" of ``settings``, keyed as the CLI config's protocol
+    section: the one plan builder of the commands and the sweep."""
+    keys = ("leg_time", "echo", "samples_per_leg")
+    return tuple(plan_site(site, *(settings[k] for k in keys)) for site in sites)
 
 
 class LegPass(NamedTuple):

@@ -228,6 +228,38 @@ def test_detect_record_equals_the_per_site_route(tp, phi, mode):
     ]
 
 
+@pytest.mark.parametrize("tp, phi", _seeded_couplings(3001) + [(0.1, np.pi / 2)])
+@pytest.mark.parametrize(
+    "flags", [(), ("--no-echo", "--zeeman-rate", "0.01")], ids=["echo", "no-echo"]
+)
+def test_sweep_nominal_record_equals_detect(tp, phi, flags):
+    """The sweep's nominal record is detect's at the sweep's sampling of
+    1,200 samples per leg, bit for bit: both evolve, read out and classify
+    the one two-site readout, the sweep with a perturbed trial evolved
+    beside the nominal pair.  At the default couplings both read phases
+    2.83609062577 and -1.35269957902."""
+    summary, cfg = _cmd(
+        ["detect", f"--tprime={tp!r}", f"--phi={phi!r}", *flags,
+         "--samples-per-leg", "1200"]
+    )
+    detect = dict(summary)
+    nominal = chernscope.analysis.robustness_sweep(
+        cfg.model_params(), [0.002], trials=1, with_echo=cfg.protocol["echo"],
+        zeeman_rate=cfg.protocol["zeeman_rate"],
+    ).nominal
+    assert (
+        nominal.phi_zak_i, nominal.phi_zak_ii, nominal.c_estimate,
+        nominal.classified_label,
+    ) == (
+        detect["phi-zak-i"], detect["phi-zak-ii"], detect["c-estimate"],
+        detect["c-classified"],
+    )
+    if (tp, phi, flags) == (0.1, np.pi / 2, ()):
+        assert chernscope.cli.record_lines(summary[:2]) == [
+            "phi-zak-i: 2.83609062577", "phi-zak-ii: -1.35269957902",
+        ]
+
+
 @pytest.mark.parametrize("tp, phi", _seeded_couplings(2602) + [(0.1, np.pi / 2)])
 def test_zak_record_equals_the_per_site_ledgers(tp, phi):
     """zak evolves both sites in one adiabatic pass; its record is bit for

@@ -28,12 +28,16 @@ from chernscope import (
     plan_site,
     perturb_plan,
     readout,
-    readout_scan,
     run_fringe,
     validate_plan,
     wrap_angle,
 )
-from chernscope.interferometer import _close, _leg_propagator, _line_propagator
+from chernscope.interferometer import (
+    _close,
+    _leg_propagator,
+    _line_propagator,
+    _stacked_readout,
+)
 
 P0 = ModelParams()
 
@@ -322,15 +326,28 @@ def _end_state(mode):
     )
 )
 @settings(max_examples=60, deadline=None)
-def test_readout_scan_matches_pointwise_pulse(mode, phis):
+def test_stacked_readout_matches_pointwise_pulse(mode, phis):
+    """The one stacked readout, over two trials of two plans, each plan at
+    its own row of pulse phases, is pointwise the pulse of apply_pi2 and
+    readout; the second trial's states are the first's slots swapped."""
     end = _end_state(mode)
     if mode == "tdse":
         assert end.upper_band_population > 0.1
-    n_down, n_up = readout_scan(end, np.array(phis))
-    for phi, down, up in zip(phis, n_down, n_up):
-        ref_down, ref_up = readout(apply_pi2(end, phi))
-        assert abs(down - ref_down) <= 1e-15
-        assert abs(up - ref_up) <= 1e-15
+    swapped = SpinorState(end.amp_up, end.amp_down, end.upper_band_population)
+    states = [end, swapped, swapped, end]
+    phases = np.array([phis, phis[::-1]])
+    n_down, n_up = _stacked_readout(
+        [(s.amp_down, s.amp_up) for s in states], phases
+    )
+    assert n_down.shape == n_up.shape == (2, 2, len(phis))
+    for j, state in enumerate(states):
+        trial, plan = divmod(j, 2)
+        for phi, down, up in zip(
+            phases[plan], n_down[trial, plan], n_up[trial, plan]
+        ):
+            ref_down, ref_up = readout(apply_pi2(state, phi))
+            assert abs(down - ref_down) <= 1e-15
+            assert abs(up - ref_up) <= 1e-15
 
 
 # ------------------------------------------------------------ field passes

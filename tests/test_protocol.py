@@ -79,17 +79,6 @@ def test_echo_does_not_change_momentum_paths():
     assert np.allclose(echo.k_path_up.points, plain.k_path_up.points, atol=1e-12)
 
 
-def test_force_decomposition():
-    plan = plan_site("I")
-    leg = next(s for s in plan.steps if s.kind == "force_leg")
-    v_down = leg.force.velocity(-1.0)
-    v_up = leg.force.velocity(+1.0)
-    assert np.allclose((v_down + v_up) / 2, -leg.force.lattice_force, atol=1e-14)
-    assert np.allclose((v_up - v_down) / 2, -leg.force.gradient_force, atol=1e-14)
-    # Flipping the gradient direction exchanges the two spin velocities.
-    assert np.allclose(leg.force.velocity(-1.0, flipped=True), v_up, atol=1e-14)
-
-
 def test_force_magnitude_ratio_is_sqrt3():
     plan = plan_site("I")
     leg = next(s for s in plan.steps if s.kind == "force_leg")
@@ -97,11 +86,15 @@ def test_force_magnitude_ratio_is_sqrt3():
 
 
 def test_velocity_times_leg_time_reaches_endpoint():
+    """dk/dt = -(lattice_force + spin_sign * gradient_force), spin_sign -1
+    for the down packet and +1 for the up one, carries each packet over
+    its site displacement in the leg time."""
     plan = plan_site("II", with_echo=False)
     leg = next(s for s in plan.steps if s.kind == "force_leg")
+    lattice, gradient = leg.force.lattice_force, leg.force.gradient_force
     d = site_displacements("II")
-    assert np.allclose(leg.force.velocity(-1.0) * plan.leg_time, d["down"], atol=1e-12)
-    assert np.allclose(leg.force.velocity(+1.0) * plan.leg_time, d["up"], atol=1e-12)
+    assert np.allclose(-(lattice - gradient) * plan.leg_time, d["down"], atol=1e-12)
+    assert np.allclose(-(lattice + gradient) * plan.leg_time, d["up"], atol=1e-12)
 
 
 def test_samples_per_leg_forced_even():
