@@ -65,7 +65,6 @@ from .interferometer import (
     TdseDiagnostics,
     apply_pi2,
     evolve_adiabatic,
-    evolve_adiabatic_batch,
     evolve_endpoints,
     evolve_tdse,
     initial_state,

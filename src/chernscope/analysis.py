@@ -292,7 +292,7 @@ class TwoSiteReadout:
             amps[part] = evolve_endpoints(
                 starts[part], ends[part], n, self.plans[0].leg_time,
                 self.plans[0].with_echo, p, zeeman_rate,
-            )
+            )[0]
         return amps
 
     def read(

@@ -40,7 +40,8 @@ from .analysis import (
 )
 from .errors import ChernscopeError
 from .interferometer import (
-    evolve_adiabatic_batch,
+    evolve_adiabatic,
+    initial_state,
     landau_zener_estimate,
     run_fringe,
 )
@@ -365,8 +366,9 @@ def cmd_chern(cfg: RunConfig, args) -> tuple[list, dict]:
 def cmd_zak(cfg: RunConfig, args) -> tuple[list, dict]:
     p = cfg.model_params()
     _require_gapped(p)  # no Chern label from a gapless model
-    (_, ledger_i), (_, ledger_ii) = evolve_adiabatic_batch(
-        plans_from_config(cfg.protocol), p, cfg.protocol["zeeman_rate"]
+    ledger_i, ledger_ii = (
+        evolve_adiabatic(initial_state(), plan, p, cfg.protocol["zeeman_rate"])[1]
+        for plan in plans_from_config(cfg.protocol)
     )
     phase_i, phase_ii = ledger_i.pancharatnam_phase, ledger_ii.pancharatnam_phase
     summary = [

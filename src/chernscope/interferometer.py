@@ -5,8 +5,9 @@ and stands for the lower-band state at the momentum of the packet in it.
 Microwave pulses act on the amplitudes.  Between pulses each packet follows
 its straight momentum leg, and the two evolution routes are
 
-* ``evolve_adiabatic``: exact lower-band transport.  Geometric phases are
-  the summed transport-link angles along the sampled legs, taken by
+* ``evolve_endpoints``, and ``evolve_adiabatic`` for one plan: exact
+  lower-band transport.  Geometric phases are the summed transport-link
+  angles along the sampled legs, taken by
   :func:`chernscope.topology.field_link_phases` straight from the Bloch
   fields, dynamical phases from the trapezoid rule on the band energy,
   and the Zeeman term from the plan-level rate times the signed leg time
@@ -18,20 +19,18 @@ its straight momentum leg, and the two evolution routes are
 
 Each route evaluates the Bloch fields of its legs' samples in one pass of
 :func:`chernscope.protocol.leg_fields`, over a (plans, 2, n + 1) stack of
-legs with one sampling.  The adiabatic route's math is two array functions
-over plans given as arrays.  :func:`_reduce_legs` runs once per pass and
-reduces the stack to each packet's summed link angles and dynamical phase
-and copies of its end sample's fields and momentum.  :func:`_close_legs`
-closes the reductions of one pass or of many at once: it builds the end
-states, the matching overlaps and the closed slot amplitudes, and returns
-them with each packet's geometric, matching and dynamical phases.  Each
-element is rounded as the one-plan scalar expression rounds it, so a plan's
-result does not depend on the pass or the closing it ran in.
-:func:`evolve_adiabatic_batch` stacks a stream of plans into passes of at
-most ``_ADIABATIC_BATCH`` momenta, closes each pass and wraps each row in a
-state and a ledger, :func:`evolve_adiabatic` is its batch of one, and
-:func:`evolve_endpoints` reduces plans given as arrays in passes of the
-same size, closes them all at once and keeps only the amplitudes.  The
+legs with one sampling.  The adiabatic route has one entry,
+:func:`evolve_endpoints`, over plans given as arrays, and its math is two
+array functions.  :func:`_reduce_legs` runs once per pass of at most
+``_ADIABATIC_BATCH`` momenta and reduces the stack to each packet's summed
+link angles and dynamical phase and copies of its end sample's fields and
+momentum.  :func:`_close_legs` closes the reductions of all the passes at
+once: it builds the end states, the matching overlaps and the closed slot
+amplitudes, and returns them with each packet's geometric, matching and
+dynamical phases.  Each element is rounded as the one-plan scalar
+expression rounds it, so a plan's result does not depend on the pass or the
+closing it ran in.  :func:`evolve_adiabatic` is the entry's one-plan view:
+row 0 of one plan's arrays, wrapped in a state and a phase ledger.  The
 stepwise route passes its one plan through
 :func:`chernscope.protocol.leg_pass`, derives the step-size bandwidth and
 its end states from it, and takes its midpoint fields from
@@ -62,7 +61,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -92,7 +91,6 @@ __all__ = [
     "apply_pi2",
     "readout",
     "evolve_adiabatic",
-    "evolve_adiabatic_batch",
     "evolve_endpoints",
     "evolve_tdse",
     "run_fringe",
@@ -116,15 +114,15 @@ _TDSE_BLOCK = 8192
 # size, so the stack pays the short levels once per leg, not per block.
 _SU2_SHORT = 64
 
-# Momenta per adiabatic pass: four plans at the sweep's default 1,200
-# samples per leg.  A pass's leg reduction peaks at about 1.4 MB
-# (tracemalloc), which stays in a 2 MB per-core L2 cache, and pays its
-# fixed cost once for the batch; evolve_endpoints closes all its passes
-# at once.  In-process `sweep --trials 25` loops on one Intel Xeon
-# vCPU, measured while each pass still closed its own plans: two and three
-# plans per pass were 18% and 3% slower, six and eight 29% and 44% slower,
-# as a larger pass's freed memory is handed back to the system and faulted
-# in again on every pass.
+# Momenta per pass of evolve_endpoints, the one adiabatic entry: four plans
+# at the sweep's default 1,200 samples per leg.  A pass's leg reduction
+# peaks at about 1.4 MB (tracemalloc), which stays in a 2 MB per-core L2
+# cache, and pays its fixed cost once for the batch; the call then closes
+# all its passes at once.  In-process `sweep --trials 25` loops on one
+# Intel Xeon vCPU, measured while each pass still closed its own plans: two
+# and three plans per pass were 18% and 3% slower, six and eight 29% and
+# 44% slower, as a larger pass's freed memory is handed back to the system
+# and faulted in again on every pass.
 _ADIABATIC_BATCH = 9608
 
 
@@ -381,41 +379,32 @@ def evolve_adiabatic(
 ) -> tuple[SpinorState, PhaseLedger]:
     """Lower-band transport through the plan, stopping before the readout pulse.
 
-    Returns the end state and the phase ledger.  The discrete geometric
+    Returns the end state and the phase ledger, both from row 0 of
+    :func:`evolve_endpoints` on the plan's arrays.  The discrete geometric
     phases converge as the leg sampling grows; the plan default keeps them
     well below 1e-8 of the continuum values.  A NaN or infinite
-    ``zeeman_rate`` raises ValueError.  The pass is that of
-    :func:`evolve_adiabatic_batch`, on a batch of one.
+    ``zeeman_rate`` raises ValueError.
     """
     _require_pure_down(state)
-    return _adiabatic_pass([plan], p, zeeman_rate, gauge_fn)[0]
+    starts, endpoints, n = plan_arrays([plan])
+    (closed,), (geometric,), (matching,), (dynamic,) = (
+        rows.tolist()
+        for rows in evolve_endpoints(
+            starts, endpoints, n, plan.leg_time, plan.with_echo, p,
+            zeeman_rate, gauge_fn,
+        )
+    )
+    zeeman = _zeeman_phases(zeeman_rate, plan.leg_time, plan.with_echo)
+    return SpinorState(*closed), PhaseLedger(
+        *geometric, matching, *dynamic, zeeman=-float(zeeman),
+        with_echo=plan.with_echo,
+    )
 
 
 def _pass_plans(n: int) -> int:
     """Plans per pass at n sample intervals per leg: as many as fit in
     ``_ADIABATIC_BATCH`` momenta, and at least one."""
     return max(1, _ADIABATIC_BATCH // (2 * (n + 1)))
-
-
-def evolve_adiabatic_batch(
-    plans: Iterable[ProtocolPlan], p: ModelParams, zeeman_rate: float = 0.0
-) -> Iterator[tuple[SpinorState, PhaseLedger]]:
-    """``evolve_adiabatic`` from the spin-down state along each plan, in order.
-
-    Consecutive plans with one leg sampling share a pass of at most
-    ``_ADIABATIC_BATCH`` momenta, and at least one plan.  Each plan's end
-    state and ledger equal those of ``evolve_adiabatic`` bit for bit, and
-    ``plans`` is read lazily, so at most one batch of plans is held.
-    """
-    batch: list = []
-    for plan in plans:
-        n = plan.samples_per_leg
-        if batch and (n != batch[0].samples_per_leg or len(batch) == _pass_plans(n)):
-            yield from _adiabatic_pass(batch, p, zeeman_rate)
-            batch = []
-        batch.append(plan)
-    if batch:
-        yield from _adiabatic_pass(batch, p, zeeman_rate)
 
 
 def evolve_endpoints(
@@ -426,23 +415,29 @@ def evolve_endpoints(
     with_echo: bool,
     p: ModelParams,
     zeeman_rate: float = 0.0,
-) -> np.ndarray:
-    """Closed slot amplitudes, (plans, 2), of plans given as arrays.
+    gauge_fn=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The adiabatic pass of plans given as arrays, the one adiabatic entry.
 
     Plan j runs from ``starts[j]`` to ``endpoints[j]`` (down endpoint
     first) in ``samples_per_leg`` intervals per leg; all share the leg time
     and the echo.  The sampling and the leg time are not checked here:
     they are to be those of a :class:`ProtocolPlan`, which checks them
     where it is made.  The plans' legs are reduced in order by
-    :func:`_reduce_legs`, in passes of :func:`evolve_adiabatic_batch`'s
-    size (four plans at 1,200 samples per leg), each pass's sums and end
-    samples copied into arrays over all the plans; one :func:`_close_legs`
-    call then closes them all.  Row j holds the amplitudes of the end state
-    ``evolve_adiabatic`` gives plan j, bit for bit.  At the default
-    sampling a call peaks at about 1.4 MB for one pass's reduction plus
-    about 0.18 kB per plan for the closing (tracemalloc: 1.48 MB at 512
-    plans, 1.76 MB at 2,048), so a caller with many plans passes them in
-    chunks.  A NaN or infinite ``zeeman_rate`` raises ValueError before
+    :func:`_reduce_legs`, in passes of at most ``_ADIABATIC_BATCH`` momenta
+    and at least one plan (four plans at 1,200 samples per leg), each
+    pass's sums and end samples copied into arrays over all the plans; one
+    :func:`_close_legs` call then closes them all and its result is
+    returned: the closed slot amplitudes, (plans, 2), each packet's
+    geometric phase, (plans, 2), the matching overlap angle, (plans,), and
+    each packet's dynamical phase, (plans, 2).  Each element is rounded as
+    the one-plan scalar expression rounds it, so row j does not depend on
+    the passes or the plans it ran with; :func:`evolve_adiabatic` is row 0
+    of one plan.  ``gauge_fn`` rotates every sample's state.  At the
+    default sampling a call peaks at about 1.4 MB for one pass's reduction
+    plus about 0.18 kB per plan for the closing (tracemalloc: 1.48 MB at
+    512 plans, 1.76 MB at 2,048), so a caller with many plans passes them
+    in chunks.  A NaN or infinite ``zeeman_rate`` raises ValueError before
     any pass.
     """
     zeeman_phase = _zeeman_phases(zeeman_rate, leg_time, with_echo)
@@ -457,47 +452,12 @@ def evolve_endpoints(
         (
             phases[part], dynamics[part], end_fields[:, part], end_points[part]
         ) = _reduce_legs(
-            starts[part], endpoints[part], samples_per_leg, leg_time, p
+            starts[part], endpoints[part], samples_per_leg, leg_time, p, gauge_fn
         )
     return _close_legs(
         endpoints, phases, dynamics, end_fields, end_points, with_echo,
-        zeeman_phase, p,
-    )[0]
-
-
-def _adiabatic_pass(
-    plans: Sequence[ProtocolPlan], p: ModelParams, zeeman_rate: float, gauge_fn=None
-) -> list[tuple[SpinorState, PhaseLedger]]:
-    """End state and ledger of each plan of a batch: the plans stacked into
-    one :func:`_reduce_legs` pass, closed by :func:`_close_legs`, and its
-    rows wrapped."""
-    leg_time = np.array([plan.leg_time for plan in plans])
-    with_echo = np.array([plan.with_echo for plan in plans])
-    zeeman = _zeeman_phases(zeeman_rate, leg_time, with_echo)
-    starts, endpoints, n = plan_arrays(plans)
-    closed, geometric, matching, dynamic = _close_legs(
-        endpoints, *_reduce_legs(starts, endpoints, n, leg_time, p, gauge_fn),
-        with_echo, zeeman, p, gauge_fn,
+        zeeman_phase, p, gauge_fn,
     )
-    return [
-        (
-            SpinorState(*amplitudes),
-            PhaseLedger(
-                geometric_down=geometric_pair[0],
-                geometric_up=geometric_pair[1],
-                matching=overlap_angle,
-                dynamic_down=dynamic_pair[0],
-                dynamic_up=dynamic_pair[1],
-                zeeman=-zeeman_phase,
-                with_echo=echo,
-            ),
-        )
-        for amplitudes, geometric_pair, overlap_angle, dynamic_pair, zeeman_phase, echo
-        in zip(
-            closed.tolist(), geometric.tolist(), matching.tolist(),
-            dynamic.tolist(), zeeman.tolist(), with_echo.tolist(),
-        )
-    ]
 
 
 def _reduce_legs(
@@ -547,8 +507,8 @@ def _close_legs(
     p: ModelParams,
     gauge_fn=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Close the reduced legs of :func:`_reduce_legs`, of one pass or of
-    many written into arrays over all their plans.
+    """Close the reduced legs of :func:`_reduce_legs`, of all the passes of
+    one :func:`evolve_endpoints` call written into arrays over its plans.
 
     The echo flag and the Zeeman phase of :func:`_zeeman_phases` are arrays
     over the plans or scalars.  Returns the closed slot amplitudes of

@@ -262,8 +262,9 @@ def test_sweep_nominal_record_equals_detect(tp, phi, flags):
 
 @pytest.mark.parametrize("tp, phi", _seeded_couplings(2602) + [(0.1, np.pi / 2)])
 def test_zak_record_equals_the_per_site_ledgers(tp, phi):
-    """zak evolves both sites in one adiabatic pass; its record is bit for
-    bit that of evolve_adiabatic's ledger per site."""
+    """zak evolves each site on its own through evolve_adiabatic, the
+    one-plan view of the adiabatic entry; its record is bit for bit that of
+    the site's ledger."""
     summary, cfg = _cmd(["zak", f"--tprime={tp!r}", f"--phi={phi!r}"])
     p = cfg.model_params()
     ledger_i, ledger_ii = (

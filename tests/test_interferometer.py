@@ -20,7 +20,7 @@ from chernscope import (
     SpinorState,
     apply_pi2,
     evolve_adiabatic,
-    evolve_adiabatic_batch,
+    evolve_endpoints,
     evolve_tdse,
     initial_state,
     landau_zener_estimate,
@@ -38,6 +38,7 @@ from chernscope.interferometer import (
     _line_propagator,
     _stacked_readout,
 )
+from chernscope.protocol import plan_arrays
 
 P0 = ModelParams()
 
@@ -432,10 +433,11 @@ def test_adiabatic_evolution_evaluates_each_leg_once(monkeypatch, field_calls):
     assert np.array_equal(calls[1][2], stack[:, :, -1])
 
 
-def test_adiabatic_batch_equals_single_evolutions(monkeypatch, field_calls):
-    """Each plan of a batch ends in the state and ledger of its own
-    evolution, bit for bit, in one pass or one pass per plan; a plan with
-    another leg sampling starts a new pass."""
+def test_endpoint_rows_equal_single_evolutions(monkeypatch, field_calls):
+    """Each row of the array entry holds its plan's own evolution, bit for
+    bit: the amplitudes, geometric pair, matching angle and dynamic pair of
+    evolve_adiabatic, in one pass per plan or one pass per call.  The plans
+    are grouped by echo and sampling, as the entry takes one of each."""
     plans = [
         perturb_plan(
             plan_site(site, with_echo=echo, samples_per_leg=n),
@@ -447,17 +449,32 @@ def test_adiabatic_batch_equals_single_evolutions(monkeypatch, field_calls):
              ("I", False, 200), ("II", True, 200), ("I", True, 300)]
         )
     ]
-    for batch, passes in ((1, 6), (10**6, 3)):
+    groups = {}
+    for plan in plans:
+        groups.setdefault((plan.with_echo, plan.samples_per_leg), []).append(plan)
+    assert [len(group) for group in groups.values()] == [3, 1, 1, 1]
+    for batch in (1, 10**6):
         monkeypatch.setattr(chernscope.interferometer, "_ADIABATIC_BATCH", batch)
-        field_calls.bloch.clear()
-        got = list(evolve_adiabatic_batch(plans, P0, zeeman_rate=0.01))
-        assert len(field_calls.bloch) == passes
-        for plan, (end, ledger) in zip(plans, got, strict=True):
-            ref_end, ref_ledger = evolve_adiabatic(
-                initial_state(), plan, P0, zeeman_rate=0.01
+        for (echo, n), group in groups.items():
+            (leg_time,) = {plan.leg_time for plan in group}
+            starts, endpoints, _ = plan_arrays(group)
+            field_calls.bloch.clear()
+            closed, geometric, matching, dynamic = evolve_endpoints(
+                starts, endpoints, n, leg_time, echo, P0, zeeman_rate=0.01
             )
-            assert ledger == ref_ledger
-            assert (end.amp_down, end.amp_up) == (ref_end.amp_down, ref_end.amp_up)
+            assert len(field_calls.bloch) == (len(group) if batch == 1 else 1)
+            for j, plan in enumerate(group):
+                ref_end, ref_ledger = evolve_adiabatic(
+                    initial_state(), plan, P0, zeeman_rate=0.01
+                )
+                assert tuple(closed[j]) == (ref_end.amp_down, ref_end.amp_up)
+                assert tuple(geometric[j]) == (
+                    ref_ledger.geometric_down, ref_ledger.geometric_up
+                )
+                assert matching[j] == ref_ledger.matching
+                assert tuple(dynamic[j]) == (
+                    ref_ledger.dynamic_down, ref_ledger.dynamic_up
+                )
 
 
 def _line_blocks_per_leg(line_calls, n_steps, block):
