@@ -23,8 +23,7 @@ asserted against a threshold, they are diagnostics.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -101,15 +100,13 @@ def default_phi_grid(n: int = 24) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(n) / n
 
 
-@dataclass(frozen=True)
-class FringeFit:
+class FringeFit(NamedTuple):
     phi_zak: float
     contrast: float
     rms_residual: float
 
 
-@dataclass(frozen=True)
-class ChernReport:
+class ChernReport(NamedTuple):
     """Joint classification of the two site phases.
 
     ``c_classified`` is an integer in {-1, 0, +1} or None for Ambiguous;
@@ -133,8 +130,7 @@ class ChernReport:
         return f"{self.c_classified:+d}" if self.c_classified else "0"
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     radius: float
     index: int
     zak_error: float
@@ -146,8 +142,7 @@ class TrialRecord:
     n_up_nominal_ii: float
 
 
-@dataclass(frozen=True)
-class RobustnessRow:
+class RobustnessRow(NamedTuple):
     radius: float
     trials: int
     success_rate: float
@@ -158,8 +153,7 @@ class RobustnessRow:
     mean_n_up_nominal: float
 
 
-@dataclass(frozen=True)
-class RobustnessTable:
+class RobustnessTable(NamedTuple):
     rows: tuple
     trials: tuple
     nominal: ChernReport
@@ -255,8 +249,7 @@ def classify(
     )
 
 
-@dataclass(frozen=True)
-class TwoSiteReadout:
+class TwoSiteReadout(NamedTuple):
     """The two-site Zak-phase readout, the spin-dependent-force scheme of
     Abanin et al., PRL 110, 165304 (2013): one plan per detection site, in
     ``SITES`` order.  A trial evolves each plan, reads out and fits its
@@ -378,10 +371,10 @@ def robustness_sweep(
     budget also bounds the run to under two minutes.
 
     Raises:
-        ValueError: if ``trials`` is below 1, or ``error_radii`` is empty,
-            or ``trials`` times the number of radii is over
-            ``MAX_SWEEP_TRIALS``, or a radius lies outside [0, |b1| / 4),
-            before any evolution.
+        ValueError: if ``trials`` is below 1, ``seed`` is negative,
+            ``error_radii`` is empty or ``trials`` times the number of radii
+            is over ``MAX_SWEEP_TRIALS``, before the gap search, or if a
+            radius lies outside [0, |b1| / 4), before any evolution.
         GaplessPoint: if the model is gapless, before any evolution, as
             :func:`chernscope.topology.chern_number` raises it.
         DegenerateScan: if ``phi_mw_points`` is below 5, before any
@@ -389,6 +382,8 @@ def robustness_sweep(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if len(error_radii) == 0:
         raise ValueError("a sweep needs at least one error radius")
     total = trials * len(error_radii)

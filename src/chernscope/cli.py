@@ -25,9 +25,8 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -140,8 +139,7 @@ _COMMAND_SETTINGS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Resolved configuration, one dict per section."""
 
     model: dict

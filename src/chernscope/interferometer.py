@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -175,8 +175,7 @@ def _echo_fold(site_phase: float, with_echo: bool) -> float:
     return site_phase if with_echo else wrap_angle(np.pi - site_phase)
 
 
-@dataclass(frozen=True)
-class PhaseLedger:
+class PhaseLedger(NamedTuple):
     """Per-packet phase bookkeeping with mode-aware aggregates.
 
     The per-packet entries are indexed by the packet's initial spin label.
@@ -215,8 +214,7 @@ class PhaseLedger:
         return wrap_angle(self.geometric + self.dynamic + self.zeeman)
 
 
-@dataclass(frozen=True)
-class TdseDiagnostics:
+class TdseDiagnostics(NamedTuple):
     dt: float
     n_steps: int
     xi: float
@@ -226,8 +224,7 @@ class TdseDiagnostics:
     extracted_phase: float
 
 
-@dataclass(frozen=True, eq=False)
-class FringeScan:
+class FringeScan(NamedTuple):
     """Readout populations over a scan of the final pulse phase."""
 
     phi_mw_values: np.ndarray

@@ -78,8 +78,7 @@ _MAX_ENDPOINT_ERROR = 0.25 * float(np.linalg.norm(B1))
 MAX_SAMPLES_PER_LEG = 1_000_000
 
 
-@dataclass(frozen=True, eq=False)
-class ForceSpec:
+class ForceSpec(NamedTuple):
     """Constant force pair acting during a leg."""
 
     gradient_force: np.ndarray
@@ -93,8 +92,7 @@ class ForceSpec:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ProtocolStep:
+class ProtocolStep(NamedTuple):
     """One element of the pulse/force sequence.
 
     kind is one of "transport", "pi2_pulse", "pi_pulse", "force_leg".
@@ -187,8 +185,7 @@ class ProtocolPlan:
         )
 
 
-@dataclass(frozen=True)
-class PlanDiagnostics:
+class PlanDiagnostics(NamedTuple):
     """Whether the endpoint pair is reciprocal-equivalent, and the
     adiabaticity figure xi with its warning above 0.1."""
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -151,8 +151,7 @@ class KPath:
         return cls(points=np.concatenate(pts), **kwargs)
 
 
-@dataclass(frozen=True, eq=False)
-class BerryField:
+class BerryField(NamedTuple):
     """Plaquette Berry fluxes over the BZ torus spanned by (b1, b2)."""
 
     n: int
@@ -165,8 +164,7 @@ class BerryField:
         return self.total / (2 * np.pi)
 
 
-@dataclass(frozen=True)
-class ChernResult:
+class ChernResult(NamedTuple):
     value: int
     residual: float
     n: int

@@ -4,10 +4,7 @@ import argparse
 import contextlib
 import io
 import json
-import os
 import re
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -50,24 +47,6 @@ def summary_of(text):
             key, value = line.split(": ", 1)
             pairs[key] = value
     return pairs
-
-
-def test_cli_import_loads_no_scipy():
-    """numpy is the only runtime dependency; scipy is not even imported."""
-    src = Path(chernscope.__file__).resolve().parents[1]
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys, chernscope.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert result.stdout.strip() == "[]"
 
 
 def test_chern_summary():
@@ -862,6 +841,26 @@ def test_sweep_empty_radii_exit_before_evolving(monkeypatch, tmp_path):
     assert err == (
         "error: invalid-value\nmessage: a sweep needs at least one error radius\n"
     )
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_sweep_negative_seed_exits_before_gap_search(monkeypatch, tmp_path, source):
+    """A negative seed, from the flag or from a config file, is refused by
+    name before the gap search and any leg pass, with nothing printed."""
+    argv = ["sweep", "--trials", "2", "--samples-per-leg", "20"]
+    if source == "flag":
+        argv.append("--seed=-1")
+    else:
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps({"sweep": {"seed": -1}}))
+        argv += ["--config", str(path)]
+    monkeypatch.setattr(chernscope.analysis, "_require_gapped", _refuse_evolution)
+    monkeypatch.setattr(
+        chernscope.interferometer, "_reduce_legs", _refuse_evolution
+    )
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (1, "")
+    assert err == "error: invalid-value\nmessage: seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
