@@ -103,15 +103,18 @@ MAX_TDSE_STEPS = 2**22
 
 # Midpoints per block of a TDSE leg.  A block's fields and step factors
 # (about 1 MB) stay in cache and their memory is reused by the next
-# block.  What a block leaves behind is its phase and its _SU2_SHORT
-# reduced (a, b) pairs, 32 bytes per pair, so about 2 KB per full block:
-# 64 KB at 2**18 steps, 1 MB at the budget of MAX_TDSE_STEPS.
+# block.  What a block leaves behind is its phase and, for each line it
+# is reduced for (two with a mirror, see _line_propagator), its _SU2_SHORT
+# reduced (a, b) pairs, 32 bytes per pair, so about 2 KB per full block
+# and line: 64 KB a line at 2**18 steps, 1 MB at the budget of
+# MAX_TDSE_STEPS.
 _TDSE_BLOCK = 8192
 
 # Pairs a full TDSE block is reduced to before the full blocks' trees are
-# finished together as one (blocks, pairs) stack.  Below about this length
-# a tree level costs its numpy call overhead (about 10 us) whatever its
-# size, so the stack pays the short levels once per leg, not per block.
+# finished together as one (lines, blocks, pairs) stack.  Below about this
+# length a tree level costs its numpy call overhead (about 10 us) whatever
+# its size, so the stack pays the short levels once per call, not per
+# block.
 _SU2_SHORT = 64
 
 # Momenta per pass of evolve_endpoints, the one adiabatic entry: four plans
@@ -598,8 +601,13 @@ def _su2_product(
 
 
 def _line_propagator(
-    k0: np.ndarray, step: np.ndarray, n: int, p: ModelParams, dt: float
-) -> tuple[complex, complex, complex]:
+    k0: np.ndarray,
+    step: np.ndarray,
+    n: int,
+    p: ModelParams,
+    dt: float,
+    mirror: bool = False,
+) -> tuple:
     """:func:`_leg_propagator` of the n midpoints k0 + j step, by blocks.
 
     Each block of at most ``_TDSE_BLOCK`` midpoints takes its fields from
@@ -608,29 +616,53 @@ def _line_propagator(
     pairs, all of one length, are finished as one (blocks, pairs) stack; a
     last, partial block is reduced alone.  The blocks' products are then
     multiplied in time order by :func:`_su2_product` and their phases
-    multiplied together.
+    multiplied together.  Returns (phase, a, b).
+
+    With ``mirror``, returns a pair of them: this line's and then its
+    mirror's under ky -> -ky, the midpoints (k0x, -k0y) + j (sx, -sy).
+    There u = exp(iY) becomes conj(u), so the mirror's fields are these
+    with hy negated, bit for bit, and its step pairs are (a, -conj(b)) with
+    the same phase.  Each block's b is turned into -conj(b) in place and
+    the block reduced again, so no block is evaluated twice; both lines'
+    full blocks are finished in one (lines, blocks, pairs) stack.
     """
-    n_full = n - n % _TDSE_BLOCK
-    phases, a, b = [], [], []
-    for j in range(0, n_full, _TDSE_BLOCK):
-        phase, a_j, b_j = _step_pairs(
-            line_fields(k0 + j * step, step, _TDSE_BLOCK, p), dt
+    lines = 2 if mirror else 1
+    n_full = n // _TDSE_BLOCK
+    phases = []
+    full = None  # a and b of each line's full blocks, reduced to pairs
+    ends = np.empty((2, lines, -(-n // _TDSE_BLOCK)), dtype=complex)
+    for i, j in enumerate(range(0, n, _TDSE_BLOCK)):
+        phase, a, b = _step_pairs(
+            line_fields(k0 + j * step, step, min(_TDSE_BLOCK, n - j), p), dt
         )
-        a_j, b_j = _su2_product(a_j, b_j, _SU2_SHORT)
         phases.append(phase)
-        a.append(a_j)
-        b.append(b_j)
+        for line in range(lines):
+            if line:
+                np.negative(np.conjugate(b, out=b), out=b)
+            if i < n_full:
+                a_j, b_j = _su2_product(a, b, _SU2_SHORT)
+                if full is None:
+                    full = np.empty((2, lines, n_full, len(a_j)), dtype=complex)
+                full[0, line, i], full[1, line, i] = a_j, b_j
+            else:
+                a_j, b_j = _su2_product(a, b)
+                ends[:, line, i] = a_j[0], b_j[0]
+        del a, b  # released before the next block's fields are made
     if n_full:
-        a, b = (list(x[:, 0]) for x in _su2_product(np.stack(a), np.stack(b)))
-    if n_full < n:
-        phase, a_j, b_j = _leg_propagator(
-            line_fields(k0 + n_full * step, step, n - n_full, p), dt
-        )
-        phases.append(phase)
-        a.append(a_j)
-        b.append(b_j)
-    a, b = _su2_product(np.array(a), np.array(b))
-    return complex(np.prod(np.array(phases))), complex(a[0]), complex(b[0])
+        a, b = _su2_product(full[0], full[1])
+        ends[0, :, :n_full], ends[1, :, :n_full] = a[..., 0], b[..., 0]
+    a, b = _su2_product(ends[0], ends[1])
+    phase = complex(np.prod(np.array(phases)))
+    props = [(phase, complex(a[i, 0]), complex(b[i, 0])) for i in range(lines)]
+    return tuple(props) if mirror else props[0]
+
+
+def _mirrored(plan: ProtocolPlan) -> bool:
+    """Whether the plan's up leg is its down leg under ky -> -ky, exactly:
+    a start on the ky = 0 axis and an up endpoint that is the down
+    endpoint with ky negated."""
+    start, down, up = plan.start, plan.endpoint_down, plan.endpoint_up
+    return start[1] == 0.0 and up[0] == down[0] and up[1] == -down[1]
 
 
 def evolve_tdse(
@@ -646,13 +678,18 @@ def evolve_tdse(
     taken as the largest |band energy| along the legs, and a leg may take
     at most ``MAX_TDSE_STEPS`` steps; either violation raises ValueError
     before the midpoints are allocated.  The midpoints are taken in blocks
-    of ``_TDSE_BLOCK``, so peak memory is about 0.94 MB at 2**16 steps per
-    leg and grows only by the 2 KB of reduced pairs each full block keeps
-    for the stacked finish: 1.00 MB at 2**18 and 1.23 MB at 2**20 steps
-    (tracemalloc).  The budget of 2**22 steps bounds time instead: about
-    0.1 us per step on one Intel Xeon vCPU, so under a second per leg.
+    of ``_TDSE_BLOCK``, so peak memory is about 0.95 MB at 2**16 steps per
+    leg and grows only by the reduced pairs each full block keeps for the
+    stacked finish, 2 KB per leg or 4 KB with a mirrored leg: 1.00 and
+    1.06 MB at 2**18 steps, 1.20 and 1.46 MB at 2**20 (tracemalloc).  The
+    budget of 2**22 steps bounds time instead: on one Intel Xeon vCPU a
+    step of both legs took about 0.11 us, or 0.07 us with a mirrored leg
+    (best of 8 calls at 2**20 steps), so about half a second per plan.
 
-    Each leg's propagator comes from :func:`_line_propagator`.  The norm
+    A plan whose legs mirror under ky -> -ky (:func:`_mirrored`), as every
+    site plan's do, has the up leg's propagator derived from the down
+    leg's step factors by :func:`_line_propagator`; any other plan has
+    each leg's evaluated there.  Both give the same bits.  The norm
     drift of the assembled 2x2 total propagator, max |U^dagger U - I|,
     above 1e-8 raises StepTooLarge.  Band leakage is reported per packet,
     and the slot amplitudes keep only the lower band projection, so
@@ -664,7 +701,9 @@ def evolve_tdse(
     _require_pure_down(state)
     zeeman_phase = _zeeman_phases(zeeman_rate, plan.leg_time, plan.with_echo)
     legs = leg_pass([plan], p)
-    bw = max(float(np.max(np.abs(e))) for e in legs.energies)
+    bw = float(np.max([np.max(np.abs(e)) for e in legs.energies]))
+    if not np.isfinite(bw):
+        raise ValueError(f"bandwidth along the legs is not finite, got {bw}")
     limit = 0.01 / bw
     if dt is None:
         dt = limit
@@ -689,13 +728,19 @@ def evolve_tdse(
     states = {}
     drift = 0.0
     start = plan.start
-    for i, (packet, end) in enumerate(
-        (("down", plan.endpoint_down), ("up", plan.endpoint_up))
-    ):
-        step = (end - start) / total_time * dt_actual
-        phase, a, b = _line_propagator(
-            start + step / 2, step, n_steps, p, dt_actual
+    packets = (("down", plan.endpoint_down), ("up", plan.endpoint_up))
+    leg_steps = [(end - start) / total_time * dt_actual for _, end in packets]
+    if _mirrored(plan):
+        step = leg_steps[0]
+        propagators = _line_propagator(
+            start + step / 2, step, n_steps, p, dt_actual, mirror=True
         )
+    else:
+        propagators = [
+            _line_propagator(start + step / 2, step, n_steps, p, dt_actual)
+            for step in leg_steps
+        ]
+    for i, ((packet, end), (phase, a, b)) in enumerate(zip(packets, propagators)):
         u_total = phase * np.array([[a, -b.conjugate()], [b, a.conjugate()]])
         drift = max(
             drift, float(np.max(np.abs(u_total.conj().T @ u_total - np.eye(2))))

@@ -20,7 +20,11 @@ Site geometry, on the lattice constants of :mod:`chernscope.lattice`:
     site II: start (-2 pi / (3 sqrt 3), 0);  down -> +(b1 + b2), up -> +b2
 
 so the endpoint pair differs by b1 in both cases.  The magnitudes satisfy
-|lattice| / |gradient| = sqrt(3) exactly.
+|lattice| / |gradient| = sqrt(3) exactly.  Both starts lie on the ky = 0
+axis and each up endpoint is its down endpoint with ky negated, bit for
+bit, so a site plan's up leg is its down leg mirrored under ky -> -ky;
+:func:`chernscope.interferometer.evolve_tdse` relies on this to derive the
+up leg's step factors from the down leg's instead of evaluating them.
 
 A plan is one start, two endpoints and one sampling: its two legs are
 straight lines from the start, each sampled at the same number of equal

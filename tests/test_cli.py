@@ -961,6 +961,8 @@ def test_phi_mw_points_below_five_exit_degenerate_before_any_leg(
         (("protocol", "--leg-time", "1e-310"), "force-ratio is not finite"),
         (("bands", "--t", "1e300"), "bands.e_lower is not finite"),
         (("chern", "--t", "1e308"), "floating-point overflow encountered"),
+        (("fringe", "--mode", "tdse", "--leg-time", "40", "--t", "1e308"),
+         "floating-point overflow encountered"),
     ],
 )
 def test_float_overflow_exits_invalid_value_without_warnings(argv, message):

@@ -498,27 +498,36 @@ def _line_blocks_per_leg(line_calls, n_steps, block):
     return legs
 
 
+def _moved_up(plan):
+    """The plan with its up endpoint moved by 1e-3, so its legs do not
+    mirror under ky -> -ky."""
+    return dataclasses.replace(plan, endpoint_up=plan.endpoint_up + 1e-3)
+
+
 def test_tdse_evaluates_leg_samples_once_besides_midpoints(monkeypatch, field_calls):
     """The legs' samples go through one ``bloch_fields`` call, each sample
-    once; the midpoints of each leg go through ``line_fields`` once each,
-    in blocks, from the leg start plus half a step.  The leg takes one
-    block at the default block size and several with a short tail at 100."""
-    plan = plan_site("I", leg_time=2.0, samples_per_leg=300)
-    plan_legs = (plan.k_path_down, plan.k_path_up)
-    for block in (chernscope.interferometer._TDSE_BLOCK, 100):
-        monkeypatch.setattr(chernscope.interferometer, "_TDSE_BLOCK", block)
-        field_calls.bloch.clear()
-        field_calls.line.clear()
-        _, diagnostics = evolve_tdse(initial_state(), plan, P0)
-        assert len(field_calls.bloch) == 1
-        assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan))
-        n = diagnostics.n_steps
-        assert 100 < n < 8192 and n % 100 != 0
-        legs = _line_blocks_per_leg(field_calls.line, n, block)
-        assert len(legs) == 2
-        for leg, (k0, step) in zip(plan_legs, legs):
-            assert np.array_equal(k0, leg.k_b + step / 2)
-            assert np.allclose(n * step, leg.k_e - leg.k_b, rtol=0, atol=1e-12)
+    once; the midpoints go through ``line_fields`` once each, in blocks,
+    from the leg start plus half a step.  A site plan's legs mirror under
+    ky -> -ky, so only the down leg's midpoints are evaluated; a plan whose
+    up endpoint is moved has both legs' evaluated.  The leg takes one block
+    at the default block size and several with a short tail at 100."""
+    site = plan_site("I", leg_time=2.0, samples_per_leg=300)
+    for plan, evaluated in ((site, 1), (_moved_up(site), 2)):
+        plan_legs = (plan.k_path_down, plan.k_path_up)
+        for block in (chernscope.interferometer._TDSE_BLOCK, 100):
+            monkeypatch.setattr(chernscope.interferometer, "_TDSE_BLOCK", block)
+            field_calls.bloch.clear()
+            field_calls.line.clear()
+            _, diagnostics = evolve_tdse(initial_state(), plan, P0)
+            assert len(field_calls.bloch) == 1
+            assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan))
+            n = diagnostics.n_steps
+            assert 100 < n < 8192 and n % 100 != 0
+            legs = _line_blocks_per_leg(field_calls.line, n, block)
+            assert len(legs) == evaluated
+            for leg, (k0, step) in zip(plan_legs, legs):
+                assert np.array_equal(k0, leg.k_b + step / 2)
+                assert np.allclose(n * step, leg.k_e - leg.k_b, rtol=0, atol=1e-12)
 
 
 @given(
@@ -608,6 +617,35 @@ def test_line_propagator_is_bit_exact_against_one_tree_per_block(monkeypatch, bl
         dt = rng.uniform(1e-3, 0.05)
         got = _line_propagator(k0, step, n, p, dt)
         assert got == _reference_line_propagator(k0, step, n, p, dt, block), n
+
+
+_MIRROR = np.array([1.0, -1.0])  # (kx, ky) -> (kx, -ky)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64, 65, 8192])
+def test_line_propagator_mirror_is_bit_exact_against_the_mirror_line(
+    monkeypatch, block
+):
+    """The mirror's propagator, derived from this line's step pairs, equals
+    the one evaluated on the mirror line's own (k0, step), and this line's
+    does not change with it: the lengths of the one-tree test, a partial
+    tail and lines shorter than a block among them, at both signs of phi."""
+    monkeypatch.setattr(chernscope.interferometer, "_TDSE_BLOCK", block)
+    short = chernscope.interferometer._SU2_SHORT
+    lengths = {1, short - 1, short, short + 1, block - 1, block, block + 1}
+    rng = np.random.default_rng(block)
+    for n in sorted(x for x in lengths | {3 * block + 5} if x >= 1):
+        for sign in (1.0, -1.0):
+            p = ModelParams(
+                tp=rng.uniform(0.0, 0.5), phi=sign * rng.uniform(0.0, np.pi)
+            )
+            k0, step = rng.uniform(-4.0, 4.0, 2), rng.uniform(-1.0, 1.0, 2) * 1e-3
+            dt = rng.uniform(1e-3, 0.05)
+            got = _line_propagator(k0, step, n, p, dt, mirror=True)
+            assert got == (
+                _line_propagator(k0, step, n, p, dt),
+                _line_propagator(k0 * _MIRROR, step * _MIRROR, n, p, dt),
+            ), (n, sign)
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 257])
@@ -711,22 +749,69 @@ def test_tdse_step_budget_refuses_before_allocating(monkeypatch, field_calls):
 
 @pytest.mark.parametrize("leg_time", [2.0, 400.0])
 def test_tdse_diagnostics_carry_plan_xi(leg_time, field_calls):
-    plan = plan_site("I", leg_time=leg_time, samples_per_leg=400)
-    _, diag = evolve_tdse(initial_state(), plan, P0)
-    assert len(field_calls.bloch) == 1  # both legs in one pass
-    assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan))
-    legs = _line_blocks_per_leg(  # midpoints
-        field_calls.line, diag.n_steps, chernscope.interferometer._TDSE_BLOCK
-    )
-    assert len(legs) == 2
-    assert diag.xi == validate_plan(plan, P0).xi
+    """A site plan evaluates its down leg's midpoints only, as its up leg is
+    the mirror; a plan whose up endpoint is moved evaluates both."""
+    site = plan_site("I", leg_time=leg_time, samples_per_leg=400)
+    for plan, evaluated in ((site, 1), (_moved_up(site), 2)):
+        field_calls.bloch.clear()
+        field_calls.line.clear()
+        _, diag = evolve_tdse(initial_state(), plan, P0)
+        assert len(field_calls.bloch) == 1  # both legs in one pass
+        assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan))
+        legs = _line_blocks_per_leg(  # midpoints
+            field_calls.line, diag.n_steps, chernscope.interferometer._TDSE_BLOCK
+        )
+        assert len(legs) == evaluated
+        assert diag.xi == validate_plan(plan, P0).xi
+
+
+@pytest.mark.parametrize("site", ["I", "II"])
+def test_tdse_mirrored_plan_equals_the_evaluated_route(monkeypatch, field_calls, site):
+    """A site plan's mirrored up leg gives the evolution that evaluating
+    both legs gives, bit for bit.  The leg takes a full block and a tail."""
+    plan = plan_site(site, leg_time=40.0, samples_per_leg=200)
+    block = chernscope.interferometer._TDSE_BLOCK
+    runs = []
+    for evaluated in (1, 2):
+        if evaluated == 2:
+            monkeypatch.setattr(
+                chernscope.interferometer, "_mirrored", lambda plan: False
+            )
+        field_calls.line.clear()
+        state, diag = evolve_tdse(initial_state(), plan, P0, zeeman_rate=0.01)
+        assert diag.n_steps > block and diag.n_steps % block != 0
+        legs = _line_blocks_per_leg(field_calls.line, diag.n_steps, block)
+        assert len(legs) == evaluated
+        runs.append(
+            ((state.amp_down, state.amp_up, state.upper_band_population), diag)
+        )
+    assert runs[0] == runs[1]
+
+
+def test_tdse_takes_the_evaluated_route_unless_exactly_mirrored(field_calls):
+    """Only a start on the ky = 0 axis with endpoints mirrored bit for bit
+    takes the mirror: a start at ky = 1e-12, or an up endpoint 1 ulp off in
+    either coordinate, evaluates both legs."""
+    site = plan_site("I", leg_time=2.0, samples_per_leg=300)
+    x, y = site.endpoint_up
+    start = np.array([site.start[0], 1e-12])
+    cases = [(site, 1), (dataclasses.replace(site, start=start), 2)]
+    for up in ([np.nextafter(x, 9), y], [x, np.nextafter(y, 9)]):
+        cases.append((dataclasses.replace(site, endpoint_up=np.array(up)), 2))
+    for plan, evaluated in cases:
+        field_calls.line.clear()
+        _, diag = evolve_tdse(initial_state(), plan, P0)
+        legs = _line_blocks_per_leg(
+            field_calls.line, diag.n_steps, chernscope.interferometer._TDSE_BLOCK
+        )
+        assert len(legs) == evaluated
 
 
 def test_tdse_memory_stays_near_one_block():
     """A leg of over 2**18 steps peaks near one block's fields and step
     factors (about 1 MB; bound 1.1 MB), plus the full blocks' reduced pairs
     held for the stacked finish: 32 bytes per pair, ``_SU2_SHORT`` pairs
-    per block, counted twice for the list and the stack made from it."""
+    per block, counted twice for the down leg and its mirror."""
     plan = plan_site("I", leg_time=1000.0, samples_per_leg=400)
     evolve_tdse(initial_state(), plan, P0)  # first call sets up numpy
     tracemalloc.start()
