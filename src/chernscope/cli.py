@@ -272,24 +272,201 @@ def record_lines(pairs) -> list[str]:
     return [f"{key}: {format_value(value, key)}" for key, value in pairs]
 
 
-def format_column(values, name: str) -> tuple[str, list]:
-    """``(spec, items)``, with ``spec % item`` as ``format_value`` prints each
-    value: ``"%.12g"`` and the values plus 0.0 for a finite float array,
-    ``"%d"`` and the values for an integer array, and else (a NaN or infinity
-    included) ``"%s"`` and ``format_value``'s strings, so that it raises."""
+# Table cells are rows of NUL-padded bytes, one (rows, width) uint8 matrix
+# per column; the NULs are deleted once a block's text is assembled.  The
+# lookup tables (_DigitTables) hold digit groups as integer words, so that
+# one element gather places several bytes.
+#
+# A finite float x prints as "%.12g" would: with e = floor(log10 |x|),
+# y = |x| fl(10^(11 - e)) is |x| 10^(11 - e) to within 2.3e-4 (two correctly
+# rounded operations on a value below 1e12), so rint(y) is the correctly
+# rounded 12-digit mantissa unless frac(y) lies within _TIE_GUARD of 1/2.
+# Such a cell, and one whose |e| exceeds _EXP_LIMIT (subnormals, 1e+-300,
+# where fl(10^(11 - e)) is no normal float), is formatted by format_value.
+_TIE_GUARD = 1e-3
+_EXP_LIMIT = 290
+_GROUPS = np.array([[1e9], [1e6], [1e3], [1.0]])  # a mantissa's 3-digit groups
+_INT_DIVISORS = np.array([[1000**k] for k in range(6, -1, -1)], np.uint64)
+
+
+class _DigitTables(NamedTuple):
+    """Read-only lookup tables of the column formatters.
+
+    Per exponent e the float path may reach (up to _EXP_LIMIT, one off from
+    log10, then a carry), at index e + _EXP_LIMIT + 1: ``scales`` holds
+    fl(10^(11 - e)), correctly rounded; ``heads`` the sign slot and prefix
+    as a uint64 word (index 2 * index + negative); ``tails`` the suffix; and
+    ``whole`` the digits before the point, printed even when zero.  Fixed
+    notation holds -4 <= e < 12.
+
+    A mantissa's digits are four uint64 words of three digits, digit j at
+    byte 8 (j // 3) + 2 (j % 3), each followed by a slot for the point.
+    Rows 0-999 of ``triples`` hold a group's digits, rows 1000-1999 the same
+    with its trailing zeros as NULs (a group with no nonzero group after
+    it); ``triple_digits`` counts their digits.  Column w + 13 point of
+    ``fills`` is what a mantissa with w digits before the point shows beyond
+    its stripped digits: a 0 in each integer slot (ORed onto a digit, it
+    leaves the digit as it is), and the point after them.
+
+    Rows 0-999 of ``int_triples`` hold a group's three digits and a NUL;
+    1000-1999 the same with its leading zeros as NULs (a group with no
+    nonzero group before it); 2000-2999 so too, but zero prints 0 (the last
+    group).
+    """
+
+    scales: np.ndarray
+    heads: np.ndarray
+    tails: np.ndarray
+    whole: np.ndarray
+    triples: np.ndarray
+    triple_digits: np.ndarray
+    fills: np.ndarray
+    int_triples: np.ndarray
+
+
+@functools.cache
+def _digit_tables() -> _DigitTables:
+    """Built on the first table, so that importing the module stays cheap."""
+    e = np.arange(-_EXP_LIMIT - 1, _EXP_LIMIT + 3)
+    fixed = (-4 <= e) & (e < 12)
+    lead = fixed & (e < 0)
+    heads = np.zeros((len(e), 2, 8), np.uint8)
+    heads[:, 1, 0] = ord("-")
+    heads[lead, :, 1:3] = np.frombuffer(b"0.", np.uint8)
+    heads[:, :, 3:6] = np.where(lead[:, None] & (e[:, None] < [-1, -2, -3]),
+                                ord("0"), 0)[:, None]
+    digits = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    tails = np.zeros((len(e), 8), np.uint8)
+    tails[:, :2] = np.where(e[:, None] < 0, [ord("e"), ord("-")], [ord("e"), ord("+")])
+    tails[:, 2:5] = digits[abs(e)] * (abs(e)[:, None] >= [100, 0, 0])
+    tails[fixed] = 0
+    nonzero = digits != ord("0")
+    trailing = np.logical_or.accumulate(nonzero[:, ::-1], axis=1)[:, ::-1]
+    leading = np.logical_or.accumulate(nonzero, axis=1)
+    triples = np.zeros((2, 1000, 8), np.uint8)
+    triples[:, :, 0:6:2] = digits * np.array([np.ones_like(trailing), trailing])
+    int_triples = np.zeros((3, 1000, 4), np.uint8)
+    int_triples[:, :, :3] = digits * np.array(
+        [np.ones_like(leading), leading, leading | [False, False, True]])
+    slots = [8 * (j // 3) + 2 * (j % 3) for j in range(12)]
+    fills = np.zeros((2, 13, 32), np.uint8)
+    for whole in range(13):
+        fills[:, whole, slots[:whole]] = ord("0")
+        if 0 < whole:
+            fills[1, whole, slots[whole - 1] + 1] = ord(".")
+    tables = _DigitTables(
+        scales=np.array([float(f"1e{11 - k}") for k in e.tolist()]),
+        heads=heads.view(np.uint64).ravel(),
+        tails=tails.view(np.uint64).ravel(),
+        whole=np.where(fixed, np.maximum(e + 1, 0), 1),
+        triples=triples.view(np.uint64).ravel(),
+        triple_digits=np.concatenate([np.full(1000, 3), trailing.sum(axis=1)]
+                                     ).astype(np.uint8),
+        fills=np.ascontiguousarray(fills.view(np.uint64).reshape(26, 4).T),
+        int_triples=int_triples.view(np.uint32).ravel(),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """The finite float64 values ``x`` as format_value prints them, one
+    NUL-padded row each: sign and prefix, digits and point slots, suffix."""
+    t = _digit_tables()
+    n = len(x)
+    a = np.abs(x)
+    zero = a == 0
+    a[zero] = 1.0  # printed as 1, then its digit is made 0
+    e = np.floor(np.log10(a))
+    redo = np.abs(e) > _EXP_LIMIT
+    np.minimum(np.maximum(e, -_EXP_LIMIT, out=e), _EXP_LIMIT, out=e)
+    y = a * t.scales[(e + _EXP_LIMIT + 1).astype(np.intp)]
+    e += y >= 1e12  # log10 is off by one next to a power of ten
+    e -= y < 1e11
+    index = (e + _EXP_LIMIT + 1).astype(np.intp)
+    y = a * t.scales[index]
+    mantissa = np.rint(y)
+    redo |= np.abs(y - np.floor(y) - 0.5) < _TIE_GUARD
+    del a, e, y  # freed early, as is each group's gather below, to lower the peak
+    carry = mantissa >= 1e12
+    mantissa[carry] = 1e11
+    index += carry
+    # The groups, most significant first; each quotient is exact, since the
+    # mantissa is an integer below 2^40.
+    rows = np.floor(mantissa / _GROUPS).astype(np.intp)
+    rows[1:] -= 1000 * rows[:-1]
+    # A group is stripped when every group after it is zero.
+    stripped = rows[1:] == 0
+    stripped[1] &= stripped[2]
+    stripped[0] &= stripped[1]
+    np.add(rows[:-1], 1000, out=rows[:-1], where=stripped)
+    rows[-1] += 1000
+    whole = t.whole[index]
+    fill = whole + 13 * (t.triple_digits[rows].sum(axis=0) > whole)
+    cells = np.empty((n, 6), np.uint64)
+    cells[:, 0] = t.heads[2 * index + (x < 0)]
+    for group in range(4):
+        cells[:, 1 + group] = t.triples[rows[group]] | t.fills[group][fill]
+    cells[:, 5] = t.tails[index]
+    cells = cells.view(np.uint8)
+    cells[zero, 8] = ord("0")
+    for row in np.flatnonzero(redo):
+        text = format_value(x[row], "").encode()
+        cells[row] = 0
+        cells[row, :len(text)] = np.frombuffer(text, np.uint8)
+    # Without the byte columns that are NUL in every row, about half of
+    # them, so that a wide table's block holds less.
+    return cells[:, cells.any(axis=0)]
+
+
+def _int_cells(values: np.ndarray) -> np.ndarray:
+    """The integers ``values`` (any int or uint dtype) in decimal, one
+    NUL-padded row each: a sign word, then words of three digits."""
+    t = _digit_tables()
+    n = len(values)
+    negative = values < 0
+    magnitude = values.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)  # exact for int64 min
+    count = -(-len(str(magnitude.max(initial=0))) // 3)
+    groups = magnitude // _INT_DIVISORS[-count:] % np.uint64(1000)
+    # Each group's block of int_triples rows: leading zeros drop while no
+    # nonzero group comes before it, and the last group prints at least 0.
+    variant = np.ones((count, n), np.uint64)
+    variant[1:] = np.logical_and.accumulate(groups[:-1] == 0)
+    variant[-1] *= 2
+    cells = np.empty((n, count + 1), np.uint32)
+    cells[:, 0] = np.where(negative, ord("-"), 0)
+    cells[:, 1:] = t.int_triples[(groups + 1000 * variant).T]
+    return cells.view(np.uint8)
+
+
+def _text_cells(texts: list) -> np.ndarray:
+    """The strings ``texts`` in UTF-8, one NUL-padded row each."""
+    encoded = np.array([text.encode() for text in texts], dtype=np.bytes_)
+    return encoded.view(np.uint8).reshape(len(texts), encoded.itemsize)
+
+
+def column_cells(values, name: str) -> np.ndarray:
+    """The cells of a column as format_value prints each value, one
+    NUL-padded row of bytes each: finite float arrays (up to float64) and
+    integer arrays in a fixed number of numpy calls, every other column
+    (lists, bools, a NaN or infinity) through format_value, which raises
+    naming ``name`` on the first non-finite value."""
     kind = values.dtype.kind if isinstance(values, np.ndarray) else None
-    if kind == "f" and np.isfinite(values).all():
-        return _FLOAT_FORMAT, (values + 0.0).tolist()
+    if kind == "f" and values.itemsize <= 8 and np.isfinite(values).all():
+        return _float_cells(values.astype(np.float64, copy=False))
     if kind in ("i", "u"):
-        return "%d", values.tolist()
-    return "%s", [format_value(value, name) for value in values]
+        return _int_cells(values)
+    return _text_cells([format_value(value, name) for value in values])
 
 
-# Rows formatted at a time, one %-format call per block, so that only one
-# block's values are alive as separate objects: an in-process ``curvature
-# --grid-n 400`` peaks at 54 B per grid point with ``--format dsv --out``
-# and 67 inline (tracemalloc), most of it the formatted text, which is
-# written block by block and never joined into one string.
+# Rows formatted at a time, as one byte matrix per block, so that only one
+# block's cells are alive at once: an in-process ``curvature --grid-n 400``
+# peaks at 55 B per grid point with ``--format dsv --out`` and 68 inline
+# (tracemalloc), most of it the formatted text, which is written block by
+# block and never joined into one string.  A block's transient peak is
+# about 0.8 MB in that table, against 0.4 MB for %-formatting it.
 _BLOCK_ROWS = 4096
 
 
@@ -299,27 +476,35 @@ def table_lines(headers, columns, fmt: str, name: str) -> list[str]:
     is named ``name.header``; a non-finite one raises ValueError naming the
     first in row-major order."""
     names = [f"{name}.{h}" for h in headers]
-    blocks = ["\t".join(headers)] if fmt == "dsv" else []
+    if fmt == "dsv":
+        blocks = ["\t".join(headers)]
+        texts = [""] + ["\t"] * (len(headers) - 1) + ["\n"]
+    else:
+        # A record row is its "header: value" lines and an empty line.
+        blocks = []
+        texts = [f"{headers[0]}: "] + [f"\n{h}: " for h in headers[1:]] + ["\n\n"]
+    # The constant bytes around each cell of a row.
+    constants = [np.frombuffer(text.encode(), np.uint8) for text in texts]
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         part = [column[start:start + _BLOCK_ROWS] for column in columns]
         try:
-            specs, items = zip(*map(format_column, part, names))
+            cells = list(map(column_cells, part, names))
         except ValueError:
             # Cell by cell, so the error names the row-major first bad cell.
             for row in zip(*part):
                 list(map(format_value, row, names))
             raise
-        if fmt == "dsv":
-            template = "\t".join(specs)
-        else:
-            # A record row is its "header: value" lines and an empty line.
-            template = "".join(f"{h.replace('%', '%%')}: {spec}\n"
-                               for h, spec in zip(headers, specs))
-        rows, width = len(items[0]), len(specs)
-        cells = [None] * (rows * width)
-        for c, column in enumerate(items):
-            cells[c::width] = column
-        blocks.append("\n".join([template] * rows) % tuple(cells))
+        pieces = constants[:1]
+        for cell, constant in zip(cells, constants[1:]):
+            pieces += [cell, constant]
+        ends = np.cumsum([piece.shape[-1] for piece in pieces]).tolist()
+        buffer = bytearray(len(cells[0]) * ends[-1])
+        matrix = np.frombuffer(buffer, np.uint8).reshape(len(cells[0]), -1)
+        for piece, end in zip(pieces, ends):
+            matrix[:, end - piece.shape[-1]:end] = piece
+        del cells, pieces  # copied: not kept alive while the text is made
+        matrix[-1, -1] = 0  # the last newline: blocks are joined by newlines
+        blocks.append(buffer.translate(None, b"\0").decode())
     return blocks
 
 
@@ -522,7 +707,7 @@ def cmd_sweep(cfg: RunConfig, args) -> tuple[list, dict]:
     )
     # A radius row's fields are named as its headers; a trial's are too,
     # but for its index and its classification, whose None prints Ambiguous.
-    # The numeric trial columns are arrays, which format_column formats in
+    # The numeric trial columns are arrays, which column_cells formats in
     # one pass; the classification and success columns stay lists.
     trial_fields = ("radius", "index", "zak_error", "c_classified") + trial_headers[4:]
     trial_columns = [

@@ -533,11 +533,11 @@ def high_symmetry_path(
 
     Returns the (N, 2) point array and a list of (index, label) markers.
     M is the zone-edge midpoint b1 / 2.  The ``bands`` command peaks at
-    about 137 bytes per path point inline and 120 with ``--format dsv
-    --out`` (tracemalloc at 80,000 and 100,000 points per segment; more
-    per point on short paths, 168 and 138 at 8,000), its formatted table
-    the largest part, so the budget of ``MAX_PATH_POINTS_PER_SEGMENT`` =
-    100,000 implies about 55 MB.
+    about 136 bytes per path point inline and 120 with ``--format dsv
+    --out`` (tracemalloc at 80,000 and 100,000 points per segment, tables
+    formatted column by column; more per point on short paths, 163 and 129
+    at 8,000), its formatted table the largest part, so the budget of
+    ``MAX_PATH_POINTS_PER_SEGMENT`` = 100,000 implies about 54 MB.
 
     Raises:
         ValueError: if points_per_segment is negative or over the budget,

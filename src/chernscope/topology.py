@@ -283,9 +283,10 @@ def berry_curvature_fhs(
     block are alive at once: the kernel peaks at about 14 bytes per grid
     point at n = 400 and 10 at n = 800 (tracemalloc), so n =
     ``MAX_GRID_N`` = 1500 implies about 20 MB, extrapolated, not run.  The ``curvature`` command also holds its
-    formatted table: it peaks at about 54 bytes per grid point with
-    ``--format dsv --out`` and 67 inline at n = 400 (51 and 64 at n = 800),
-    about 145 MB inline at the budget.
+    formatted table: it peaks at about 55 bytes per grid point with
+    ``--format dsv --out`` and 68 inline at n = 400 (51 and 64 at n = 800,
+    tracemalloc, tables formatted column by column), about 145 MB inline at
+    the budget.
 
     Raises:
         ValueError: if n < 6, or n > MAX_GRID_N before anything is allocated;

@@ -23,7 +23,7 @@ from chernscope.cli import (
     DEFAULTS,
     ConfigError,
     RunConfig,
-    format_column,
+    column_cells,
     format_value,
     main,
     parse_phi,
@@ -651,25 +651,29 @@ def _cell_by_cell(headers, rows, fmt, name):
     return lines
 
 
+# Commands and settings whose tables the formatting tests print.
+TABLE_ARGV = [
+    ("bands", "--points-per-segment", "20"),
+    ("curvature", "--grid-n", "24"),
+    ("curvature", "--grid-n", "70"),  # more rows than one block
+    ("protocol", "--leg-time", "2"),
+    ("fringe",),
+    ("sweep", "--trials", "2"),
+]
+
+
+def _command_tables(argv):
+    args = chernscope.cli.build_parser().parse_args(list(argv))
+    cfg = chernscope.cli.resolve_config(args)
+    return chernscope.cli.COMMANDS[args.command](cfg, args)[1]
+
+
 @pytest.mark.parametrize("fmt", ["dsv", "structured-record"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("bands", "--points-per-segment", "20"),
-        ("curvature", "--grid-n", "24"),
-        ("curvature", "--grid-n", "70"),  # more rows than one block
-        ("protocol", "--leg-time", "2"),
-        ("fringe",),
-        ("sweep", "--trials", "2"),
-    ],
-    ids=" ".join,
-)
+@pytest.mark.parametrize("argv", TABLE_ARGV, ids=" ".join)
 def test_table_lines_match_cell_by_cell_formatting(argv, fmt):
     """A table formatted column by column prints exactly what format_value
     prints for each cell in row-major order."""
-    args = chernscope.cli.build_parser().parse_args(list(argv))
-    cfg = chernscope.cli.resolve_config(args)
-    _, tables = chernscope.cli.COMMANDS[args.command](cfg, args)
+    tables = _command_tables(argv)
     assert tables
     for name, (headers, columns) in tables.items():
         assert len(columns) == len(headers)
@@ -681,9 +685,9 @@ def test_table_lines_match_cell_by_cell_formatting(argv, fmt):
 
 
 def _printed(values, name):
-    """Each of ``values`` as ``format_column``'s (spec, items) pair prints it."""
-    spec, items = format_column(values, name)
-    return [spec % item for item in items]
+    """Each of ``values`` as its NUL-padded row of ``column_cells`` prints."""
+    return [row.tobytes().translate(None, b"\0").decode()
+            for row in column_cells(values, name)]
 
 
 def test_numpy_booleans_print_true_false():
@@ -692,11 +696,13 @@ def test_numpy_booleans_print_true_false():
     assert _printed(np.array([True, False]), "x") == ["true", "false"]
 
 
-def test_format_column_matches_format_value_on_edge_values():
+def test_column_cells_match_format_value_on_edge_values():
     floats = [
         -0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 0.1 + 0.2, 1 / 3, 2.5e-7,
         0.1234567890125, 1.0000000000005, 999999999999.5, 9999999999995.0,
         -1.7976931348623157e308,
+        # next to 12-digit ties, where the scaled value rounds the wrong way
+        0.0008271467107625, 44.50319927065, 4676.258848775,
     ]
     ints = [0, -1, 2**62, np.iinfo(np.int64).min, np.iinfo(np.int64).max]
     mixed = [True, False, None, np.int64(7), np.float64(-0.0), -0.0, 2.5, 3,
@@ -719,31 +725,110 @@ def test_format_column_matches_format_value_on_edge_values():
         assert _printed(values, "t.x") == expected
 
 
+def _assert_prints_as_format_value(values):
+    """The column path prints each value of the array ``values`` as
+    format_value does, with no floating-point error or warning raised."""
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _printed(values, "t.x")
+    assert got == [format_value(value, "t.x") for value in values]
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_float64_column_prints_as_format_value(values):
+    """Every finite float64, subnormals and +-max included."""
+    _assert_prints_as_format_value(np.array(values, dtype=np.float64))
+
+
+@given(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                max_size=40))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_float32_column_prints_as_format_value(values):
+    _assert_prints_as_format_value(np.array(values, dtype=np.float32))
+
+
+def _near_ties(rng, count):
+    """The doubles nearest to 12-digit decimal ties (d.ddddddddddd5 x 10^k)
+    and their neighbours up to two ulps either way, over a wide range of k."""
+    digits = rng.integers(10**11, 10**12, count)
+    powers = rng.integers(-60, 60, count)
+    ties = np.array([float(f"{d}5e{k - 12}") for d, k in zip(digits, powers)])
+    below = np.nextafter(ties, 0)
+    above = np.nextafter(ties, np.inf)
+    return np.concatenate([ties, below, above, np.nextafter(below, 0),
+                           np.nextafter(above, np.inf)])
+
+
+def test_float_column_sweep_prints_as_format_value():
+    """A seeded sweep of 10^6 values: every binary exponent, random bit
+    patterns, constructed 12-digit ties and the carries to the next power
+    of ten, in blocks of a table's rows."""
+    rng = np.random.default_rng(3401)
+    n = 460_000
+    values = np.concatenate([
+        np.ldexp(rng.random(n), rng.integers(-1074, 1025, n))
+        * rng.choice([-1.0, 1.0], n),
+        rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),
+        _near_ties(rng, 20_000),
+        [999999999999.5, 9.999999999995e-5, -9.999999999995e-5, 99999999999.95,
+         9.9999999999995, 0.00099999999999995, 9999999999995.0],
+    ])
+    values = values[np.isfinite(values)]
+    assert len(values) >= 10**6
+    for start in range(0, len(values), _BLOCK):
+        _assert_prints_as_format_value(values[start:start + _BLOCK])
+
+
+def test_integer_columns_print_as_format_value():
+    """Every integer dtype, at its limits and next to each power of ten."""
+    for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32,
+                  np.int64, np.uint64):
+        info = np.iinfo(dtype)
+        near = [s * (10**k + d) for k in range(20) for d in (-1, 0, 1)
+                for s in (-1, 1)]
+        values = np.array([v for v in [info.min, info.max, 0] + near
+                           if info.min <= v <= info.max], dtype=dtype)
+        _assert_prints_as_format_value(values)
+    _assert_prints_as_format_value(
+        np.random.default_rng(3402).integers(-2**63, 2**63 - 1, 5000))
+
+
 _BLOCK = chernscope.cli._BLOCK_ROWS
+EDGE_TABLES = [
+    (("50%", "a%sb", "%d"),
+     (np.arange(3), np.array([0.5, -0.0, 1e-300]), ["x%s", "%%", "y"])),
+    (("i", "x"), (np.arange(0), np.zeros(0))),
+    (("i", "x"), (np.arange(_BLOCK), np.linspace(-1.0, 1.0, _BLOCK))),
+    (("i", "x"), (np.arange(_BLOCK + 1), np.linspace(-1.0, 1.0, _BLOCK + 1))),
+    (("n", "x", "label"),
+     (np.arange(_BLOCK + 3, dtype=np.uint16) * 7,
+      np.geomspace(1e-9, 1e12, _BLOCK + 3) * (-1) ** np.arange(_BLOCK + 3),
+      [f"s{i}%" for i in range(_BLOCK + 3)])),
+]
+EDGE_IDS = ["percent-headers", "no-rows", "one-block", "block-and-one", "mixed"]
 
 
 @pytest.mark.parametrize("fmt", ["dsv", "structured-record"])
-@pytest.mark.parametrize(
-    "headers,columns",
-    [
-        (("50%", "a%sb", "%d"),
-         (np.arange(3), np.array([0.5, -0.0, 1e-300]), ["x%s", "%%", "y"])),
-        (("i", "x"), (np.arange(0), np.zeros(0))),
-        (("i", "x"), (np.arange(_BLOCK), np.linspace(-1.0, 1.0, _BLOCK))),
-        (("i", "x"), (np.arange(_BLOCK + 1), np.linspace(-1.0, 1.0, _BLOCK + 1))),
-        (("n", "x", "label"),
-         (np.arange(_BLOCK + 3, dtype=np.uint16) * 7,
-          np.geomspace(1e-9, 1e12, _BLOCK + 3) * (-1) ** np.arange(_BLOCK + 3),
-          [f"s{i}%" for i in range(_BLOCK + 3)])),
-    ],
-    ids=["percent-headers", "no-rows", "one-block", "block-and-one", "mixed"],
-)
+@pytest.mark.parametrize("headers,columns", EDGE_TABLES, ids=EDGE_IDS)
 def test_table_lines_match_cell_by_cell_on_edge_tables(headers, columns, fmt):
-    """One %-format call per block prints what format_value prints cell by
+    """One byte matrix per block prints what format_value prints cell by
     cell: headers holding %, no rows, a block edge, and mixed column kinds."""
     blocks = table_lines(headers, columns, fmt, "t")
     lines = "\n".join(blocks).split("\n") if blocks else []
     assert lines == _cell_by_cell(headers, list(zip(*columns)), fmt, "t")
+
+
+@pytest.mark.parametrize("argv", [None] + TABLE_ARGV,
+                         ids=lambda argv: "edge-tables" if argv is None else " ".join(argv))
+def test_no_cell_or_header_holds_nul(argv):
+    """Cells are padded with NUL bytes, which a block's text drops, so no
+    header or formatted cell of these tables may hold one."""
+    tables = EDGE_TABLES if argv is None else _command_tables(argv).values()
+    for headers, columns in tables:
+        assert not any("\0" in header for header in headers)
+        for header, column in zip(headers, columns):
+            assert not any("\0" in format_value(v, header) for v in column)
 
 
 @pytest.mark.parametrize("fmt", ["dsv", "structured-record"])
