@@ -95,7 +95,10 @@ def parse_phi(text: str) -> float:
         coef = float(num)
     value = coef * math.pi
     if m.group(2):
-        value /= float(m.group(2))
+        denominator = float(m.group(2))
+        if denominator == 0.0:
+            raise ConfigError(f"cannot parse angle {text!r}: zero denominator")
+        value /= denominator
     return value
 
 
@@ -218,11 +221,13 @@ def _typed(name: str, value, kind: type):
 def _load_config_file(path: str) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Besides malformed JSON: an integer over the int-to-str digit limit
+        # (ValueError) and nesting deeper than the recursion limit.
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a table of sections")

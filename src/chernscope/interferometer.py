@@ -33,8 +33,11 @@ closing it ran in.  :func:`evolve_adiabatic` is the entry's one-plan view:
 row 0 of one plan's arrays, wrapped in a state and a phase ledger.  The
 stepwise route passes its one plan through
 :func:`chernscope.protocol.leg_pass`, derives the step-size bandwidth and
-its end states from it, and takes its midpoint fields from
-:func:`chernscope.lattice.line_fields` in fixed-size blocks.
+its start and end states from it, and propagates both legs in one loop
+over fixed-size blocks of midpoints, whose fields come from
+:func:`chernscope.lattice.line_fields`; a leg that is the other's mirror
+under ky -> -ky, as a site plan's up leg is, takes the other's step
+factors instead.
 
 Both routes end with the two packets at momenta one reciprocal vector apart
 (up to planned endpoint error), and close the same way, in :func:`_close`:
@@ -102,12 +105,13 @@ __all__ = [
 MAX_TDSE_STEPS = 2**22
 
 # Midpoints per block of a TDSE leg.  A block's fields and step factors
-# (about 1 MB) stay in cache and their memory is reused by the next
-# block.  What a block leaves behind is its phase and, for each line it
-# is reduced for (two with a mirror, see _line_propagator), its _SU2_SHORT
-# reduced (a, b) pairs, 32 bytes per pair, so about 2 KB per full block
-# and line: 64 KB a line at 2**18 steps, 1 MB at the budget of
-# MAX_TDSE_STEPS.
+# (about 1 MB) stay in cache and their memory is reused by the other
+# leg's block or the next block: one leg's step factors are released
+# before the other leg's fields are made, or turned in place into the
+# other's when it is their mirror (see _line_propagator).  What a block
+# leaves behind is its phase and, for each leg, its _SU2_SHORT reduced
+# (a, b) pairs, 32 bytes per pair, so about 2 KB per full block and leg:
+# 64 KB a leg at 2**18 steps, 1 MB at the budget of MAX_TDSE_STEPS.
 _TDSE_BLOCK = 8192
 
 # Pairs a full TDSE block is reduced to before the full blocks' trees are
@@ -601,68 +605,61 @@ def _su2_product(
 
 
 def _line_propagator(
-    k0: np.ndarray,
-    step: np.ndarray,
-    n: int,
-    p: ModelParams,
-    dt: float,
-    mirror: bool = False,
-) -> tuple:
-    """:func:`_leg_propagator` of the n midpoints k0 + j step, by blocks.
+    k0: np.ndarray, step: np.ndarray, n: int, p: ModelParams, dt: float
+) -> list[tuple[complex, complex, complex]]:
+    """:func:`_leg_propagator` of each line's n midpoints k0[l] + j step[l].
 
-    Each block of at most ``_TDSE_BLOCK`` midpoints takes its fields from
-    one :func:`chernscope.lattice.line_fields` call.  A full block is
-    reduced to at most ``_SU2_SHORT`` (a, b) pairs, and the full blocks'
-    pairs, all of one length, are finished as one (blocks, pairs) stack; a
-    last, partial block is reduced alone.  The blocks' products are then
-    multiplied in time order by :func:`_su2_product` and their phases
-    multiplied together.  Returns (phase, a, b).
+    ``k0`` and ``step`` hold one row per line, and all lines run through
+    one loop over blocks of at most ``_TDSE_BLOCK`` midpoints.  A line
+    whose k0 and step are the previous line's with ky negated, bit for bit,
+    is its mirror: u = exp(iY) becomes conj(u), so the fields are the
+    previous line's with hy negated and the step pairs (a, -conj(b)) with
+    the same phase, made in place with no
+    :func:`chernscope.lattice.line_fields` call.  Any other line's block
+    takes its fields from one such call, after the previous line's step
+    pairs are released.
 
-    With ``mirror``, returns a pair of them: this line's and then its
-    mirror's under ky -> -ky, the midpoints (k0x, -k0y) + j (sx, -sy).
-    There u = exp(iY) becomes conj(u), so the mirror's fields are these
-    with hy negated, bit for bit, and its step pairs are (a, -conj(b)) with
-    the same phase.  Each block's b is turned into -conj(b) in place and
-    the block reduced again, so no block is evaluated twice; both lines'
-    full blocks are finished in one (lines, blocks, pairs) stack.
+    A full block is reduced to at most ``_SU2_SHORT`` (a, b) pairs, and all
+    the lines' full blocks are finished as one (lines, blocks, pairs)
+    stack; a last, partial block is reduced alone.  Each line's block
+    products are then multiplied in time order by :func:`_su2_product` and
+    its block phases multiplied together.  Returns one (phase, a, b) per
+    line.
     """
-    lines = 2 if mirror else 1
+    rows = np.stack((k0, step), axis=1)
+    # Whether each line mirrors the previous one; no line follows the last.
+    mirror = [False, *np.all(rows[1:] == rows[:-1] * [1.0, -1.0], axis=(1, 2)), False]
     n_full = n // _TDSE_BLOCK
-    phases = []
+    phases = np.empty((len(k0), -(-n // _TDSE_BLOCK)), dtype=complex)
     full = None  # a and b of each line's full blocks, reduced to pairs
-    ends = np.empty((2, lines, -(-n // _TDSE_BLOCK)), dtype=complex)
+    ends = np.empty((2,) + phases.shape, dtype=complex)
     for i, j in enumerate(range(0, n, _TDSE_BLOCK)):
-        phase, a, b = _step_pairs(
-            line_fields(k0 + j * step, step, min(_TDSE_BLOCK, n - j), p), dt
-        )
-        phases.append(phase)
-        for line in range(lines):
-            if line:
+        m = min(_TDSE_BLOCK, n - j)
+        for line in range(len(k0)):
+            if mirror[line]:
                 np.negative(np.conjugate(b, out=b), out=b)
+            else:
+                k = k0[line] + j * step[line]
+                phase, a, b = _step_pairs(line_fields(k, step[line], m, p), dt)
+            phases[line, i] = phase
             if i < n_full:
                 a_j, b_j = _su2_product(a, b, _SU2_SHORT)
                 if full is None:
-                    full = np.empty((2, lines, n_full, len(a_j)), dtype=complex)
+                    full = np.empty((2, len(k0), n_full, len(a_j)), dtype=complex)
                 full[0, line, i], full[1, line, i] = a_j, b_j
             else:
                 a_j, b_j = _su2_product(a, b)
                 ends[:, line, i] = a_j[0], b_j[0]
-        del a, b  # released before the next block's fields are made
+            if not mirror[line + 1]:
+                del a, b  # released before the next line's fields are made
     if n_full:
         a, b = _su2_product(full[0], full[1])
         ends[0, :, :n_full], ends[1, :, :n_full] = a[..., 0], b[..., 0]
     a, b = _su2_product(ends[0], ends[1])
-    phase = complex(np.prod(np.array(phases)))
-    props = [(phase, complex(a[i, 0]), complex(b[i, 0])) for i in range(lines)]
-    return tuple(props) if mirror else props[0]
-
-
-def _mirrored(plan: ProtocolPlan) -> bool:
-    """Whether the plan's up leg is its down leg under ky -> -ky, exactly:
-    a start on the ky = 0 axis and an up endpoint that is the down
-    endpoint with ky negated."""
-    start, down, up = plan.start, plan.endpoint_down, plan.endpoint_up
-    return start[1] == 0.0 and up[0] == down[0] and up[1] == -down[1]
+    return [
+        (complex(np.prod(phase)), complex(a_l[0]), complex(b_l[0]))
+        for phase, a_l, b_l in zip(phases, a, b)
+    ]
 
 
 def evolve_tdse(
@@ -677,19 +674,22 @@ def evolve_tdse(
     The step size must satisfy dt <= 0.01 / bandwidth with the bandwidth
     taken as the largest |band energy| along the legs, and a leg may take
     at most ``MAX_TDSE_STEPS`` steps; either violation raises ValueError
-    before the midpoints are allocated.  The midpoints are taken in blocks
-    of ``_TDSE_BLOCK``, so peak memory is about 0.95 MB at 2**16 steps per
-    leg and grows only by the reduced pairs each full block keeps for the
-    stacked finish, 2 KB per leg or 4 KB with a mirrored leg: 1.00 and
-    1.06 MB at 2**18 steps, 1.20 and 1.46 MB at 2**20 (tracemalloc).  The
-    budget of 2**22 steps bounds time instead: on one Intel Xeon vCPU a
-    step of both legs took about 0.11 us, or 0.07 us with a mirrored leg
-    (best of 8 calls at 2**20 steps), so about half a second per plan.
+    before the midpoints are allocated.  Both legs go through one
+    :func:`_line_propagator` call, which takes their midpoints in blocks
+    of ``_TDSE_BLOCK``, so peak memory is about 0.96 MB at 2**16 steps per
+    leg and grows only by the reduced pairs each full block keeps of both
+    legs for the stacked finish, 4 KB: 1.06 MB at 2**18 steps and 1.46 MB
+    at 2**20 (tracemalloc), whether the up leg is derived or evaluated.
+    The budget of 2**22 steps bounds time instead: on one Intel Xeon vCPU
+    a step of both legs took about 0.11 us, or 0.07 us with a derived up
+    leg (best of 8 calls at 2**20 steps), so about half a second per plan.
 
-    A plan whose legs mirror under ky -> -ky (:func:`_mirrored`), as every
-    site plan's do, has the up leg's propagator derived from the down
-    leg's step factors by :func:`_line_propagator`; any other plan has
-    each leg's evaluated there.  Both give the same bits.  The norm
+    An up leg whose first midpoint and step are the down leg's with ky
+    negated, as every site plan's are, has its propagator derived from
+    the down leg's step factors; any other has its own evaluated.  Both
+    give the same bits.  The four band states at the legs' first and last
+    samples come from one
+    :func:`chernscope.lattice.states_from_fields` call.  The norm
     drift of the assembled 2x2 total propagator, max |U^dagger U - I|,
     above 1e-8 raises StepTooLarge.  Band leakage is reported per packet,
     and the slot amplitudes keep only the lower band projection, so
@@ -724,42 +724,31 @@ def evolve_tdse(
     n_steps = int(np.ceil(steps))
     dt_actual = total_time / n_steps
 
-    amps = {}
-    states = {}
-    drift = 0.0
     start = plan.start
-    packets = (("down", plan.endpoint_down), ("up", plan.endpoint_up))
-    leg_steps = [(end - start) / total_time * dt_actual for _, end in packets]
-    if _mirrored(plan):
-        step = leg_steps[0]
-        propagators = _line_propagator(
-            start + step / 2, step, n_steps, p, dt_actual, mirror=True
-        )
-    else:
-        propagators = [
-            _line_propagator(start + step / 2, step, n_steps, p, dt_actual)
-            for step in leg_steps
-        ]
-    for i, ((packet, end), (phase, a, b)) in enumerate(zip(packets, propagators)):
+    endpoints = np.array([plan.endpoint_down, plan.endpoint_up])
+    steps = (endpoints - start) / total_time * dt_actual
+    propagators = _line_propagator(start + steps / 2, steps, n_steps, p, dt_actual)
+    # Each packet's band states at its leg's start and end, (packets, 2, 2).
+    states = states_from_fields(
+        tuple(f[0][:, [0, -1]] for f in legs.fields),
+        np.array([[start, end] for end in endpoints]),
+        p,
+    )
+    drift = 0.0
+    amps = []
+    for (phase, a, b), (psi0, psi1) in zip(propagators, states):
         u_total = phase * np.array([[a, -b.conjugate()], [b, a.conjugate()]])
         drift = max(
             drift, float(np.max(np.abs(u_total.conj().T @ u_total - np.eye(2))))
         )
-        psi0 = states_from_fields(tuple(f[0, i, 0] for f in legs.fields), start, p)
-        states[packet] = states_from_fields(
-            tuple(f[0, i, -1] for f in legs.fields), end, p
-        )
-        amps[packet] = complex(np.vdot(states[packet], u_total @ psi0))
+        amps.append(complex(np.vdot(psi1, u_total @ psi0)))
     if drift > 1e-8:
         raise StepTooLarge(f"propagator norm drift {drift:.3e} exceeds 1e-8")
 
-    c_down, c_up = amps["down"], amps["up"]
+    c_down, c_up = amps
     leak_down = max(0.0, 1.0 - abs(c_down) ** 2)
     leak_up = max(0.0, 1.0 - abs(c_up) ** 2)
-    (w,), (w_size,) = _matching_overlaps(
-        np.array([[plan.endpoint_down, plan.endpoint_up]]),
-        np.array([[states["down"], states["up"]]]),
-    )
+    (w,), (w_size,) = _matching_overlaps(endpoints[None], states[None, :, 1])
 
     site_phase = float(np.angle(c_down * np.conj(c_up) * w / w_size))
     extracted = _echo_fold(site_phase + zeeman_phase, plan.with_echo)

@@ -454,10 +454,21 @@ def test_config_file_unknown_key(tmp_path):
 
 
 def test_config_file_invalid_json(tmp_path):
+    """A file that cannot be read as text or parsed as JSON is a
+    configuration error naming the file, with nothing printed: malformed
+    JSON, bytes that are not UTF-8, nesting deeper than the recursion
+    limit, and an integer over the int-to-str digit limit."""
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    code, _, err = run_cli("chern", "--config", str(path))
-    assert code == 3
+    for data in (
+        b"{not json", b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000,
+        b'{"model": {"t": ' + b"9" * 5000 + b"}}",
+    ):
+        path.write_bytes(data)
+        code, out, err = run_cli("chern", "--config", str(path))
+        assert code == 3, data[:20]
+        assert out == ""
+        assert summary_of(err)["error"] == "config"
+        assert str(path) in summary_of(err)["message"]
 
 
 def test_config_roundtrip_lossless():
@@ -558,8 +569,15 @@ def test_parse_phi_forms(text, value):
 
 
 def test_parse_phi_rejects_junk():
-    with pytest.raises(ValueError):
-        parse_phi("banana")
+    for text in ("banana", "pi/0", "pi/0.0", "-pi/-0", "3pi/+00", "pi/.0"):
+        with pytest.raises(ConfigError):
+            parse_phi(text)
+    for flag in ("--phi=pi/0", "--phi=pi/0.0", "--phi=-pi/-0"):
+        err_stream = io.StringIO()
+        with contextlib.redirect_stderr(err_stream):  # argparse writes here
+            code, out, _ = run_cli("chern", flag)
+        assert (code, out) == (2, ""), flag
+        assert "Traceback" not in err_stream.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -1228,6 +1246,7 @@ def _fuzz_values(key, wild):
         return st.one_of(
             _number(*_FUZZ_RANGES[key], wild),
             st.sampled_from(["pi/2", "-3pi/4", "2pi", "-2pi", "pi"]),
+            st.builds("{}pi/{}".format, st.integers(-4, 4), st.integers(0, 4)),
         )
     if key in _FUZZ_SIZES:
         return st.integers(-1 if wild else 1, _FUZZ_SIZES[key]).map(str)

@@ -479,14 +479,15 @@ def test_endpoint_rows_equal_single_evolutions(monkeypatch, field_calls):
 
 def _line_blocks_per_leg(line_calls, n_steps, block):
     """Groups ``line_fields`` calls (k0, step, n) into legs of n_steps
-    midpoints, asserting that each leg's calls tile its midpoints in order:
-    blocks of ``block`` points and a shorter tail, block j starting
-    j * block steps after the first midpoint."""
-    per_leg = -(-n_steps // block)
-    assert len(line_calls) % per_leg == 0
+    midpoints by their step, in the order of each leg's first call, as one
+    loop interleaves the legs' blocks.  Asserts that each leg's calls tile
+    its midpoints in order: blocks of ``block`` points and a shorter tail,
+    block j starting j * block steps after the first midpoint."""
+    by_step = {}
+    for call in line_calls:
+        by_step.setdefault(call[1].tobytes(), []).append(call)
     legs = []
-    for i in range(0, len(line_calls), per_leg):
-        calls = line_calls[i:i + per_leg]
+    for calls in by_step.values():
         first, step, _ = calls[0]
         assert [n for _, _, n in calls] == [
             min(block, n_steps - j) for j in range(0, n_steps, block)
@@ -548,7 +549,7 @@ def test_line_propagator_matches_one_block(n, block, tp, phi):
     whole = _leg_propagator(chernscope.lattice.line_fields(k0, step, n, p), dt)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(chernscope.interferometer, "_TDSE_BLOCK", block)
-        blocked = _line_propagator(k0, step, n, p, dt)
+        (blocked,) = _line_propagator(k0[None], step[None], n, p, dt)
     assert max(abs(x - y) for x, y in zip(blocked, whole)) <= 1e-13
 
 
@@ -606,17 +607,23 @@ def _reference_line_propagator(k0, step, n, p, dt, block):
 def test_line_propagator_is_bit_exact_against_one_tree_per_block(monkeypatch, block):
     """The stacked finish rounds every product as the per-block trees did:
     one short of a full block, full blocks, a partial tail, and lengths at
-    and around the length the full blocks are reduced to before stacking."""
+    and around the length the full blocks are reduced to before stacking.
+    Two unrelated lines stacked in one call each give the line alone."""
     monkeypatch.setattr(chernscope.interferometer, "_TDSE_BLOCK", block)
     short = chernscope.interferometer._SU2_SHORT
     lengths = {1, short - 1, short, short + 1, block - 1, block, block + 1}
     rng = np.random.default_rng(block)
     for n in sorted(x for x in lengths | {3 * block + 5} if x >= 1):
         p = ModelParams(tp=rng.uniform(0.0, 0.5), phi=rng.uniform(-np.pi, np.pi))
-        k0, step = rng.uniform(-4.0, 4.0, 2), rng.uniform(-1.0, 1.0, 2) * 1e-3
+        k0 = rng.uniform(-4.0, 4.0, (2, 2))
+        step = rng.uniform(-1.0, 1.0, (2, 2)) * 1e-3
         dt = rng.uniform(1e-3, 0.05)
-        got = _line_propagator(k0, step, n, p, dt)
-        assert got == _reference_line_propagator(k0, step, n, p, dt, block), n
+        want = _reference_line_propagator(k0[0], step[0], n, p, dt, block)
+        assert _line_propagator(k0[:1], step[:1], n, p, dt) == [want], n
+        alone = [
+            _line_propagator(k0[l:l + 1], step[l:l + 1], n, p, dt)[0] for l in (0, 1)
+        ]
+        assert _line_propagator(k0, step, n, p, dt) == alone, n
 
 
 _MIRROR = np.array([1.0, -1.0])  # (kx, ky) -> (kx, -ky)
@@ -624,12 +631,13 @@ _MIRROR = np.array([1.0, -1.0])  # (kx, ky) -> (kx, -ky)
 
 @pytest.mark.parametrize("block", [1, 3, 64, 65, 8192])
 def test_line_propagator_mirror_is_bit_exact_against_the_mirror_line(
-    monkeypatch, block
+    monkeypatch, field_calls, block
 ):
     """The mirror's propagator, derived from this line's step pairs, equals
     the one evaluated on the mirror line's own (k0, step), and this line's
     does not change with it: the lengths of the one-tree test, a partial
-    tail and lines shorter than a block among them, at both signs of phi."""
+    tail and lines shorter than a block among them, at both signs of phi.
+    Only this line's midpoints are evaluated."""
     monkeypatch.setattr(chernscope.interferometer, "_TDSE_BLOCK", block)
     short = chernscope.interferometer._SU2_SHORT
     lengths = {1, short - 1, short, short + 1, block - 1, block, block + 1}
@@ -641,11 +649,44 @@ def test_line_propagator_mirror_is_bit_exact_against_the_mirror_line(
             )
             k0, step = rng.uniform(-4.0, 4.0, 2), rng.uniform(-1.0, 1.0, 2) * 1e-3
             dt = rng.uniform(1e-3, 0.05)
-            got = _line_propagator(k0, step, n, p, dt, mirror=True)
-            assert got == (
-                _line_propagator(k0, step, n, p, dt),
-                _line_propagator(k0 * _MIRROR, step * _MIRROR, n, p, dt),
-            ), (n, sign)
+            field_calls.line.clear()
+            got = _line_propagator(
+                np.stack((k0, k0 * _MIRROR)), np.stack((step, step * _MIRROR)),
+                n, p, dt,
+            )
+            assert [call[1].tobytes() for call in field_calls.line] == [
+                step.tobytes()
+            ] * -(-n // block)
+            assert got == [
+                _line_propagator(k[None], s[None], n, p, dt)[0]
+                for k, s in ((k0, step), (k0 * _MIRROR, step * _MIRROR))
+            ], (n, sign)
+
+
+def test_line_propagator_derives_only_an_exact_mirror_of_the_previous_line(
+    field_calls,
+):
+    """A line is derived only when its k0 and step are the previous line's
+    with ky negated, bit for bit: 1 ulp off in either coordinate of either,
+    or the mirror of a line before the previous one, and the line is
+    evaluated.  Every row equals its line propagated alone."""
+    p, n, dt = ModelParams(tp=0.1, phi=0.5), 100, 0.05
+    k0, step = np.array([0.3, -1.1]), np.array([0.013, 0.021])
+    # Axes: line, (k0, step), (kx, ky).
+    rows = np.array([[k0, step], [k0 * _MIRROR, step * _MIRROR]])
+    cases = [(rows, 1)]
+    for which, i in np.ndindex(2, 2):
+        off = rows.copy()
+        off[1, which, i] = np.nextafter(off[1, which, i], 9.0)
+        cases.append((off, 2))
+    cases.append((np.array([rows[0], rows[0] + [[0.5, 0.5], [0.0, 0.0]], rows[1]]), 3))
+    for lines, evaluated in cases:
+        field_calls.line.clear()
+        got = _line_propagator(lines[:, 0], lines[:, 1], n, p, dt)
+        assert len(field_calls.line) == evaluated
+        assert got == [
+            _line_propagator(line[:1], line[1:], n, p, dt)[0] for line in lines
+        ]
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 257])
@@ -765,18 +806,31 @@ def test_tdse_diagnostics_carry_plan_xi(leg_time, field_calls):
         assert diag.xi == validate_plan(plan, P0).xi
 
 
+def _each_line_alone(monkeypatch):
+    """Makes evolve_tdse propagate each leg in a ``_line_propagator`` call
+    of its own, so that no leg is derived from the other."""
+    line_propagator = chernscope.interferometer._line_propagator
+
+    def alone(k0, step, *args):
+        return [
+            line_propagator(k0[l:l + 1], step[l:l + 1], *args)[0]
+            for l in range(len(k0))
+        ]
+
+    monkeypatch.setattr(chernscope.interferometer, "_line_propagator", alone)
+
+
 @pytest.mark.parametrize("site", ["I", "II"])
 def test_tdse_mirrored_plan_equals_the_evaluated_route(monkeypatch, field_calls, site):
     """A site plan's mirrored up leg gives the evolution that evaluating
-    both legs gives, bit for bit.  The leg takes a full block and a tail."""
+    each leg alone gives, bit for bit.  The leg takes a full block and a
+    tail."""
     plan = plan_site(site, leg_time=40.0, samples_per_leg=200)
     block = chernscope.interferometer._TDSE_BLOCK
     runs = []
     for evaluated in (1, 2):
         if evaluated == 2:
-            monkeypatch.setattr(
-                chernscope.interferometer, "_mirrored", lambda plan: False
-            )
+            _each_line_alone(monkeypatch)
         field_calls.line.clear()
         state, diag = evolve_tdse(initial_state(), plan, P0, zeeman_rate=0.01)
         assert diag.n_steps > block and diag.n_steps % block != 0
@@ -788,39 +842,53 @@ def test_tdse_mirrored_plan_equals_the_evaluated_route(monkeypatch, field_calls,
     assert runs[0] == runs[1]
 
 
-def test_tdse_takes_the_evaluated_route_unless_exactly_mirrored(field_calls):
-    """Only a start on the ky = 0 axis with endpoints mirrored bit for bit
-    takes the mirror: a start at ky = 1e-12, or an up endpoint 1 ulp off in
-    either coordinate, evaluates both legs."""
+def test_tdse_takes_the_evaluated_route_unless_exactly_mirrored(
+    monkeypatch, field_calls
+):
+    """A site plan's up leg is derived; a start at ky = 1e-12, or an up
+    endpoint 1 ulp off in ky, evaluates both legs, as the legs' steps and
+    first midpoints no longer mirror.  An up endpoint 1 ulp off in kx
+    vanishes in the step (end - start) / leg_time * dt, so its up leg is
+    still derived.  Each evolution equals the one with each leg evaluated
+    alone."""
     site = plan_site("I", leg_time=2.0, samples_per_leg=300)
     x, y = site.endpoint_up
     start = np.array([site.start[0], 1e-12])
     cases = [(site, 1), (dataclasses.replace(site, start=start), 2)]
-    for up in ([np.nextafter(x, 9), y], [x, np.nextafter(y, 9)]):
-        cases.append((dataclasses.replace(site, endpoint_up=np.array(up)), 2))
+    for up, evaluated in (([np.nextafter(x, 9), y], 1), ([x, np.nextafter(y, 9)], 2)):
+        cases.append((dataclasses.replace(site, endpoint_up=np.array(up)), evaluated))
+    runs = []
     for plan, evaluated in cases:
         field_calls.line.clear()
-        _, diag = evolve_tdse(initial_state(), plan, P0)
+        state, diag = evolve_tdse(initial_state(), plan, P0)
         legs = _line_blocks_per_leg(
             field_calls.line, diag.n_steps, chernscope.interferometer._TDSE_BLOCK
         )
         assert len(legs) == evaluated
+        runs.append((state.amp_down, state.amp_up, diag))
+    _each_line_alone(monkeypatch)
+    for (plan, _), run in zip(cases, runs):
+        state, diag = evolve_tdse(initial_state(), plan, P0)
+        assert (state.amp_down, state.amp_up, diag) == run
 
 
 def test_tdse_memory_stays_near_one_block():
     """A leg of over 2**18 steps peaks near one block's fields and step
     factors (about 1 MB; bound 1.1 MB), plus the full blocks' reduced pairs
     held for the stacked finish: 32 bytes per pair, ``_SU2_SHORT`` pairs
-    per block, counted twice for the down leg and its mirror."""
-    plan = plan_site("I", leg_time=1000.0, samples_per_leg=400)
-    evolve_tdse(initial_state(), plan, P0)  # first call sets up numpy
-    tracemalloc.start()
-    try:
-        _, diag = evolve_tdse(initial_state(), plan, P0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert diag.n_steps >= 2**18
-    blocks = diag.n_steps // chernscope.interferometer._TDSE_BLOCK
-    stacked = 2 * blocks * 32 * chernscope.interferometer._SU2_SHORT
-    assert peak < 1_100_000 + stacked
+    per block, counted twice for the two legs.  So does a plan whose legs
+    are both evaluated: a leg's step factors are released before the other
+    leg's fields are made."""
+    site = plan_site("I", leg_time=1000.0, samples_per_leg=400)
+    for plan in (site, _moved_up(site)):
+        evolve_tdse(initial_state(), plan, P0)  # first call sets up numpy
+        tracemalloc.start()
+        try:
+            _, diag = evolve_tdse(initial_state(), plan, P0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert diag.n_steps >= 2**18
+        blocks = diag.n_steps // chernscope.interferometer._TDSE_BLOCK
+        stacked = 2 * blocks * 32 * chernscope.interferometer._SU2_SHORT
+        assert peak < 1_100_000 + stacked, plan
