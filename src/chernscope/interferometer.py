@@ -19,7 +19,9 @@ its straight momentum leg, and the two evolution routes are
 
 Each route evaluates the Bloch fields of its legs' samples in one pass of
 :func:`chernscope.protocol.leg_fields`, over a (plans, 2, n + 1) stack of
-legs with one sampling.  The adiabatic route has one entry,
+legs with one sampling, which derives the fields of an up leg that is the
+down leg's mirror under ky -> -ky, as a site plan's up leg is, from the
+down leg's instead of evaluating them.  The adiabatic route has one entry,
 :func:`evolve_endpoints`, over plans given as arrays, and its math is two
 array functions.  :func:`_reduce_legs` runs once per pass of at most
 ``_ADIABATIC_BATCH`` momenta and reduces the stack to each packet's summed
@@ -35,9 +37,9 @@ stepwise route passes its one plan through
 :func:`chernscope.protocol.leg_pass`, derives the step-size bandwidth and
 its start and end states from it, and propagates both legs in one loop
 over fixed-size blocks of midpoints, whose fields come from
-:func:`chernscope.lattice.line_fields`; a leg that is the other's mirror
-under ky -> -ky, as a site plan's up leg is, takes the other's step
-factors instead.
+:func:`chernscope.lattice.line_fields`; by the same mirror test,
+:func:`chernscope.protocol.ky_mirrored`, the mirrored leg takes the other's
+step factors instead.
 
 Both routes end with the two packets at momenta one reciprocal vector apart
 (up to planned endpoint error), and close the same way, in :func:`_close`:
@@ -78,6 +80,7 @@ from .lattice import (
 )
 from .protocol import (
     ProtocolPlan,
+    ky_mirrored,
     leg_fields,
     leg_pass,
     plan_arrays,
@@ -438,11 +441,13 @@ def evolve_endpoints(
     the one-plan scalar expression rounds it, so row j does not depend on
     the passes or the plans it ran with; :func:`evolve_adiabatic` is row 0
     of one plan.  ``gauge_fn`` rotates every sample's state.  At the
-    default sampling a call peaks at about 1.4 MB for one pass's reduction
-    plus about 0.18 kB per plan for the closing (tracemalloc: 1.48 MB at
-    512 plans, 1.76 MB at 2,048), so a caller with many plans passes them
-    in chunks.  A NaN or infinite ``zeeman_rate`` raises ValueError before
-    any pass.
+    sweep's 1,200 samples per leg a call peaks at about 1.4 MB for one
+    pass's reduction (tracemalloc: 1.39 MB for four perturbed plans, 1.42
+    MB for the sweep's first pass, which also gathers its two nominal
+    plans' down legs for the field call) plus about 0.18 kB per plan for
+    the closing (1.48 MB at 512 perturbed plans, 1.76 MB at 2,048), so a
+    caller with many plans passes them in chunks.  A NaN or infinite
+    ``zeeman_rate`` raises ValueError before any pass.
     """
     zeeman_phase = _zeeman_phases(zeeman_rate, leg_time, with_echo)
     count = len(endpoints)
@@ -565,18 +570,6 @@ def _step_pairs(fields: tuple, dt: float) -> tuple[complex, np.ndarray, np.ndarr
     return complex(np.exp(-1j * dt * np.sum(h0))), a, b
 
 
-def _leg_propagator(fields: tuple, dt: float) -> tuple[complex, complex, complex]:
-    """Time-ordered product of the step exponentials exp(-i H dt) of a leg.
-
-    The steps of :func:`_step_pairs`, their SU(2) parts multiplied in one
-    tree by :func:`_su2_product`.  Returns the phase exp(-i dt sum(h0)) and
-    the (a, b) pair of the SU(2) product.
-    """
-    phase, a, b = _step_pairs(fields, dt)
-    a, b = _su2_product(a, b)
-    return phase, complex(a[0]), complex(b[0])
-
-
 def _su2_product(
     a: np.ndarray, b: np.ndarray, short: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -607,14 +600,16 @@ def _su2_product(
 def _line_propagator(
     k0: np.ndarray, step: np.ndarray, n: int, p: ModelParams, dt: float
 ) -> list[tuple[complex, complex, complex]]:
-    """:func:`_leg_propagator` of each line's n midpoints k0[l] + j step[l].
+    """Time-ordered product of the step exponentials exp(-i H dt) of each
+    line's n midpoints k0[l] + j step[l]: the steps of :func:`_step_pairs`,
+    their SU(2) parts multiplied by :func:`_su2_product`.
 
     ``k0`` and ``step`` hold one row per line, and all lines run through
     one loop over blocks of at most ``_TDSE_BLOCK`` midpoints.  A line
-    whose k0 and step are the previous line's with ky negated, bit for bit,
-    is its mirror: u = exp(iY) becomes conj(u), so the fields are the
-    previous line's with hy negated and the step pairs (a, -conj(b)) with
-    the same phase, made in place with no
+    whose (k0, step) is the previous line's mirror under ky -> -ky
+    (:func:`chernscope.protocol.ky_mirrored`) has u = exp(iY) conjugated,
+    so its fields are the previous line's with hy negated and its step
+    pairs (a, -conj(b)) with the same phase, made in place with no
     :func:`chernscope.lattice.line_fields` call.  Any other line's block
     takes its fields from one such call, after the previous line's step
     pairs are released.
@@ -628,7 +623,7 @@ def _line_propagator(
     """
     rows = np.stack((k0, step), axis=1)
     # Whether each line mirrors the previous one; no line follows the last.
-    mirror = [False, *np.all(rows[1:] == rows[:-1] * [1.0, -1.0], axis=(1, 2)), False]
+    mirror = [False, *ky_mirrored(rows[:-1], rows[1:]), False]
     n_full = n // _TDSE_BLOCK
     phases = np.empty((len(k0), -(-n // _TDSE_BLOCK)), dtype=complex)
     full = None  # a and b of each line's full blocks, reduced to pairs
@@ -686,9 +681,9 @@ def evolve_tdse(
 
     An up leg whose first midpoint and step are the down leg's with ky
     negated, as every site plan's are, has its propagator derived from
-    the down leg's step factors; any other has its own evaluated.  Both
-    give the same bits.  The four band states at the legs' first and last
-    samples come from one
+    the down leg's step factors, as the leg pass derives its samples'
+    fields; any other has its own evaluated.  Both give the same bits.
+    The four band states at the legs' first and last samples come from one
     :func:`chernscope.lattice.states_from_fields` call.  The norm
     drift of the assembled 2x2 total propagator, max |U^dagger U - I|,
     above 1e-8 raises StepTooLarge.  Band leakage is reported per packet,

@@ -22,9 +22,11 @@ Site geometry, on the lattice constants of :mod:`chernscope.lattice`:
 so the endpoint pair differs by b1 in both cases.  The magnitudes satisfy
 |lattice| / |gradient| = sqrt(3) exactly.  Both starts lie on the ky = 0
 axis and each up endpoint is its down endpoint with ky negated, bit for
-bit, so a site plan's up leg is its down leg mirrored under ky -> -ky;
-:func:`chernscope.interferometer.evolve_tdse` relies on this to derive the
-up leg's step factors from the down leg's instead of evaluating them.
+bit, so a site plan's up leg is its down leg mirrored under ky -> -ky.
+Both evolution routes rely on this, through one test, :func:`ky_mirrored`:
+:func:`leg_fields` derives the up leg's Bloch fields from the down leg's,
+and :func:`chernscope.interferometer.evolve_tdse` the up leg's step
+factors, instead of evaluating them.
 
 A plan is one start, two endpoints and one sampling: its two legs are
 straight lines from the start, each sampled at the same number of equal
@@ -64,6 +66,7 @@ __all__ = [
     "plans_from_config",
     "validate_plan",
     "LegPass",
+    "ky_mirrored",
     "plan_arrays",
     "leg_pass",
     "leg_fields",
@@ -80,6 +83,8 @@ _MAX_ENDPOINT_ERROR = 0.25 * float(np.linalg.norm(B1))
 
 # Largest leg sampling; see ProtocolPlan for the memory it implies.
 MAX_SAMPLES_PER_LEG = 1_000_000
+
+_KY_MIRROR = np.array([1.0, -1.0])  # (kx, ky) -> (kx, -ky)
 
 
 class ForceSpec(NamedTuple):
@@ -340,29 +345,65 @@ def leg_pass(plans: Sequence[ProtocolPlan], p: ModelParams) -> LegPass:
     return leg_fields(*plan_arrays(plans), p)
 
 
+def ky_mirrored(lines: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Whether each line of ``others`` is the matching line of ``lines``
+    mirrored under ky -> -ky, as a boolean array over the stacks.
+
+    A line is a (point, direction) pair of momenta, so both stacks are
+    (..., 2, 2) arrays; the coordinates are compared ``==``, element by
+    element, so either signed zero mirrors a ky of 0.  The momenta
+    point + s direction of a mirrored line are those of the other line
+    with ky negated, bit for bit, wherever that ky is not zero.
+    """
+    return (others == lines * _KY_MIRROR).all(axis=(-2, -1))
+
+
 def leg_fields(
     starts: np.ndarray, ends: np.ndarray, n: int, p: ModelParams
 ) -> LegPass:
     """Bloch fields and band energies of the straight legs from each start,
     (plans, 2), to its two endpoints, (plans, 2, 2), in n equal intervals.
 
-    The one field evaluation of the batch: every leg's samples go through a
-    single ``bloch_fields`` call on the flat stack, and its five arrays are
-    reshaped to the legs as they come.  The samples are those of the
-    :meth:`chernscope.topology.KPath.line` paths of a plan's legs, with one
-    ``np.linspace`` shared by all legs, so a leg's samples do not depend on
-    the batch it is in.
+    The one field evaluation of the batch, in a single ``bloch_fields``
+    call on a flat stack of samples.  A plan whose up leg mirrors its down
+    leg under ky -> -ky (:func:`ky_mirrored` of the legs' start and
+    displacement), with a start at ky = +0.0 as every site plan's is,
+    sends only its down leg's samples.  Its up leg's fields are the down
+    leg's with each nonzero hy negated, bit for bit what evaluating them
+    gives: ky -> -ky conjugates u = exp(iY), the shared start sample's hy
+    is a zero that stays as it is, and an hy that cancels to zero on one
+    leg cancels to the same zero on the other.  A start at ky = -0.0
+    evaluates both legs, as their first samples then differ in the sign of
+    that zero.  With no mirrored plan the call takes the whole stack,
+    reshaped, and its five arrays are reshaped to the legs as they come.
+    The samples are those of the :meth:`chernscope.topology.KPath.line`
+    paths of a plan's legs, with one ``np.linspace`` shared by all legs, so
+    a leg's samples do not depend on the batch it is in.
     """
-    starts = starts[:, None]
-    # Each packet's displacement from its start, down packet first.
-    disp = ends - starts
+    # Each packet's leg as a line: its start and its displacement from it,
+    # (plans, 2, 2, 2), down packet first.
+    lines = np.empty((len(ends), 2, 2, 2))
+    lines[:, :, 0] = starts[:, None]
+    disp = np.subtract(ends, starts[:, None], out=lines[:, :, 1])
+    mirror = ky_mirrored(lines[:, 0], lines[:, 1]) & ~np.signbit(starts[:, 1])
     frac = np.linspace(0.0, 1.0, n + 1)
     points = np.empty((len(ends), 2, n + 1, 2))
     for c in range(2):  # a coordinate at a time, so each loop runs along a leg
         np.multiply(frac, disp[..., c, None], out=points[..., c])
-        points[..., c] += starts[..., c, None]
-    fields = bloch_fields(points.reshape(-1, 2), p)
-    fields = tuple(f.reshape(points.shape[:-1]) for f in fields)
+        points[..., c] += starts[:, None, c, None]
+    if not mirror.any():
+        fields = bloch_fields(points.reshape(-1, 2), p)
+        fields = tuple(f.reshape(points.shape[:-1]) for f in fields)
+    else:
+        evaluated = np.ones(points.shape[:2], dtype=bool)
+        evaluated[:, 1] = ~mirror
+        fields = np.empty((5,) + points.shape[:-1])
+        for out, f in zip(fields, bloch_fields(points[evaluated].reshape(-1, 2), p)):
+            out[evaluated] = f.reshape(-1, n + 1)
+        down = fields[:, mirror, 0]
+        np.negative(down[2], out=down[2], where=down[2] != 0.0)
+        fields[:, mirror, 1] = down
+        fields = tuple(fields)
     return LegPass(points, fields, energies_from_fields(fields))
 
 

@@ -400,7 +400,8 @@ def test_sweep_records_equal_the_plan_by_plan_route(
 
 def test_sweep_zero_radii_evolve_only_the_nominal_plans(monkeypatch):
     """Radius-0 trials reuse the nominal end states: the sweep's one field
-    pass is the nominal one, over both sites' 2 x 1,201 leg samples."""
+    pass is the nominal one, over both sites' down legs' 1,201 samples, as
+    each site's up leg is the down leg's mirror."""
     sizes = []
     fields = chernscope.protocol.bloch_fields
 
@@ -410,7 +411,7 @@ def test_sweep_zero_radii_evolve_only_the_nominal_plans(monkeypatch):
 
     monkeypatch.setattr(chernscope.protocol, "bloch_fields", counting)
     table = robustness_sweep(P0, [0.0, 0.0], trials=3)
-    assert sizes == [2 * 2 * 1201]
+    assert sizes == [2 * 1201]
     assert [row.max_zak_error for row in table.rows] == [0.0, 0.0]
 
 

@@ -284,12 +284,16 @@ def test_sweep_runs_are_byte_identical():
 
 def test_sweep_output_does_not_depend_on_batch_size(monkeypatch):
     """One plan per pass and one pass past 16,384 momenta print the same
-    bytes as the default batches, and the radius-0 row stays exact."""
+    bytes as the default batches, and the radius-0 row stays exact.  The
+    two nominal plans send their down legs' 1,201 samples, as each up leg
+    is the down leg's mirror, and the 18 perturbed plans both legs' 2,402:
+    20 passes of one plan, or one pass of 38 legs."""
     args = ("sweep", "--trials", "3")
     reference = run_cli(*args)
     assert reference[0] == 0
     fields = chernscope.lattice.bloch_fields
-    for batch, pass_sizes in ((1, {2 * 1201}), (10**6, {40 * 1201})):
+    one_plan = [1201] * 2 + [2 * 1201] * 18
+    for batch, pass_sizes in ((1, one_plan), (10**6, [38 * 1201])):
         sizes = []
 
         def counting(kpts, p):
@@ -299,7 +303,7 @@ def test_sweep_output_does_not_depend_on_batch_size(monkeypatch):
         monkeypatch.setattr(chernscope.protocol, "bloch_fields", counting)
         monkeypatch.setattr(chernscope.interferometer, "_ADIABATIC_BATCH", batch)
         assert run_cli(*args) == reference
-        assert set(sizes) == pass_sizes
+        assert sorted(sizes) == pass_sizes
     table = reference[1].split("## table: sweep\n", 1)[1].splitlines()
     assert table[:4] == [
         "radius: 0", "trials: 3", "success_rate: 1", "max_zak_error: 0"

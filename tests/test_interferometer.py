@@ -34,11 +34,12 @@ from chernscope import (
 )
 from chernscope.interferometer import (
     _close,
-    _leg_propagator,
     _line_propagator,
     _stacked_readout,
+    _step_pairs,
+    _su2_product,
 )
-from chernscope.protocol import plan_arrays
+from chernscope.protocol import leg_pass, plan_arrays
 
 P0 = ModelParams()
 
@@ -393,16 +394,28 @@ def field_calls(monkeypatch):
     return calls
 
 
-def _stacked_legs(plan):
-    """Both legs' samples, down leg first, as the one field pass takes them."""
-    return np.concatenate([plan.k_path_down.points, plan.k_path_up.points])
+def _stacked_legs(plan, legs=2):
+    """The samples of the plan's first ``legs`` legs, down leg first: both
+    legs make the (plans, 2, n + 1) stack of the one field pass, which
+    sends ``bloch_fields`` both legs of a plan whose up endpoint is moved
+    and the down leg alone of a site plan, whose up leg is its mirror."""
+    return np.concatenate([plan.k_path_down.points, plan.k_path_up.points][:legs])
+
+
+def _moved_up(plan):
+    """The plan with its up endpoint moved by 1e-3, so its legs do not
+    mirror under ky -> -ky."""
+    return dataclasses.replace(plan, endpoint_up=plan.endpoint_up + 1e-3)
 
 
 def test_adiabatic_evolution_evaluates_each_leg_once(monkeypatch, field_calls):
-    """One ``bloch_fields`` call on both legs' samples, each sample once,
-    one link kernel call over the whole (plans, 2, n + 1) stack, states
-    built only at the legs' end samples, and no ``transport_link`` call."""
-    plan = plan_site("I", samples_per_leg=300)
+    """One ``bloch_fields`` call, each sample once: a site plan sends only
+    its down leg's 301 samples, as its up leg is the down leg's mirror, and
+    a plan with a moved up endpoint sends both legs' 602.  One link kernel
+    call over the whole (plans, 2, n + 1) stack, the up leg included,
+    states built only at the legs' end samples, and no ``transport_link``
+    call."""
+    site = plan_site("I", samples_per_leg=300)
     calls = []
 
     def counting(module, name):
@@ -417,20 +430,23 @@ def test_adiabatic_evolution_evaluates_each_leg_once(monkeypatch, field_calls):
     counting(chernscope.interferometer, "field_link_phases")
     counting(chernscope.interferometer, "states_from_fields")
     counting(chernscope.topology, "transport_link")
-    state = initial_state()
     assert field_calls.bloch == []
-    evolve_adiabatic(state, plan, P0)
-    assert len(field_calls.bloch) == 1
-    assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan))
-    assert field_calls.line == []
-    assert not hasattr(chernscope.interferometer, "transport_link")
-    assert [(name, shape) for name, shape, _ in calls] == [
-        ("field_link_phases", (1, 2, 301)),
-        ("states_from_fields", (1, 2)),
-    ]
-    stack = _stacked_legs(plan).reshape(1, 2, 301, 2)
-    assert np.array_equal(calls[0][2], stack)
-    assert np.array_equal(calls[1][2], stack[:, :, -1])
+    for plan, evaluated in ((site, 1), (_moved_up(site), 2)):
+        field_calls.bloch.clear()
+        calls.clear()
+        evolve_adiabatic(initial_state(), plan, P0)
+        assert len(field_calls.bloch) == 1
+        assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan, evaluated))
+        assert len(field_calls.bloch[0]) == 301 * evaluated
+        assert field_calls.line == []
+        assert not hasattr(chernscope.interferometer, "transport_link")
+        assert [(name, shape) for name, shape, _ in calls] == [
+            ("field_link_phases", (1, 2, 301)),
+            ("states_from_fields", (1, 2)),
+        ]
+        stack = _stacked_legs(plan).reshape(1, 2, 301, 2)
+        assert np.array_equal(calls[0][2], stack)
+        assert np.array_equal(calls[1][2], stack[:, :, -1])
 
 
 def test_endpoint_rows_equal_single_evolutions(monkeypatch, field_calls):
@@ -477,6 +493,123 @@ def test_endpoint_rows_equal_single_evolutions(monkeypatch, field_calls):
                 )
 
 
+def _evaluate_every_leg(patch):
+    """Turns the mirror rule of ``leg_fields`` off, so that every leg's
+    fields are evaluated: the reference the derived legs must equal."""
+    patch.setattr(
+        chernscope.protocol, "ky_mirrored",
+        lambda lines, others: np.zeros(np.shape(lines)[:-2], dtype=bool),
+    )
+
+
+def _pass_bytes(legs):
+    """The points, fields and energies of a ``LegPass``, as bytes, so that
+    signed zeros count."""
+    return [x.tobytes() for x in (legs.points, *legs.fields, *legs.energies)]
+
+
+@pytest.mark.parametrize("n", [1, 37, 300, 2000])
+def test_mirrored_up_leg_equals_the_evaluated_leg_bit_for_bit(field_calls, n):
+    """A site plan's up leg, derived from its down leg, has the fields and
+    energies that evaluating it gives, to the last bit and the sign of
+    every zero: at both sites and seeded couplings, both signs of phi
+    among them, each plan alone and both in one pass.  The reference is
+    evaluated here, so the test holds numpy's sin odd and cos even, bit
+    for bit, at whatever SIMD dispatch it runs on.  Only the down legs'
+    samples reach ``bloch_fields``."""
+    rng = np.random.default_rng(n)
+    plans = [
+        dataclasses.replace(plan_site(site), samples_per_leg=n) for site in ("I", "II")
+    ]
+    for sign in (1.0, -1.0, 1.0):
+        p = ModelParams(
+            t=rng.uniform(0.5, 2.0), tp=rng.uniform(0.0, 0.5),
+            phi=sign * rng.uniform(0.0, np.pi),
+        )
+        for batch in ([plans[0]], [plans[1]], plans):
+            field_calls.bloch.clear()
+            got = leg_pass(batch, p)
+            assert [len(c) for c in field_calls.bloch] == [len(batch) * (n + 1)]
+            with pytest.MonkeyPatch.context() as patch:
+                _evaluate_every_leg(patch)
+                field_calls.bloch.clear()
+                want = leg_pass(batch, p)
+            assert [len(c) for c in field_calls.bloch] == [2 * len(batch) * (n + 1)]
+            assert _pass_bytes(got) == _pass_bytes(want), (n, sign, len(batch))
+
+
+def test_leg_fields_evaluates_both_legs_unless_exactly_mirrored(field_calls):
+    """Only an up leg whose start and displacement are the down leg's with
+    ky negated is derived.  A start at ky = 1e-12, a start at ky = -0.0
+    (the legs' first samples then differ in the sign of that zero), an up
+    endpoint 1 ulp off in ky, and one 1 ulp below in kx, which moves the
+    displacement end - start, each send both legs' samples.  1 ulp above
+    in kx vanishes in end - start, so that up leg is still derived.  Each
+    pass equals the one with every leg evaluated."""
+    p = ModelParams(tp=0.2, phi=-0.7)
+    site = plan_site("I", samples_per_leg=300)
+    x, y = site.endpoint_up
+    cases = [(site, 1)]
+    for ky in (1e-12, -0.0):
+        start = np.array([site.start[0], ky])
+        cases.append((dataclasses.replace(site, start=start), 2))
+    for up, evaluated in (
+        ([x, np.nextafter(y, 9)], 2), ([np.nextafter(x, -9), y], 2),
+        ([np.nextafter(x, 9), y], 1),
+    ):
+        cases.append((dataclasses.replace(site, endpoint_up=np.array(up)), evaluated))
+    for plan, evaluated in cases:
+        field_calls.bloch.clear()
+        got = leg_pass([plan], p)
+        assert [len(c) for c in field_calls.bloch] == [301 * evaluated]
+        assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan, evaluated))
+        with pytest.MonkeyPatch.context() as patch:
+            _evaluate_every_leg(patch)
+            assert _pass_bytes(got) == _pass_bytes(leg_pass([plan], p))
+
+
+def test_endpoint_rows_with_mirrored_plans_equal_the_evaluated_route(
+    monkeypatch, field_calls
+):
+    """Passes that mix site plans with perturbed and moved ones give every
+    row the bits of the route with every leg evaluated: with and without
+    the echo, with a Zeeman rate, with a gauge that is not even in ky (it
+    reads the up legs' own samples), in one pass and in passes of three
+    plans, where the mirrored plans sit at different places.  The two site
+    plans send 301 leg samples each, the other three 602."""
+    def gauge(kpts):
+        kpts = np.asarray(kpts)
+        return 2.7 * np.sin(3.1 * kpts[..., 0]) + 1.3 * np.sin(2.3 * kpts[..., 1])
+
+    for echo in (True, False):
+        sites = [
+            plan_site(site, with_echo=echo, samples_per_leg=300) for site in ("I", "II")
+        ]
+        plans = [
+            sites[0], perturb_plan(sites[0], 0.01, 1), sites[1],
+            _moved_up(sites[1]), perturb_plan(sites[1], 0.01, 2),
+        ]
+        starts, endpoints, n = plan_arrays(plans)
+        for batch, zeeman_rate, gauge_fn in (
+            (10**6, 0.0, None), (3 * 602, 0.01, None), (10**6, 0.0, gauge),
+            (3 * 602, 0.01, gauge),
+        ):
+            monkeypatch.setattr(chernscope.interferometer, "_ADIABATIC_BATCH", batch)
+            runs = []
+            for rule in (True, False):
+                with pytest.MonkeyPatch.context() as patch:
+                    if not rule:
+                        _evaluate_every_leg(patch)
+                    field_calls.bloch.clear()
+                    rows = evolve_endpoints(
+                        starts, endpoints, n, 200.0, echo, P0, zeeman_rate, gauge_fn
+                    )
+                    runs.append([row.tobytes() for row in rows])
+                    sent = sum(len(c) for c in field_calls.bloch)
+                    assert sent == (2 * 301 + 3 * 602 if rule else 5 * 602)
+            assert runs[0] == runs[1], (echo, batch, zeeman_rate, gauge_fn)
+
+
 def _line_blocks_per_leg(line_calls, n_steps, block):
     """Groups ``line_fields`` calls (k0, step, n) into legs of n_steps
     midpoints by their step, in the order of each leg's first call, as one
@@ -499,19 +632,14 @@ def _line_blocks_per_leg(line_calls, n_steps, block):
     return legs
 
 
-def _moved_up(plan):
-    """The plan with its up endpoint moved by 1e-3, so its legs do not
-    mirror under ky -> -ky."""
-    return dataclasses.replace(plan, endpoint_up=plan.endpoint_up + 1e-3)
-
-
 def test_tdse_evaluates_leg_samples_once_besides_midpoints(monkeypatch, field_calls):
     """The legs' samples go through one ``bloch_fields`` call, each sample
     once; the midpoints go through ``line_fields`` once each, in blocks,
     from the leg start plus half a step.  A site plan's legs mirror under
-    ky -> -ky, so only the down leg's midpoints are evaluated; a plan whose
-    up endpoint is moved has both legs' evaluated.  The leg takes one block
-    at the default block size and several with a short tail at 100."""
+    ky -> -ky, so only the down leg's 301 samples and its midpoints are
+    evaluated; a plan whose up endpoint is moved has both legs' 602
+    samples and midpoints evaluated.  The leg takes one block at the
+    default block size and several with a short tail at 100."""
     site = plan_site("I", leg_time=2.0, samples_per_leg=300)
     for plan, evaluated in ((site, 1), (_moved_up(site), 2)):
         plan_legs = (plan.k_path_down, plan.k_path_up)
@@ -521,7 +649,8 @@ def test_tdse_evaluates_leg_samples_once_besides_midpoints(monkeypatch, field_ca
             field_calls.line.clear()
             _, diagnostics = evolve_tdse(initial_state(), plan, P0)
             assert len(field_calls.bloch) == 1
-            assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan))
+            assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan, evaluated))
+            assert len(field_calls.bloch[0]) == 301 * evaluated
             n = diagnostics.n_steps
             assert 100 < n < 8192 and n % 100 != 0
             legs = _line_blocks_per_leg(field_calls.line, n, block)
@@ -529,6 +658,16 @@ def test_tdse_evaluates_leg_samples_once_besides_midpoints(monkeypatch, field_ca
             for leg, (k0, step) in zip(plan_legs, legs):
                 assert np.array_equal(k0, leg.k_b + step / 2)
                 assert np.allclose(n * step, leg.k_e - leg.k_b, rtol=0, atol=1e-12)
+
+
+def _leg_propagator(fields, dt):
+    """Reference: the time-ordered product of a leg's step exponentials
+    exp(-i H dt) in one block, the steps of ``_step_pairs`` multiplied in
+    one tree by ``_su2_product``.  Returns the phase exp(-i dt sum(h0)) and
+    the (a, b) pair of the SU(2) product."""
+    phase, a, b = _step_pairs(fields, dt)
+    a, b = _su2_product(a, b)
+    return phase, complex(a[0]), complex(b[0])
 
 
 @given(
@@ -783,22 +922,25 @@ def test_tdse_step_budget_refuses_before_allocating(monkeypatch, field_calls):
     field_calls.line.clear()
     with pytest.raises(ValueError, match="budget"):
         evolve_tdse(initial_state(), plan, P0)
-    assert len(field_calls.bloch) == 1
-    assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan))
+    assert len(field_calls.bloch) == 1  # the down leg's 401 samples
+    assert np.array_equal(field_calls.bloch[0], plan.k_path_down.points)
+    assert len(field_calls.bloch[0]) == 401
     assert field_calls.line == []
 
 
 @pytest.mark.parametrize("leg_time", [2.0, 400.0])
 def test_tdse_diagnostics_carry_plan_xi(leg_time, field_calls):
-    """A site plan evaluates its down leg's midpoints only, as its up leg is
-    the mirror; a plan whose up endpoint is moved evaluates both."""
+    """A site plan evaluates its down leg's 401 samples and midpoints only,
+    as its up leg is the mirror; a plan whose up endpoint is moved
+    evaluates both legs' 802 samples and midpoints."""
     site = plan_site("I", leg_time=leg_time, samples_per_leg=400)
     for plan, evaluated in ((site, 1), (_moved_up(site), 2)):
         field_calls.bloch.clear()
         field_calls.line.clear()
         _, diag = evolve_tdse(initial_state(), plan, P0)
-        assert len(field_calls.bloch) == 1  # both legs in one pass
-        assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan))
+        assert len(field_calls.bloch) == 1  # the legs in one pass
+        assert np.array_equal(field_calls.bloch[0], _stacked_legs(plan, evaluated))
+        assert len(field_calls.bloch[0]) == 401 * evaluated
         legs = _line_blocks_per_leg(  # midpoints
             field_calls.line, diag.n_steps, chernscope.interferometer._TDSE_BLOCK
         )

@@ -26,7 +26,8 @@ def test_benchmark_target_exists(module_name, func_name):
 def test_traced_fringe_counts_each_leg_point_once():
     """The tracer reads the legs off the plan an evolution is given; a
     fringe run at 40 samples per leg has 2 x 41 leg points, and the fields
-    of each are evaluated exactly once."""
+    of each down leg point are evaluated exactly once: the site plan's up
+    leg is the down leg's mirror, its fields derived."""
     tracer = SPANS_NAMESPACE["Tracer"]()
     tracer.install()
     try:
@@ -36,7 +37,7 @@ def test_traced_fringe_counts_each_leg_point_once():
     assert code == 0
     _, counts = tracer.take()
     assert counts["interferometer.leg_points"] == 82
-    assert counts["lattice.fields.momenta"] == counts["interferometer.leg_points"]
+    assert counts["lattice.fields.momenta"] == 41
     assert counts["interferometer.adiabatic.calls"] == 1
 
 
@@ -44,12 +45,14 @@ def test_traced_sweep_evaluates_each_leg_sample_once():
     """A traced sweep at 2 trials and 20 samples per leg evolves the 2
     nominal plans and 2 sites x 2 trials at each of the 3 nonzero default
     radii (the radius-0 trials reuse the nominal end states), and evaluates
-    the fields of each plan's 2 x 21 leg samples once; the traced wrappers
-    it passes through are handed single plans, never a batch.  Before any
-    evolution it runs one gap search: a 32 x 32 scan and 20 rounds of 7 x 7
-    points, batched.  Round 1 runs alone and moves the centre; rounds 2-20
-    run as one batch around the new centre, which round 17 moves again, so
-    rounds 18-20 run once more around it: 1 + 19 + 3 = 23 rounds' grids."""
+    the fields of each perturbed plan's 2 x 21 leg samples once and of each
+    nominal plan's 21 down leg samples, its up leg the mirror; the traced
+    wrappers it passes through are handed single plans, never a batch.
+    Before any evolution it runs one gap search: a 32 x 32 scan and 20
+    rounds of 7 x 7 points, batched.  Round 1 runs alone and moves the
+    centre; rounds 2-20 run as one batch around the new centre, which round
+    17 moves again, so rounds 18-20 run once more around it: 1 + 19 + 3 =
+    23 rounds' grids."""
     tracer = SPANS_NAMESPACE["Tracer"]()
     tracer.install()
     try:
@@ -63,7 +66,8 @@ def test_traced_sweep_evaluates_each_leg_sample_once():
     _, counts = tracer.take()
     assert counts["lattice.gap_scan.calls"] == 1
     gap_search = 32 * 32 + 23 * 7 * 7
-    assert counts["lattice.fields.momenta"] == (2 + 3 * 2 * 2) * 2 * 21 + gap_search
+    legs = 2 * 1 + 3 * 2 * 2 * 2  # nominal down legs, perturbed plans' legs
+    assert counts["lattice.fields.momenta"] == legs * 21 + gap_search
 
 
 TDSE_ARGV = ["fringe", "--mode", "tdse", "--leg-time", "2", "--samples-per-leg", "400"]
@@ -77,8 +81,9 @@ def _tdse_stdout() -> str:
 
 def test_traced_tdse_counts_steps_and_leg_points_only():
     """The traced TDSE route counts both packets' steps, and the fields of
-    the leg points once each: the midpoints go through ``line_fields``,
-    which the tracer does not count as field momenta."""
+    the down leg's points once each, the site plan's up leg being its
+    mirror: the midpoints go through ``line_fields``, which the tracer
+    does not count as field momenta."""
     tracer = SPANS_NAMESPACE["Tracer"]()
     tracer.install()
     try:
@@ -92,7 +97,7 @@ def test_traced_tdse_counts_steps_and_leg_points_only():
     ))
     assert counts["interferometer.tdse.steps"] == 2 * n_steps
     assert counts["interferometer.leg_points"] == 2 * 401
-    assert counts["lattice.fields.momenta"] == counts["interferometer.leg_points"]
+    assert counts["lattice.fields.momenta"] == 401
 
 
 def test_tdse_stdout_repeats_byte_for_byte():
