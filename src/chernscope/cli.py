@@ -20,6 +20,7 @@ import argparse
 import copy
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -291,7 +292,7 @@ def record_lines(pairs) -> list[str]:
 _TIE_GUARD = 1e-3
 _EXP_LIMIT = 290
 _GROUPS = np.array([[1e9], [1e6], [1e3], [1.0]])  # a mantissa's 3-digit groups
-_INT_DIVISORS = np.array([[1000**k] for k in range(6, -1, -1)], np.uint64)
+_FOLD_ROWS = 32  # rows of float cells ORed together in one step
 
 
 class _DigitTables(NamedTuple):
@@ -386,10 +387,10 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     e = np.floor(np.log10(a))
     redo = np.abs(e) > _EXP_LIMIT
     np.minimum(np.maximum(e, -_EXP_LIMIT, out=e), _EXP_LIMIT, out=e)
-    y = a * t.scales[(e + _EXP_LIMIT + 1).astype(np.intp)]
-    e += y >= 1e12  # log10 is off by one next to a power of ten
-    e -= y < 1e11
-    index = (e + _EXP_LIMIT + 1).astype(np.intp)
+    index = (e + (_EXP_LIMIT + 1)).astype(np.intp)
+    y = a * t.scales[index]
+    index += y >= 1e12  # log10 is off by one next to a power of ten
+    index -= y < 1e11
     y = a * t.scales[index]
     mantissa = np.rint(y)
     redo |= np.abs(y - np.floor(y) - 0.5) < _TIE_GUARD
@@ -409,41 +410,64 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     rows[-1] += 1000
     whole = t.whole[index]
     fill = whole + 13 * (t.triple_digits[rows].sum(axis=0) > whole)
-    cells = np.empty((n, 6), np.uint64)
-    cells[:, 0] = t.heads[2 * index + (x < 0)]
+    redone = np.flatnonzero(redo)
+    # Six words a row, and NUL rows up to a whole number of folds.
+    cells = np.empty((-(-n // _FOLD_ROWS) * _FOLD_ROWS, 6), np.uint64)
+    cells[:n, 0] = t.heads[2 * index + (x < 0)]
     for group in range(4):
-        cells[:, 1 + group] = t.triples[rows[group]] | t.fills[group][fill]
-    cells[:, 5] = t.tails[index]
-    cells = cells.view(np.uint8)
-    cells[zero, 8] = ord("0")
-    for row in np.flatnonzero(redo):
+        np.bitwise_or(t.triples[rows[group]], t.fills[group][fill],
+                      out=cells[:n, 1 + group])
+    cells[:n, 5] = t.tails[index]
+    cells[n:] = 0
+    cells[redone] = 0  # format_value writes these rows
+    # The bytes of each word ORed over the rows, first across folds, so
+    # that each step runs along a row of 6 * _FOLD_ROWS words.  A zero's
+    # digit overwrites the 1 it was gathered as, so the OR holds it.
+    used = np.bitwise_or.reduce(cells.reshape(-1, 6 * _FOLD_ROWS), axis=0)
+    used = np.bitwise_or.reduce(used.reshape(_FOLD_ROWS, 6), axis=0)
+    used = used.view(np.uint8) != 0
+    cells = cells[:n].view(np.uint8)
+    cells[:, 8][zero] = ord("0")
+    for row in redone:
         text = format_value(x[row], "").encode()
-        cells[row] = 0
         cells[row, :len(text)] = np.frombuffer(text, np.uint8)
+        used[:len(text)] = True
     # Without the byte columns that are NUL in every row, about half of
     # them, so that a wide table's block holds less.
-    return cells[:, cells.any(axis=0)]
+    return cells[:, used]
 
 
 def _int_cells(values: np.ndarray) -> np.ndarray:
     """The integers ``values`` (any int or uint dtype) in decimal, one
-    NUL-padded row each: a sign word, then words of three digits."""
+    NUL-padded row each: a sign slot if any value is negative, then words
+    of three digits, the last without its NUL."""
     t = _digit_tables()
     n = len(values)
     negative = values < 0
+    signed = int(negative.any())
     magnitude = values.astype(np.uint64)
     np.negative(magnitude, out=magnitude, where=negative)  # exact for int64 min
     count = -(-len(str(magnitude.max(initial=0))) // 3)
-    groups = magnitude // _INT_DIVISORS[-count:] % np.uint64(1000)
+    # The groups, most significant first, one division per group after it.
+    rows = np.empty((count, n), np.intp)
+    for group in range(count - 1, 0, -1):
+        quotient = magnitude // np.uint64(1000)
+        rows[group] = magnitude - quotient * np.uint64(1000)
+        magnitude = quotient
+    rows[0] = magnitude
     # Each group's block of int_triples rows: leading zeros drop while no
     # nonzero group comes before it, and the last group prints at least 0.
-    variant = np.ones((count, n), np.uint64)
-    variant[1:] = np.logical_and.accumulate(groups[:-1] == 0)
+    variant = np.ones((count, n), np.intp)
+    variant[1:] = np.logical_and.accumulate(rows[:-1] == 0)
     variant[-1] *= 2
-    cells = np.empty((n, count + 1), np.uint32)
-    cells[:, 0] = np.where(negative, ord("-"), 0)
-    cells[:, 1:] = t.int_triples[(groups + 1000 * variant).T]
-    return cells.view(np.uint8)
+    rows += 1000 * variant
+    # Byte 3 of the word before the digits is the sign slot.
+    words = np.empty((n, signed + count), np.uint32)
+    words[:, signed:] = t.int_triples[rows.T]
+    cells = words.view(np.uint8)[:, 3 * signed:-1]
+    if signed:
+        cells[:, 0] = np.where(negative, ord("-"), 0)
+    return cells
 
 
 def _text_cells(texts: list) -> np.ndarray:
@@ -468,10 +492,11 @@ def column_cells(values, name: str) -> np.ndarray:
 
 # Rows formatted at a time, as one byte matrix per block, so that only one
 # block's cells are alive at once: an in-process ``curvature --grid-n 400``
-# peaks at 55 B per grid point with ``--format dsv --out`` and 68 inline
+# peaks at 55 B per grid point with ``--format dsv --out`` and 67 inline
 # (tracemalloc), most of it the formatted text, which is written block by
-# block and never joined into one string.  A block's transient peak is
-# about 0.8 MB in that table, against 0.4 MB for %-formatting it.
+# block and never joined into one string.  A block's transient peak, above
+# the text made before it, is about 0.73 MB in the 200-grid dsv table,
+# against 0.45 MB for %-formatting it.
 _BLOCK_ROWS = 4096
 
 
@@ -490,6 +515,7 @@ def table_lines(headers, columns, fmt: str, name: str) -> list[str]:
         texts = [f"{headers[0]}: "] + [f"\n{h}: " for h in headers[1:]] + ["\n\n"]
     # The constant bytes around each cell of a row.
     constants = [np.frombuffer(text.encode(), np.uint8) for text in texts]
+    buffer = bytearray()
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         part = [column[start:start + _BLOCK_ROWS] for column in columns]
         try:
@@ -502,8 +528,11 @@ def table_lines(headers, columns, fmt: str, name: str) -> list[str]:
         pieces = constants[:1]
         for cell, constant in zip(cells, constants[1:]):
             pieces += [cell, constant]
-        ends = np.cumsum([piece.shape[-1] for piece in pieces]).tolist()
-        buffer = bytearray(len(cells[0]) * ends[-1])
+        ends = list(itertools.accumulate(piece.shape[-1] for piece in pieces))
+        # Every byte of the block is written below, so a buffer of the
+        # same size is reused as it stands.
+        if len(buffer) != len(cells[0]) * ends[-1]:
+            buffer = bytearray(len(cells[0]) * ends[-1])
         matrix = np.frombuffer(buffer, np.uint8).reshape(len(cells[0]), -1)
         for piece, end in zip(pieces, ends):
             matrix[:, end - piece.shape[-1]:end] = piece

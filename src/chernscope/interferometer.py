@@ -85,6 +85,7 @@ from .protocol import (
     leg_pass,
     plan_arrays,
     plan_diagnostics,
+    up_legs_mirrored,
 )
 from .topology import field_link_phases
 
@@ -433,7 +434,9 @@ def evolve_endpoints(
     where it is made.  The plans' legs are reduced in order by
     :func:`_reduce_legs`, in passes of at most ``_ADIABATIC_BATCH`` momenta
     and at least one plan (four plans at 1,200 samples per leg), each
-    pass's sums and end samples copied into arrays over all the plans; one
+    pass's sums and end samples copied into arrays over all the plans, and
+    its mirror rows sliced from one
+    :func:`chernscope.protocol.up_legs_mirrored` call over all of them; one
     :func:`_close_legs` call then closes them all and its result is
     returned: the closed slot amplitudes, (plans, 2), each packet's
     geometric phase, (plans, 2), the matching overlap angle, (plans,), and
@@ -455,13 +458,15 @@ def evolve_endpoints(
     dynamics = np.empty((count, 2))
     end_fields = np.empty((5, count, 2))
     end_points = np.empty((count, 2, 2))
+    mirror = up_legs_mirrored(starts, endpoints)
     step = _pass_plans(samples_per_leg)
     for first in range(0, count, step):
         part = slice(first, first + step)
         (
             phases[part], dynamics[part], end_fields[:, part], end_points[part]
         ) = _reduce_legs(
-            starts[part], endpoints[part], samples_per_leg, leg_time, p, gauge_fn
+            starts[part], endpoints[part], mirror[part], samples_per_leg,
+            leg_time, p, gauge_fn,
         )
     return _close_legs(
         endpoints, phases, dynamics, end_fields, end_points, with_echo,
@@ -472,6 +477,7 @@ def evolve_endpoints(
 def _reduce_legs(
     starts: np.ndarray,
     endpoints: np.ndarray,
+    mirror: np.ndarray,
     n: int,
     leg_time,
     p: ModelParams,
@@ -481,11 +487,13 @@ def _reduce_legs(
     what the closing needs.
 
     Plan j runs from ``starts[j]`` to the endpoints ``endpoints[j]``, down
-    packet first, in n intervals per leg; the leg time is an array over the
-    plans or a scalar.  Returns each packet's summed link angles and its
-    dynamical phase, (plans, 2) each, and copies of the fields (h0, hx, hy,
-    hz, |h|) of the legs' end samples, (5, plans, 2), and of their momenta,
-    (plans, 2, 2), so that nothing of the pass's field stack outlives it.
+    packet first, in n intervals per leg; ``mirror`` is the plans'
+    :func:`chernscope.protocol.up_legs_mirrored`, and the leg time is an
+    array over the plans or a scalar.  Returns each packet's summed link
+    angles and its dynamical phase, (plans, 2) each, and copies of the
+    fields (h0, hx, hy, hz, |h|) of the legs' end samples, (5, plans, 2),
+    and of their momenta, (plans, 2, 2), so that nothing of the pass's
+    field stack outlives it.
 
     The legs' fields come from one :func:`chernscope.protocol.leg_fields`
     call.  The transport links and the trapezoid rule on the lower band
@@ -497,7 +505,7 @@ def _reduce_legs(
     Each element is reduced along its own leg, so a plan's rows do not
     depend on the batch it ran in.
     """
-    legs = leg_fields(starts, endpoints, n, p)
+    legs = leg_fields(starts, endpoints, n, p, mirror)
     phases = field_link_phases(legs.fields, legs.points, p, gauge_fn)
     dx = np.reshape(leg_time, (-1, 1, 1)) / n
     dynamics = np.trapezoid(legs.energies[0], dx=dx, axis=-1)

@@ -499,7 +499,11 @@ def band_gap_min(p: ModelParams, n: int = 64) -> float:
         raise ValueError(f"grid size must be at least 16, got {n}")
 
     def gaps(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-        e_lo, e_up = band_energies(f1[..., None] * B1 + f2[..., None] * B2, p)
+        k = np.empty(f1.shape + (2,))
+        for c in range(2):  # a component at a time, each loop over the grid
+            np.multiply(f1, B1[c], out=k[..., c])
+            k[..., c] += f2 * B2[c]
+        e_lo, e_up = band_energies(k, p)
         return e_up - e_lo
 
     fracs = np.arange(n) / n
@@ -535,7 +539,7 @@ def high_symmetry_path(
     M is the zone-edge midpoint b1 / 2.  The ``bands`` command peaks at
     about 136 bytes per path point inline and 120 with ``--format dsv
     --out`` (tracemalloc at 80,000 and 100,000 points per segment, tables
-    formatted column by column; more per point on short paths, 163 and 129
+    formatted column by column; more per point on short paths, 162 and 128
     at 8,000), its formatted table the largest part, so the budget of
     ``MAX_PATH_POINTS_PER_SEGMENT`` = 100,000 implies about 54 MB.
 

@@ -24,9 +24,10 @@ so the endpoint pair differs by b1 in both cases.  The magnitudes satisfy
 axis and each up endpoint is its down endpoint with ky negated, bit for
 bit, so a site plan's up leg is its down leg mirrored under ky -> -ky.
 Both evolution routes rely on this, through one test, :func:`ky_mirrored`:
-:func:`leg_fields` derives the up leg's Bloch fields from the down leg's,
-and :func:`chernscope.interferometer.evolve_tdse` the up leg's step
-factors, instead of evaluating them.
+:func:`leg_fields` derives the up leg's Bloch fields from the down leg's
+where :func:`up_legs_mirrored` holds, and
+:func:`chernscope.interferometer.evolve_tdse` the up leg's step factors,
+instead of evaluating them.
 
 A plan is one start, two endpoints and one sampling: its two legs are
 straight lines from the start, each sampled at the same number of equal
@@ -69,6 +70,7 @@ __all__ = [
     "ky_mirrored",
     "plan_arrays",
     "leg_pass",
+    "up_legs_mirrored",
     "leg_fields",
     "plan_diagnostics",
     "endpoint_errors",
@@ -342,7 +344,8 @@ def plan_arrays(
 def leg_pass(plans: Sequence[ProtocolPlan], p: ModelParams) -> LegPass:
     """:func:`leg_fields` of a batch of plans, whose sampling
     :func:`plan_arrays` checks before any field is evaluated."""
-    return leg_fields(*plan_arrays(plans), p)
+    starts, ends, n = plan_arrays(plans)
+    return leg_fields(starts, ends, n, p, up_legs_mirrored(starts, ends))
 
 
 def ky_mirrored(lines: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -358,34 +361,44 @@ def ky_mirrored(lines: np.ndarray, others: np.ndarray) -> np.ndarray:
     return (others == lines * _KY_MIRROR).all(axis=(-2, -1))
 
 
-def leg_fields(
-    starts: np.ndarray, ends: np.ndarray, n: int, p: ModelParams
-) -> LegPass:
-    """Bloch fields and band energies of the straight legs from each start,
-    (plans, 2), to its two endpoints, (plans, 2, 2), in n equal intervals.
-
-    The one field evaluation of the batch, in a single ``bloch_fields``
-    call on a flat stack of samples.  A plan whose up leg mirrors its down
-    leg under ky -> -ky (:func:`ky_mirrored` of the legs' start and
-    displacement), with a start at ky = +0.0 as every site plan's is,
-    sends only its down leg's samples.  Its up leg's fields are the down
-    leg's with each nonzero hy negated, bit for bit what evaluating them
-    gives: ky -> -ky conjugates u = exp(iY), the shared start sample's hy
-    is a zero that stays as it is, and an hy that cancels to zero on one
-    leg cancels to the same zero on the other.  A start at ky = -0.0
-    evaluates both legs, as their first samples then differ in the sign of
-    that zero.  With no mirrored plan the call takes the whole stack,
-    reshaped, and its five arrays are reshaped to the legs as they come.
-    The samples are those of the :meth:`chernscope.topology.KPath.line`
-    paths of a plan's legs, with one ``np.linspace`` shared by all legs, so
-    a leg's samples do not depend on the batch it is in.
-    """
+def up_legs_mirrored(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Whether each plan's up leg is its down leg mirrored under ky -> -ky,
+    (plans,), for the plans' starts, (plans, 2), and endpoints, (plans, 2,
+    2): :func:`ky_mirrored` of the legs' start and displacement, with a
+    start at ky = +0.0, as every site plan's is.  A start at ky = -0.0 is
+    not mirrored, as the legs' first samples then differ in the sign of
+    that zero.  A row depends on its own plan alone, so the rows of a
+    batch's passes are slices of the batch's."""
     # Each packet's leg as a line: its start and its displacement from it,
     # (plans, 2, 2, 2), down packet first.
     lines = np.empty((len(ends), 2, 2, 2))
     lines[:, :, 0] = starts[:, None]
-    disp = np.subtract(ends, starts[:, None], out=lines[:, :, 1])
-    mirror = ky_mirrored(lines[:, 0], lines[:, 1]) & ~np.signbit(starts[:, 1])
+    np.subtract(ends, starts[:, None], out=lines[:, :, 1])
+    return ky_mirrored(lines[:, 0], lines[:, 1]) & ~np.signbit(starts[:, 1])
+
+
+def leg_fields(
+    starts: np.ndarray, ends: np.ndarray, n: int, p: ModelParams,
+    mirror: np.ndarray,
+) -> LegPass:
+    """Bloch fields and band energies of the straight legs from each start,
+    (plans, 2), to its two endpoints, (plans, 2, 2), in n equal intervals,
+    where ``mirror`` is the plans' :func:`up_legs_mirrored`.
+
+    The one field evaluation of the batch, in a single ``bloch_fields``
+    call on a flat stack of samples.  A mirrored plan sends only its down
+    leg's samples.  Its up leg's fields are the down leg's with each
+    nonzero hy negated, bit for bit what evaluating them gives: ky -> -ky
+    conjugates u = exp(iY), the shared start sample's hy is a zero that
+    stays as it is, and an hy that cancels to zero on one leg cancels to
+    the same zero on the other.  With no mirrored plan the call takes the
+    whole stack, reshaped, and its five arrays are reshaped to the legs as
+    they come.  The samples are those of the
+    :meth:`chernscope.topology.KPath.line` paths of a plan's legs, with
+    one ``np.linspace`` shared by all legs, so a leg's samples do not
+    depend on the batch it is in.
+    """
+    disp = ends - starts[:, None]
     frac = np.linspace(0.0, 1.0, n + 1)
     points = np.empty((len(ends), 2, n + 1, 2))
     for c in range(2):  # a coordinate at a time, so each loop runs along a leg

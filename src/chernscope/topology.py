@@ -282,11 +282,11 @@ def berry_curvature_fhs(
     peak |flux| as the block is written, so only the flux grid and one
     block are alive at once: the kernel peaks at about 14 bytes per grid
     point at n = 400 and 10 at n = 800 (tracemalloc), so n =
-    ``MAX_GRID_N`` = 1500 implies about 20 MB, extrapolated, not run.  The ``curvature`` command also holds its
-    formatted table: it peaks at about 55 bytes per grid point with
-    ``--format dsv --out`` and 68 inline at n = 400 (51 and 64 at n = 800,
-    tracemalloc, tables formatted column by column), about 145 MB inline at
-    the budget.
+    ``MAX_GRID_N`` = 1500 implies about 20 MB, extrapolated, not run.  The
+    ``curvature`` command also holds its formatted table: it peaks at
+    about 55 bytes per grid point with ``--format dsv --out`` and 67 inline
+    at n = 400 (51 and 64 at n = 800, tracemalloc, tables formatted column
+    by column), about 145 MB inline at the budget.
 
     Raises:
         ValueError: if n < 6, or n > MAX_GRID_N before anything is allocated;
@@ -303,7 +303,7 @@ def berry_curvature_fhs(
         )
     _require_gapped(p)
     fracs = np.arange(n) / n
-    across = fracs[:, None] * B2  # the b2 part of every row's momenta
+    across = fracs * B2[:, None]  # each component's b2 part of a row's momenta
     rows = max(1, _FHS_BLOCK // n)
     flux = np.empty((n, n))
     peaks = []  # each block's largest |flux|
@@ -314,9 +314,10 @@ def berry_curvature_fhs(
         # first row matched through b1.
         lead, m = int(start > 0), stop - start
         ue = np.empty((lead + m + (stop == n), n + 1, 2), dtype=complex)
-        ue[lead:lead + m, :n] = band_states(
-            (fracs[start:stop, None] * B1)[:, None] + across, p, band, gauge_fn
-        )
+        k = np.empty((m, n, 2))
+        for c in range(2):  # a component at a time, so each loop runs along a row
+            np.add((fracs[start:stop] * B1[c])[:, None], across[c], out=k[..., c])
+        ue[lead:lead + m, :n] = band_states(k, p, band, gauge_fn)
         ue[lead:lead + m, n] = boundary_matched(ue[lead:lead + m, 0], B2)
         if lead:
             ue[0] = carried

@@ -741,6 +741,8 @@ def test_column_cells_match_format_value_on_edge_values():
         tuple(mixed),
         mixed,
         [],
+        np.zeros(0),
+        np.zeros(0, dtype=np.int64),
     ]
     for values in cases:
         expected = [format_value(value, "t.x") for value in values]
@@ -817,6 +819,27 @@ def test_integer_columns_print_as_format_value():
 
 
 _BLOCK = chernscope.cli._BLOCK_ROWS
+
+
+def _wide_then_narrow():
+    """Three blocks, the first wider than the last in every column kind:
+    negative and 7-digit integers, e-notation floats, 12-digit ties and a
+    long label come only in the first block.  The last two blocks have rows
+    of one width, 27 bytes of cells, but the last holds shorter floats and
+    longer labels, so its tab moves: a block buffer that kept a stale byte
+    would print it."""
+    rows = 3 * _BLOCK
+    ints = np.arange(rows) % 1000
+    ints[:3] = [-1234567, 7654321, -5]
+    floats = np.linspace(1.0, 9.0, rows)
+    floats[:4] = [-1.5e-300, 2.5e20, 44.50319927065, -0.0008271467107625]
+    floats[2 * _BLOCK:] = 1 + ints[2 * _BLOCK:] / 1000  # at most 4 digits
+    labels = [f"s{i % 7}" for i in range(2 * _BLOCK)]
+    labels += [f"t{i % 7}".ljust(19, "-") for i in range(_BLOCK)]
+    labels[0] = "a long first-block label"
+    return ("n", "x", "label"), (ints, floats, labels)
+
+
 EDGE_TABLES = [
     (("50%", "a%sb", "%d"),
      (np.arange(3), np.array([0.5, -0.0, 1e-300]), ["x%s", "%%", "y"])),
@@ -827,15 +850,18 @@ EDGE_TABLES = [
      (np.arange(_BLOCK + 3, dtype=np.uint16) * 7,
       np.geomspace(1e-9, 1e12, _BLOCK + 3) * (-1) ** np.arange(_BLOCK + 3),
       [f"s{i}%" for i in range(_BLOCK + 3)])),
+    _wide_then_narrow(),
 ]
-EDGE_IDS = ["percent-headers", "no-rows", "one-block", "block-and-one", "mixed"]
+EDGE_IDS = ["percent-headers", "no-rows", "one-block", "block-and-one", "mixed",
+            "wide-then-narrow"]
 
 
 @pytest.mark.parametrize("fmt", ["dsv", "structured-record"])
 @pytest.mark.parametrize("headers,columns", EDGE_TABLES, ids=EDGE_IDS)
 def test_table_lines_match_cell_by_cell_on_edge_tables(headers, columns, fmt):
     """One byte matrix per block prints what format_value prints cell by
-    cell: headers holding %, no rows, a block edge, and mixed column kinds."""
+    cell: headers holding %, no rows, a block edge, mixed column kinds, and
+    blocks that narrow."""
     blocks = table_lines(headers, columns, fmt, "t")
     lines = "\n".join(blocks).split("\n") if blocks else []
     assert lines == _cell_by_cell(headers, list(zip(*columns)), fmt, "t")
